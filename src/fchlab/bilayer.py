@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,6 +27,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import NumericsError
 from .potential import (
+    MEMO_SIZE,
     WellParams,
     eval_dwell,
     eval_well,
@@ -242,9 +244,7 @@ def _mass_integral_u(params, u_max, rtol=1e-12):
     return 2.0 * (v1 + v2)
 
 
-_PROFILE_CACHE: dict[tuple, BilayerProfile] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     """Construct the bilayer pulse on [-L, L].
 
@@ -255,10 +255,6 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     """
     if n_samples < 32:
         raise ValueError("n_samples must be at least 32")
-    key = (params, n_samples)
-    if key in _PROFILE_CACHE:
-        return _PROFILE_CACHE[key]
-
     u_max = peak_amplitude(params)
     length = half_width(params)
 
@@ -307,7 +303,7 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
 
     mass_z = 2.0 * _hermite_trapz(z_dense, u_dense, uz_dense)
 
-    profile = BilayerProfile(
+    return BilayerProfile(
         params=params,
         u_max=u_max,
         half_width_L=length,
@@ -321,8 +317,6 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
         _dense_u=u_dense,
         _interp=CubicSpline(z_dense, u_dense, bc_type=((1, 0.0), (1, 0.0))),
     )
-    _PROFILE_CACHE[key] = profile
-    return profile
 
 
 def mass_per_length_u_route(params: WellParams) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -97,7 +96,6 @@ def _write_manifest(out_path: Path, command: str, resolved: dict, seed):
         "config": resolved,
         "seed": seed,
         "version": __version__,
-        "threads": os.environ.get("FCHLAB_THREADS"),
         "output": str(out_path),
     }
     man_path = out_path.with_suffix(out_path.suffix + ".manifest.json")

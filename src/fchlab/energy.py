@@ -24,6 +24,7 @@ bit-reproducible for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +119,8 @@ class _Metric:
         if min(float(np.min(f)) for f in self.one_plus) <= 0.0:
             raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
         self.H = [w * f for w, f in zip(self.lames, self.one_plus)]
-        self.J = np.prod(np.stack(self.one_plus), axis=0) if self.one_plus else 1.0
-        self.weight = np.prod(np.stack(self.lames), axis=0)
+        self.J = math.prod(self.one_plus)
+        self.weight = math.prod(self.lames)
         self.P = self.J * self.weight
 
     def d1_s(self, f, axis):
@@ -169,81 +170,85 @@ def curvilinear_laplacian(field: Field, geom: InterfaceGeom, include_curvature_g
     tests can demonstrate the term matters on non-circular geometries.
     """
     m = _Metric(field.grid, geom)
-    return _laplacian(field, m, include_curvature_gradient)
-
-
-def _laplacian(field: Field, m: _Metric, include_curvature_gradient=True):
-    grid = field.grid
-    eps = grid.eps
     u = field.values
-    u_z = d1_bounded(u, -1, grid.h_z)
-    u_zz = d2_bounded(u, -1, grid.h_z)
+    return _laplacian(m, u, *_derivatives(u, m), include_curvature_gradient)
+
+
+def _derivatives(u, m: _Metric):
+    """u_z, u_zz and the list of per-axis u_t: the stencil passes shared by every term."""
+    h_z = m.grid.h_z
+    u_t = [m.d1_s(u, axis) for axis in range(m.geom.chart_dims)]
+    return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t
+
+
+def _laplacian(m: _Metric, u, u_z, u_zz, u_t, include_curvature_gradient=True):
+    # u_tt feeds only this sum, so each axis's second derivative lives one iteration
+    eps = m.grid.eps
     out = u_zz / eps**2
-    curv = 0.0
-    for k, f in zip(m.kappas, m.one_plus):
-        curv = curv + k / f
+    curv = sum(k / f for k, f in zip(m.kappas, m.one_plus))
     out = out + curv * u_z / eps
-    for axis in range(m.geom.chart_dims):
-        u_t = m.d1_s(u, axis)
-        u_tt = m.d2_s(u, axis)
-        out = out + u_tt / m.H[axis] ** 2
+    for axis, t in enumerate(u_t):
+        out = out + m.d2_s(u, axis) / m.H[axis] ** 2
         if include_curvature_gradient:
-            coeff = m.d1_s(m.P / m.H[axis] ** 2, axis) / m.P
-            out = out + coeff * u_t
+            out = out + m.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
     return out
+
+
+class _Terms:
+    """One pass over a field: the metric, each stencil derivative of u, W' and the residual."""
+
+    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
+        eps = field.grid.eps
+        u = field.values
+        self.metric = m = _Metric(field.grid, geom)
+        self.dwell = eval_dwell(u, params)
+        self.u_z, self.u_zz, self.u_t = _derivatives(u, m)
+        self.residual = -eps * _laplacian(m, u, self.u_z, self.u_zz, self.u_t) + self.dwell / eps
 
 
 def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
-    m = _Metric(field.grid, geom)
-    return _residual(field, m, params)
-
-
-def _residual(field: Field, m: _Metric, params: WellParams):
-    eps = field.grid.eps
-    return -eps * _laplacian(field, m) + eval_dwell(field.values, params) / eps
+    return _Terms(field, geom, params).residual
 
 
 def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
     """Rescaled FCH energy of the field plus all report diagnostics."""
+    return _energy_pass(field, geom, eta1, eta2, params)[0]
+
+
+def _energy_pass(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams):
+    """The energy report, with the terms and |grad u|^2 it was built from."""
     if not (np.isfinite(eta1) and np.isfinite(eta2)):
         raise ValueError("eta coefficients must be finite")
-    grid = field.grid
-    eps = grid.eps
-    m = _Metric(grid, geom)
+    eps = field.grid.eps
     u = field.values
-
+    terms = _Terms(field, geom, params)
+    m = terms.metric
+    u_z = terms.u_z
     w_of_u = eval_well(u, params)
-    residual = _residual(field, m, params)
-    u_z = d1_bounded(u, -1, grid.h_z)
 
     grad_sq = (u_z / eps) ** 2
-    tangential_sq = []
-    for axis in range(geom.chart_dims):
-        t_comp = m.d1_s(u, axis) / m.H[axis]
-        tangential_sq.append(t_comp**2)
-        grad_sq = grad_sq + t_comp**2
+    for axis, t in enumerate(terms.u_t):
+        grad_sq = grad_sq + (t / m.H[axis]) ** 2
 
-    quadratic = m.integrate(0.5 * residual**2)
+    quadratic = m.integrate(0.5 * terms.residual**2)
     functional = m.integrate(0.5 * eta1 * eps**2 * grad_sq + eta2 * w_of_u)
 
     mass = m.integrate(u)
     equi = m.integrate_flat(np.abs(0.5 * u_z**2 - w_of_u))
-    u_zz = d2_bounded(u, -1, grid.h_z)
-    bl_resid = np.sqrt(m.integrate_flat((-u_zz + eval_dwell(u, params)) ** 2))
+    bl_resid = np.sqrt(m.integrate_flat((-terms.u_zz + terms.dwell) ** 2))
 
     norm_u_lp = m.integrate_flat(np.abs(u) ** params.p) ** (1.0 / params.p)
     norm_uz = np.sqrt(m.integrate_flat(u_z**2))
     norm_us = 0.0
     norm_uss = 0.0
-    for axis in range(geom.chart_dims):
+    for axis, t in enumerate(terms.u_t):
         w = m.lames[axis]
-        u_t = m.d1_s(u, axis)
-        norm_us += np.sqrt(m.integrate_flat((u_t / w) ** 2))
-        u_ss = m.d1_s(u_t / w, axis) / w
+        norm_us += np.sqrt(m.integrate_flat((t / w) ** 2))
+        u_ss = m.d1_s(t / w, axis) / w
         norm_uss += np.sqrt(m.integrate_flat(u_ss**2))
 
-    return EnergyReport(
+    report = EnergyReport(
         eps=eps,
         total=quadratic - functional,
         quadratic_part=quadratic,
@@ -256,17 +261,16 @@ def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, para
         norm_us_l2=float(norm_us),
         norm_uss_l2=float(norm_uss),
     )
+    return report, terms, grad_sq
 
 
-def g1_energy(geom: InterfaceGeom, a_star, b_star, eta1: float, eta2: float, n_nodes: int = 2048) -> float:
+def g1_energy(geom: InterfaceGeom, a_star, b_star, eta1: float, eta2: float) -> float:
     """Limiting interface energy: integral of a* H0^2 - (eta1+eta2) b* over Gamma.
 
     a_star and b_star may be constants or callables of the chart
     coordinates (the s-dependent form).
     """
-    mesh, wq = geom.surface_quadrature(min(n_nodes, 512) if geom.chart_dims > 1 else n_nodes)
-    kappas = geom.curvatures(*mesh)
-    h0 = sum(kappas)
+    mesh, wq, h0 = geom.surface_rule
     a_vals = a_star(*mesh) if callable(a_star) else a_star
     b_vals = b_star(*mesh) if callable(b_star) else b_star
     if not callable(a_star) and a_star < 0.0:
@@ -323,18 +327,12 @@ def lower_bound_audit(
         raise InfeasibleModelError("lower bound inapplicable: eps too large for A1 > 0")
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
-    m = _Metric(field.grid, geom)
+    report, terms, grad_sq = _energy_pass(field, geom, eta1, eta2, params)
+    m = terms.metric
     u = field.values
-    residual = _residual(field, m, params)
-    u_z = d1_bounded(u, -1, field.grid.h_z)
-    grad_sq = (u_z / eps) ** 2
-    for axis in range(geom.chart_dims):
-        grad_sq = grad_sq + (m.d1_s(u, axis) / m.H[axis]) ** 2
-
-    report = fch_energy(field, geom, eta1, eta2, params)
     domain = m.integrate(np.ones_like(u))
     rhs = (
-        m.integrate(0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(u) ** p)
+        m.integrate(0.25 * terms.residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(u) ** p)
         - a2 * domain
     )
     return LowerBoundAudit(lhs=report.total, rhs=rhs, a1=float(a1), a2=float(a2), domain_measure=domain)

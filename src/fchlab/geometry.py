@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _VALIDATION_NODES = 512
+# nodes per chart axis of the cached surface rule; curves can afford more
+_SURFACE_NODES = 512
+_CURVE_NODES = 2048
 
 
 class InterfaceGeom:
@@ -89,24 +93,22 @@ class InterfaceGeom:
                 grids.append((np.arange(m) + 0.5) * h)
         return np.meshgrid(*grids, indexing="ij")
 
-    @property
+    @cached_property
     def kappa0(self):
         """Uniform bound on |kappa_j| and |d kappa_j / d s_i|."""
-        if not hasattr(self, "_kappa0"):
-            mesh = self._validation_mesh()
-            kappas = self.curvatures(*mesh)
-            lames = self.lame(*mesh)
-            bound = 0.0
-            for kap in kappas:
-                kap = np.broadcast_to(kap, mesh[0].shape)
-                bound = max(bound, float(np.max(np.abs(kap))))
-                for axis, (w, period) in enumerate(zip(lames, self.chart_periods)):
-                    h = period / _VALIDATION_NODES
-                    dk_dt = _periodic_or_interior_gradient(kap, axis, h, self.periodic[axis])
-                    w = np.broadcast_to(np.asarray(w, dtype=float), mesh[0].shape)
-                    bound = max(bound, float(np.max(np.abs(dk_dt / w))))
-            self._kappa0 = bound
-        return self._kappa0
+        mesh = self._validation_mesh()
+        kappas = self.curvatures(*mesh)
+        lames = self.lame(*mesh)
+        bound = 0.0
+        for kap in kappas:
+            kap = np.broadcast_to(kap, mesh[0].shape)
+            bound = max(bound, float(np.max(np.abs(kap))))
+            for axis, (w, period) in enumerate(zip(lames, self.chart_periods)):
+                h = period / _VALIDATION_NODES
+                dk_dt = _periodic_or_interior_gradient(kap, axis, h, self.periodic[axis])
+                w = np.broadcast_to(np.asarray(w, dtype=float), mesh[0].shape)
+                bound = max(bound, float(np.max(np.abs(dk_dt / w))))
+        return bound
 
     def surface_quadrature(self, n_nodes=512):
         """Quadrature (mesh tuple, weights) with weights including the metric."""
@@ -128,12 +130,19 @@ class InterfaceGeom:
         wq = wq * self.metric_weight(*mesh)
         return mesh, wq
 
-    @property
+    @cached_property
+    def surface_rule(self):
+        """(mesh, weights, H0) of the quadrature behind every integral over Gamma."""
+        mesh, wq = self.surface_quadrature(_SURFACE_NODES if self.chart_dims > 1 else _CURVE_NODES)
+        rule = (*mesh, wq, total_curvature(self, mesh))
+        # every caller, a*/b* callables included, shares these arrays
+        for arr in rule:
+            arr.flags.writeable = False
+        return mesh, wq, rule[-1]
+
+    @cached_property
     def surface_measure(self):
-        if not hasattr(self, "_measure"):
-            _, wq = self.surface_quadrature()
-            self._measure = float(np.sum(wq))
-        return self._measure
+        return float(np.sum(self.surface_rule[1]))
 
 
 def _periodic_or_interior_gradient(f, axis, h, periodic):
@@ -342,10 +351,9 @@ def gaussian_curvature_sums(geom: InterfaceGeom, t):
     return sums
 
 
-def bending_integral(geom: InterfaceGeom, n_nodes: int = 2048) -> float:
+def bending_integral(geom: InterfaceGeom) -> float:
     """integral over Gamma of H0(s)^2 ds."""
-    mesh, wq = geom.surface_quadrature(min(n_nodes, 512) if geom.chart_dims > 1 else n_nodes)
-    h0 = total_curvature(geom, mesh)
+    _, wq, h0 = geom.surface_rule
     return float(np.sum(h0 * h0 * wq))
 
 

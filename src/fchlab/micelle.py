@@ -20,6 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
@@ -27,7 +28,7 @@ from scipy.interpolate import CubicSpline
 
 from .bilayer import peak_amplitude, solve_profile
 from .errors import InfeasibleModelError, NumericsError
-from .potential import WellParams, dwell_scalar, eval_dwell, eval_well
+from .potential import MEMO_SIZE, WellParams, dwell_scalar, eval_dwell, eval_well
 
 __all__ = [
     "MicelleProfile",
@@ -174,6 +175,7 @@ def _find_bracket(params, n, r_init, r_max, lo, hi, cap_hi):
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def shoot_micelle(
     dim_n: int,
     params: WellParams,
@@ -193,14 +195,8 @@ def shoot_micelle(
         raise ValueError("dim_n must be between 1 and 4")
     params.check_dimension(dim_n)
 
-    key = (params, dim_n, n_samples, amplitude_cap, r_init, graze_tol)
-    if key in _SHOOT_CACHE:
-        return _SHOOT_CACHE[key]
-
     if dim_n == 1:
-        profile = _bilayer_as_micelle(params, n_samples)
-        _SHOOT_CACHE[key] = profile
-        return profile
+        return _bilayer_as_micelle(params, n_samples)
 
     u_max = peak_amplitude(params)
     cap = amplitude_cap if amplitude_cap is not None else 2.0 * params.u_plus
@@ -259,7 +255,7 @@ def shoot_micelle(
             f"surface tension not converged under step halving: {sigma} vs {sigma_coarse}"
         )
 
-    profile = _SHOOT_CACHE[key] = MicelleProfile(
+    return MicelleProfile(
         params=params,
         dim_n=dim_n,
         amplitude=float(a_star),
@@ -271,10 +267,6 @@ def shoot_micelle(
         grazing_defect=float(defect),
         _interp=CubicSpline(r_samples, uu, bc_type=((1, 0.0), (1, float(du[-1])))),
     )
-    return profile
-
-
-_SHOOT_CACHE: dict[tuple, MicelleProfile] = {}
 
 
 def _sigma_quadrature(r, du, n):

@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleWellError
+
+# entries each memoised solver keeps: one per distinct well and option set
+MEMO_SIZE = 32
 
 __all__ = [
     "WellParams",
@@ -253,6 +257,7 @@ def smallest_positive_bracket_root(params: WellParams) -> float:
     return float(root)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def default_c5(r=1.75, u_plus=1.0, tau=0.25, p=3.0):
     """Smallest power of 2 making W' zero-free outside [0, u_plus].
 
@@ -272,15 +277,9 @@ def default_c5(r=1.75, u_plus=1.0, tau=0.25, p=3.0):
     raise InfeasibleWellError("no power-of-two c5 up to 2^11 removes spurious critical points")
 
 
-_DEFAULT_CACHE: dict[tuple, float] = {}
-
-
 def default_params(r=1.75, u_plus=1.0, tau=0.25, p=3.0) -> WellParams:
     """Default parameter set used by examples and tests; c5 is audited."""
-    key = (r, u_plus, tau, p)
-    if key not in _DEFAULT_CACHE:
-        _DEFAULT_CACHE[key] = default_c5(r, u_plus, tau, p)
-    return WellParams(r=r, u_plus=u_plus, tau=tau, p=p, c5=_DEFAULT_CACHE[key])
+    return WellParams(r=r, u_plus=u_plus, tau=tau, p=p, c5=default_c5(r, u_plus, tau, p))
 
 
 @dataclass(frozen=True)

@@ -119,15 +119,17 @@ class SequenceSpec:
                 raise ValueError("translate applies to bilayer sequences only")
 
 
-def _bilayer_ell(spec: SequenceSpec, profile):
+def _translate_max(spec: SequenceSpec) -> float:
+    """max |p| of the translate over a 256-per-axis chart probe; 0 without one."""
+    if spec.translate is None:
+        return 0.0
+    mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in spec.geom.chart_periods], indexing="ij")
+    return float(np.max(np.abs(spec.translate(*mesh))))
+
+
+def _bilayer_ell(spec: SequenceSpec, profile, pmax: float):
     if spec.ell is not None:
         return spec.ell
-    pmax = 0.0
-    if spec.translate is not None:
-        mesh = np.meshgrid(
-            *[np.linspace(0.0, per, 256) for per in spec.geom.chart_periods], indexing="ij"
-        )
-        pmax = float(np.max(np.abs(spec.translate(*mesh))))
     return 1.05 * (profile.half_width_L + pmax)
 
 
@@ -136,13 +138,10 @@ def build_bilayer_field(spec: SequenceSpec, eps: float) -> Field:
     if spec.kind != "bilayer":
         raise ValueError("spec is not a bilayer sequence")
     profile = solve_profile(spec.params)
-    ell = _bilayer_ell(spec, profile)
-    if spec.translate is not None:
-        mesh_probe = np.meshgrid(
-            *[np.linspace(0.0, per, 256) for per in spec.geom.chart_periods], indexing="ij"
-        )
-        if float(np.max(np.abs(spec.translate(*mesh_probe)))) + profile.half_width_L >= ell:
-            raise InfeasibleModelError("translate pushes the pulse outside |z| < ell")
+    pmax = _translate_max(spec)
+    ell = _bilayer_ell(spec, profile, pmax)
+    if spec.translate is not None and pmax + profile.half_width_L >= ell:
+        raise InfeasibleModelError("translate pushes the pulse outside |z| < ell")
     ns = spec.ns if spec.ns is not None else (64 if spec.translate is None else 192)
     grid = TubularGrid.build(spec.geom, ell, eps, ns, spec.nz)
     z = grid.z_grid.reshape((1,) * spec.geom.chart_dims + (-1,))
@@ -154,18 +153,10 @@ def build_bilayer_field(spec: SequenceSpec, eps: float) -> Field:
     return Field(grid, np.maximum(vals, 0.0))
 
 
-def _chart_window(geom, grid, center_t, reach):
-    """Index windows (per chart axis) covering an ambient ball of radius reach."""
+def _chart_window(geom, grid, center_t, halfwidths):
+    """Index windows (per chart axis) of the given half-widths around a center."""
     slices = []
-    for axis in range(geom.chart_dims):
-        t_axis = grid.s_grids[axis]
-        # conservative chart extent: reach divided by the smallest metric
-        # factor along this axis
-        mesh = np.meshgrid(*[np.linspace(0, p, 128) for p in geom.chart_periods], indexing="ij")
-        w_min = float(np.min(geom.lame(*mesh)[axis]))
-        dt = reach / max(w_min, 1e-12)
-        h = grid.h_s[axis]
-        halfwidth = int(np.ceil(dt / h)) + 4
+    for axis, (t_axis, h, halfwidth) in enumerate(zip(grid.s_grids, grid.h_s, halfwidths)):
         if 2 * halfwidth + 1 >= len(t_axis) or not geom.periodic[axis]:
             slices.append(np.arange(len(t_axis)))
             continue
@@ -190,15 +181,16 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
     alpha_count = spec.alpha / unit_sphere_area(n_amb)
     centers = place_micelle_centers(geom, eps, alpha_count, r0)
 
+    # metric factors on a coarse chart mesh: the largest sets the default
+    # resolution, the smallest a conservative chart extent of one micelle
+    lames = geom.lame(*np.meshgrid(*[np.linspace(0, p, 128) for p in geom.chart_periods], indexing="ij"))
     if spec.ns is not None:
         ns = spec.ns
     else:
         ns = []
-        for axis in range(geom.chart_dims):
-            mesh = np.meshgrid(*[np.linspace(0, p, 128) for p in geom.chart_periods], indexing="ij")
-            w_max = float(np.max(geom.lame(*mesh)[axis]))
-            h_target = 2.0 * eps * r0 / spec.points_per_micelle * (1.0 / w_max)
-            ns.append(int(np.ceil(geom.chart_periods[axis] / h_target)))
+        for w, period in zip(lames, geom.chart_periods):
+            h_target = 2.0 * eps * r0 / spec.points_per_micelle * (1.0 / float(np.max(w)))
+            ns.append(int(np.ceil(period / h_target)))
         ns = tuple(ns)
     grid = TubularGrid.build(geom, ell, eps, ns, min(spec.nz, 257))
 
@@ -207,9 +199,12 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
     mesh = grid.s_mesh
     z = grid.z_grid
     reach = 1.2 * eps * r0 + eps * ell
+    halfwidths = [
+        int(np.ceil(reach / max(float(np.min(w)), 1e-12) / h)) + 4 for w, h in zip(lames, grid.h_s)
+    ]
     for center in centers:
         c_pos = geom.position(*center)
-        windows = _chart_window(geom, grid, center, reach)
+        windows = _chart_window(geom, grid, center, halfwidths)
         sub_mesh = [m[np.ix_(*windows)] if geom.chart_dims > 1 else m[windows[0]] for m in mesh]
         sub_shape = sub_mesh[0].shape + (len(z),)
         zfull = np.broadcast_to(z.reshape((1,) * geom.chart_dims + (-1,)), sub_shape)
@@ -311,7 +306,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
     if spec.kind == "bilayer":
         prof = solve_profile(spec.params)
         predicted = g1_energy(geom, prof.a_star, prof.b_star, spec.eta1, spec.eta2)
-        ell = _bilayer_ell(spec, prof)
+        ell = _bilayer_ell(spec, prof, _translate_max(spec))
     else:
         prof = shoot_micelle(geom.ambient_n, spec.params)
         predicted = micelle_limit(geom.ambient_n, spec.alpha, spec.eta1, spec.eta2, prof.sigma_n)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from fchlab import (
     Circle,
@@ -12,6 +13,10 @@ from fchlab import (
     shoot_micelle,
     solve_profile,
 )
+
+# property tests replay the same examples on every run and keep no database
+settings.register_profile("fchlab", derandomize=True, deadline=None, max_examples=60, database=None)
+settings.load_profile("fchlab")
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,18 @@ from fchlab import (
     Circle,
     Ellipse,
     Field,
+    SequenceSpec,
     Sphere,
     TubularGrid,
+    build_bilayer_field,
+    build_micelle_field,
     cahn_hilliard_residual,
     curvilinear_gradient,
     curvilinear_laplacian,
     fch_energy,
     g1_energy,
     lower_bound_audit,
+    snap_micelle_eps,
 )
 from fchlab.errors import InfeasibleModelError
 
@@ -284,3 +288,64 @@ def test_field_validation(params):
         Field(grid, negative)
     with pytest.raises(ValueError):
         Field(grid, np.zeros((3, 3)))
+
+
+# Reports and audit sides recorded before the energy terms were shared
+# between fch_energy and lower_bound_audit; the shared pass must reproduce
+# them to round-off.
+PINNED = {
+    "sphere_bilayer": {
+        "total": -12.582903508016177,
+        "quadratic_part": 3.579114009917066,
+        "functional_part": 16.162017517933243,
+        "mass": 195.21601272358396,
+        "equipartition_defect": 0.004669652919475356,
+        "bilayer_residual": 0.0008449721323694565,
+        "norm_u_lp": 2.956658301079265,
+        "norm_uz_l2": 4.012958813158286,
+        "norm_us_l2": 0.14614379343458372,
+        "norm_uss_l2": 0.07469095846677881,
+        "audit_lhs": -12.582903508016177,
+        "audit_rhs": -57547.84054201744,
+    },
+    "ellipse_micelle": {
+        "total": -0.08694962882371346,
+        "quadratic_part": 1.8601247941147442e-07,
+        "functional_part": 0.08694981483619287,
+        "mass": 1.1393313988749287,
+        "equipartition_defect": 0.06996537960446288,
+        "bilayer_residual": 0.21570793363761082,
+        "norm_u_lp": 0.6417871906499127,
+        "norm_uz_l2": 0.2955703773284682,
+        "norm_us_l2": 7.394545939388476,
+        "norm_uss_l2": 135.13655948131392,
+        "audit_lhs": -0.08694962882371346,
+        "audit_rhs": -4852.52808735642,
+    },
+}
+
+
+def pinned_field(case, params):
+    if case == "sphere_bilayer":
+        # a tilted pulse, so the tangential norms are not round-off
+        spec = SequenceSpec(
+            kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1,),
+            translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
+        )
+        return build_bilayer_field(spec, 0.1), spec.geom
+    eps, _ = snap_micelle_eps(0.5, 2, 0.05)
+    spec = SequenceSpec(
+        kind="micelle", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+        eps_list=(eps,), ns=(768,), nz=129,
+    )
+    return build_micelle_field(spec, eps), spec.geom
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_energy_and_audit_pinned(case, params, growth):
+    fld, geom = pinned_field(case, params)
+    rep = fch_energy(fld, geom, 1.0, 1.0, params)
+    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+    got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
+    for key, value in PINNED[case].items():
+        assert got[key] == pytest.approx(value, rel=1e-13), key

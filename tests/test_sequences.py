@@ -5,6 +5,7 @@ from fchlab import (
     Circle,
     Ellipse,
     Field,
+    InterfaceGeom,
     Sphere,
     TubularGrid,
     build_bilayer_field,
@@ -223,6 +224,22 @@ def test_phase_diagram_sphere_threshold(params, profile):
     rho_crit = 2.0 / np.sqrt(eta1 + eta2)
     assert g1_energy(Sphere(rho_crit * 1.01), profile.a_star, profile.b_star, eta1, eta2) < 0.0
     assert g1_energy(Sphere(rho_crit * 0.99), profile.a_star, profile.b_star, eta1, eta2) > 0.0
+
+
+def test_phase_diagram_builds_one_surface_rule(params, micelle3, monkeypatch):
+    # G1 is affine in eta1 + eta2: every cell reads the geometry's cached rule
+    calls = []
+    quadrature = InterfaceGeom.surface_quadrature
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return quadrature(self, *args, **kwargs)
+
+    monkeypatch.setattr(InterfaceGeom, "surface_quadrature", counted)
+    cells = [(0.05 + 1.95 * i / 13, -2.0 + 8.0 * j / 40) for i in range(14) for j in range(41)]
+    table = phase_diagram(Sphere(3.0), 0.5, params, cells)
+    assert len(table.rows) == 14 * 41
+    assert len(calls) <= 1
 
 
 def test_phase_diagram_invalid_cells(params):
