@@ -17,6 +17,20 @@ per-coordinate expansion misses.  The c_j coefficients are obtained by
 differencing the sampled metric products, so geometries only need to
 supply w_j and kappa_j.
 
+Integrals run over the field's support plus a halo of 8 chart samples:
+along each chart axis, every index within 8 samples of a column holding a
+nonzero sample, as one tensor sub-grid (z stays whole, spacings are the
+grid's).  This is exact because W(0) = W'(0) = 0: every integrand vanishes
+where u and its stencil derivatives do.  The chained chart stencils
+u -> u_t -> u_ss reach 4 samples and the one-sided edge rows read 6, so
+at every kept sample each stencil operand is either the true neighbour or
+an exact zero standing in for one; across a gap between kept indices the
+metric stencils only ever multiply an exact-zero u_t.  Only the summation
+order changes, so sparse fields agree with the whole-grid sums to
+round-off and fully supported fields (every index kept) bit for bit.  The
+degenerate-metric check and |domain| in the lower-bound audit still cover
+the whole grid.
+
 All reductions are plain numpy sums in a fixed order, so results are
 bit-reproducible for identical inputs.
 """
@@ -25,14 +39,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
 from .errors import InfeasibleModelError
 from .geometry import InterfaceGeom, TubularGrid
-from .potential import GrowthConstants, WellParams, eval_dwell, eval_well
+from .potential import GrowthConstants, WellParams, eval_well_and_dwell
 
 __all__ = [
     "Field",
@@ -103,21 +117,68 @@ class EnergyReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-class _Metric:
-    """Sampled metric data shared by the operators on one (field, geom) pair."""
+# Chained chart stencils (u -> u_t -> u_ss) reach 4 samples, and the one-sided
+# edge rows read 6; beyond this many samples from every nonzero column each
+# integrand vanishes exactly.
+_HALO = 8
 
-    def __init__(self, grid: TubularGrid, geom: InterfaceGeom):
+
+def _support(u, geom: InterfaceGeom):
+    """Selector of the sub-grid within _HALO chart samples of any nonzero column.
+
+    np.ix_ of the per-axis chart indices; Ellipsis when that is the whole
+    grid, so a fully supported field is a view, not a copy; None for an
+    all-zero field.
+    """
+    cols = np.any(u != 0.0, axis=-1)
+    if not cols.any():
+        return None
+    index = []
+    for axis, periodic in enumerate(geom.periodic):
+        n = cols.shape[axis]
+        hits = np.flatnonzero(np.any(cols, axis=tuple(a for a in range(cols.ndim) if a != axis)))
+        near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
+        near = near % n if periodic else near[(near >= 0) & (near < n)]
+        index.append(np.unique(near))
+    if all(len(i) == n for i, n in zip(index, cols.shape)):
+        return Ellipsis
+    return np.ix_(*index)
+
+
+def _chart_factors(grid: TubularGrid, geom: InterfaceGeom):
+    """Curvatures and Lame factors on the whole chart mesh.
+
+    Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid; the
+    factor is linear in z, so its minimum over the slab sits at z = +-ell.
+    """
+    mesh = grid.s_mesh
+    kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
+    ends = grid.z_grid[[0, -1]]
+    if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in kappas) <= 0.0:
+        raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
+    lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
+    return kappas, lames
+
+
+class _Metric:
+    """Sampled metric data shared by the operators on one (field, geom) pair.
+
+    chart selects a sub-grid from any array over the chart, and z with it
+    (Ellipsis: the whole grid); z stays whole and the stencils keep the
+    grid's spacings.
+    """
+
+    def __init__(self, grid: TubularGrid, geom: InterfaceGeom, chart=Ellipsis):
         self.grid = grid
         self.geom = geom
-        mesh = grid.s_mesh
+        self.chart = chart
+        kappas, lames = _chart_factors(grid, geom)
         z = grid.z_grid
         eps = grid.eps
-        self.kappas = [np.asarray(k, dtype=float)[..., None] for k in geom.curvatures(*mesh)]
-        self.lames = [np.asarray(w, dtype=float)[..., None] for w in geom.lame(*mesh)]
-        zrow = z.reshape((1,) * len(mesh) + (-1,))
+        self.kappas = [k[self.chart][..., None] for k in kappas]
+        self.lames = [w[self.chart][..., None] for w in lames]
+        zrow = z.reshape((1,) * geom.chart_dims + (-1,))
         self.one_plus = [1.0 + eps * zrow * k for k in self.kappas]
-        if min(float(np.min(f)) for f in self.one_plus) <= 0.0:
-            raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
         self.H = [w * f for w, f in zip(self.lames, self.one_plus)]
         self.J = math.prod(self.one_plus)
         self.weight = math.prod(self.lames)
@@ -195,20 +256,34 @@ def _laplacian(m: _Metric, u, u_z, u_zz, u_t, include_curvature_gradient=True):
 
 
 class _Terms:
-    """One pass over a field: the metric, each stencil derivative of u, W' and the residual."""
+    """One pass over a field's support: the metric, each stencil derivative of u, W, W' and the residual."""
 
-    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
+    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams, chart):
         eps = field.grid.eps
-        u = field.values
-        self.metric = m = _Metric(field.grid, geom)
-        self.dwell = eval_dwell(u, params)
+        self.metric = m = _Metric(field.grid, geom, chart)
+        self.u = u = field.values[m.chart]
+        self.well, self.dwell = eval_well_and_dwell(u, params)
         self.u_z, self.u_zz, self.u_t = _derivatives(u, m)
         self.residual = -eps * _laplacian(m, u, self.u_z, self.u_zz, self.u_t) + self.dwell / eps
 
 
+def _terms(field: Field, geom: InterfaceGeom, params: WellParams):
+    """The pass over the field's support, or None for an all-zero field."""
+    chart = _support(field.values, geom)
+    if chart is None:
+        # no sub-grid to build, but the metric must still be valid on the grid
+        _chart_factors(field.grid, geom)
+        return None
+    return _Terms(field, geom, params, chart)
+
+
 def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
-    return _Terms(field, geom, params).residual
+    out = np.zeros(field.grid.shape)
+    terms = _terms(field, geom, params)
+    if terms is not None:
+        out[terms.metric.chart] = terms.residual
+    return out
 
 
 def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
@@ -217,15 +292,18 @@ def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, para
 
 
 def _energy_pass(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams):
-    """The energy report, with the terms and |grad u|^2 it was built from."""
+    """The energy report, with the terms and |grad u|^2 it was built from (None for a zero field)."""
     if not (np.isfinite(eta1) and np.isfinite(eta2)):
         raise ValueError("eta coefficients must be finite")
     eps = field.grid.eps
-    u = field.values
-    terms = _Terms(field, geom, params)
+    terms = _terms(field, geom, params)
+    if terms is None:
+        zero = {f.name: 0.0 for f in fields(EnergyReport) if f.name != "eps"}
+        return EnergyReport(eps=eps, **zero), None, None
     m = terms.metric
+    u = terms.u
     u_z = terms.u_z
-    w_of_u = eval_well(u, params)
+    w_of_u = terms.well
 
     grad_sq = (u_z / eps) ** 2
     for axis, t in enumerate(terms.u_t):
@@ -328,11 +406,12 @@ def lower_bound_audit(
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
     report, terms, grad_sq = _energy_pass(field, geom, eta1, eta2, params)
-    m = terms.metric
-    u = field.values
-    domain = m.integrate(np.ones_like(u))
-    rhs = (
-        m.integrate(0.25 * terms.residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(u) ** p)
-        - a2 * domain
-    )
+    # |domain| is over the whole grid; the integrand below vanishes off the support
+    domain = _Metric(field.grid, geom).integrate(np.ones(field.grid.shape))
+    bound = 0.0
+    if terms is not None:
+        bound = terms.metric.integrate(
+            0.25 * terms.residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(terms.u) ** p
+        )
+    rhs = bound - a2 * domain
     return LowerBoundAudit(lhs=report.total, rhs=rhs, a1=float(a1), a2=float(a2), domain_measure=domain)

@@ -39,6 +39,8 @@ _VALIDATION_NODES = 512
 # nodes per chart axis of the cached surface rule; curves can afford more
 _SURFACE_NODES = 512
 _CURVE_NODES = 2048
+# intervals of the arc-length table that places micelle centers on curves
+_ARCLENGTH_NODES = 16384
 
 
 class InterfaceGeom:
@@ -143,6 +145,16 @@ class InterfaceGeom:
     @cached_property
     def surface_measure(self):
         return float(np.sum(self.surface_rule[1]))
+
+    @cached_property
+    def arclength_table(self):
+        """(t, s(t)) on 16385 chart nodes of a curve: trapezoid arc length from t = 0."""
+        t = np.linspace(0.0, self.chart_periods[0], _ARCLENGTH_NODES + 1)
+        w = self.lame(t)[0]
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))])
+        # every placement on this curve shares the table
+        t.flags.writeable = cum.flags.writeable = False
+        return t, cum
 
 
 def _periodic_or_interior_gradient(f, axis, h, periodic):
@@ -445,13 +457,6 @@ class TubularGrid:
         return uniform_thickness_ok(self.geom, self.ell)
 
 
-def _curve_arclength_table(geom, n=16384):
-    t = np.linspace(0.0, geom.chart_periods[0], n + 1)
-    w = geom.lame(t)[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))])
-    return t, cum
-
-
 def _halton(index, base):
     res, f = 0.0, 1.0
     i = index
@@ -486,7 +491,7 @@ def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: flo
 
 
 def _curve_points_at_arclength(geom, s_values):
-    t_tab, cum = _curve_arclength_table(geom)
+    t_tab, cum = geom.arclength_table
     return np.interp(s_values, cum, t_tab)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "default_c5",
     "eval_well",
     "eval_dwell",
+    "eval_well_and_dwell",
     "eval_cutoff",
     "quadratic_factor",
     "quadratic_factor_coeffs",
@@ -168,40 +169,61 @@ def _as_input(u):
     return arr
 
 
+def _core(arr, params: WellParams):
+    """(W, W') of the closed-form branch |u|^r * bracket; |u|^r is formed once."""
+    absu = np.abs(arr)
+    quad = quadratic_factor(arr, params)
+    pow_r = absu**params.r
+    # d/du |u|^r = r|u|^(r-1) sgn(u); exponent r-1 > 0 so the limit at 0 is 0
+    core_p = params.r * absu ** (params.r - 1.0) * np.sign(arr) * quad + pow_r * _quadratic_factor_prime(arr, params)
+    return pow_r * quad, core_p
+
+
+def _blended(arr, params: WellParams):
+    """(W, W') blended through the cutoff: exact wherever chi = 1 or chi = 0."""
+    chi = eval_cutoff(arr, params)
+    chi_p = _eval_cutoff_prime(arr, params)
+    absu = np.abs(arr)
+    sgn = np.sign(arr)
+    core, core_p = _core(arr, params)
+    far = params.c5 * absu**params.p
+    far_p = params.c5 * params.p * absu ** (params.p - 1.0) * sgn
+    well = chi * core + (1.0 - chi) * far
+    dwell = chi_p * (core - far) + chi * core_p + (1.0 - chi) * far_p
+    return well, dwell
+
+
+def eval_well_and_dwell(u, params: WellParams):
+    """W(u) and W'(u) from one pass over the samples.
+
+    When every sample lies in the core [-1, 2*u_plus], where chi = 1 and
+    chi' = 0, only the closed-form branch is evaluated; the result is
+    bit-identical to the blended form there.  Otherwise the blended form
+    is used.  Scalars give a pair of floats.
+    """
+    arr = _as_input(u)
+    _, lo, hi, _ = params.cutoff_knots
+    if arr.size and lo <= arr.min() and arr.max() <= hi:
+        well, dwell = _core(arr, params)
+    else:
+        well, dwell = _blended(arr, params)
+    if np.ndim(u) == 0:
+        return float(well), float(dwell)
+    return well, dwell
+
+
 def eval_well(u, params: WellParams):
     """Energy density W(u).
 
     Exact closed form where chi = 1 or chi = 0; quintic blend between.
     Accepts scalars or arrays; W(0) = 0 exactly.
     """
-    arr = _as_input(u)
-    chi = eval_cutoff(arr, params)
-    absu = np.abs(arr)
-    core = absu**params.r * quadratic_factor(arr, params)
-    far = params.c5 * absu**params.p
-    out = chi * core + (1.0 - chi) * far
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
+    return eval_well_and_dwell(u, params)[0]
 
 
 def eval_dwell(u, params: WellParams):
     """Derivative W'(u); W'(0) = 0 and W' ~ r*u^(r-1)*(bracket at 0) near 0+."""
-    arr = _as_input(u)
-    chi = eval_cutoff(arr, params)
-    chi_p = _eval_cutoff_prime(arr, params)
-    absu = np.abs(arr)
-    sgn = np.sign(arr)
-    quad = quadratic_factor(arr, params)
-    core = absu**params.r * quad
-    # d/du |u|^r = r|u|^(r-1) sgn(u); exponent r-1 > 0 so the limit at 0 is 0
-    core_p = params.r * absu ** (params.r - 1.0) * sgn * quad + absu**params.r * _quadratic_factor_prime(arr, params)
-    far = params.c5 * absu**params.p
-    far_p = params.c5 * params.p * absu ** (params.p - 1.0) * sgn
-    out = chi_p * (core - far) + chi * core_p + (1.0 - chi) * far_p
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
+    return eval_well_and_dwell(u, params)[1]
 
 
 def dwell_scalar(u: float, params: WellParams) -> float:

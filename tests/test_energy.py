@@ -13,6 +13,7 @@ from fchlab import (
     cahn_hilliard_residual,
     curvilinear_gradient,
     curvilinear_laplacian,
+    eval_dwell,
     fch_energy,
     g1_energy,
     lower_bound_audit,
@@ -349,3 +350,113 @@ def test_energy_and_audit_pinned(case, params, growth):
     got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
     for key, value in PINNED[case].items():
         assert got[key] == pytest.approx(value, rel=1e-13), key
+
+
+# Reports and audit sides recorded with the whole-grid evaluator, before
+# integrals were restricted to the support plus its stencil halo.
+EDGE_PINNED = {
+    # a micelle straddling the periodic seam s = 0, off-centre
+    "circle_micelle_seam": {
+        "total": -0.0869353364698577,
+        "quadratic_part": 4.142665489429043e-06,
+        "functional_part": 0.08693947913534712,
+        "mass": 1.139331398886673,
+        "equipartition_defect": 0.06962048805037638,
+        "bilayer_residual": 0.2146946153243358,
+        "norm_u_lp": 0.6412854184369525,
+        "norm_uz_l2": 0.2950550923018709,
+        "norm_us_l2": 7.405493218510029,
+        "norm_uss_l2": 135.1778015362472,
+        "audit_lhs": -0.0869353364698577,
+        "audit_rhs": -3146.577094238577,
+    },
+    # support on theta rows 0..20 of 64: the bounded axis's true edge and a cut one
+    "sphere_micelle": {
+        "total": 0.13366804827453516,
+        "quadratic_part": 0.5771094984358542,
+        "functional_part": 0.4434414501613191,
+        "mass": 8.387070426418326,
+        "equipartition_defect": 0.6820796877096692,
+        "bilayer_residual": 0.6721214682056388,
+        "norm_u_lp": 1.411199826846481,
+        "norm_uz_l2": 0.6771475387137329,
+        "norm_us_l2": 13.331814123503792,
+        "norm_uss_l2": 77.16692843703026,
+        "audit_lhs": 0.13366804827453516,
+        "audit_rhs": -68335.61122682967,
+    },
+    # every column nonzero: the support is the whole grid
+    "ellipse_bilayer": {
+        "total": -0.9037374205598467,
+        "quadratic_part": 0.4739717966835873,
+        "functional_part": 1.377709217243434,
+        "mass": 16.658509122680826,
+        "equipartition_defect": 2.5463441642395313e-05,
+        "bilayer_residual": 1.5946335358042883e-05,
+        "norm_u_lp": 1.3026741558483521,
+        "norm_uz_l2": 1.1737527818589704,
+        "norm_us_l2": 0.050477605589144436,
+        "norm_uss_l2": 0.04091644295708765,
+        "audit_lhs": -0.9037374205598467,
+        "audit_rhs": -4791.04613915672,
+    },
+}
+
+
+def edge_field(case, params):
+    if case == "circle_micelle_seam":
+        eps, _ = snap_micelle_eps(0.5, 2, 0.05)
+        spec = SequenceSpec(
+            kind="micelle", geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+            eps_list=(eps,), ns=(512,), nz=129,
+        )
+        fld = build_micelle_field(spec, eps)
+        return Field(fld.grid, np.roll(fld.values, 7, axis=0)), spec.geom
+    if case == "sphere_micelle":
+        eps, _ = snap_micelle_eps(0.5, 3, 0.1)
+        spec = SequenceSpec(
+            kind="micelle", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+            eps_list=(eps,), ns=(64, 128), nz=65,
+        )
+        return build_micelle_field(spec, eps), spec.geom
+    spec = SequenceSpec(
+        kind="bilayer", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.025,),
+        translate=lambda t: 0.1 * np.cos(t), ns=96, nz=129,
+    )
+    return build_bilayer_field(spec, 0.025), spec.geom
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PINNED))
+def test_support_local_pass_pinned(case, params, growth):
+    fld, geom = edge_field(case, params)
+    rep = fch_energy(fld, geom, 1.0, 1.0, params)
+    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+    got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
+    for key, value in EDGE_PINNED[case].items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+@pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle"])
+def test_residual_matches_whole_grid_operators(case, params):
+    fld, geom = edge_field(case, params)
+    res = cahn_hilliard_residual(fld, geom, params)
+    assert res.shape == fld.grid.shape
+    eps = fld.grid.eps
+    dense = -eps * curvilinear_laplacian(fld, geom) + eval_dwell(fld.values, params) / eps
+    assert np.array_equal(res, dense)
+
+
+def test_degenerate_metric_refused_off_the_support(params):
+    # kappa peaks at 2 at t = 0 and is 1/4 at t = pi/2; eps*ell = 0.6 makes
+    # 1 - eps*ell*kappa negative only near t = 0, far from the field
+    geom = Ellipse(2.0, 1.0)
+    ns, ell, eps = 256, 1.0, 0.6
+    s = np.arange(ns) * (2.0 * np.pi / ns)
+    grid = TubularGrid(geom=geom, ell=ell, eps=eps, s_grids=(s,), z_grid=np.linspace(-ell, ell, 65))
+    vals = smooth_bump(s[:, None] - 0.5 * np.pi, 0.3) * smooth_bump(grid.z_grid[None, :], 0.8)
+    fld = Field(grid, vals)
+    assert np.all(1.0 - eps * ell * geom.curvatures(s[np.any(vals > 0.0, axis=1)])[0] > 0.0)
+    with pytest.raises(InfeasibleModelError):
+        fch_energy(fld, geom, 1.0, 1.0, params)
+    with pytest.raises(InfeasibleModelError):
+        fch_energy(Field(grid, np.zeros(grid.shape)), geom, 1.0, 1.0, params)

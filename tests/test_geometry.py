@@ -187,6 +187,25 @@ def test_placement_infeasible_when_too_dense():
         place_micelle_centers(Circle(1.0), 0.01, 20.0, 6.0)
 
 
+def test_curve_placement_builds_one_arclength_table(monkeypatch):
+    # placements on one curve share its table, refused ones walking down too
+    geom = Ellipse(2.0, 1.0)
+    assert geom.surface_measure > 0.0  # its rule samples lame as well
+    calls = []
+    lame = Ellipse.lame
+
+    def counted(self, *t):
+        calls.append(t)
+        return lame(self, *t)
+
+    monkeypatch.setattr(Ellipse, "lame", counted)
+    for eps in (0.05, 0.02, 0.01):
+        place_micelle_centers(geom, eps, 0.5, 6.0)
+    with pytest.raises(PlacementError):
+        place_micelle_centers(geom, 0.01, 20.0, 6.0)
+    assert len(calls) == 1
+
+
 def test_geometry_from_config():
     assert isinstance(geometry_from_config({"shape": "circle", "rho": 1.0}), Circle)
     assert isinstance(geometry_from_config({"shape": "ellipse", "a": 2.0, "b": 1.0}), Ellipse)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fchlab import WellParams, audit_growth, default_params, eval_dwell, eval_well
 from fchlab.errors import InfeasibleWellError
@@ -8,8 +10,10 @@ from fchlab.potential import (
     GrowthViolation,
     default_audit_grid,
     default_c5,
+    _blended,
     dwell_scalar,
     eval_cutoff,
+    eval_well_and_dwell,
     quadratic_factor,
 )
 
@@ -120,11 +124,58 @@ def test_default_c5_is_power_of_two_and_removes_spurious_zeros(params):
     assert np.all(eval_dwell(right, params) > 0.0)
 
 
+def knot_neighbours(params, steps=3):
+    """Each cutoff knot with its `steps` nearest floats on either side."""
+    out = []
+    for knot in params.cutoff_knots:
+        for direction in (-np.inf, np.inf):
+            u = knot
+            for _ in range(steps):
+                u = np.nextafter(u, direction)
+                out.append(u)
+        out.append(knot)
+    return np.array(out)
+
+
 def test_dwell_scalar_fast_path_matches(params):
-    us = np.linspace(-3.0, 4.0, 10001)
+    us = np.concatenate([np.linspace(-3.0, 4.0, 10001), knot_neighbours(params)])
     ref = eval_dwell(us, params)
     fast = np.array([dwell_scalar(float(u), params) for u in us])
     assert np.allclose(fast, ref, rtol=1e-14, atol=1e-15)
+
+
+@given(st.floats(-3.0, 4.0))
+def test_dwell_scalar_matches_anywhere(params, u):
+    assert np.allclose(dwell_scalar(u, params), eval_dwell(np.array([u]), params), rtol=1e-14, atol=1e-15)
+
+
+wells = st.builds(
+    WellParams,
+    r=st.floats(1.51, 1.99),
+    u_plus=st.floats(0.2, 3.0),
+    tau=st.floats(0.01, 1.0),
+    p=st.floats(2.0, 4.0),
+    c5=st.floats(0.0, 64.0),
+)
+
+
+@given(wells, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_fused_core_branch_bit_identical_to_blend(well, fractions):
+    lo, hi = well.cutoff_knots[1:3]
+    us = np.clip(lo + (hi - lo) * np.array(fractions), lo, hi)
+    us = np.concatenate([us, [lo, 0.0, hi]])
+    fused = eval_well_and_dwell(us, well)
+    blended = _blended(us, well)
+    assert np.array_equal(fused[0], blended[0])
+    assert np.array_equal(fused[1], blended[1])
+
+
+@given(st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=4))
+def test_fused_matches_blend_anywhere(params, us):
+    fused = eval_well_and_dwell(np.array(us), params)
+    blended = _blended(np.array(us), params)
+    assert np.array_equal(fused[0], blended[0]) and np.array_equal(fused[1], blended[1])
+    assert eval_well_and_dwell(us[0], params) == (eval_well(us[0], params), eval_dwell(us[0], params))
 
 
 def test_non_finite_input_rejected(params):
