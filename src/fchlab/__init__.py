@@ -10,6 +10,7 @@ from .energy import (
     curvilinear_gradient,
     curvilinear_laplacian,
     fch_energy,
+    fch_energy_sweep,
     g1_energy,
     lower_bound_audit,
 )

@@ -31,6 +31,21 @@ round-off and fully supported fields (every index kept) bit for bit.  The
 degenerate-metric check and |domain| in the lower-bound audit still cover
 the whole grid.
 
+The width eps enters only through the metric.  Samples, stencil spacings
+and the flat weight prod_j w_j(t) with the z trapezoid are all in
+rescaled chart and z coordinates; eps appears in the factors
+1 + eps*z*kappa_j and in the powers of eps in the residual and the
+gradient.  So the energy runs as two passes.  The field pass, once per
+field, takes the support, u, W and W', u_z, u_zz and each per-axis u_t,
+and the six flat-weight diagnostics (equipartition defect, pulse residual
+and the four norms).  The width pass, once per eps, builds the metric and
+its degenerate check, the Laplacian with its metric coefficients c_j, the
+residual, |grad u|^2 and the quadratic, functional and mass integrals.
+It recomputes each per-axis d2_s(u) instead of holding them across
+widths, which would raise peak memory.  fch_energy_sweep evaluates one
+field at a schedule of widths, each on the same operations and arrays as
+its own fch_energy call, so the two agree bit for bit.
+
 All reductions are plain numpy sums in a fixed order, so results are
 bit-reproducible for identical inputs.
 """
@@ -40,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +72,7 @@ __all__ = [
     "curvilinear_laplacian",
     "cahn_hilliard_residual",
     "fch_energy",
+    "fch_energy_sweep",
     "g1_energy",
     "lower_bound_audit",
 ]
@@ -145,44 +162,25 @@ def _support(u, geom: InterfaceGeom):
     return np.ix_(*index)
 
 
-def _chart_factors(grid: TubularGrid, geom: InterfaceGeom):
-    """Curvatures and Lame factors on the whole chart mesh.
+class _Chart:
+    """Width-free sampling of one grid's chart: Lame factors, flat weight, stencils.
 
-    Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid; the
-    factor is linear in z, so its minimum over the slab sits at z = +-ell.
-    """
-    mesh = grid.s_mesh
-    kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
-    ends = grid.z_grid[[0, -1]]
-    if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in kappas) <= 0.0:
-        raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
-    lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
-    return kappas, lames
-
-
-class _Metric:
-    """Sampled metric data shared by the operators on one (field, geom) pair.
-
-    chart selects a sub-grid from any array over the chart, and z with it
+    select picks a sub-grid from any array over the chart, and z with it
     (Ellipsis: the whole grid); z stays whole and the stencils keep the
-    grid's spacings.
+    grid's spacings.  Curvatures and Lame factors are sampled once on the
+    whole chart mesh; whole_kappas keeps the curvatures for each width's
+    metric check.
     """
 
-    def __init__(self, grid: TubularGrid, geom: InterfaceGeom, chart=Ellipsis):
+    def __init__(self, grid: TubularGrid, geom: InterfaceGeom, select=Ellipsis):
+        mesh = grid.s_mesh
         self.grid = grid
         self.geom = geom
-        self.chart = chart
-        kappas, lames = _chart_factors(grid, geom)
-        z = grid.z_grid
-        eps = grid.eps
-        self.kappas = [k[self.chart][..., None] for k in kappas]
-        self.lames = [w[self.chart][..., None] for w in lames]
-        zrow = z.reshape((1,) * geom.chart_dims + (-1,))
-        self.one_plus = [1.0 + eps * zrow * k for k in self.kappas]
-        self.H = [w * f for w, f in zip(self.lames, self.one_plus)]
-        self.J = math.prod(self.one_plus)
+        self.select = select
+        self.whole_kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
+        self.kappas = [k[select][..., None] for k in self.whole_kappas]
+        self.lames = [np.asarray(w, dtype=float)[select][..., None] for w in geom.lame(*mesh)]
         self.weight = math.prod(self.lames)
-        self.P = self.J * self.weight
 
     def d1_s(self, f, axis):
         h = self.grid.h_s[axis]
@@ -196,17 +194,38 @@ class _Metric:
             return d2_periodic(f, axis, h)
         return d2_bounded(f, axis, h)
 
-    def integrate(self, f):
-        """integral f J weight ds dz with trapezoid in z, periodic trapezoid in s."""
-        wz = self.grid.z_trapezoid_weights()
-        hprod = float(np.prod(self.grid.h_s))
-        return float(np.sum(f * self.P * wz) * hprod)
-
     def integrate_flat(self, f):
         """integral f weight ds dz (no Jacobian), for the derivative-bound norms."""
         wz = self.grid.z_trapezoid_weights()
         hprod = float(np.prod(self.grid.h_s))
         return float(np.sum(f * self.weight * wz) * hprod)
+
+
+class _Metric:
+    """The metric of a chart at one width: 1 + eps*z*kappa_j, H_j and P = J * weight.
+
+    Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid, not
+    only on the chart's sub-grid; the factor is linear in z, so its
+    minimum over the slab sits at z = +-ell.
+    """
+
+    def __init__(self, chart: _Chart, grid: TubularGrid):
+        eps = grid.eps
+        ends = grid.z_grid[[0, -1]]
+        if min(float(np.min(1.0 + eps * ends * k[..., None])) for k in chart.whole_kappas) <= 0.0:
+            raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
+        self.chart = chart
+        self.grid = grid
+        zrow = grid.z_grid.reshape((1,) * chart.geom.chart_dims + (-1,))
+        self.one_plus = [1.0 + eps * zrow * k for k in chart.kappas]
+        self.H = [w * f for w, f in zip(chart.lames, self.one_plus)]
+        self.P = math.prod(self.one_plus) * chart.weight
+
+    def integrate(self, f):
+        """integral f J weight ds dz with trapezoid in z, periodic trapezoid in s."""
+        wz = self.grid.z_trapezoid_weights()
+        hprod = float(np.prod(self.grid.h_s))
+        return float(np.sum(f * self.P * wz) * hprod)
 
 
 def curvilinear_gradient(field: Field, geom: InterfaceGeom):
@@ -215,10 +234,11 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
     Tangential component j is u_sj / (1 + eps*z*kappa_j) with u_sj the
     arc-length derivative; the normal component is u_z / eps.
     """
-    m = _Metric(field.grid, geom)
+    chart = _Chart(field.grid, geom)
+    m = _Metric(chart, field.grid)
     comps = []
     for axis in range(geom.chart_dims):
-        comps.append(m.d1_s(field.values, axis) / m.H[axis])
+        comps.append(chart.d1_s(field.values, axis) / m.H[axis])
     comps.append(d1_bounded(field.values, -1, field.grid.h_z) / field.grid.eps)
     return np.stack(comps)
 
@@ -230,116 +250,153 @@ def curvilinear_laplacian(field: Field, geom: InterfaceGeom, include_curvature_g
     (the one carrying d kappa / ds and the metric gradients); it exists so
     tests can demonstrate the term matters on non-circular geometries.
     """
-    m = _Metric(field.grid, geom)
+    chart = _Chart(field.grid, geom)
     u = field.values
-    return _laplacian(m, u, *_derivatives(u, m), include_curvature_gradient)
+    return _laplacian(_Metric(chart, field.grid), u, *_derivatives(u, chart), include_curvature_gradient)
 
 
-def _derivatives(u, m: _Metric):
+def _derivatives(u, chart: _Chart):
     """u_z, u_zz and the list of per-axis u_t: the stencil passes shared by every term."""
-    h_z = m.grid.h_z
-    u_t = [m.d1_s(u, axis) for axis in range(m.geom.chart_dims)]
+    h_z = chart.grid.h_z
+    u_t = [chart.d1_s(u, axis) for axis in range(chart.geom.chart_dims)]
     return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t
 
 
 def _laplacian(m: _Metric, u, u_z, u_zz, u_t, include_curvature_gradient=True):
     # u_tt feeds only this sum, so each axis's second derivative lives one iteration
+    chart = m.chart
     eps = m.grid.eps
     out = u_zz / eps**2
-    curv = sum(k / f for k, f in zip(m.kappas, m.one_plus))
+    curv = sum(k / f for k, f in zip(chart.kappas, m.one_plus))
     out = out + curv * u_z / eps
     for axis, t in enumerate(u_t):
-        out = out + m.d2_s(u, axis) / m.H[axis] ** 2
+        out = out + chart.d2_s(u, axis) / m.H[axis] ** 2
         if include_curvature_gradient:
-            out = out + m.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
+            out = out + chart.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
     return out
 
 
-class _Terms:
-    """One pass over a field's support: the metric, each stencil derivative of u, W, W' and the residual."""
+class _FieldPass:
+    """The width-free half of the energy of one field: everything but the metric.
 
-    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams, chart):
-        eps = field.grid.eps
-        self.metric = m = _Metric(field.grid, geom, chart)
-        self.u = u = field.values[m.chart]
+    The support's chart, u, W, W', u_z, u_zz and each per-axis u_t, and
+    (on first use) the six flat-weight report diagnostics.  An all-zero
+    field has no sub-grid (u is None), but keeps the whole-grid chart so
+    each width's metric is still checked.
+    """
+
+    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
+        self.params = params
+        select = _support(field.values, geom)
+        if select is None:
+            self.chart = _Chart(field.grid, geom)
+            self.u = None
+            return
+        self.chart = chart = _Chart(field.grid, geom, select)
+        self.u = u = field.values[select]
         self.well, self.dwell = eval_well_and_dwell(u, params)
-        self.u_z, self.u_zz, self.u_t = _derivatives(u, m)
-        self.residual = -eps * _laplacian(m, u, self.u_z, self.u_zz, self.u_t) + self.dwell / eps
+        self.u_z, self.u_zz, self.u_t = _derivatives(u, chart)
+
+    @cached_property
+    def flat(self):
+        """The EnergyReport diagnostics integrated with the flat weight, by field name."""
+        chart, u, u_z = self.chart, self.u, self.u_z
+        p = self.params.p
+        norm_us = 0.0
+        norm_uss = 0.0
+        for axis, t in enumerate(self.u_t):
+            w = chart.lames[axis]
+            norm_us += np.sqrt(chart.integrate_flat((t / w) ** 2))
+            u_ss = chart.d1_s(t / w, axis) / w
+            norm_uss += np.sqrt(chart.integrate_flat(u_ss**2))
+        return {
+            "equipartition_defect": chart.integrate_flat(np.abs(0.5 * u_z**2 - self.well)),
+            "bilayer_residual": float(np.sqrt(chart.integrate_flat((-self.u_zz + self.dwell) ** 2))),
+            "norm_u_lp": float(chart.integrate_flat(np.abs(u) ** p) ** (1.0 / p)),
+            "norm_uz_l2": float(np.sqrt(chart.integrate_flat(u_z**2))),
+            "norm_us_l2": float(norm_us),
+            "norm_uss_l2": float(norm_uss),
+        }
 
 
-def _terms(field: Field, geom: InterfaceGeom, params: WellParams):
-    """The pass over the field's support, or None for an all-zero field."""
-    chart = _support(field.values, geom)
-    if chart is None:
-        # no sub-grid to build, but the metric must still be valid on the grid
-        _chart_factors(field.grid, geom)
-        return None
-    return _Terms(field, geom, params, chart)
-
-
-def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
-    """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
-    out = np.zeros(field.grid.shape)
-    terms = _terms(field, geom, params)
-    if terms is not None:
-        out[terms.metric.chart] = terms.residual
-    return out
-
-
-def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
-    """Rescaled FCH energy of the field plus all report diagnostics."""
-    return _energy_pass(field, geom, eta1, eta2, params)[0]
-
-
-def _energy_pass(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams):
-    """The energy report, with the terms and |grad u|^2 it was built from (None for a zero field)."""
-    if not (np.isfinite(eta1) and np.isfinite(eta2)):
-        raise ValueError("eta coefficients must be finite")
-    eps = field.grid.eps
-    terms = _terms(field, geom, params)
-    if terms is None:
-        zero = {f.name: 0.0 for f in fields(EnergyReport) if f.name != "eps"}
-        return EnergyReport(eps=eps, **zero), None, None
-    m = terms.metric
-    u = terms.u
-    u_z = terms.u_z
-    w_of_u = terms.well
-
-    grad_sq = (u_z / eps) ** 2
-    for axis, t in enumerate(terms.u_t):
+def _width_pass(fp: _FieldPass, grid: TubularGrid):
+    """The metric at grid.eps, the residual and |grad u|^2 (both None for a zero field)."""
+    m = _Metric(fp.chart, grid)
+    if fp.u is None:
+        return m, None, None
+    eps = grid.eps
+    residual = -eps * _laplacian(m, fp.u, fp.u_z, fp.u_zz, fp.u_t) + fp.dwell / eps
+    grad_sq = (fp.u_z / eps) ** 2
+    for axis, t in enumerate(fp.u_t):
         grad_sq = grad_sq + (t / m.H[axis]) ** 2
+    return m, residual, grad_sq
 
-    quadratic = m.integrate(0.5 * terms.residual**2)
-    functional = m.integrate(0.5 * eta1 * eps**2 * grad_sq + eta2 * w_of_u)
 
-    mass = m.integrate(u)
-    equi = m.integrate_flat(np.abs(0.5 * u_z**2 - w_of_u))
-    bl_resid = np.sqrt(m.integrate_flat((-terms.u_zz + terms.dwell) ** 2))
-
-    norm_u_lp = m.integrate_flat(np.abs(u) ** params.p) ** (1.0 / params.p)
-    norm_uz = np.sqrt(m.integrate_flat(u_z**2))
-    norm_us = 0.0
-    norm_uss = 0.0
-    for axis, t in enumerate(terms.u_t):
-        w = m.lames[axis]
-        norm_us += np.sqrt(m.integrate_flat((t / w) ** 2))
-        u_ss = m.d1_s(t / w, axis) / w
-        norm_uss += np.sqrt(m.integrate_flat(u_ss**2))
-
+def _report(fp: _FieldPass, grid: TubularGrid, eta1: float, eta2: float):
+    """The energy report at grid.eps, with the width pass it was built from."""
+    m, residual, grad_sq = _width_pass(fp, grid)
+    eps = grid.eps
+    if fp.u is None:
+        zero = {f.name: 0.0 for f in fields(EnergyReport) if f.name != "eps"}
+        return EnergyReport(eps=eps, **zero), m, residual, grad_sq
+    quadratic = m.integrate(0.5 * residual**2)
+    functional = m.integrate(0.5 * eta1 * eps**2 * grad_sq + eta2 * fp.well)
     report = EnergyReport(
         eps=eps,
         total=quadratic - functional,
         quadratic_part=quadratic,
         functional_part=functional,
-        mass=mass,
-        equipartition_defect=equi,
-        bilayer_residual=float(bl_resid),
-        norm_u_lp=float(norm_u_lp),
-        norm_uz_l2=float(norm_uz),
-        norm_us_l2=float(norm_us),
-        norm_uss_l2=float(norm_uss),
+        mass=m.integrate(fp.u),
+        **fp.flat,
     )
-    return report, terms, grad_sq
+    return report, m, residual, grad_sq
+
+
+def _width_grid(grid: TubularGrid, geom: InterfaceGeom, eps: float) -> TubularGrid:
+    """The grid at width eps with this grid's ell, ns and nz; the grid itself at its own width."""
+    if eps == grid.eps:
+        return grid
+    return TubularGrid.build(geom, grid.ell, eps, grid.shape[:-1], grid.shape[-1])
+
+
+def _check_eta(eta1, eta2):
+    if not (np.isfinite(eta1) and np.isfinite(eta2)):
+        raise ValueError("eta coefficients must be finite")
+
+
+def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
+    """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
+    out = np.zeros(field.grid.shape)
+    fp = _FieldPass(field, geom, params)
+    _, residual, _ = _width_pass(fp, field.grid)
+    if residual is not None:
+        out[fp.chart.select] = residual
+    return out
+
+
+def fch_energy_sweep(
+    field: Field, geom: InterfaceGeom, eps_list, eta1: float, eta2: float, params: WellParams
+) -> tuple:
+    """Rescaled FCH energy of one field's samples at each width of eps_list.
+
+    The samples u(s, z) live on the rescaled slab, so one field serves a
+    whole width schedule: the field pass runs once, and only the metric,
+    the Laplacian, the residual, |grad u|^2 and the three Jacobian-weighted
+    integrals run per width.  Width eps is evaluated on
+    TubularGrid.build(geom, ell, eps, ns, nz) with the field grid's ell, ns
+    and nz (on the field's own grid at its own width), so TubularGrid.build
+    checks every width as it checks any grid.  Returns one EnergyReport per
+    width, each equal to fch_energy of the same samples on that grid.
+    """
+    _check_eta(eta1, eta2)
+    grids = [_width_grid(field.grid, geom, eps) for eps in eps_list]
+    fp = _FieldPass(field, geom, params)
+    return tuple(_report(fp, grid, eta1, eta2)[0] for grid in grids)
+
+
+def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
+    """Rescaled FCH energy of the field plus all report diagnostics."""
+    return fch_energy_sweep(field, geom, (field.eps,), eta1, eta2, params)[0]
 
 
 def g1_energy(geom: InterfaceGeom, a_star, b_star, eta1: float, eta2: float) -> float:
@@ -360,10 +417,15 @@ def g1_energy(geom: InterfaceGeom, a_star, b_star, eta1: float, eta2: float) -> 
 
 @dataclass(frozen=True)
 class LowerBoundAudit:
-    """Both sides of the rescaled uniform lower bound and its margin."""
+    """Both sides of the rescaled uniform lower bound and its margin.
+
+    rhs = integral - a2 * domain_measure; integral is the bound's integral
+    part, so a report shows how much of rhs the -A2*|domain| term carries.
+    """
 
     lhs: float
     rhs: float
+    integral: float
     a1: float
     a2: float
     domain_measure: float
@@ -405,13 +467,19 @@ def lower_bound_audit(
         raise InfeasibleModelError("lower bound inapplicable: eps too large for A1 > 0")
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
-    report, terms, grad_sq = _energy_pass(field, geom, eta1, eta2, params)
+    _check_eta(eta1, eta2)
+    fp = _FieldPass(field, geom, params)
+    report, m, residual, grad_sq = _report(fp, field.grid, eta1, eta2)
     # |domain| is over the whole grid; the integrand below vanishes off the support
-    domain = _Metric(field.grid, geom).integrate(np.ones(field.grid.shape))
-    bound = 0.0
-    if terms is not None:
-        bound = terms.metric.integrate(
-            0.25 * terms.residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(terms.u) ** p
-        )
-    rhs = bound - a2 * domain
-    return LowerBoundAudit(lhs=report.total, rhs=rhs, a1=float(a1), a2=float(a2), domain_measure=domain)
+    domain = _Metric(_Chart(field.grid, geom), field.grid).integrate(np.ones(field.grid.shape))
+    integral = 0.0
+    if fp.u is not None:
+        integral = m.integrate(0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(fp.u) ** p)
+    return LowerBoundAudit(
+        lhs=report.total,
+        rhs=integral - a2 * domain,
+        integral=integral,
+        a1=float(a1),
+        a2=float(a2),
+        domain_measure=domain,
+    )

@@ -156,19 +156,21 @@ def _classify(a, params, n, r_init, r_max, cap_hi, dense=False):
 
 
 def _find_bracket(params, n, r_init, r_max, lo, hi, cap_hi):
-    """Scan seed amplitudes for an adjacent (stall, cross) pair."""
+    """Scan seed amplitudes left to right for the first adjacent (stall, cross) pair.
+
+    Returns (stall amplitude, cross amplitude) as soon as the pair is
+    labelled; seeds beyond it are never shot.
+    """
     for n_seed in (17, 65):
         seeds = np.linspace(lo, hi, n_seed)
-        labels = []
-        for a in seeds:
+        prev = None
+        for i, a in enumerate(seeds):
             label, _, _, _ = _classify(a, params, n, r_init, r_max, cap_hi)
-            labels.append(label)
-        for i in range(n_seed - 1):
-            pair = {labels[i], labels[i + 1]}
-            if pair == {"stall", "cross"}:
-                if labels[i] == "stall":
-                    return seeds[i], seeds[i + 1]
-                return seeds[i + 1], seeds[i]
+            if {prev, label} == {"stall", "cross"}:
+                if prev == "stall":
+                    return seeds[i - 1], seeds[i]
+                return seeds[i], seeds[i - 1]
+            prev = label
     raise InfeasibleModelError(
         f"no stall/cross bracket for dimension n={n} in amplitude range "
         f"({lo:.6g}, {hi:.6g}); no micelle profile found"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilayer import solve_profile
-from .energy import EnergyReport, Field, fch_energy, g1_energy
+from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
 from .errors import InfeasibleModelError, NumericsError
 from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
 from .micelle import shoot_micelle, unit_sphere_area
@@ -195,9 +195,8 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
     grid = TubularGrid.build(geom, ell, eps, ns, min(spec.nz, 257))
 
     vals = np.zeros(grid.shape)
-    claimed = np.zeros(grid.shape, dtype=bool)
     mesh = grid.s_mesh
-    z = grid.z_grid
+    z_offset = (eps * grid.z_grid)[:, None]
     reach = 1.2 * eps * r0 + eps * ell
     halfwidths = [
         int(np.ceil(reach / max(float(np.min(w)), 1e-12) / h)) + 4 for w, h in zip(lames, grid.h_s)
@@ -206,17 +205,15 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
         c_pos = geom.position(*center)
         windows = _chart_window(geom, grid, center, halfwidths)
         sub_mesh = [m[np.ix_(*windows)] if geom.chart_dims > 1 else m[windows[0]] for m in mesh]
-        sub_shape = sub_mesh[0].shape + (len(z),)
-        zfull = np.broadcast_to(z.reshape((1,) * geom.chart_dims + (-1,)), sub_shape)
-        tfull = [np.broadcast_to(sm[..., None], sub_shape) for sm in sub_mesh]
-        pos = geom.offset_position(tuple(tfull), zfull, eps)
-        dist = np.linalg.norm(pos - c_pos, axis=-1)
-        bump = np.maximum(prof.evaluate(dist / eps), 0.0)
-        idx = np.ix_(*windows, np.arange(len(z))) if geom.chart_dims > 1 else np.ix_(windows[0], np.arange(len(z)))
-        overlap = claimed[idx] & (bump > 0.0)
-        if np.any(overlap):
+        # phi(s) + eps*z*n(s): position and normal once per chart point, not per z sample
+        pos = geom.position(*sub_mesh)[..., None, :] + z_offset * geom.normal(*sub_mesh)[..., None, :]
+        radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
+        inside = radius < r0
+        bump = np.zeros(radius.shape)
+        bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
+        idx = np.ix_(*windows, np.arange(grid.shape[-1]))
+        if np.any((vals[idx] > 0.0) & (bump > 0.0)):
             raise NumericsError("micelle supports overlap despite placement separation")
-        claimed[idx] |= bump > 0.0
         vals[idx] += bump
     return Field(grid, vals)
 
@@ -293,15 +290,17 @@ def _aitken(values):
 def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
     """Evaluate the energy along the width schedule and fit the approach."""
     geom = spec.geom
-    reports: list[EnergyReport] = []
-    counts = [] if spec.kind == "micelle" else None
-    for eps in spec.eps_list:
-        if spec.kind == "bilayer":
-            fld = build_bilayer_field(spec, eps)
-        else:
+    counts = None
+    if spec.kind == "bilayer":
+        # U(z - p(s)) is width-free on the rescaled slab: one field serves every width
+        fld = build_bilayer_field(spec, spec.eps_list[0])
+        reports = fch_energy_sweep(fld, geom, spec.eps_list, spec.eta1, spec.eta2, spec.params)
+    else:
+        reports, counts = [], []
+        for eps in spec.eps_list:
             fld = build_micelle_field(spec, eps)
             counts.append(int(round(spec.alpha / unit_sphere_area(geom.ambient_n) * eps ** (1 - geom.ambient_n))))
-        reports.append(fch_energy(fld, geom, spec.eta1, spec.eta2, spec.params))
+            reports.append(fch_energy(fld, geom, spec.eta1, spec.eta2, spec.params))
 
     if spec.kind == "bilayer":
         prof = solve_profile(spec.params)

@@ -15,6 +15,7 @@ from fchlab import (
     curvilinear_laplacian,
     eval_dwell,
     fch_energy,
+    fch_energy_sweep,
     g1_energy,
     lower_bound_audit,
     snap_micelle_eps,
@@ -350,6 +351,61 @@ def test_energy_and_audit_pinned(case, params, growth):
     got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
     for key, value in PINNED[case].items():
         assert got[key] == pytest.approx(value, rel=1e-13), key
+
+
+# Integral part of the audit's rhs, recorded before it was reported: rhs =
+# integral - a2*|domain|, and the -a2*|domain| term carries the bound.
+PINNED_AUDIT_INTEGRAL = {
+    "ellipse_micelle": 1.1405911176604058,
+    "sphere_bilayer": 113.07669152971695,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_AUDIT_INTEGRAL))
+def test_audit_integral_pinned(case, params, growth):
+    fld, geom = pinned_field(case, params)
+    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+    assert audit.integral == pytest.approx(PINNED_AUDIT_INTEGRAL[case], rel=1e-13)
+    assert audit.rhs == audit.integral - audit.a2 * audit.domain_measure
+
+
+def sweep_spec(case, params):
+    if case == "sphere_bilayer":
+        return SequenceSpec(
+            kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.1, 0.05, 0.025),
+            translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
+        )
+    return SequenceSpec(
+        kind="bilayer", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.04, 0.02, 0.01),
+        translate=lambda t: 0.1 * np.cos(t), ns=96, nz=129,
+    )
+
+
+@pytest.mark.parametrize("case", ["sphere_bilayer", "ellipse_bilayer"])
+def test_sweep_equals_one_width_calls(case, params):
+    # U(z - p(s)) does not depend on eps: one field's sweep is each width's own field
+    spec = sweep_spec(case, params)
+    fld = build_bilayer_field(spec, spec.eps_list[0])
+    sweep = fch_energy_sweep(fld, spec.geom, spec.eps_list, 1.0, 0.5, params)
+    assert len(sweep) == len(spec.eps_list)
+    for eps, rep in zip(spec.eps_list, sweep):
+        one = fch_energy(build_bilayer_field(spec, eps), spec.geom, 1.0, 0.5, params)
+        for key, value in one.__dict__.items():
+            assert getattr(rep, key) == value, (eps, key)
+
+
+def test_sweep_checks_each_width(params):
+    spec = sweep_spec("sphere_bilayer", params)
+    fld = build_bilayer_field(spec, 0.1)
+    # eps*ell*kappa0 >= 1 on Sphere(3) once eps*ell >= 3
+    with pytest.raises(InfeasibleModelError):
+        fch_energy_sweep(fld, spec.geom, (0.1, 3.0 / fld.grid.ell), 1.0, 1.0, params)
+    with pytest.raises(ValueError):
+        fch_energy_sweep(fld, spec.geom, (0.1, 0.0), 1.0, 1.0, params)
+    zero = Field(fld.grid, np.zeros(fld.grid.shape))
+    reps = fch_energy_sweep(zero, spec.geom, (0.1, 0.05), 1.0, 1.0, params)
+    assert [r.eps for r in reps] == [0.1, 0.05]
+    assert all(v == 0.0 for r in reps for k, v in r.__dict__.items() if k != "eps")
 
 
 # Reports and audit sides recorded with the whole-grid evaluator, before

@@ -126,3 +126,31 @@ def test_csv_header_carries_virial(params, micelle2):
     head = text.splitlines()[0]
     assert '"virial_defect"' in head and '"sigma_n"' in head
     assert text.splitlines()[1] == "R,u"
+
+
+@pytest.mark.parametrize("dim_n", [2, 3])
+def test_bracket_scan_stops_at_first_pair(params, dim_n, monkeypatch):
+    from fchlab import micelle
+    from fchlab.bilayer import peak_amplitude
+
+    # the scan shoot_micelle runs on its default well and amplitude cap
+    cap = 2.0 * params.u_plus
+    args = (params, dim_n, 1e-6, 400.0 * max(1.0, params.u_plus), peak_amplitude(params) + 1e-4, cap)
+    cap_hi = cap + 0.5 * params.u_plus
+    seeds = np.linspace(args[4], args[5], 17)
+    labels = [micelle._classify(a, *args[:4], cap_hi)[0] for a in seeds]
+    first = next(i for i in range(1, 17) if {labels[i - 1], labels[i]} == {"stall", "cross"})
+    stall, cross = (first - 1, first) if labels[first - 1] == "stall" else (first, first - 1)
+
+    calls = []
+    classify = micelle._classify
+
+    def counted(*a, **kw):
+        calls.append(a[0])
+        return classify(*a, **kw)
+
+    monkeypatch.setattr(micelle, "_classify", counted)
+    assert micelle._find_bracket(*args, cap_hi) == (seeds[stall], seeds[cross])
+    # only the seeds up to the bracket's right end are shot
+    assert calls == list(seeds[: first + 1])
+    assert len(calls) < 17

@@ -16,7 +16,9 @@ from fchlab import (
     micelle_energy,
     micelle_limit,
     phase_diagram,
+    place_micelle_centers,
     run_convergence,
+    shoot_micelle,
     snap_micelle_eps,
     unit_sphere_area,
     verify_derivative_bounds,
@@ -97,6 +99,24 @@ def test_micelle_field_single_center(params, micelle2):
     assert gaps[0] <= 0.02 and gaps[1] <= 0.02
     # refinement must not worsen the match beyond the discretization floor
     assert gaps[1] <= max(gaps[0], 1e-4)
+
+    # on a sphere the bump equals U(|phi(s) + eps*z*n(s) - center| / eps)
+    # sampled point by point through offset_position, bit for bit
+    geom, eps = Sphere(3.0), 0.1
+    omega = unit_sphere_area(3)
+    spec = SequenceSpec(
+        kind="micelle", geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=omega * eps**2,
+        eps_list=(eps,), ns=(48, 96), nz=65,
+    )
+    fld = build_micelle_field(spec, eps)
+    prof = shoot_micelle(3, params)
+    (center,) = place_micelle_centers(geom, eps, spec.alpha / omega, prof.r0_support)
+    grid = fld.grid
+    t = [np.broadcast_to(m[..., None], grid.shape) for m in grid.s_mesh]
+    pos = geom.offset_position(t, np.broadcast_to(grid.z_grid, grid.shape), eps)
+    ref = np.maximum(prof.evaluate(np.linalg.norm(pos - geom.position(*center), axis=-1) / eps), 0.0)
+    assert np.count_nonzero(ref) > 0
+    assert np.array_equal(fld.values, ref)
 
 
 def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
@@ -262,3 +282,65 @@ def test_csv_deterministic(bilayer_report):
     lines = bilayer_report.to_csv().splitlines()
     assert lines[0].startswith("eps,energy,predicted_limit")
     assert len(lines) == 1 + len(bilayer_report.eps_list)
+
+
+def small_sphere_spec(params, **kw):
+    defaults = dict(
+        kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0,
+        eps_list=(0.1, 0.05, 0.025, 0.0125),
+        translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
+    )
+    defaults.update(kw)
+    return SequenceSpec(**defaults)
+
+
+# Recorded when every width built and evaluated its own field.
+SMALL_SPHERE_CSV = (
+    "eps,energy,predicted_limit,abs_error,equipartition_defect,bilayer_residual,mass,norm_u_lp,"
+    "norm_uz_l2,norm_us_l2,norm_uss_l2,n_micelles,uniform_thickness\n"
+    "0.10000000000000001,-12.582903508016177,-12.508782407770845,0.074121100245331917,"
+    "0.0046696529194753559,0.00084497213236945647,195.21601272358396,2.9566583010792651,"
+    "4.0129588131582858,0.14614379343458372,0.074690958466778812,,1\n"
+    "0.050000000000000003,-12.540948649143054,-12.508782407770845,0.03216624137220947,"
+    "0.0046696529194753559,0.00084497213236945647,194.88489513632285,2.9566583010792651,"
+    "4.0129588131582858,0.14614379343458372,0.074690958466778812,,1\n"
+    "0.025000000000000001,-12.530058305202905,-12.508782407770845,0.021275897432060376,"
+    "0.0046696529194753559,0.00084497213236945647,194.8021157395076,2.9566583010792651,"
+    "4.0129588131582858,0.14614379343458372,0.074690958466778812,,1\n"
+    "0.012500000000000001,-12.525729267901841,-12.508782407770845,0.016946860130996555,"
+    "0.0046696529194753559,0.00084497213236945647,194.78142089030379,2.9566583010792651,"
+    "4.0129588131582858,0.14614379343458372,0.074690958466778812,,1\n"
+)
+
+
+def test_bilayer_sweep_csv_pinned(params):
+    assert run_convergence(small_sphere_spec(params)).to_csv() == SMALL_SPHERE_CSV
+
+
+def test_bilayer_sweep_builds_one_field(params, monkeypatch):
+    # width-free terms once: u_t (both axes), u_z, u_zz and the u_ss norms;
+    # per width only d2_s(u) and the metric coefficient d1_s(P/H^2) per axis
+    from fchlab import energy, sequences
+
+    calls = {}
+    for name in ("d1_bounded", "d2_bounded", "d1_periodic", "d2_periodic"):
+        def counted(*a, _name=name, _fn=getattr(energy, name), **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(energy, name, counted)
+    builds = []
+    build = sequences.build_bilayer_field
+    monkeypatch.setattr(sequences, "build_bilayer_field", lambda *a: builds.append(a[1]) or build(*a))
+    run_convergence(small_sphere_spec(params))
+    assert builds == [0.1]
+    assert calls == {"d1_bounded": 7, "d2_bounded": 5, "d1_periodic": 6, "d2_periodic": 4}
+    assert sum(calls.values()) == 22
+
+
+def test_bilayer_sweep_refuses_degenerate_width(params, profile):
+    # Sphere(3): kappa0 = 1/3, so eps*ell*kappa0 >= 1 once eps >= 3/ell
+    ell = 1.05 * profile.half_width_L
+    spec = small_sphere_spec(params, translate=None, ell=ell, eps_list=(3.0 / ell, 0.1))
+    with pytest.raises(InfeasibleModelError, match="eps\\*ell\\*kappa0"):
+        run_convergence(spec)
