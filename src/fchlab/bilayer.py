@@ -46,6 +46,8 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# cells of each cumulative width map (upper and lower segment) before the targets are inserted
+_N_DENSE = 4096
 
 
 def peak_amplitude(params: WellParams) -> float:
@@ -152,12 +154,6 @@ class BilayerProfile:
         out = np.where(inside, self._interp(np.minimum(np.abs(z), self.half_width_L)), 0.0)
         return out if out.ndim else float(out)
 
-    def evaluate_prime(self, z):
-        """dU/dz from the first integral, odd in z."""
-        u = self.evaluate(z)
-        w = eval_well(u, self.params)
-        return -np.sign(z) * np.sqrt(np.maximum(2.0 * w, 0.0))
-
     def header_json(self) -> str:
         head = {
             "kind": "bilayer",
@@ -178,23 +174,20 @@ class BilayerProfile:
         return buf.getvalue()
 
 
-def _build_dense_map(params, u_max, n_dense=4096, y_targets=None, t_targets=None):
-    """Dense right-half profile (z ascending from 0 to L) plus totals.
+def _build_dense_map(params, u_max, y_targets, t_targets):
+    """Dense right-half profile (z ascending from 0 to L) and the width maps at the targets.
 
-    Requested target nodes are inserted into the cumulative grids so the
-    width map is evaluated at them exactly (no interpolation jitter).
+    The target nodes are inserted into the cumulative grids so the width
+    map is evaluated at them exactly (no interpolation jitter).  Returns
+    (z_dense, u_dense, cum_b at y_targets, cum_a at t_targets).
     """
-    a, u_mid, t1, yy, qslope = _split(params, u_max)
+    a, _, t1, yy, qslope = _split(params, u_max)
 
-    y_grid = np.linspace(0.0, yy, n_dense + 1)
-    if y_targets is not None:
-        y_grid = np.union1d(y_grid, y_targets)
+    y_grid = np.union1d(np.linspace(0.0, yy, _N_DENSE + 1), y_targets)
     cum_b = _cumulative_gl(lambda y: _width_integrand_upper(y, params, u_max, qslope), y_grid)
     b_total = cum_b[-1]
 
-    t_grid = np.linspace(0.0, t1, n_dense + 1)
-    if t_targets is not None:
-        t_grid = np.union1d(t_grid, t_targets)
+    t_grid = np.union1d(np.linspace(0.0, t1, _N_DENSE + 1), t_targets)
     cum_a = _cumulative_gl(lambda t: _width_integrand_lower(t, params, a), t_grid)
     a_total = cum_a[-1]
 
@@ -208,8 +201,7 @@ def _build_dense_map(params, u_max, n_dense=4096, y_targets=None, t_targets=None
 
     z_dense = np.concatenate([z_up, z_lo[1:]])
     u_dense = np.concatenate([u_up, u_lo[1:]])
-    maps = {"y_grid": y_grid, "cum_b": cum_b, "t_grid": t_grid, "cum_a": cum_a}
-    return z_dense, u_dense, b_total, a_total, (a, u_mid, t1, yy, qslope), maps
+    return z_dense, u_dense, cum_b[np.searchsorted(y_grid, y_targets)], cum_a[np.searchsorted(t_grid, t_targets)]
 
 
 def _sqrtW_integral(params, u_max, rtol=1e-12):
@@ -267,21 +259,17 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     y_targets = np.sqrt(np.maximum(u_max - u_nodes[hi], 0.0))
     t_targets = u_nodes[~hi] ** (1.0 / a)
 
-    z_dense, u_dense, _, _, _, maps = _build_dense_map(
-        params, u_max, 4096, y_targets=y_targets, t_targets=t_targets
-    )
+    z_dense, u_dense, cum_b, cum_a = _build_dense_map(params, u_max, y_targets, t_targets)
     if abs(z_dense[-1] - length) > 1e-9 * length:
         raise NumericsError("cumulative width map disagrees with adaptive quadrature")
     # snap the dense edge to the adaptive-quadrature value of L
     scale = length / z_dense[-1]
     z_dense = z_dense * scale
 
-    # read z(u) off the cumulative maps at the exact inserted nodes
-    iy = np.searchsorted(maps["y_grid"], y_targets)
-    it = np.searchsorted(maps["t_grid"], t_targets)
+    # z(u) at the nodes, read off the cumulative maps where they were inserted
     z_nodes = np.empty_like(u_nodes)
-    z_nodes[hi] = maps["cum_b"][iy] * scale
-    z_nodes[~hi] = length - maps["cum_a"][it] * scale
+    z_nodes[hi] = cum_b * scale
+    z_nodes[~hi] = length - cum_a * scale
     z_nodes[0] = length
     z_nodes[-1] = 0.0
 

@@ -26,17 +26,21 @@ from .sequences import SequenceSpec, default_eps_schedule, phase_diagram, run_co
 
 _WELL_KEYS = ("r", "u_plus", "tau", "p", "c5")
 
+# c5 None: default_params audits the far-field coefficient
+_DEFAULT_WELL = {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None}
+
+# _merge deep-copies these before filling in a run's configuration
 _DEFAULTS = {
     "profile": {
         "kind": None,
-        "well": {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None},
+        "well": _DEFAULT_WELL,
         "n": 2,
         "samples": 512,
         "out": "profile.csv",
     },
     "converge": {
         "kind": "bilayer",
-        "well": {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None},
+        "well": _DEFAULT_WELL,
         "geometry": {"shape": "circle", "rho": 1.0},
         "eps_list": None,
         "eta1": 1.0,
@@ -46,7 +50,7 @@ _DEFAULTS = {
         "out": "converge.csv",
     },
     "phase": {
-        "well": {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None},
+        "well": _DEFAULT_WELL,
         "geometry": {"shape": "sphere", "rho": 3.0},
         "alpha": 0.5,
         "eta1_range": (0.1, 2.0, 21),

@@ -235,24 +235,16 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
     arc-length derivative; the normal component is u_z / eps.
     """
     chart = _Chart(field.grid, geom)
-    m = _Metric(chart, field.grid)
-    comps = []
-    for axis in range(geom.chart_dims):
-        comps.append(chart.d1_s(field.values, axis) / m.H[axis])
-    comps.append(d1_bounded(field.values, -1, field.grid.h_z) / field.grid.eps)
-    return np.stack(comps)
+    u_z, _, u_t = _derivatives(field.values, chart)
+    normal, *tangential = _gradient(_Metric(chart, field.grid), u_z, u_t)
+    return np.stack(tangential + [normal])
 
 
-def curvilinear_laplacian(field: Field, geom: InterfaceGeom, include_curvature_gradient: bool = True):
-    """Ambient Laplacian of the field in tubular coordinates.
-
-    include_curvature_gradient=False drops the first-order tangential term
-    (the one carrying d kappa / ds and the metric gradients); it exists so
-    tests can demonstrate the term matters on non-circular geometries.
-    """
+def curvilinear_laplacian(field: Field, geom: InterfaceGeom):
+    """Ambient Laplacian of the field in tubular coordinates."""
     chart = _Chart(field.grid, geom)
     u = field.values
-    return _laplacian(_Metric(chart, field.grid), u, *_derivatives(u, chart), include_curvature_gradient)
+    return _laplacian(_Metric(chart, field.grid), u, *_derivatives(u, chart))
 
 
 def _derivatives(u, chart: _Chart):
@@ -262,7 +254,17 @@ def _derivatives(u, chart: _Chart):
     return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t
 
 
-def _laplacian(m: _Metric, u, u_z, u_zz, u_t, include_curvature_gradient=True):
+def _gradient(m: _Metric, u_z, u_t):
+    """The gradient's components u_z / eps along n, then u_tj / H_j along each T_j.
+
+    Yielded one at a time, so a caller reducing them holds one component.
+    """
+    yield u_z / m.grid.eps
+    for t, h in zip(u_t, m.H):
+        yield t / h
+
+
+def _laplacian(m: _Metric, u, u_z, u_zz, u_t):
     # u_tt feeds only this sum, so each axis's second derivative lives one iteration
     chart = m.chart
     eps = m.grid.eps
@@ -271,8 +273,7 @@ def _laplacian(m: _Metric, u, u_z, u_zz, u_t, include_curvature_gradient=True):
     out = out + curv * u_z / eps
     for axis, t in enumerate(u_t):
         out = out + chart.d2_s(u, axis) / m.H[axis] ** 2
-        if include_curvature_gradient:
-            out = out + chart.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
+        out = out + chart.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
     return out
 
 
@@ -326,9 +327,10 @@ def _width_pass(fp: _FieldPass, grid: TubularGrid):
         return m, None, None
     eps = grid.eps
     residual = -eps * _laplacian(m, fp.u, fp.u_z, fp.u_zz, fp.u_t) + fp.dwell / eps
-    grad_sq = (fp.u_z / eps) ** 2
-    for axis, t in enumerate(fp.u_t):
-        grad_sq = grad_sq + (t / m.H[axis]) ** 2
+    components = _gradient(m, fp.u_z, fp.u_t)
+    grad_sq = next(components) ** 2
+    for g in components:
+        grad_sq = grad_sq + g**2
     return m, residual, grad_sq
 
 

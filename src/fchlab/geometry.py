@@ -73,10 +73,7 @@ class InterfaceGeom:
         return self.ambient_n - 1
 
     def metric_weight(self, *t):
-        out = 1.0
-        for w in self.lame(*t):
-            out = out * w
-        return out
+        return math.prod(self.lame(*t))
 
     def offset_position(self, t, z, eps):
         """Ambient position of the tubular point phi(s) + eps*z*n(s)."""
@@ -84,21 +81,11 @@ class InterfaceGeom:
         nrm = self.normal(*t)
         return pos + (eps * np.asarray(z))[..., None] * nrm
 
-    def _validation_mesh(self):
-        grids = []
-        for (per, period) in zip(self.periodic, self.chart_periods):
-            m = _VALIDATION_NODES
-            if per:
-                grids.append(np.arange(m) * (period / m))
-            else:
-                h = period / m
-                grids.append((np.arange(m) + 0.5) * h)
-        return np.meshgrid(*grids, indexing="ij")
-
     @cached_property
     def kappa0(self):
         """Uniform bound on |kappa_j| and |d kappa_j / d s_i|."""
-        mesh = self._validation_mesh()
+        axes = [_chart_axis(per, period, _VALIDATION_NODES) for per, period in zip(self.periodic, self.chart_periods)]
+        mesh = np.meshgrid(*axes, indexing="ij")
         kappas = self.curvatures(*mesh)
         lames = self.lame(*mesh)
         bound = 0.0
@@ -117,7 +104,7 @@ class InterfaceGeom:
         grids, wlists = [], []
         for (per, period) in zip(self.periodic, self.chart_periods):
             if per:
-                grids.append(np.arange(n_nodes) * (period / n_nodes))
+                grids.append(_chart_axis(per, period, n_nodes))
                 wlists.append(np.full(n_nodes, period / n_nodes))
             else:
                 nodes, ww = _nonperiodic_rule(self, period, n_nodes)
@@ -150,11 +137,22 @@ class InterfaceGeom:
     def arclength_table(self):
         """(t, s(t)) on 16385 chart nodes of a curve: trapezoid arc length from t = 0."""
         t = np.linspace(0.0, self.chart_periods[0], _ARCLENGTH_NODES + 1)
-        w = self.lame(t)[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))])
+        cum = _cumulative_trapezoid(self.lame(t)[0], t)
         # every placement on this curve shares the table
         t.flags.writeable = cum.flags.writeable = False
         return t, cum
+
+
+def _chart_axis(periodic, period, n):
+    """n nodes along one chart axis: from 0 with spacing period/n if periodic, else cell midpoints."""
+    if periodic:
+        return np.arange(n) * (period / n)
+    return (np.arange(n) + 0.5) * (period / n)
+
+
+def _cumulative_trapezoid(f, t):
+    """Trapezoid integrals of f from t[0] to each node of t."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
 
 
 def _periodic_or_interior_gradient(f, axis, h, periodic):
@@ -417,11 +415,7 @@ class TubularGrid:
         for n_i, per, period in zip(ns, geom.periodic, geom.chart_periods):
             if n_i < 4:
                 raise ValueError("at least 4 points per direction required")
-            if per:
-                grids.append(np.arange(n_i) * (period / n_i))
-            else:
-                h = period / n_i
-                grids.append((np.arange(n_i) + 0.5) * h)
+            grids.append(_chart_axis(per, period, n_i))
         if nz < 4:
             raise ValueError("at least 4 points per direction required")
         z = np.linspace(-ell, ell, nz)
@@ -471,9 +465,10 @@ def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: flo
     """Choose N = round(alpha * eps^(1-n)) chart points with separation > 2*eps*r0.
 
     Curves get equal arc-length spacing; surfaces get an area-proportional
-    low-discrepancy spread with greedy rejection.  Raises PlacementError,
-    reporting the densest feasible alpha, when the separation constraint
-    cannot be met.
+    low-discrepancy spread with greedy rejection.  Raises PlacementError
+    when the separation constraint cannot be met, reporting how many
+    centers fit at this eps (counts, not densities: a caller's alpha may
+    be scaled before it gets here).
     """
     if eps <= 0.0 or r0 <= 0.0:
         raise ValueError("eps and r0 must be positive")
@@ -482,12 +477,12 @@ def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: flo
     n_amb = geom.ambient_n
     n_pts = int(round(alpha * eps ** (1 - n_amb)))
     if n_pts < 1:
-        raise PlacementError(f"alpha={alpha} yields no micelles at eps={eps}")
+        raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
     min_sep = 2.0 * eps * r0
 
     if geom.chart_dims == 1:
-        return _place_on_curve(geom, n_pts, min_sep, eps, alpha)
-    return _place_on_surface(geom, n_pts, min_sep, eps, alpha)
+        return _place_on_curve(geom, n_pts, min_sep, eps)
+    return _place_on_surface(geom, n_pts, min_sep, eps)
 
 
 def _curve_points_at_arclength(geom, s_values):
@@ -501,7 +496,7 @@ def _min_adjacent_chord(geom, t_pts):
     return float(np.min(np.linalg.norm(pos - nxt, axis=-1))) if len(t_pts) > 1 else np.inf
 
 
-def _place_on_curve(geom, n_pts, min_sep, eps, alpha):
+def _place_on_curve(geom, n_pts, min_sep, eps):
     length = geom.surface_measure
     s_values = np.arange(n_pts) * (length / n_pts)
     t_pts = _curve_points_at_arclength(geom, s_values)
@@ -514,10 +509,9 @@ def _place_on_curve(geom, n_pts, min_sep, eps, alpha):
             trial = _curve_points_at_arclength(geom, np.arange(n_max) * (length / n_max))
             if _min_adjacent_chord(geom, trial) > min_sep:
                 break
-        alpha0 = n_max * eps ** (geom.ambient_n - 1)
         raise PlacementError(
             f"cannot place {n_pts} centers with separation {min_sep:.4g}; "
-            f"densest feasible alpha at this eps is about {alpha0:.4g}"
+            f"equal arc-length spacing fits at most {n_max} at eps = {eps:.4g}"
         )
     return t_pts.reshape(-1, 1)
 
@@ -533,8 +527,7 @@ def _surface_candidates(geom, count):
     # torus and friends: Halton in the chart with an area-equalizing map
     # along the first coordinate
     t_tab = np.linspace(0.0, geom.chart_periods[0], 4097)
-    dens = geom.lame(t_tab, 0.0)[0] * geom.lame(t_tab, 0.0)[1]
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t_tab))])
+    cdf = _cumulative_trapezoid(geom.metric_weight(t_tab, 0.0), t_tab)
     cdf /= cdf[-1]
     u1 = np.array([_halton(i + 1, 2) for i in range(count)])
     u2 = np.array([_halton(i + 1, 3) for i in range(count)])
@@ -543,7 +536,7 @@ def _surface_candidates(geom, count):
     return np.stack([theta, phi], axis=-1)
 
 
-def _place_on_surface(geom, n_pts, min_sep, eps, alpha):
+def _place_on_surface(geom, n_pts, min_sep, eps):
     cap = 64 * n_pts
     candidates = _surface_candidates(geom, cap)
     pos = geom.position(candidates[:, 0], candidates[:, 1])
@@ -557,8 +550,7 @@ def _place_on_surface(geom, n_pts, min_sep, eps, alpha):
         acc_pos = np.vstack([acc_pos, pos[i]])
         if len(accepted) == n_pts:
             return candidates[accepted]
-    alpha0 = len(accepted) * eps ** (geom.ambient_n - 1)
     raise PlacementError(
         f"cannot place {n_pts} centers with separation {min_sep:.4g}; "
-        f"densest feasible alpha at this eps is about {alpha0:.4g}"
+        f"the greedy spread fits {len(accepted)} at eps = {eps:.4g}"
     )

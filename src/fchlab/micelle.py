@@ -38,6 +38,13 @@ __all__ = [
     "unit_sphere_area",
 ]
 
+# samples of a returned profile on [0, R0]
+_N_SAMPLES = 2049
+# radius of the regularized start state
+_R_INIT = 1e-6
+# bisection stops once the landing defect max(|U|, |U'|) is this small
+_GRAZE_TOL = 1e-9
+
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^(n-1) in R^n (2*pi at n=2, 4*pi at n=3)."""
@@ -99,12 +106,12 @@ def _rhs(params, n):
     return fun
 
 
-def _taylor_start(a, params, n, r_init):
+def _taylor_start(a, params, n):
     dw = dwell_scalar(a, params)
-    return np.array([a + dw * r_init**2 / (2.0 * n), dw * r_init / n])
+    return np.array([a + dw * _R_INIT**2 / (2.0 * n), dw * _R_INIT / n])
 
 
-def _classify(a, params, n, r_init, r_max, cap_hi, dense=False):
+def _classify(a, params, n, r_max, cap_hi, dense=False):
     """Integrate one shot; label it and report the landing defect."""
 
     def ev_cross(radius, y):
@@ -127,8 +134,8 @@ def _classify(a, params, n, r_init, r_max, cap_hi, dense=False):
 
     sol = solve_ivp(
         _rhs(params, n),
-        (r_init, r_max),
-        _taylor_start(a, params, n, r_init),
+        (_R_INIT, r_max),
+        _taylor_start(a, params, n),
         method="DOP853",
         rtol=1e-12,
         atol=1e-14,
@@ -155,7 +162,7 @@ def _classify(a, params, n, r_init, r_max, cap_hi, dense=False):
     return label, defect, float(r_land), sol
 
 
-def _find_bracket(params, n, r_init, r_max, lo, hi, cap_hi):
+def _find_bracket(params, n, r_max, lo, hi, cap_hi):
     """Scan seed amplitudes left to right for the first adjacent (stall, cross) pair.
 
     Returns (stall amplitude, cross amplitude) as soon as the pair is
@@ -165,7 +172,7 @@ def _find_bracket(params, n, r_init, r_max, lo, hi, cap_hi):
         seeds = np.linspace(lo, hi, n_seed)
         prev = None
         for i, a in enumerate(seeds):
-            label, _, _, _ = _classify(a, params, n, r_init, r_max, cap_hi)
+            label, _, _, _ = _classify(a, params, n, r_max, cap_hi)
             if {prev, label} == {"stall", "cross"}:
                 if prev == "stall":
                     return seeds[i - 1], seeds[i]
@@ -178,36 +185,31 @@ def _find_bracket(params, n, r_init, r_max, lo, hi, cap_hi):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def shoot_micelle(
-    dim_n: int,
-    params: WellParams,
-    n_samples: int = 2049,
-    amplitude_cap: float | None = None,
-    r_init: float = 1e-6,
-    graze_tol: float = 1e-9,
-) -> MicelleProfile:
+def shoot_micelle(dim_n: int, params: WellParams) -> MicelleProfile:
     """Solve the radial profile in dimension dim_n.
 
     The integration starts from the regularized state
-    U(r) = a + W'(a) r^2 / (2n) at r = r_init, which removes the (n-1)/R
-    singularity with an O(r_init^4) error.  Bisection terminates once the
-    landing defect max(|U|, |U'|) drops below graze_tol.
+    U(r) = a + W'(a) r^2 / (2n) at r = _R_INIT (1e-6), which removes the
+    (n-1)/R singularity with an O(_R_INIT^4) error.  Seed amplitudes span
+    (u_max + 1e-4, 2*u_plus] with u_max the bilayer peak; bisection stops
+    once the landing defect max(|U|, |U'|) drops below _GRAZE_TOL (1e-9).
+    The profile is sampled at _N_SAMPLES (2049) radii on [0, R0].  Results
+    are memoised per (dim_n, params).
     """
     if not 1 <= dim_n <= 4:
         raise ValueError("dim_n must be between 1 and 4")
     params.check_dimension(dim_n)
 
     if dim_n == 1:
-        return _bilayer_as_micelle(params, n_samples)
+        return _bilayer_as_micelle(params)
 
     u_max = peak_amplitude(params)
-    cap = amplitude_cap if amplitude_cap is not None else 2.0 * params.u_plus
-    if cap <= u_max:
-        raise ValueError("amplitude_cap must exceed the bilayer peak amplitude")
+    # u_max < u_plus, so the cap always lies above the peak
+    cap = 2.0 * params.u_plus
     cap_hi = cap + 0.5 * params.u_plus
     r_max = 400.0 * max(1.0, params.u_plus)
 
-    a_stall, a_cross = _find_bracket(params, dim_n, r_init, r_max, u_max + 1e-4, cap, cap_hi)
+    a_stall, a_cross = _find_bracket(params, dim_n, r_max, u_max + 1e-4, cap, cap_hi)
 
     best = None
     lo, hi = a_stall, a_cross
@@ -215,10 +217,10 @@ def shoot_micelle(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        label, defect, r_land, _ = _classify(mid, params, dim_n, r_init, r_max, cap_hi)
+        label, defect, r_land, _ = _classify(mid, params, dim_n, r_max, cap_hi)
         if best is None or defect < best[1]:
             best = (mid, defect, r_land)
-        if defect <= graze_tol:
+        if defect <= _GRAZE_TOL:
             break
         if label == "stall":
             lo = mid
@@ -227,25 +229,24 @@ def shoot_micelle(
         else:
             raise NumericsError("runaway trajectory inside the stall/cross bracket")
 
-    if best is None or best[1] > graze_tol:
+    if best is None or best[1] > _GRAZE_TOL:
         achieved = best[1] if best else np.inf
         raise NumericsError(
-            f"bisection stalled at grazing defect {achieved:.3e} > {graze_tol:.1e}"
+            f"bisection stalled at grazing defect {achieved:.3e} > {_GRAZE_TOL:.1e}"
         )
 
     a_star, defect, r_land = best
-    _, _, _, sol = _classify(a_star, params, dim_n, r_init, r_max, cap_hi, dense=True)
+    _, _, _, sol = _classify(a_star, params, dim_n, r_max, cap_hi, dense=True)
 
     r0 = r_land
-    r_samples = np.linspace(0.0, r0, n_samples)
-    inner = r_samples < r_init
-    uu = np.empty(n_samples)
-    du = np.empty(n_samples)
-    start = _taylor_start(a_star, params, dim_n, r_init)
+    r_samples = np.linspace(0.0, r0, _N_SAMPLES)
+    inner = r_samples < _R_INIT
+    uu = np.empty(_N_SAMPLES)
+    du = np.empty(_N_SAMPLES)
     dw0 = eval_dwell(a_star, params)
     uu[inner] = a_star + dw0 * r_samples[inner] ** 2 / (2.0 * dim_n)
     du[inner] = dw0 * r_samples[inner] / dim_n
-    vals = sol.sol(np.clip(r_samples[~inner], r_init, sol.t[-1]))
+    vals = sol.sol(np.clip(r_samples[~inner], _R_INIT, sol.t[-1]))
     uu[~inner] = vals[0]
     du[~inner] = vals[1]
     uu[-1] = max(uu[-1], 0.0)
@@ -275,11 +276,11 @@ def _sigma_quadrature(r, du, n):
     return float(simpson(du * du * r ** (n - 1.0), x=r))
 
 
-def _bilayer_as_micelle(params, n_samples):
+def _bilayer_as_micelle(params):
     """n = 1: the half-pulse of the bilayer compacton, landing exactly."""
     prof = solve_profile(params)
     r0 = prof.half_width_L
-    r_samples = np.linspace(0.0, r0, n_samples)
+    r_samples = np.linspace(0.0, r0, _N_SAMPLES)
     uu = prof.evaluate(r_samples)
     w = eval_well(uu, params)
     du = -np.sqrt(np.maximum(2.0 * w, 0.0))

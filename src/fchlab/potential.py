@@ -336,9 +336,7 @@ class GrowthViolation:
         return False
 
 
-def _fit_offsets(params, p, c1, u):
-    w = eval_well(u, params)
-    dw = eval_dwell(u, params)
+def _fit_offsets(p, c1, u, w, dw):
     absu = np.abs(u)
     lead = c1 * absu**p
     lead_p = c1 * p * absu ** (p - 1.0)
@@ -349,9 +347,7 @@ def _fit_offsets(params, p, c1, u):
     return c2, c3, c3p, c4
 
 
-def _check_constants(params, p, gc: GrowthConstants, u, tol=1e-9):
-    w = eval_well(u, params)
-    dw = eval_dwell(u, params)
+def _check_constants(p, gc: GrowthConstants, u, w, dw, tol=1e-9):
     absu = np.abs(u)
     lead = gc.c1 * absu**p
     lead_p = gc.c1 * p * absu ** (p - 1.0)
@@ -378,10 +374,12 @@ def audit_growth(params: WellParams, grid):
     if u.size == 0:
         raise ValueError("audit grid is empty")
     p = params.p
+    w, dw = eval_well_and_dwell(u, params)
     core_edge = max(10.0 * params.u_plus, params.cutoff_knots[3], -params.cutoff_knots[0])
-    core = u[np.abs(u) <= core_edge]
-    if core.size == 0:
-        core = u
+    core = np.abs(u) <= core_edge
+    if not core.any():
+        core[:] = True
+    core_u, core_w, core_dw = u[core], w[core], dw[core]
 
     if params.c5 > 0.0:
         candidates = params.c5 * np.array([0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
@@ -392,9 +390,9 @@ def audit_growth(params: WellParams, grid):
     best_obj = np.inf
     worst_violations = None
     for c1 in candidates:
-        c2, c3, c3p, c4 = _fit_offsets(params, p, c1, core)
+        c2, c3, c3p, c4 = _fit_offsets(p, c1, core_u, core_w, core_dw)
         gc = GrowthConstants(c1=float(c1), c2=c2, c3=c3, c3p=c3p, c4=c4)
-        bad = _check_constants(params, p, gc, u)
+        bad = _check_constants(p, gc, u, w, dw)
         if bad.size == 0:
             obj = abs(c2) + abs(c3) + abs(c3p) + abs(c4)
             if obj < best_obj:

@@ -48,6 +48,8 @@ __all__ = [
 
 _BILAYER_EPS = (0.1, 0.05, 0.025, 0.0125)
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
+# default chart resolution of a micelle field: samples across one micelle diameter 2*eps*R0
+_POINTS_PER_MICELLE = 96
 
 
 def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: float) -> float:
@@ -103,7 +105,6 @@ class SequenceSpec:
     ell: float | None = None
     ns: object | None = None
     nz: int = 513
-    points_per_micelle: int = 96
 
     def __post_init__(self):
         if self.kind not in ("bilayer", "micelle"):
@@ -189,7 +190,7 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
     else:
         ns = []
         for w, period in zip(lames, geom.chart_periods):
-            h_target = 2.0 * eps * r0 / spec.points_per_micelle * (1.0 / float(np.max(w)))
+            h_target = 2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / float(np.max(w)))
             ns.append(int(np.ceil(period / h_target)))
         ns = tuple(ns)
     grid = TubularGrid.build(geom, ell, eps, ns, min(spec.nz, 257))
@@ -299,17 +300,17 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
         reports, counts = [], []
         for eps in spec.eps_list:
             fld = build_micelle_field(spec, eps)
-            counts.append(int(round(spec.alpha / unit_sphere_area(geom.ambient_n) * eps ** (1 - geom.ambient_n))))
+            counts.append(snap_micelle_eps(spec.alpha, geom.ambient_n, eps)[1])
             reports.append(fch_energy(fld, geom, spec.eta1, spec.eta2, spec.params))
 
     if spec.kind == "bilayer":
         prof = solve_profile(spec.params)
         predicted = g1_energy(geom, prof.a_star, prof.b_star, spec.eta1, spec.eta2)
-        ell = _bilayer_ell(spec, prof, _translate_max(spec))
     else:
         prof = shoot_micelle(geom.ambient_n, spec.params)
         predicted = micelle_limit(geom.ambient_n, spec.alpha, spec.eta1, spec.eta2, prof.sigma_n)
-        ell = spec.ell if spec.ell is not None else 1.05 * prof.r0_support
+    # every width's field has the same ell
+    ell = fld.grid.ell
 
     energies = tuple(r.total for r in reports)
     errors = [abs(e - predicted) for e in energies]

@@ -64,6 +64,20 @@ def test_converge_micelle_above_packing_exits_3(tmp_path, capsys):
     assert err["error"] == "PlacementError"
 
 
+def test_converge_placement_error_reports_counts(tmp_path, capsys):
+    # --alpha 20 at eps 0.05 asks for 64 micelles on the unit circle; the
+    # message counts centers rather than quoting a density in other units
+    out = tmp_path / "conv.csv"
+    code = run_cli(["converge", "--kind", "micelle", "--alpha", "20", "--eps-list", "0.05", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "PlacementError"
+    assert err["message"] == (
+        "cannot place 64 centers with separation 0.8255; "
+        "equal arc-length spacing fits at most 7 at eps = 0.05"
+    )
+
+
 def test_converge_single_eps(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run_cli(["converge", "--kind", "bilayer", "--eps-list", "0.1", "--out", str(out)])

@@ -84,22 +84,48 @@ def test_laplacian_radial_closed_form():
     assert errs[0] / errs[1] > 10.0
 
 
-def test_laplacian_curvature_gradient_term_matters_on_ellipse():
-    geom = Ellipse(2.0, 1.0)
-    grid = TubularGrid.build(geom, 0.15, 0.1, 128, 257)
-    s = grid.s_grids[0][:, None]
-    gz = smooth_bump(grid.z_grid, 0.12)[None, :]
-    fld = Field(grid, np.sin(s) * gz, check_bc=False)
-    full = curvilinear_laplacian(fld, geom, include_curvature_gradient=True)
-    dropped = curvilinear_laplacian(fld, geom, include_curvature_gradient=False)
-    assert np.max(np.abs(full - dropped)) >= 1e-3
-    # on the circle the same coefficient vanishes identically
-    gridc = circle_grid(ns=128, ell=0.15)
-    gzc = smooth_bump(gridc.z_grid, 0.12)[None, :]
-    fldc = Field(gridc, np.sin(gridc.s_grids[0][:, None]) * gzc, check_bc=False)
-    fullc = curvilinear_laplacian(fldc, gridc.geom, include_curvature_gradient=True)
-    droppedc = curvilinear_laplacian(fldc, gridc.geom, include_curvature_gradient=False)
-    assert np.max(np.abs(fullc - droppedc)) < 1e-12
+def _laplacian_closed_form(geom, grid):
+    """u = sin t * cos^4(pi z / 2 ell) and its exact Laplacian, split off the metric-gradient term.
+
+    lap u = u_zz/eps^2 + kappa/(1 + eps z kappa) u_z/eps + H^-1 d_t(u_t / H)
+    with H = w(1 + eps z kappa); the last term is u_tt/H^2 - u_t H_t/H^3.
+    """
+    t = grid.s_grids[0][:, None]
+    z = grid.z_grid[None, :]
+    eps = grid.eps
+    c = np.pi / (2.0 * grid.ell)
+    g = np.cos(c * z) ** 4
+    g_z = -4.0 * c * np.sin(c * z) * np.cos(c * z) ** 3
+    g_zz = -4.0 * c * c * (np.cos(c * z) ** 4 - 3.0 * np.sin(c * z) ** 2 * np.cos(c * z) ** 2)
+    if isinstance(geom, Ellipse):
+        w = np.sqrt((geom.a * np.sin(t)) ** 2 + (geom.b * np.cos(t)) ** 2)
+        w_t = (geom.a**2 - geom.b**2) * np.sin(t) * np.cos(t) / w
+        kappa = geom.a * geom.b / w**3
+        kappa_t = -3.0 * kappa * w_t / w
+    else:
+        w, w_t, kappa, kappa_t = geom.rho, 0.0, 1.0 / geom.rho, 0.0
+    one_plus = 1.0 + eps * z * kappa
+    h = w * one_plus
+    h_t = w_t * one_plus + w * eps * z * kappa_t
+    u = np.sin(t) * g
+    main = np.sin(t) * (g_zz / eps**2 + kappa / one_plus * g_z / eps) - np.sin(t) * g / h**2
+    metric_gradient = -np.cos(t) * g * h_t / h**3
+    return u, main, metric_gradient
+
+
+@pytest.mark.parametrize("geom", [Ellipse(2.0, 1.0), Circle(1.0)], ids=["ellipse", "circle"])
+def test_laplacian_closed_form_fourth_order(geom):
+    errs = []
+    for ns, nz in ((64, 257), (128, 513)):
+        grid = TubularGrid.build(geom, 0.15, 0.1, ns, nz)
+        u, main, metric_gradient = _laplacian_closed_form(geom, grid)
+        lap = curvilinear_laplacian(Field(grid, u, check_bc=False), geom)
+        errs.append(np.max(np.abs(lap - main - metric_gradient)))
+    assert errs[0] / errs[1] > 14.0  # 4th order gives 16
+    if isinstance(geom, Ellipse):
+        # the metric-gradient term (about 0.51) is far above the error (about 0.0057),
+        # so a Laplacian without it fails; on the circle the term is identically 0
+        assert np.max(np.abs(metric_gradient)) > 50.0 * errs[1]
 
 
 def test_zero_field_has_zero_energy(params):

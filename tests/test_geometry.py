@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,9 +183,39 @@ def test_placement_separation_on_surfaces():
 
 
 def test_placement_infeasible_when_too_dense():
-    # pigeonhole: 2*eps*r0 * N exceeds the circumference
-    with pytest.raises(PlacementError):
+    # pigeonhole: 2*eps*r0 * N exceeds the circumference; the refusal counts centers
+    with pytest.raises(PlacementError, match=r"cannot place 2000 centers .*fits at most 52 at eps = 0.01$"):
         place_micelle_centers(Circle(1.0), 0.01, 20.0, 6.0)
+    with pytest.raises(PlacementError) as err:
+        place_micelle_centers(Sphere(1.0), 0.05, 1.0, 6.0)
+    fit = re.fullmatch(r"cannot place 400 centers .*; the greedy spread fits (\d+) at eps = 0.05", str(err.value))
+    assert fit and 1 <= int(fit[1]) < 400
+
+
+def test_kappa0_pinned():
+    # recorded before the validation mesh and the grid shared one chart-axis helper
+    assert Circle(1.0).kappa0 == 1.0
+    assert Ellipse(2.0, 1.0).kappa0 == 2.5995339272304157
+    assert Sphere(3.0).kappa0 == 0.3333333333333333
+    assert Torus(3.0, 1.0).kappa0 == 1.0
+
+
+def test_torus_placement_pinned():
+    # the area-equalizing CDF path, bit for bit against the values recorded
+    # before it shared the cumulative trapezoid with the arc-length table
+    expected = np.array(
+        [
+            [3.1415926535897993, 2.0943951023931953],
+            [1.2540456386595398, 4.1887902047863905],
+            [5.0291396685200525, 0.6981317007977318],
+            [0.5977919953430568, 2.792526803190927],
+            [4.2208616907469105, 4.886921905584122],
+            [2.0623236164326846, 1.3962634015954636],
+            [5.685393311836533, 3.490658503988659],
+            [0.29559582859648403, 5.585053606381854],
+        ]
+    )
+    assert np.array_equal(place_micelle_centers(Torus(3.0, 1.0), 0.25, 0.5, 1.0), expected)
 
 
 def test_curve_placement_builds_one_arclength_table(monkeypatch):

@@ -135,10 +135,10 @@ def test_bracket_scan_stops_at_first_pair(params, dim_n, monkeypatch):
 
     # the scan shoot_micelle runs on its default well and amplitude cap
     cap = 2.0 * params.u_plus
-    args = (params, dim_n, 1e-6, 400.0 * max(1.0, params.u_plus), peak_amplitude(params) + 1e-4, cap)
+    args = (params, dim_n, 400.0 * max(1.0, params.u_plus), peak_amplitude(params) + 1e-4, cap)
     cap_hi = cap + 0.5 * params.u_plus
-    seeds = np.linspace(args[4], args[5], 17)
-    labels = [micelle._classify(a, *args[:4], cap_hi)[0] for a in seeds]
+    seeds = np.linspace(args[3], args[4], 17)
+    labels = [micelle._classify(a, *args[:3], cap_hi)[0] for a in seeds]
     first = next(i for i in range(1, 17) if {labels[i - 1], labels[i]} == {"stall", "cross"})
     stall, cross = (first - 1, first) if labels[first - 1] == "stall" else (first, first - 1)
 

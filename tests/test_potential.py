@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fchlab import WellParams, audit_growth, default_params, eval_dwell, eval_well
+from fchlab import potential
 from fchlab.errors import InfeasibleWellError
 from fchlab.potential import (
     GrowthConstants,
@@ -229,3 +230,29 @@ def test_growth_audit_singleton_grid(params):
     gc = audit_growth(params, np.array([0.0]))
     assert isinstance(gc, GrowthConstants)
     assert gc.c2 <= 0.0 <= gc.c3
+
+
+def test_growth_constants_pinned(growth):
+    # recorded before the audit shared one W/W' evaluation among its candidates
+    assert growth == GrowthConstants(
+        c1=2.0,
+        c2=-14.089556480376,
+        c3=2.4379322487529995,
+        c3p=31.132712689475653,
+        c4=-26.460169986499995,
+    )
+
+
+def test_growth_audit_evaluates_the_well_once(params, monkeypatch):
+    # params and the grid first: default_c5 evaluates W' on its own grids
+    grid = default_audit_grid(params)
+    calls = []
+    fused = potential.eval_well_and_dwell
+
+    def counted(u, p):
+        calls.append(np.shape(u))
+        return fused(u, p)
+
+    monkeypatch.setattr(potential, "eval_well_and_dwell", counted)
+    assert isinstance(audit_growth(params, grid), GrowthConstants)
+    assert len(calls) == 1
