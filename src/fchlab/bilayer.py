@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
+from ._numerics import ClampedSpline, gauss_legendre
 from .errors import NumericsError
 from .potential import (
     MEMO_SIZE,
@@ -43,11 +42,14 @@ __all__ = [
     "solve_profile",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-# cells of each cumulative width map (upper and lower segment) before the targets are inserted
+# equal cells of each u-space integral (upper and lower segment), and of
+# each cumulative width map before the targets are inserted
 _N_DENSE = 4096
+# the half width on _N_DENSE cells must agree with the rule on half as many
+_WIDTH_RTOL = 1e-9
 
 
 def peak_amplitude(params: WellParams) -> float:
@@ -89,33 +91,54 @@ def _split(params, u_max):
     return a, u_mid, t1, yy, qslope
 
 
-def half_width(params: WellParams, rtol: float = 1e-10) -> float:
-    """Support half-width L = integral_0^{u_max} du / sqrt(2 W(u)).
-
-    Finite because r < 2; computed to relative tolerance ``rtol`` via the
-    two desingularizing substitutions.
-    """
-    u_max = peak_amplitude(params)
-    a, _, t1, yy, qslope = _split(params, u_max)
-    lower, err1 = quad(_width_integrand_lower, 0.0, t1, args=(params, a), epsabs=0.0, epsrel=rtol, limit=200)
-    upper, err2 = quad(_width_integrand_upper, 0.0, yy, args=(params, u_max, qslope), epsabs=0.0, epsrel=rtol, limit=200)
-    total = lower + upper
-    if not np.isfinite(total) or (err1 + err2) > 10.0 * rtol * abs(total) + 1e-14:
-        raise NumericsError(f"width quadrature did not converge: estimate {total}, error {err1 + err2}")
-    return total
+def _gl_panels(f, grid):
+    """Integral of f over each cell of grid, 8-point Gauss-Legendre per cell."""
+    lo = grid[:-1]
+    h = np.diff(grid)
+    nodes = lo[:, None] + h[:, None] * _GL_NODES[None, :]
+    return h * (f(nodes) @ _GL_WEIGHTS)
 
 
 def _cumulative_gl(f, grid):
     """Cumulative integral of f from grid[0] along a fine grid, 8-pt GL per cell."""
-    lo = grid[:-1]
-    h = np.diff(grid)
-    nodes = lo[:, None] + h[:, None] * _GL_NODES[None, :]
-    vals = f(nodes)
-    panel = h * (vals @ _GL_WEIGHTS)
     out = np.empty_like(grid)
     out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
+    np.cumsum(_gl_panels(f, grid), out=out[1:])
     return out
+
+
+def _u_integral(params, u_max, lower, upper, cells):
+    """integral_0^{t1} lower(t) dt + integral_0^{yy} upper(y) dy on `cells` equal GL cells each.
+
+    The two halves of a u-space integral over (0, u_max) after the
+    substitutions of _split; lower takes (t, a), upper takes (y, qslope).
+    """
+    a, _, t1, yy, qslope = _split(params, u_max)
+    v1 = np.sum(_gl_panels(lambda t: lower(t, a), np.linspace(0.0, t1, cells + 1)))
+    v2 = np.sum(_gl_panels(lambda y: upper(y, qslope), np.linspace(0.0, yy, cells + 1)))
+    return float(v1 + v2)
+
+
+def half_width(params: WellParams) -> float:
+    """Support half-width L = integral_0^{u_max} du / sqrt(2 W(u)).
+
+    Finite because r < 2; computed with the two desingularizing
+    substitutions on _N_DENSE Gauss-Legendre cells per segment, and
+    refused (NumericsError) unless half as many cells agree to _WIDTH_RTOL.
+    """
+    u_max = peak_amplitude(params)
+
+    def lower(t, a):
+        return _width_integrand_lower(t, params, a)
+
+    def upper(y, qslope):
+        return _width_integrand_upper(y, params, u_max, qslope)
+
+    total = _u_integral(params, u_max, lower, upper, _N_DENSE)
+    coarse = _u_integral(params, u_max, lower, upper, _N_DENSE // 2)
+    if not np.isfinite(total) or abs(total - coarse) > _WIDTH_RTOL * abs(total):
+        raise NumericsError(f"width quadrature did not converge: {total} on {_N_DENSE} cells, {coarse} on half")
+    return total
 
 
 def _hermite_trapz(z, f, fp):
@@ -145,7 +168,7 @@ class BilayerProfile:
     mass_per_length: float
     _dense_z: np.ndarray = field(repr=False, compare=False)
     _dense_u: np.ndarray = field(repr=False, compare=False)
-    _interp: CubicSpline = field(repr=False, compare=False)
+    _interp: ClampedSpline = field(repr=False, compare=False)
 
     def evaluate(self, z):
         """Profile value at arbitrary z (0 outside the support)."""
@@ -204,36 +227,30 @@ def _build_dense_map(params, u_max, y_targets, t_targets):
     return z_dense, u_dense, cum_b[np.searchsorted(y_grid, y_targets)], cum_a[np.searchsorted(t_grid, t_targets)]
 
 
-def _sqrtW_integral(params, u_max, rtol=1e-12):
+def _sqrtW_integral(params, u_max):
     """integral_0^{u_max} sqrt(W(u)) du via the same substitutions."""
-    a, _, t1, yy, qslope = _split(params, u_max)
     expo = 2.0 * params.r / (2.0 - params.r)
 
-    def lower(t):
+    def lower(t, a):
         return a * t**expo * np.sqrt(quadratic_factor(t**a, params))
 
-    def upper(y):
+    def upper(y, qslope):
         u = u_max - y * y
         return 2.0 * y * y * u ** (0.5 * params.r) * np.sqrt(qslope + y * y)
 
-    v1, _ = quad(lower, 0.0, t1, epsabs=0.0, epsrel=rtol, limit=200)
-    v2, _ = quad(upper, 0.0, yy, epsabs=0.0, epsrel=rtol, limit=200)
-    return v1 + v2
+    return _u_integral(params, u_max, lower, upper, _N_DENSE)
 
 
-def _mass_integral_u(params, u_max, rtol=1e-12):
+def _mass_integral_u(params, u_max):
     """integral_{-L}^{L} U dz = 2 integral_0^{u_max} u / sqrt(2W) du."""
-    a, _, t1, yy, qslope = _split(params, u_max)
 
-    def lower(t):
+    def lower(t, a):
         return _width_integrand_lower(t, params, a) * t**a
 
-    def upper(y):
+    def upper(y, qslope):
         return _width_integrand_upper(y, params, u_max, qslope) * (u_max - y * y)
 
-    v1, _ = quad(lower, 0.0, t1, epsabs=0.0, epsrel=rtol, limit=200)
-    v2, _ = quad(upper, 0.0, yy, epsabs=0.0, epsrel=rtol, limit=200)
-    return 2.0 * (v1 + v2)
+    return 2.0 * _u_integral(params, u_max, lower, upper, _N_DENSE)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -261,8 +278,8 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
 
     z_dense, u_dense, cum_b, cum_a = _build_dense_map(params, u_max, y_targets, t_targets)
     if abs(z_dense[-1] - length) > 1e-9 * length:
-        raise NumericsError("cumulative width map disagrees with adaptive quadrature")
-    # snap the dense edge to the adaptive-quadrature value of L
+        raise NumericsError("cumulative width map disagrees with the half-width quadrature")
+    # snap the dense edge to the half-width quadrature's value of L
     scale = length / z_dense[-1]
     z_dense = z_dense * scale
 
@@ -303,7 +320,7 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
         mass_per_length=float(mass_z),
         _dense_z=z_dense,
         _dense_u=u_dense,
-        _interp=CubicSpline(z_dense, u_dense, bc_type=((1, 0.0), (1, 0.0))),
+        _interp=ClampedSpline(z_dense, u_dense, 0.0, 0.0),
     )
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._numerics import gauss_legendre
 from .errors import InfeasibleModelError, PlacementError
 
 __all__ = [
@@ -164,7 +165,7 @@ def _periodic_or_interior_gradient(f, axis, h, periodic):
 def _nonperiodic_rule(geom, period, n_nodes):
     # only the sphere polar angle lands here; Gauss-Legendre in cos(theta)
     # integrates the sin(theta) weight exactly through the substitution
-    xi, ww = np.polynomial.legendre.leggauss(n_nodes)
+    xi, ww = gauss_legendre(n_nodes)
     theta = np.arccos(xi[::-1])
     # weights are for d(xi); the metric weight below contributes rho^2 sin,
     # so divide the sin factor back out
@@ -536,7 +537,8 @@ def _surface_candidates(geom, count):
     return np.stack([theta, phi], axis=-1)
 
 
-def _place_on_surface(geom, n_pts, min_sep, eps):
+def _greedy_spread(geom, n_pts, min_sep):
+    """Greedy rejection over 64*n_pts candidates: (centers or None, how many were accepted)."""
     cap = 64 * n_pts
     candidates = _surface_candidates(geom, cap)
     pos = geom.position(candidates[:, 0], candidates[:, 1])
@@ -549,8 +551,20 @@ def _place_on_surface(geom, n_pts, min_sep, eps):
         accepted.append(i)
         acc_pos = np.vstack([acc_pos, pos[i]])
         if len(accepted) == n_pts:
-            return candidates[accepted]
+            return candidates[accepted], n_pts
+    return None, len(accepted)
+
+
+def _place_on_surface(geom, n_pts, min_sep, eps):
+    centers, fits = _greedy_spread(geom, n_pts, min_sep)
+    if centers is not None:
+        return centers
+    # the candidate spread is built from the requested count, so a request
+    # for `fits` draws other candidates: walk down to a count whose own
+    # request succeeds (one center always does)
+    while _greedy_spread(geom, fits, min_sep)[0] is None:
+        fits -= 1
     raise PlacementError(
         f"cannot place {n_pts} centers with separation {min_sep:.4g}; "
-        f"the greedy spread fits {len(accepted)} at eps = {eps:.4g}"
+        f"the greedy spread fits {fits} at eps = {eps:.4g}"
     )

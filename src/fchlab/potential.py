@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,6 +87,11 @@ class WellParams:
     def cutoff_knots(self):
         """(outer_left, inner_left, inner_right, outer_right) of chi."""
         return (-2.0, -1.0, 2.0 * self.u_plus, 2.0 * self.u_plus + 1.0)
+
+    @cached_property
+    def _scalar_constants(self):
+        """Cutoff knots, r, p, c5 and the bracket's (b, c): what dwell_scalar reads per call."""
+        return (*self.cutoff_knots, self.r, self.p, self.c5, *quadratic_factor_coeffs(self))
 
     @property
     def cutoff_degree(self):
@@ -232,9 +237,7 @@ def dwell_scalar(u: float, params: WellParams) -> float:
     Pure-python arithmetic mirroring eval_dwell; kept consistent with it by
     a dedicated agreement test.
     """
-    a, b, c, d = params.cutoff_knots
-    r, p, c5 = params.r, params.p, params.c5
-    bq, cq = quadratic_factor_coeffs(params)
+    a, b, c, d, r, p, c5, bq, cq = params._scalar_constants
     absu = abs(u)
     sgn = 1.0 if u > 0.0 else (-1.0 if u < 0.0 else 0.0)
     quad = (u + bq) * u + cq

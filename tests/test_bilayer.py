@@ -55,6 +55,16 @@ def test_half_width_against_midpoint_oracle(params):
     assert length > 0.0
 
 
+def test_half_width_refuses_unconverged_quadrature(params, monkeypatch):
+    # two cells per segment disagree with one far beyond the 1e-9 check
+    from fchlab import bilayer
+    from fchlab.errors import NumericsError
+
+    monkeypatch.setattr(bilayer, "_N_DENSE", 2)
+    with pytest.raises(NumericsError, match="width quadrature did not converge"):
+        half_width(params)
+
+
 def test_half_width_grows_toward_r_equals_two():
     assert half_width(default_params(r=1.99)) > half_width(default_params(r=1.75))
 

@@ -73,7 +73,7 @@ def test_converge_placement_error_reports_counts(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "PlacementError"
     assert err["message"] == (
-        "cannot place 64 centers with separation 0.8255; "
+        "cannot place 64 centers with separation 0.824; "
         "equal arc-length spacing fits at most 7 at eps = 0.05"
     )
 

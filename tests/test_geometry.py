@@ -192,6 +192,20 @@ def test_placement_infeasible_when_too_dense():
     assert fit and 1 <= int(fit[1]) < 400
 
 
+@pytest.mark.parametrize("geom", [Sphere(1.0), Torus(3.0, 1.0)], ids=["sphere", "torus"])
+def test_surface_refusal_reports_a_count_that_succeeds(geom):
+    # the candidate spread depends on the requested count: before the refusal
+    # walked down, 637 centers on Sphere(1) reported 12, 12 reported 11, and
+    # only 10 succeeded (Torus(3, 1): 82 reported, 80 succeed)
+    eps, r0 = 0.05, 9.598
+    area = eps ** (geom.ambient_n - 1)
+    with pytest.raises(PlacementError) as err:
+        place_micelle_centers(geom, eps, 637 * area, r0)
+    fits = int(re.search(r"the greedy spread fits (\d+) at", str(err.value))[1])
+    assert 1 <= fits < 637
+    assert len(place_micelle_centers(geom, eps, fits * area, r0)) == fits
+
+
 def test_kappa0_pinned():
     # recorded before the validation mesh and the grid shared one chart-axis helper
     assert Circle(1.0).kappa0 == 1.0

@@ -179,6 +179,30 @@ def test_fused_matches_blend_anywhere(params, us):
     assert eval_well_and_dwell(us[0], params) == (eval_well(us[0], params), eval_dwell(us[0], params))
 
 
+@given(wells)
+def test_well_is_c2_at_the_cutoff_knots(well):
+    # one-sided second-order extrapolations of W and W' to each knot, and
+    # one-sided derivatives of W' (that is W''), agree from both sides; a
+    # cubic (C^1) smoothstep makes the W'' gap O(1) of the scale, this one
+    # leaves truncation of about 4e-4 of it
+    h = 1e-4
+    steps = h * np.arange(1, 4)
+    for knot in well.cutoff_knots:
+        w_l, w_r, w_k = eval_well(knot - steps, well), eval_well(knot + steps, well), eval_well(knot, well)
+        d_l, d_r, d_k = eval_dwell(knot - steps, well), eval_dwell(knot + steps, well), eval_dwell(knot, well)
+        scale = 1.0 + np.max(np.abs(np.concatenate([w_l, w_r, d_l, d_r])))
+
+        def extrapolate(f):
+            return 3.0 * f[0] - 3.0 * f[1] + f[2]
+
+        for side_w, side_d in ((w_l, d_l), (w_r, d_r)):
+            assert abs(extrapolate(side_w) - w_k) <= 1e-5 * scale, knot
+            assert abs(extrapolate(side_d) - d_k) <= 1e-5 * scale, knot
+        dd_left = (3.0 * d_k - 4.0 * d_l[0] + d_l[1]) / (2.0 * h)
+        dd_right = (-3.0 * d_k + 4.0 * d_r[0] - d_r[1]) / (2.0 * h)
+        assert abs(dd_right - dd_left) <= 1e-2 * scale, knot
+
+
 def test_non_finite_input_rejected(params):
     with pytest.raises(ValueError):
         eval_well(np.nan, params)
