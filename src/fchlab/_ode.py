@@ -6,7 +6,11 @@ tableau, the same 7th-order dense interpolant, the same initial-step
 selection and step-size control, and terminal events located with Brent's
 method on the interpolant.  The micelle shots integrate a 2-component
 state, for which numpy's per-call overhead dominated the step cost; here a
-state is a list of floats and every stage is a short C-level sum.
+state is a list of floats and every stage is a short C-level sum.  Every
+sum runs left to right through functools.reduce, so its rounding does not
+depend on the Python version (the built-in sum() compensates float
+round-off from Python 3.12 on, and the micelle support radius R0 follows
+the last bits of each shot).
 
 The tableau below is copied from scipy/integrate/_ivp/dop853_coefficients.py.
 The step control follows scipy/integrate/_ivp/rk.py and common.py, and the
@@ -49,7 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -271,13 +276,18 @@ _MESSAGES = {
 }
 
 
+def _dot(a, b):
+    """sum_j a[j] * b[j], added left to right."""
+    return reduce(add, map(mul, a, b), 0.0)
+
+
 def _combine(coeffs, stages):
     """sum_j coeffs[j] * stages[j][i] for each component i."""
-    return [sum(map(mul, coeffs, comp)) for comp in zip(*stages)]
+    return [_dot(coeffs, comp) for comp in zip(*stages)]
 
 
 def _rms(values):
-    return math.sqrt(sum(v * v for v in values)) / math.sqrt(len(values))
+    return math.sqrt(_dot(values, values)) / math.sqrt(len(values))
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -422,7 +432,7 @@ class _Dop853:
         for s in range(1, N_STAGES):
             row = _ROWS[s]
             # y + h * sum_j A[s, j] k_j, one C-level sum per component
-            y_s = [a + sum(map(mul, row, comp)) * h for a, comp in zip(y, zip(*stages))]
+            y_s = [a + _dot(row, comp) * h for a, comp in zip(y, zip(*stages))]
             stages.append(fun(t + _C[s] * h, y_s))
         y_new = [a + h * d for a, d in zip(y, _combine(_B, stages))]
         f_new = list(fun(t + h, y_new))
@@ -448,8 +458,8 @@ class _Dop853:
             scale = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
             err5 = [e / s for e, s in zip(_combine(_E5, stages), scale)]
             err3 = [e / s for e, s in zip(_combine(_E3, stages), scale)]
-            err5_sq = math.sqrt(sum(e * e for e in err5)) ** 2
-            err3_sq = math.sqrt(sum(e * e for e in err3)) ** 2
+            err5_sq = math.sqrt(_dot(err5, err5)) ** 2
+            err3_sq = math.sqrt(_dot(err3, err3)) ** 2
             if err5_sq == 0.0 and err3_sq == 0.0:
                 error_norm = 0.0
             else:
@@ -540,10 +550,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
             y_events[i].append(np.array(sol(t)))
             status = 1
         g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
-            ts.append(t)
+        ts.append(t)
 
     return OdeResult(
         status=status,

@@ -122,23 +122,10 @@ def _u_integral(params, u_max, lower, upper, cells):
 def half_width(params: WellParams) -> float:
     """Support half-width L = integral_0^{u_max} du / sqrt(2 W(u)).
 
-    Finite because r < 2; computed with the two desingularizing
-    substitutions on _N_DENSE Gauss-Legendre cells per segment, and
-    refused (NumericsError) unless half as many cells agree to _WIDTH_RTOL.
+    Finite because r < 2; it is the total of the profile's dense width map
+    (see solve_profile), so it shares the profile's memo.
     """
-    u_max = peak_amplitude(params)
-
-    def lower(t, a):
-        return _width_integrand_lower(t, params, a)
-
-    def upper(y, qslope):
-        return _width_integrand_upper(y, params, u_max, qslope)
-
-    total = _u_integral(params, u_max, lower, upper, _N_DENSE)
-    coarse = _u_integral(params, u_max, lower, upper, _N_DENSE // 2)
-    if not np.isfinite(total) or abs(total - coarse) > _WIDTH_RTOL * abs(total):
-        raise NumericsError(f"width quadrature did not converge: {total} on {_N_DENSE} cells, {coarse} on half")
-    return total
+    return solve_profile(params).half_width_L
 
 
 def _hermite_trapz(z, f, fp):
@@ -201,25 +188,38 @@ def _build_dense_map(params, u_max, y_targets, t_targets):
     """Dense right-half profile (z ascending from 0 to L) and the width maps at the targets.
 
     The target nodes are inserted into the cumulative grids so the width
-    map is evaluated at them exactly (no interpolation jitter).  Returns
-    (z_dense, u_dense, cum_b at y_targets, cum_a at t_targets).
+    map is evaluated at them exactly (no interpolation jitter).  The half
+    width L is the map's total; it is refused (NumericsError) unless the
+    rule on _N_DENSE // 2 equal cells per segment agrees to _WIDTH_RTOL.
+    Returns (z_dense, u_dense, cum_b at y_targets, cum_a at t_targets).
     """
     a, _, t1, yy, qslope = _split(params, u_max)
 
+    def lower(t, a):
+        return _width_integrand_lower(t, params, a)
+
+    def upper(y, qslope):
+        return _width_integrand_upper(y, params, u_max, qslope)
+
     y_grid = np.union1d(np.linspace(0.0, yy, _N_DENSE + 1), y_targets)
-    cum_b = _cumulative_gl(lambda y: _width_integrand_upper(y, params, u_max, qslope), y_grid)
+    cum_b = _cumulative_gl(lambda y: upper(y, qslope), y_grid)
     b_total = cum_b[-1]
 
     t_grid = np.union1d(np.linspace(0.0, t1, _N_DENSE + 1), t_targets)
-    cum_a = _cumulative_gl(lambda t: _width_integrand_lower(t, params, a), t_grid)
+    cum_a = _cumulative_gl(lambda t: lower(t, a), t_grid)
     a_total = cum_a[-1]
+
+    total = b_total + a_total
+    coarse = _u_integral(params, u_max, lower, upper, _N_DENSE // 2)
+    if not np.isfinite(total) or abs(total - coarse) > _WIDTH_RTOL * abs(total):
+        raise NumericsError(f"width quadrature did not converge: {total} on {_N_DENSE} cells, {coarse} on half")
 
     # upper segment: z = cum_b(y), u = u_max - y^2 (z ascending, u descending)
     z_up = cum_b
     u_up = u_max - y_grid**2
     # lower segment: z = b_total + a_total - cum_a(t), u = t^a; traverse t
     # descending so z ascends from z_mid to L
-    z_lo = (b_total + a_total - cum_a)[::-1]
+    z_lo = (total - cum_a)[::-1]
     u_lo = (t_grid**a)[::-1]
 
     z_dense = np.concatenate([z_up, z_lo[1:]])
@@ -265,7 +265,6 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     if n_samples < 32:
         raise ValueError("n_samples must be at least 32")
     u_max = peak_amplitude(params)
-    length = half_width(params)
 
     # graded public nodes: Chebyshev clustering at u = 0 and u = u_max
     theta = np.linspace(0.0, np.pi, n_samples)
@@ -277,16 +276,12 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     t_targets = u_nodes[~hi] ** (1.0 / a)
 
     z_dense, u_dense, cum_b, cum_a = _build_dense_map(params, u_max, y_targets, t_targets)
-    if abs(z_dense[-1] - length) > 1e-9 * length:
-        raise NumericsError("cumulative width map disagrees with the half-width quadrature")
-    # snap the dense edge to the half-width quadrature's value of L
-    scale = length / z_dense[-1]
-    z_dense = z_dense * scale
+    length = float(z_dense[-1])
 
     # z(u) at the nodes, read off the cumulative maps where they were inserted
     z_nodes = np.empty_like(u_nodes)
-    z_nodes[hi] = cum_b * scale
-    z_nodes[~hi] = length - cum_a * scale
+    z_nodes[hi] = cum_b
+    z_nodes[~hi] = length - cum_a
     z_nodes[0] = length
     z_nodes[-1] = 0.0
 

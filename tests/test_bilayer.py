@@ -61,6 +61,8 @@ def test_half_width_refuses_unconverged_quadrature(params, monkeypatch):
     from fchlab.errors import NumericsError
 
     monkeypatch.setattr(bilayer, "_N_DENSE", 2)
+    # half_width reads the memoised profile
+    solve_profile.cache_clear()
     with pytest.raises(NumericsError, match="width quadrature did not converge"):
         half_width(params)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fchlab._numerics import ClampedSpline, gauss_legendre, simpson
-from fchlab._ode import solve_ivp
+from fchlab._ode import _dot, solve_ivp
 
 
 def test_gauss_legendre_512_integrates_every_moment():
@@ -116,3 +116,10 @@ def test_dop853_reaches_the_end():
     assert sol.t_events == [] and sol.y_events == []
     with pytest.raises(ValueError):
         solve_ivp(oscillator, (1.0, 0.0), [1.0, 0.0], rtol=1e-10, atol=1e-12)
+
+
+def test_dop853_sums_left_to_right():
+    # compensated summation (the built-in sum() from Python 3.12 on) gives
+    # 2.0 here; the stages must round the same way on every Python version
+    assert _dot([1.0, 1e100, 1.0, -1e100], [1.0, 1.0, 1.0, 1.0]) == 0.0
+    assert _dot([0.1, 0.2, 0.3], [3.0, 2.0, 1.0]) == (0.1 * 3.0 + 0.2 * 2.0) + 0.3 * 1.0

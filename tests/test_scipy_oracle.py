@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.integrate as scipy_integrate
+import scipy.interpolate as scipy_interpolate
 
-scipy_integrate = pytest.importorskip("scipy.integrate")
-scipy_interpolate = pytest.importorskip("scipy.interpolate")
-
-from fchlab import half_width, micelle, shoot_micelle  # noqa: E402
-from fchlab._numerics import ClampedSpline, simpson  # noqa: E402
-from fchlab.bilayer import _split, _width_integrand_lower, _width_integrand_upper, peak_amplitude  # noqa: E402
+from fchlab import half_width, micelle, shoot_micelle
+from fchlab._numerics import ClampedSpline, simpson
+from fchlab.bilayer import _split, _width_integrand_lower, _width_integrand_upper, peak_amplitude
 
 
 def assert_rel(got, want, rel):
