@@ -27,9 +27,10 @@ at every kept sample each stencil operand is either the true neighbour or
 an exact zero standing in for one; across a gap between kept indices the
 metric stencils only ever multiply an exact-zero u_t.  Only the summation
 order changes, so sparse fields agree with the whole-grid sums to
-round-off and fully supported fields (every index kept) bit for bit.  The
-degenerate-metric check and |domain| in the lower-bound audit still cover
-the whole grid.
+round-off and fully supported fields (every index kept) bit for bit.  An
+all-zero field has no support and takes the whole-grid pass, so its report
+comes from the same integrals as any other.  The degenerate-metric check
+and |domain| in the lower-bound audit still cover the whole grid.
 
 The width eps enters only through the metric.  Samples, stencil spacings
 and the flat weight prod_j w_j(t) with the z trapezoid are all in
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -144,12 +145,12 @@ def _support(u, geom: InterfaceGeom):
     """Selector of the sub-grid within _HALO chart samples of any nonzero column.
 
     np.ix_ of the per-axis chart indices; Ellipsis when that is the whole
-    grid, so a fully supported field is a view, not a copy; None for an
-    all-zero field.
+    grid, so a fully supported field is a view, not a copy, and for an
+    all-zero field, which then takes the same pass as any other.
     """
     cols = np.any(u != 0.0, axis=-1)
     if not cols.any():
-        return None
+        return Ellipsis
     index = []
     for axis, periodic in enumerate(geom.periodic):
         n = cols.shape[axis]
@@ -160,6 +161,13 @@ def _support(u, geom: InterfaceGeom):
     if all(len(i) == n for i, n in zip(index, cols.shape)):
         return Ellipsis
     return np.ix_(*index)
+
+
+def _integrate(grid: TubularGrid, f, density):
+    """integral f density ds dz with trapezoid in z, periodic trapezoid in s."""
+    wz = grid.z_trapezoid_weights()
+    hprod = float(np.prod(grid.h_s))
+    return float(np.sum(f * density * wz) * hprod)
 
 
 class _Chart:
@@ -196,9 +204,7 @@ class _Chart:
 
     def integrate_flat(self, f):
         """integral f weight ds dz (no Jacobian), for the derivative-bound norms."""
-        wz = self.grid.z_trapezoid_weights()
-        hprod = float(np.prod(self.grid.h_s))
-        return float(np.sum(f * self.weight * wz) * hprod)
+        return _integrate(self.grid, f, self.weight)
 
 
 class _Metric:
@@ -222,10 +228,8 @@ class _Metric:
         self.P = math.prod(self.one_plus) * chart.weight
 
     def integrate(self, f):
-        """integral f J weight ds dz with trapezoid in z, periodic trapezoid in s."""
-        wz = self.grid.z_trapezoid_weights()
-        hprod = float(np.prod(self.grid.h_s))
-        return float(np.sum(f * self.P * wz) * hprod)
+        """integral f J weight ds dz."""
+        return _integrate(self.grid, f, self.P)
 
 
 def curvilinear_gradient(field: Field, geom: InterfaceGeom):
@@ -281,18 +285,12 @@ class _FieldPass:
     """The width-free half of the energy of one field: everything but the metric.
 
     The support's chart, u, W, W', u_z, u_zz and each per-axis u_t, and
-    (on first use) the six flat-weight report diagnostics.  An all-zero
-    field has no sub-grid (u is None), but keeps the whole-grid chart so
-    each width's metric is still checked.
+    (on first use) the six flat-weight report diagnostics.
     """
 
     def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
         self.params = params
         select = _support(field.values, geom)
-        if select is None:
-            self.chart = _Chart(field.grid, geom)
-            self.u = None
-            return
         self.chart = chart = _Chart(field.grid, geom, select)
         self.u = u = field.values[select]
         self.well, self.dwell = eval_well_and_dwell(u, params)
@@ -321,10 +319,8 @@ class _FieldPass:
 
 
 def _width_pass(fp: _FieldPass, grid: TubularGrid):
-    """The metric at grid.eps, the residual and |grad u|^2 (both None for a zero field)."""
+    """The metric at grid.eps, the residual and |grad u|^2."""
     m = _Metric(fp.chart, grid)
-    if fp.u is None:
-        return m, None, None
     eps = grid.eps
     residual = -eps * _laplacian(m, fp.u, fp.u_z, fp.u_zz, fp.u_t) + fp.dwell / eps
     components = _gradient(m, fp.u_z, fp.u_t)
@@ -338,9 +334,6 @@ def _report(fp: _FieldPass, grid: TubularGrid, eta1: float, eta2: float):
     """The energy report at grid.eps, with the width pass it was built from."""
     m, residual, grad_sq = _width_pass(fp, grid)
     eps = grid.eps
-    if fp.u is None:
-        zero = {f.name: 0.0 for f in fields(EnergyReport) if f.name != "eps"}
-        return EnergyReport(eps=eps, **zero), m, residual, grad_sq
     quadratic = m.integrate(0.5 * residual**2)
     functional = m.integrate(0.5 * eta1 * eps**2 * grad_sq + eta2 * fp.well)
     report = EnergyReport(
@@ -370,9 +363,7 @@ def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
     out = np.zeros(field.grid.shape)
     fp = _FieldPass(field, geom, params)
-    _, residual, _ = _width_pass(fp, field.grid)
-    if residual is not None:
-        out[fp.chart.select] = residual
+    out[fp.chart.select] = _width_pass(fp, field.grid)[1]
     return out
 
 
@@ -474,9 +465,7 @@ def lower_bound_audit(
     report, m, residual, grad_sq = _report(fp, field.grid, eta1, eta2)
     # |domain| is over the whole grid; the integrand below vanishes off the support
     domain = _Metric(_Chart(field.grid, geom), field.grid).integrate(np.ones(field.grid.shape))
-    integral = 0.0
-    if fp.u is not None:
-        integral = m.integrate(0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(fp.u) ** p)
+    integral = m.integrate(0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(fp.u) ** p)
     return LowerBoundAudit(
         lhs=report.total,
         rhs=integral - a2 * domain,

@@ -219,9 +219,20 @@ def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
     return Field(grid, vals)
 
 
+# the CSV columns between abs_error and n_micelles, by EnergyReport field name
+_REPORT_COLUMNS = (
+    "equipartition_defect", "bilayer_residual", "mass", "norm_u_lp", "norm_uz_l2", "norm_us_l2", "norm_uss_l2"
+)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Energies, diagnostics, and norms along a width schedule."""
+    """One EnergyReport per width of a schedule, against the predicted limit.
+
+    Energies, errors, the eps-rate and the Aitken value derive from reports.
+    A snapped micelle family hits its limit at every width, so its error is
+    discretisation only: it has no eps-rate or Aitken value (both None).
+    """
 
     kind: str
     geometry: str
@@ -229,43 +240,37 @@ class ConvergenceReport:
     eta2: float
     alpha: float | None
     eps_list: tuple
-    energy_list: tuple
+    reports: tuple
     predicted_limit: float
-    fitted_rate: float | None
-    extrapolated: float | None
-    equipartition_defects: tuple
-    bilayer_residuals: tuple
-    mass_list: tuple
-    norms_table: dict
     n_micelles: tuple | None
     uniform_thickness: tuple
 
+    @property
+    def energy_list(self) -> tuple:
+        return tuple(r.total for r in self.reports)
+
+    @property
+    def errors(self) -> tuple:
+        """|E - limit| per width."""
+        return tuple(abs(r.total - self.predicted_limit) for r in self.reports)
+
+    @property
+    def fitted_rate(self) -> float | None:
+        return None if self.kind == "micelle" else _fit_rate(self.eps_list, self.errors)
+
+    @property
+    def extrapolated(self) -> float | None:
+        return None if self.kind == "micelle" else _aitken(self.energy_list)
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(
-            "eps,energy,predicted_limit,abs_error,equipartition_defect,"
-            "bilayer_residual,mass,norm_u_lp,norm_uz_l2,norm_us_l2,norm_uss_l2,"
-            "n_micelles,uniform_thickness\n"
-        )
-        for i, eps in enumerate(self.eps_list):
-            n_mic = "" if self.n_micelles is None else str(self.n_micelles[i])
-            row = [
-                f"{eps:.17g}",
-                f"{self.energy_list[i]:.17g}",
-                f"{self.predicted_limit:.17g}",
-                f"{abs(self.energy_list[i] - self.predicted_limit):.17g}",
-                f"{self.equipartition_defects[i]:.17g}",
-                f"{self.bilayer_residuals[i]:.17g}",
-                f"{self.mass_list[i]:.17g}",
-                f"{self.norms_table['norm_u_lp'][i]:.17g}",
-                f"{self.norms_table['norm_uz_l2'][i]:.17g}",
-                f"{self.norms_table['norm_us_l2'][i]:.17g}",
-                f"{self.norms_table['norm_uss_l2'][i]:.17g}",
-                n_mic,
-                "1" if self.uniform_thickness[i] else "0",
-            ]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        columns = ("eps", "energy", "predicted_limit", "abs_error", *_REPORT_COLUMNS, "n_micelles", "uniform_thickness")
+        lines = [",".join(columns)]
+        counts = self.n_micelles or ("",) * len(self.reports)
+        rows = zip(self.eps_list, self.reports, self.errors, counts, self.uniform_thickness)
+        for eps, rep, err, count, uniform in rows:
+            values = (eps, rep.total, self.predicted_limit, err, *(getattr(rep, k) for k in _REPORT_COLUMNS))
+            lines.append(",".join([f"{v:.17g}" for v in values] + [str(count), "1" if uniform else "0"]))
+        return "\n".join(lines) + "\n"
 
 
 def _fit_rate(eps, errors):
@@ -289,31 +294,25 @@ def _aitken(values):
 
 
 def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
-    """Evaluate the energy along the width schedule and fit the approach."""
+    """Evaluate the energy along the width schedule against the predicted limit."""
     geom = spec.geom
-    counts = None
     if spec.kind == "bilayer":
         # U(z - p(s)) is width-free on the rescaled slab: one field serves every width
         fld = build_bilayer_field(spec, spec.eps_list[0])
         reports = fch_energy_sweep(fld, geom, spec.eps_list, spec.eta1, spec.eta2, spec.params)
+        counts = None
+        prof = solve_profile(spec.params)
+        predicted = g1_energy(geom, prof.a_star, prof.b_star, spec.eta1, spec.eta2)
     else:
         reports, counts = [], []
         for eps in spec.eps_list:
             fld = build_micelle_field(spec, eps)
             counts.append(snap_micelle_eps(spec.alpha, geom.ambient_n, eps)[1])
             reports.append(fch_energy(fld, geom, spec.eta1, spec.eta2, spec.params))
-
-    if spec.kind == "bilayer":
-        prof = solve_profile(spec.params)
-        predicted = g1_energy(geom, prof.a_star, prof.b_star, spec.eta1, spec.eta2)
-    else:
         prof = shoot_micelle(geom.ambient_n, spec.params)
         predicted = micelle_limit(geom.ambient_n, spec.alpha, spec.eta1, spec.eta2, prof.sigma_n)
     # every width's field has the same ell
     ell = fld.grid.ell
-
-    energies = tuple(r.total for r in reports)
-    errors = [abs(e - predicted) for e in energies]
     return ConvergenceReport(
         kind=spec.kind,
         geometry=geom.name,
@@ -321,17 +320,8 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
         eta2=spec.eta2,
         alpha=spec.alpha,
         eps_list=spec.eps_list,
-        energy_list=energies,
+        reports=tuple(reports),
         predicted_limit=float(predicted),
-        fitted_rate=_fit_rate(spec.eps_list, errors),
-        extrapolated=_aitken(energies),
-        equipartition_defects=tuple(r.equipartition_defect for r in reports),
-        bilayer_residuals=tuple(r.bilayer_residual for r in reports),
-        mass_list=tuple(r.mass for r in reports),
-        norms_table={
-            key: tuple(getattr(r, key) for r in reports)
-            for key in ("norm_u_lp", "norm_uz_l2", "norm_us_l2", "norm_uss_l2")
-        },
         n_micelles=tuple(counts) if counts is not None else None,
         uniform_thickness=tuple(e * ell * geom.kappa0 < 0.5 for e in spec.eps_list),
     )
@@ -376,10 +366,10 @@ def verify_derivative_bounds(report: ConvergenceReport) -> DerivativeBoundsLedge
     when its slope is >= 0.5 or it is negligible outright.
     """
     eps = np.asarray(report.eps_list)
-    nt = report.norms_table
-    q1 = [nt["norm_u_lp"][i] + nt["norm_uz_l2"][i] + eps[i] * nt["norm_us_l2"][i] for i in range(len(eps))]
-    q2 = [nt["norm_us_l2"][i] + eps[i] * nt["norm_uss_l2"][i] for i in range(len(eps))]
-    q3 = [eps[i] * nt["norm_uss_l2"][i] for i in range(len(eps))]
+    pairs = list(zip(eps, report.reports))
+    q1 = [r.norm_u_lp + r.norm_uz_l2 + e * r.norm_us_l2 for e, r in pairs]
+    q2 = [r.norm_us_l2 + e * r.norm_uss_l2 for e, r in pairs]
+    q3 = [e * r.norm_uss_l2 for e, r in pairs]
     scale = max(max(q1), 1.0)
     floor = 1e-10 * scale
 

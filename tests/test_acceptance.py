@@ -43,7 +43,7 @@ def test_criterion_1_equipartition(params, profile, bilayer_report):
     # carry the first integral exactly, so the defect sits at the quadrature
     # floor for every eps (slope fitting degenerates); accept either a
     # slope within 1 +- 0.2 or the floor branch
-    defects = np.asarray(bilayer_report.equipartition_defects)
+    defects = np.asarray([r.equipartition_defect for r in bilayer_report.reports])
     floor = 1e-6 * Circle(1.0).surface_measure
     if np.all(defects <= floor):
         decay_ok, decay_detail = True, f"defects at quadrature floor (max {defects.max():.2e})"

@@ -158,3 +158,45 @@ def test_infeasible_well_exits_3(tmp_path, capsys):
     code = run_cli(["converge", "--kind", "bilayer", "--tau", "0.7", "--c5", "2.0",
                     "--eps-list", "0.1", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def _config(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+# malformed flags and config files: usage errors, each found before any solve
+BAD_INPUTS = {
+    "missing-config": lambda tmp: ["converge", "--config", str(tmp / "absent.json")],
+    "malformed-json": lambda tmp: ["converge", "--config", _config(tmp, '{"kind": ')],
+    "list-config": lambda tmp: ["converge", "--config", _config(tmp, '["kind", "bilayer"]')],
+    "short-range": lambda tmp: ["phase", "--eta1-range", "1:2"],
+    "bad-eps-list": lambda tmp: ["converge", "--eps-list", "0.1,abc"],
+    "null-alpha": lambda tmp: [
+        "converge", "--config", _config(tmp, '{"kind": "micelle", "alpha": null, "eps_list": [0.1]}')
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_json_error(tmp_path, capsys, case):
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unknown_config_keys_are_named(tmp_path, capsys):
+    args = ["converge", "--dry-run", "--config"]
+    assert run_cli(args + [_config(tmp_path, '{"kind": "bilayer", "eta_1": 2.0}')]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "unknown config key 'eta_1'"
+    assert run_cli(args + [_config(tmp_path, '{"kind": "bilayer", "well": {"tua": 0.1}}')]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "unknown well key 'tua'"
+    # the accepted rate window is a constant, not a key
+    assert run_cli(args + [_config(tmp_path, '{"rate_window": [0.7, 2.5]}')]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "unknown config key 'rate_window'"
+

@@ -58,8 +58,8 @@ def test_bilayer_field_is_s_independent(params):
 
 def test_bilayer_mass_quantization(params, profile, bilayer_report):
     base = Circle(1.0).surface_measure * profile.mass_per_length
-    for eps, mass in zip(bilayer_report.eps_list, bilayer_report.mass_list):
-        assert abs(mass / base - 1.0) <= 1.5 * eps
+    for eps, rep in zip(bilayer_report.eps_list, bilayer_report.reports):
+        assert abs(rep.mass / base - 1.0) <= 1.5 * eps
 
 
 def test_bilayer_translate_keeps_bounds(params):
@@ -145,10 +145,10 @@ def test_micelle_norms_diverge(params, micelle_report_circle):
     # fitted growth c * eps^(-1) and c * eps^(-2)
     assert led.slopes["tangential_gradient_bounded"] == pytest.approx(-1.0, abs=0.15)
     eps = np.asarray(micelle_report_circle.eps_list)
-    uss = np.asarray(micelle_report_circle.norms_table["norm_uss_l2"])
+    uss = np.asarray([r.norm_uss_l2 for r in micelle_report_circle.reports])
     slope = np.polyfit(np.log(eps), np.log(uss), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.2)
-    c_fit = float(np.exp(np.mean(np.log(np.asarray(micelle_report_circle.norms_table["norm_us_l2"]) * eps))))
+    c_fit = float(np.exp(np.mean(np.log(np.asarray([r.norm_us_l2 for r in micelle_report_circle.reports]) * eps))))
     assert c_fit > 0.0
 
 
@@ -178,6 +178,16 @@ def test_micelle_limit_value(params, micelle2, micelle_report_circle):
     assert rel < 0.02
 
 
+def test_micelle_report_fits_no_rate(micelle_report_circle):
+    # snapped widths hit the limit at every width: what error remains is
+    # discretisation, which has no eps-rate to fit or extrapolate
+    rep = micelle_report_circle
+    assert len(rep.eps_list) >= 3
+    assert rep.fitted_rate is None
+    assert rep.extrapolated is None
+    assert rep.errors == tuple(abs(e - rep.predicted_limit) for e in rep.energy_list)
+
+
 def test_micelle_limit_geometry_independent(micelle_report_circle, micelle_report_ellipse):
     a = micelle_report_circle.energy_list[-1]
     b = micelle_report_ellipse.energy_list[-1]
@@ -205,17 +215,8 @@ def test_oscillatory_bilayer_breaks_enhanced_bound(params, profile):
         eta2=1.0,
         alpha=None,
         eps_list=eps_list,
-        energy_list=tuple(r.total for r in reports),
+        reports=tuple(reports),
         predicted_limit=0.0,
-        fitted_rate=None,
-        extrapolated=None,
-        equipartition_defects=tuple(r.equipartition_defect for r in reports),
-        bilayer_residuals=tuple(r.bilayer_residual for r in reports),
-        mass_list=tuple(r.mass for r in reports),
-        norms_table={
-            key: tuple(getattr(r, key) for r in reports)
-            for key in ("norm_u_lp", "norm_uz_l2", "norm_us_l2", "norm_uss_l2")
-        },
         n_micelles=None,
         uniform_thickness=(False, False, False),
     )
