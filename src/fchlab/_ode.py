@@ -6,11 +6,22 @@ tableau, the same 7th-order dense interpolant, the same initial-step
 selection and step-size control, and terminal events located with Brent's
 method on the interpolant.  The micelle shots integrate a 2-component
 state, for which numpy's per-call overhead dominated the step cost; here a
-state is a list of floats and every stage is a short C-level sum.  Every
-sum runs left to right through functools.reduce, so its rounding does not
-depend on the Python version (the built-in sum() compensates float
-round-off from Python 3.12 on, and the micelle support radius R0 follows
-the last bits of each shot).
+state is a list of floats.  Every sum runs left to right, so its rounding
+does not depend on the Python version (the built-in sum() compensates
+float round-off from Python 3.12 on, and the micelle support radius R0
+follows the last bits of each shot).
+
+The twelve stages of a step, the new state and the two embedded error
+estimates come from one straight-line function per state size,
+generated from the tableau the first time a solver of that size is made
+(_step_kernel).  Each sum is written out as
+``0.0 + c0*k0_i + c1*k1_i + ...`` with every coefficient as its repr
+literal, zeros included.  Python evaluates that expression left to right,
+one rounded product and one rounded addition at a time, which is exactly
+what _dot's reduce(add, map(mul, ...), 0.0) does, so a step lands on the
+same floats as the loop over _dot it replaces while skipping the
+per-stage list transposes and function calls.  The dense interpolant,
+used once per shot at an event, keeps _combine.
 
 The tableau below is copied from scipy/integrate/_ivp/dop853_coefficients.py.
 The step control follows scipy/integrate/_ivp/rk.py and common.py, and the
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 
 import numpy as np
@@ -286,6 +297,45 @@ def _combine(coeffs, stages):
     return [_dot(coeffs, comp) for comp in zip(*stages)]
 
 
+def _sum_source(coeffs, comp):
+    """``0.0 + c0*k0_<comp> + c1*k1_<comp> + ...``: _dot(coeffs, ...) written out."""
+    return " + ".join(["0.0"] + [f"{c!r}*k{j}_{comp}" for j, c in enumerate(coeffs)])
+
+
+def _kernel_source(dim):
+    """Source of one DOP853 step for a state of `dim` floats.
+
+    kernel(fun, t, y, k0, h), with k0 = fun(t, y), returns (y_new, f_new,
+    stages, err5, err3): the state at t + h, fun there, the 13 stage values
+    (k0 first, f_new last), and the unscaled 5th- and 3rd-order error
+    estimates.
+    """
+    comps = range(dim)
+
+    def unpack(name):
+        return f"    [{', '.join(f'{name}_{i}' for i in comps)}] = {name}"
+
+    lines = ["def kernel(fun, t, y, k0, h):", unpack("y"), unpack("k0")]
+    for s in range(1, N_STAGES):
+        y_s = ", ".join(f"y_{i} + ({_sum_source(_ROWS[s], i)}) * h" for i in comps)
+        lines += [f"    k{s} = fun(t + {_C[s]!r} * h, [{y_s}])", unpack(f"k{s}")]
+    y_new = ", ".join(f"y_{i} + h * ({_sum_source(_B, i)})" for i in comps)
+    lines += [f"    y_new = [{y_new}]", f"    k{N_STAGES} = list(fun(t + h, y_new))", unpack(f"k{N_STAGES}")]
+    stages = ", ".join(f"k{s}" for s in range(N_STAGES + 1))
+    err5 = ", ".join(_sum_source(_E5, i) for i in comps)
+    err3 = ", ".join(_sum_source(_E3, i) for i in comps)
+    lines.append(f"    return y_new, k{N_STAGES}, [{stages}], [{err5}], [{err3}]")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=4)
+def _step_kernel(dim):
+    """The compiled step of _kernel_source(dim), built on first use."""
+    namespace = {}
+    exec(compile(_kernel_source(dim), f"<dop853 step, dim {dim}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _rms(values):
     return math.sqrt(_dot(values, values)) / math.sqrt(len(values))
 
@@ -416,6 +466,7 @@ class _Dop853:
         self.rtol = rtol
         self.atol = atol
         self.f = list(fun(t0, y0))
+        self.kernel = _step_kernel(len(y0))
         self.h_abs = _initial_step(fun, t0, y0, self.f, t_bound, rtol, atol)
         # right-hand-side calls: the start, the initial-step probe, then
         # 12 per step attempt and 3 per interpolant
@@ -425,20 +476,6 @@ class _Dop853:
         self.f_old = None
         # stage values of the last accepted step
         self.stages = None
-
-    def _stages(self, t, y, f, h):
-        fun = self.fun
-        stages = [f]
-        for s in range(1, N_STAGES):
-            row = _ROWS[s]
-            # y + h * sum_j A[s, j] k_j, one C-level sum per component
-            y_s = [a + _dot(row, comp) * h for a, comp in zip(y, zip(*stages))]
-            stages.append(fun(t + _C[s] * h, y_s))
-        y_new = [a + h * d for a, d in zip(y, _combine(_B, stages))]
-        f_new = list(fun(t + h, y_new))
-        stages.append(f_new)
-        self.nfev += N_STAGES
-        return y_new, f_new, stages
 
     def step(self):
         """Advance one accepted step; False when the step size underflows."""
@@ -454,10 +491,11 @@ class _Dop853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, stages = self._stages(t, y, self.f, h)
+            y_new, f_new, stages, err5, err3 = self.kernel(self.fun, t, y, self.f, h)
+            self.nfev += N_STAGES
             scale = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
-            err5 = [e / s for e, s in zip(_combine(_E5, stages), scale)]
-            err3 = [e / s for e, s in zip(_combine(_E3, stages), scale)]
+            err5 = [e / s for e, s in zip(err5, scale)]
+            err3 = [e / s for e, s in zip(err3, scale)]
             err5_sq = math.sqrt(_dot(err5, err5)) ** 2
             err3_sq = math.sqrt(_dot(err3, err3)) ** 2
             if err5_sq == 0.0 and err3_sq == 0.0:

@@ -158,11 +158,12 @@ def cmd_profile(resolved, seed, dry_run) -> int:
 
 
 def cmd_converge(resolved, seed, dry_run) -> int:
+    # built before a dry run returns, so the dry run refuses what the run would
+    geom = geometry_from_config(resolved["geometry"])
     if dry_run:
         print(json.dumps(resolved, sort_keys=True))
         return 0
     params = _well_from_config(resolved)
-    geom = geometry_from_config(resolved["geometry"])
     kind = resolved["kind"]
     eps_list = resolved.get("eps_list")
     if eps_list is None:
@@ -202,6 +203,7 @@ def cmd_converge(resolved, seed, dry_run) -> int:
 
 
 def cmd_phase(resolved, seed, dry_run) -> int:
+    geom = geometry_from_config(resolved["geometry"])
     if dry_run:
         print(json.dumps(resolved, sort_keys=True))
         return 0
@@ -211,7 +213,6 @@ def cmd_phase(resolved, seed, dry_run) -> int:
     if n1 < 1 or n2 < 1:
         raise ValueError("phase grid must contain at least one cell per axis")
     params = _well_from_config(resolved)
-    geom = geometry_from_config(resolved["geometry"])
     cells = []
     for i in range(n1):
         eta1 = lo1 if n1 == 1 else lo1 + (hi1 - lo1) * i / (n1 - 1)

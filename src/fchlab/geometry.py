@@ -305,18 +305,33 @@ class Torus(InterfaceGeom):
         return np.stack([ct * np.cos(phi), ct * np.sin(phi), np.sin(theta) * np.ones_like(phi)], axis=-1)
 
 
+# each shape's class and the config keys of its constructor arguments, in order
+_SHAPES = {
+    "circle": (Circle, ("rho",)),
+    "ellipse": (Ellipse, ("a", "b")),
+    "sphere": (Sphere, ("rho",)),
+    "torus": (Torus, ("R", "r")),
+}
+
+
 def geometry_from_config(cfg: dict) -> InterfaceGeom:
-    """Build a geometry from a config mapping like {"shape": "circle", "rho": 1}."""
+    """Build a geometry from a config mapping like {"shape": "circle", "rho": 1}.
+
+    Names the first missing key, and refuses any key the shape does not use.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError("geometry must be a JSON object")
     shape = cfg.get("shape")
-    if shape == "circle":
-        return Circle(cfg["rho"])
-    if shape == "ellipse":
-        return Ellipse(cfg["a"], cfg["b"])
-    if shape == "sphere":
-        return Sphere(cfg["rho"])
-    if shape == "torus":
-        return Torus(cfg["R"], cfg["r"])
-    raise ValueError(f"unknown shape {shape!r}")
+    if shape not in _SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    cls, keys = _SHAPES[shape]
+    missing = [k for k in keys if k not in cfg]
+    if missing:
+        raise ValueError(f"{shape} geometry needs key {missing[0]!r}")
+    unused = [k for k in cfg if k != "shape" and k not in keys]
+    if unused:
+        raise ValueError(f"{shape} geometry does not use key {unused[0]!r}")
+    return cls(*(cfg[k] for k in keys))
 
 
 def total_curvature(geom: InterfaceGeom, t):

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fchlab.cli import main
 
@@ -176,6 +182,7 @@ BAD_INPUTS = {
     "null-alpha": lambda tmp: [
         "converge", "--config", _config(tmp, '{"kind": "micelle", "alpha": null, "eps_list": [0.1]}')
     ],
+    "string-geometry": lambda tmp: ["converge", "--config", _config(tmp, '{"geometry": "circle"}')],
 }
 
 
@@ -200,3 +207,97 @@ def test_unknown_config_keys_are_named(tmp_path, capsys):
     assert run_cli(args + [_config(tmp_path, '{"rate_window": [0.7, 2.5]}')]) == 2
     assert json.loads(capsys.readouterr().err)["message"] == "unknown config key 'rate_window'"
 
+
+
+def _refused(capsys, code):
+    """The one-line JSON error of an exit-2 refusal."""
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    return payload["message"]
+
+
+@pytest.mark.parametrize("command", ["converge", "phase"])
+def test_geometry_missing_key_is_named(tmp_path, capsys, command):
+    # a new shape from the flags drops the default's keys; ellipse needs a and b
+    args = [command, "--shape", "ellipse", "--rho", "3", "--out", str(tmp_path / "x.csv")]
+    assert _refused(capsys, run_cli(args + ["--dry-run"])) == "ellipse geometry needs key 'a'"
+    assert _refused(capsys, run_cli(args)) == "ellipse geometry needs key 'a'"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "phase"])
+def test_geometry_unused_key_is_refused(tmp_path, capsys, command):
+    cfg = _config(tmp_path, '{"geometry": {"shape": "ellipse", "a": 2, "b": 1, "rho": 3}}')
+    args = [command, "--config", cfg, "--out", str(tmp_path / "x.csv")]
+    assert _refused(capsys, run_cli(args + ["--dry-run"])) == "ellipse geometry does not use key 'rho'"
+    assert _refused(capsys, run_cli(args)) == "ellipse geometry does not use key 'rho'"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _dry_run(args, config):
+    """Resolved configuration of a converge dry run with `config` as its file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["converge", "--config", str(cfg), "--dry-run"] + args) == 0
+    return json.loads(out.getvalue())
+
+
+# converge settings a file or a flag can set: (resolved path, flag, default, range of draws)
+MERGED = [
+    (("eta1",), "--eta1", 1.0, (0.1, 3.0)),
+    (("eta2",), "--eta2", 1.0, (-2.0, 6.0)),
+    (("alpha",), "--alpha", 0.5, (0.1, 2.0)),
+    (("well", "tau"), "--tau", 0.25, (0.05, 0.5)),
+    (("well", "r"), "--r", 1.75, (1.55, 1.95)),
+]
+# the file always names a torus; a flag may override either radius
+TORUS = [("R", "--torus-R", (2.0, 4.0)), ("r", "--torus-r", (0.5, 1.5))]
+
+
+@st.composite
+def merge_cases(draw):
+    """(flags, config file, expected resolved value per path)."""
+    config = {"geometry": {"shape": "torus"}}
+    args, expected = [], {}
+    for path, flag, default, (lo, hi) in MERGED:
+        value = default
+        if draw(st.booleans()):
+            value = draw(st.floats(lo, hi))
+            node = config
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+        if draw(st.booleans()):
+            value = draw(st.floats(lo, hi))
+            args.append(f"{flag}={value!r}")
+        expected[path] = value
+    for key, flag, (lo, hi) in TORUS:
+        value = config["geometry"][key] = draw(st.floats(lo, hi))
+        if draw(st.booleans()):
+            value = draw(st.floats(lo, hi))
+            args.append(f"{flag}={value!r}")
+        expected[("geometry", key)] = value
+    return args, config, expected
+
+
+@given(merge_cases())
+def test_flags_beat_file_beat_defaults(case):
+    args, config, expected = case
+    resolved = _dry_run(args, config)
+    for path, value in expected.items():
+        node = resolved
+        for key in path:
+            node = node[key]
+        assert node == value, path
+    assert set(resolved["geometry"]) == {"shape", "R", "r"}
+
+
+def test_torus_flags_replace_the_default_shape():
+    resolved = _dry_run(["--shape", "torus", "--torus-R", "4", "--torus-r", "1.5"], {})
+    assert resolved["geometry"] == {"shape": "torus", "R": 4.0, "r": 1.5}

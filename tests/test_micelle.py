@@ -154,3 +154,31 @@ def test_bracket_scan_stops_at_first_pair(params, dim_n, monkeypatch):
     # only the seeds up to the bracket's right end are shot
     assert calls == list(seeds[: first + 1])
     assert len(calls) < 17
+
+
+# the default-well shots, bit for bit: (amplitude, R0, sigma_n, grazing
+# defect) as float.hex(), then the shot count and the total right-hand-side
+# evaluations; R0 follows the rounding of the last bisection shot
+SHOT_PINS = {
+    2: (("0x1.89b4e6792f776p-1", "0x1.07aec0a07a8dcp+3", "0x1.6428cf4beb61bp-2", "0x1.a74a6bd25a586p-31"), 47, 64195),
+    3: (("0x1.e7801f4d1fab5p-1", "0x1.338155ac8ef91p+3", "0x1.5e0074595e854p+1", "0x1.e5c3841313178p-32"), 49, 86888),
+}
+
+
+@pytest.mark.parametrize("dim_n", [2, 3])
+def test_default_shots_pinned_bit_for_bit(dim_n, monkeypatch):
+    from fchlab import default_params, micelle
+
+    shots = []
+    solve_ivp = micelle.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        shots.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(micelle, "solve_ivp", counted)
+    micelle.shoot_micelle.cache_clear()
+    m = micelle.shoot_micelle(dim_n, default_params())
+    values = (m.amplitude, m.r0_support, m.sigma_n, m.grazing_defect)
+    assert (tuple(float(v).hex() for v in values), len(shots), sum(shots)) == SHOT_PINS[dim_n]

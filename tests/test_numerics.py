@@ -1,12 +1,18 @@
 """In-package numerics: Gauss-Legendre rules, the clamped spline, Simpson and DOP853."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fchlab._numerics import ClampedSpline, gauss_legendre, simpson
-from fchlab._ode import _dot, solve_ivp
+from fchlab._ode import N_STAGES, _B, _C, _E3, _E5, _ROWS, _dot, _step_kernel, solve_ivp
 
 
 def test_gauss_legendre_512_integrates_every_moment():
@@ -123,3 +129,72 @@ def test_dop853_sums_left_to_right():
     # 2.0 here; the stages must round the same way on every Python version
     assert _dot([1.0, 1e100, 1.0, -1e100], [1.0, 1.0, 1.0, 1.0]) == 0.0
     assert _dot([0.1, 0.2, 0.3], [3.0, 2.0, 1.0]) == (0.1 * 3.0 + 0.2 * 2.0) + 0.3 * 1.0
+
+
+def reference_step(fun, t, y, f, h):
+    """One DOP853 step as a loop over _dot: (y_new, f_new, stages, err5, err3)."""
+    stages = [f]
+    for s in range(1, N_STAGES):
+        y_s = [a + _dot(_ROWS[s], [k[i] for k in stages]) * h for i, a in enumerate(y)]
+        stages.append(fun(t + _C[s] * h, y_s))
+    y_new = [a + h * _dot(_B, [k[i] for k in stages]) for i, a in enumerate(y)]
+    stages.append(list(fun(t + h, y_new)))
+    err5 = [_dot(_E5, [k[i] for k in stages]) for i in range(len(y))]
+    err3 = [_dot(_E3, [k[i] for k in stages]) for i in range(len(y))]
+    return y_new, stages[-1], stages, err5, err3
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def step_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(finite, min_size=dim, max_size=dim)
+    return (
+        draw(finite),
+        draw(vector),
+        draw(st.lists(vector, min_size=N_STAGES + 1, max_size=N_STAGES + 1)),
+        draw(st.floats(1e-12, 1e3)),
+    )
+
+
+@given(step_inputs())
+def test_step_kernel_matches_dot_sums_bit_for_bit(inputs):
+    t, y, ks, h = inputs
+
+    def replay(calls):
+        # returns the drawn stage values in turn and records what it is asked
+        def fun(t_s, y_s):
+            calls.append((float(t_s).hex(), bits(y_s)))
+            return tuple(ks[len(calls)])
+
+        return fun
+
+    calls_ref, calls_kernel = [], []
+    ref = reference_step(replay(calls_ref), t, y, list(ks[0]), h)
+    out = _step_kernel(len(y))(replay(calls_kernel), t, y, list(ks[0]), h)
+    assert calls_kernel == calls_ref
+    y_new, f_new, stages, err5, err3 = out
+    assert bits(y_new) == bits(ref[0]) and bits(f_new) == bits(ref[1])
+    assert [bits(k) for k in stages] == [bits(k) for k in ref[2]]
+    assert bits(err5) == bits(ref[3]) and bits(err3) == bits(ref[4])
+    assert y_new == ref[0] and err5 == ref[3] and err3 == ref[4]
+
+
+def test_step_kernel_built_on_first_solver_not_at_import():
+    code = (
+        "import fchlab.cli, fchlab._ode as ode; print(ode._step_kernel.cache_info().currsize); "
+        "ode.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-10); "
+        "print(ode._step_kernel.cache_info().currsize)"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]

@@ -160,6 +160,17 @@ wells = st.builds(
 )
 
 
+@given(wells)
+def test_json_roundtrip_bit_identical_over_wells(well):
+    clone = WellParams.from_json(well.to_json())
+    fields = ("r", "u_plus", "tau", "p", "c5")
+    assert [getattr(clone, k).hex() for k in fields] == [getattr(well, k).hex() for k in fields]
+    assert clone == well and clone.to_json() == well.to_json()
+    us = np.linspace(-3.0, 2.0 * well.u_plus + 2.0, 257)
+    assert np.array_equal(eval_well(us, clone), eval_well(us, well))
+    assert np.array_equal(eval_dwell(us, clone), eval_dwell(us, well))
+
+
 @given(wells, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
 def test_fused_core_branch_bit_identical_to_blend(well, fractions):
     lo, hi = well.cutoff_knots[1:3]
