@@ -183,7 +183,6 @@ def test_step_kernel_matches_dot_sums_bit_for_bit(inputs):
     assert bits(y_new) == bits(ref[0]) and bits(f_new) == bits(ref[1])
     assert [bits(k) for k in stages] == [bits(k) for k in ref[2]]
     assert bits(err5) == bits(ref[3]) and bits(err3) == bits(ref[4])
-    assert y_new == ref[0] and err5 == ref[3] and err3 == ref[4]
 
 
 def test_step_kernel_built_on_first_solver_not_at_import():
