@@ -464,6 +464,11 @@ class TubularGrid:
 
     @property
     def uniform_thickness(self) -> bool:
+        """ell*kappa0 < 1/2 on the rescaled slab, independent of eps.
+
+        Not the `uniform_thickness` column of a ConvergenceReport, which
+        tests eps*ell*kappa0 < 1/2 per width.
+        """
         return uniform_thickness_ok(self.geom, self.ell)
 
 

@@ -62,6 +62,8 @@ def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
 
     Returns (eps_snapped, count) with count = alpha/omega * eps^(1-n).
     """
+    if not alpha > 0:
+        raise ValueError("micelle sequences need alpha > 0")
     omega = unit_sphere_area(dim_n)
     count = max(1, round(alpha / omega * eps ** (1 - dim_n)))
     eps_snapped = (alpha / (omega * count)) ** (1.0 / (dim_n - 1))
@@ -232,6 +234,10 @@ class ConvergenceReport:
     Energies, errors, the eps-rate and the Aitken value derive from reports.
     A snapped micelle family hits its limit at every width, so its error is
     discretisation only: it has no eps-rate or Aitken value (both None).
+
+    uniform_thickness holds eps*ell*kappa0 < 1/2 per width, the unscaled
+    half-thickness against the curvature; TubularGrid.uniform_thickness is
+    the eps-free ell*kappa0 < 1/2.
     """
 
     kind: str

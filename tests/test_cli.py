@@ -183,6 +183,18 @@ BAD_INPUTS = {
         "converge", "--config", _config(tmp, '{"kind": "micelle", "alpha": null, "eps_list": [0.1]}')
     ],
     "string-geometry": lambda tmp: ["converge", "--config", _config(tmp, '{"geometry": "circle"}')],
+    "string-geometry-shape-flag": lambda tmp: [
+        "converge", "--config", _config(tmp, '{"geometry": "circle"}'), "--shape", "ellipse"
+    ],
+    "negative-tau": lambda tmp: ["converge", "--tau", "-1"],
+    "negative-alpha": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "-1"],
+    "zero-alpha": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "0"],
+    "negative-alpha-sphere": lambda tmp: [
+        "converge", "--kind", "micelle", "--alpha", "-1", "--shape", "sphere", "--rho", "3"
+    ],
+    "increasing-eps-list": lambda tmp: ["converge", "--eps-list", "0.1,0.2"],
+    "unknown-kind": lambda tmp: ["converge", "--config", _config(tmp, '{"kind": "trilayer"}')],
+    "empty-phase-axis": lambda tmp: ["phase", "--eta1-range", "0:1:0"],
 }
 
 
@@ -195,6 +207,37 @@ def test_bad_input_exits_2_with_json_error(tmp_path, capsys, case):
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, capsys, case):
+    args = BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "x.csv")]
+    before = sorted(tmp_path.iterdir())
+    dry = run_cli(args + ["--dry-run"]), capsys.readouterr()
+    run = run_cli(args), capsys.readouterr()
+    assert dry == run
+    code, (out, err) = run
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_null_out_is_refused_before_any_solve(tmp_path, capsys):
+    args = ["profile", "--kind", "bilayer", "--config", _config(tmp_path, '{"out": null}')]
+    for extra in (["--dry-run"], []):
+        assert run_cli(args + extra) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+
+
+def test_converge_failed_check_exits_1_and_writes_outputs(tmp_path, capsys):
+    # |E - limit| grows from 0.0214 to 0.0223 over these two widths
+    out = tmp_path / "conv.csv"
+    code = run_cli(["converge", "--kind", "micelle", "--alpha", "0.5", "--eps-list", "0.06,0.05", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == "micelle on circle: predicted=-0.0869529817 last_energy=-0.109266686 rate=\n"
+    assert len(out.read_text().splitlines()) == 3
+    manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
+    assert manifest["config"]["eps_list"] == [0.06, 0.05]
 
 
 def test_unknown_config_keys_are_named(tmp_path, capsys):
@@ -217,6 +260,12 @@ def _refused(capsys, code):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     return payload["message"]
+
+
+@pytest.mark.parametrize("case", ["negative-alpha", "zero-alpha", "negative-alpha-sphere"])
+def test_nonpositive_alpha_is_named(tmp_path, capsys, case):
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "x.csv")])
+    assert _refused(capsys, code) == "micelle sequences need alpha > 0"
 
 
 @pytest.mark.parametrize("command", ["converge", "phase"])
