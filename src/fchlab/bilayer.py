@@ -64,10 +64,6 @@ def peak_amplitude(params: WellParams) -> float:
     return root
 
 
-def _exponent_a(params):
-    return 2.0 / (2.0 - params.r)
-
-
 def _width_integrand_lower(t, params, a):
     # u = t^a; the t-powers of 1/sqrt(2*W) cancel exactly against du
     return a / np.sqrt(2.0 * quadratic_factor(t**a, params))
@@ -80,7 +76,7 @@ def _width_integrand_upper(y, params, u_max, qslope):
 
 
 def _split(params, u_max):
-    a = _exponent_a(params)
+    a = 2.0 / (2.0 - params.r)
     u_mid = 0.5 * u_max
     t1 = u_mid ** (1.0 / a)
     yy = np.sqrt(u_max - u_mid)
@@ -269,8 +265,7 @@ def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     # graded public nodes: Chebyshev clustering at u = 0 and u = u_max
     theta = np.linspace(0.0, np.pi, n_samples)
     u_nodes = u_max * 0.5 * (1.0 - np.cos(theta))
-    a = _exponent_a(params)
-    u_mid = 0.5 * u_max
+    a, u_mid, *_ = _split(params, u_max)
     hi = u_nodes >= u_mid
     y_targets = np.sqrt(np.maximum(u_max - u_nodes[hi], 0.0))
     t_targets = u_nodes[~hi] ** (1.0 / a)

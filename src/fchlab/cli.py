@@ -27,7 +27,7 @@ from .geometry import geometry_from_config
 from .micelle import shoot_micelle, virial_defect
 from .potential import WellParams, default_params
 from .bilayer import solve_profile
-from .sequences import SequenceSpec, default_eps_schedule, phase_diagram, run_convergence
+from .sequences import SequenceSpec, check_alpha, default_eps_schedule, phase_diagram, run_convergence
 
 _WELL_KEYS = ("r", "u_plus", "tau", "p", "c5")
 
@@ -209,6 +209,7 @@ def cmd_phase(resolved, dry_run):
             eta2 = lo2 if n2 == 1 else lo2 + (hi2 - lo2) * j / (n2 - 1)
             cells.append((eta1, eta2))
     alpha = float(resolved["alpha"])
+    check_alpha(alpha)
     if dry_run:
         return None
     table = phase_diagram(geom, alpha, params, cells)

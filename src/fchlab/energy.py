@@ -62,7 +62,7 @@ import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
 from .errors import InfeasibleModelError
-from .geometry import InterfaceGeom, TubularGrid
+from .geometry import InterfaceGeom, TubularGrid, bending_integral
 from .potential import GrowthConstants, WellParams, eval_well_and_dwell
 
 __all__ = [
@@ -392,20 +392,17 @@ def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, para
     return fch_energy_sweep(field, geom, (field.eps,), eta1, eta2, params)[0]
 
 
-def g1_energy(geom: InterfaceGeom, a_star, b_star, eta1: float, eta2: float) -> float:
+def g1_energy(geom: InterfaceGeom, a_star: float, b_star: float, eta1: float, eta2: float) -> float:
     """Limiting interface energy: integral of a* H0^2 - (eta1+eta2) b* over Gamma.
 
-    a_star and b_star may be constants or callables of the chart
-    coordinates (the s-dependent form).
+    a* and b* are constants of the profile, so this is an affine map of two
+    cached geometry invariants: a* * bending_integral(geom) - (eta1+eta2) * b* * |Gamma|.
     """
-    mesh, wq, h0 = geom.surface_rule
-    a_vals = a_star(*mesh) if callable(a_star) else a_star
-    b_vals = b_star(*mesh) if callable(b_star) else b_star
-    if not callable(a_star) and a_star < 0.0:
+    if a_star < 0.0:
         raise ValueError("a_star must be nonnegative")
-    if not callable(b_star) and b_star < 0.0:
+    if b_star < 0.0:
         raise ValueError("b_star must be nonnegative")
-    return float(np.sum((a_vals * h0**2 - (eta1 + eta2) * b_vals) * wq))
+    return float(a_star * bending_integral(geom) - (eta1 + eta2) * (b_star * geom.surface_measure))
 
 
 @dataclass(frozen=True)

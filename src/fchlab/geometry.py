@@ -121,18 +121,15 @@ class InterfaceGeom:
         return mesh, wq
 
     @cached_property
-    def surface_rule(self):
-        """(mesh, weights, H0) of the quadrature behind every integral over Gamma."""
+    def _surface_integrals(self):
+        """(|Gamma|, integral of H0^2) from one pass over the surface quadrature."""
         mesh, wq = self.surface_quadrature(_SURFACE_NODES if self.chart_dims > 1 else _CURVE_NODES)
-        rule = (*mesh, wq, total_curvature(self, mesh))
-        # every caller, a*/b* callables included, shares these arrays
-        for arr in rule:
-            arr.flags.writeable = False
-        return mesh, wq, rule[-1]
+        h0 = total_curvature(self, mesh)
+        return float(np.sum(wq)), float(np.sum(h0 * h0 * wq))
 
-    @cached_property
+    @property
     def surface_measure(self):
-        return float(np.sum(self.surface_rule[1]))
+        return self._surface_integrals[0]
 
     @cached_property
     def arclength_table(self):
@@ -379,8 +376,7 @@ def gaussian_curvature_sums(geom: InterfaceGeom, t):
 
 def bending_integral(geom: InterfaceGeom) -> float:
     """integral over Gamma of H0(s)^2 ds."""
-    _, wq, h0 = geom.surface_rule
-    return float(np.sum(h0 * h0 * wq))
+    return geom._surface_integrals[1]
 
 
 def validate_uniform_thickness(geom: InterfaceGeom, ell: float):
@@ -472,10 +468,10 @@ class TubularGrid:
         return uniform_thickness_ok(self.geom, self.ell)
 
 
-def _halton(index, base):
-    res, f = 0.0, 1.0
-    i = index
-    while i > 0:
+def _halton(count, base):
+    """Points 1..count of the base-`base` Halton sequence; finished indices add exact zeros."""
+    i, res, f = np.arange(1, count + 1), np.zeros(count), 1.0
+    while i.any():
         f /= base
         res += f * (i % base)
         i //= base
@@ -550,29 +546,30 @@ def _surface_candidates(geom, count):
     t_tab = np.linspace(0.0, geom.chart_periods[0], 4097)
     cdf = _cumulative_trapezoid(geom.metric_weight(t_tab, 0.0), t_tab)
     cdf /= cdf[-1]
-    u1 = np.array([_halton(i + 1, 2) for i in range(count)])
-    u2 = np.array([_halton(i + 1, 3) for i in range(count)])
+    u1 = _halton(count, 2)
+    u2 = _halton(count, 3)
     theta = np.interp(u1, cdf, t_tab)
     phi = u2 * geom.chart_periods[1]
     return np.stack([theta, phi], axis=-1)
 
 
 def _greedy_spread(geom, n_pts, min_sep):
-    """Greedy rejection over 64*n_pts candidates: (centers or None, how many were accepted)."""
+    """Greedy rejection over 64*n_pts candidates: (centers or None, how many were accepted).
+
+    Each acceptance refuses every candidate within min_sep of it, itself included.
+    """
     cap = 64 * n_pts
     candidates = _surface_candidates(geom, cap)
     pos = geom.position(candidates[:, 0], candidates[:, 1])
+    free = np.ones(cap, dtype=bool)
     accepted: list[int] = []
-    acc_pos = np.empty((0, geom.ambient_n))
-    for i in range(cap):
-        if acc_pos.shape[0]:
-            if np.min(np.linalg.norm(acc_pos - pos[i], axis=-1)) <= min_sep:
-                continue
+    while len(accepted) < n_pts and free.any():
+        i = int(np.argmax(free))
         accepted.append(i)
-        acc_pos = np.vstack([acc_pos, pos[i]])
-        if len(accepted) == n_pts:
-            return candidates[accepted], n_pts
-    return None, len(accepted)
+        free &= np.linalg.norm(pos - pos[i], axis=-1) > min_sep
+    if len(accepted) < n_pts:
+        return None, len(accepted)
+    return candidates[accepted], n_pts
 
 
 def _place_on_surface(geom, n_pts, min_sep, eps):

@@ -42,6 +42,7 @@ __all__ = [
     "verify_derivative_bounds",
     "phase_diagram",
     "micelle_limit",
+    "check_alpha",
     "snap_micelle_eps",
     "default_eps_schedule",
 ]
@@ -57,13 +58,18 @@ def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: f
     return -alpha * (0.5 * eta1 + (2.0 - dim_n) / (2.0 * dim_n) * eta2) * sigma_n
 
 
+def check_alpha(alpha) -> None:
+    """Refuse a micelle density coefficient that is not a finite number > 0."""
+    if alpha is None or not 0.0 < alpha < math.inf:
+        raise ValueError("micelle sequences need alpha > 0")
+
+
 def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
     """Nearest width at which the micelle count is an exact integer.
 
     Returns (eps_snapped, count) with count = alpha/omega * eps^(1-n).
     """
-    if not alpha > 0:
-        raise ValueError("micelle sequences need alpha > 0")
+    check_alpha(alpha)
     omega = unit_sphere_area(dim_n)
     count = max(1, round(alpha / omega * eps ** (1 - dim_n)))
     eps_snapped = (alpha / (omega * count)) ** (1.0 / (dim_n - 1))
@@ -76,8 +82,6 @@ def default_eps_schedule(kind: str, alpha: float | None = None, dim_n: int = 2):
         return _BILAYER_EPS
     if kind != "micelle":
         raise ValueError("kind must be 'bilayer' or 'micelle'")
-    if alpha is None:
-        raise ValueError("micelle schedule needs alpha")
     out = []
     for eps in _MICELLE_EPS_REQUEST:
         snapped, _ = snap_micelle_eps(alpha, dim_n, eps)
@@ -116,8 +120,7 @@ class SequenceSpec:
             raise ValueError("eps_list must be positive and strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         if self.kind == "micelle":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("micelle sequences need alpha > 0")
+            check_alpha(self.alpha)
             if self.translate is not None:
                 raise ValueError("translate applies to bilayer sequences only")
 
@@ -440,6 +443,7 @@ def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_gri
     eta_grid is an iterable of (eta1, eta2) pairs; cells with eta1 <= 0 are
     marked invalid rather than fatal.
     """
+    check_alpha(alpha)
     prof_b = solve_profile(params)
     n_amb = geom.ambient_n
     prof_m = shoot_micelle(n_amb, params)

@@ -4,7 +4,6 @@ from scipy.interpolate import CubicSpline
 
 from fchlab import default_params, eval_dwell, eval_well, half_width, peak_amplitude, solve_profile
 from fchlab.bilayer import (
-    _exponent_a,
     _split,
     _width_integrand_lower,
     _width_integrand_upper,

@@ -192,6 +192,12 @@ BAD_INPUTS = {
     "negative-alpha-sphere": lambda tmp: [
         "converge", "--kind", "micelle", "--alpha", "-1", "--shape", "sphere", "--rho", "3"
     ],
+    "inf-alpha": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "inf", "--eps-list", "0.1"],
+    "inf-alpha-default-eps": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "inf"],
+    "nan-alpha": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "nan", "--eps-list", "0.1"],
+    "phase-negative-alpha": lambda tmp: ["phase", "--alpha", "-1", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"],
+    "phase-zero-alpha": lambda tmp: ["phase", "--alpha", "0", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"],
+    "phase-nan-alpha": lambda tmp: ["phase", "--alpha", "nan", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"],
     "increasing-eps-list": lambda tmp: ["converge", "--eps-list", "0.1,0.2"],
     "unknown-kind": lambda tmp: ["converge", "--config", _config(tmp, '{"kind": "trilayer"}')],
     "empty-phase-axis": lambda tmp: ["phase", "--eta1-range", "0:1:0"],
@@ -262,8 +268,12 @@ def _refused(capsys, code):
     return payload["message"]
 
 
-@pytest.mark.parametrize("case", ["negative-alpha", "zero-alpha", "negative-alpha-sphere"])
+ALPHA_CASES = [case for case in sorted(BAD_INPUTS) if "alpha" in case and case != "null-alpha"]
+
+
+@pytest.mark.parametrize("case", ALPHA_CASES)
 def test_nonpositive_alpha_is_named(tmp_path, capsys, case):
+    # inf and nan too: alpha is refused unless it is a finite number > 0
     code = run_cli(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "x.csv")])
     assert _refused(capsys, code) == "micelle sequences need alpha > 0"
 

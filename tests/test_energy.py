@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fchlab import (
     Circle,
@@ -7,7 +9,9 @@ from fchlab import (
     Field,
     SequenceSpec,
     Sphere,
+    Torus,
     TubularGrid,
+    bending_integral,
     build_bilayer_field,
     build_micelle_field,
     cahn_hilliard_residual,
@@ -19,8 +23,10 @@ from fchlab import (
     g1_energy,
     lower_bound_audit,
     snap_micelle_eps,
+    total_curvature,
 )
 from fchlab.errors import InfeasibleModelError
+from fchlab.geometry import _CURVE_NODES, _SURFACE_NODES
 
 
 def smooth_bump(z, z0):
@@ -201,15 +207,36 @@ def test_g1_closed_forms(profile):
     assert g1_energy(Sphere(3.0), a, a, 1.0, 1.0) == pytest.approx(16 * np.pi * a - 2 * a * 4 * np.pi * 9, rel=1e-12)
 
 
-def test_g1_accepts_s_dependent_constants(profile):
-    geom = Circle(1.0)
-    a = profile.a_star
-    const = g1_energy(geom, a, a, 1.0, 1.0)
-    callables = g1_energy(geom, lambda t: a + 0.0 * t, lambda t: a + 0.0 * t, 1.0, 1.0)
-    assert callables == pytest.approx(const, rel=1e-12)
-    varying = g1_energy(geom, lambda t: a * (1 + 0.5 * np.sin(t)), a, 1.0, 1.0)
-    # sin integrates away on the circle
-    assert varying == pytest.approx(const, rel=1e-10)
+GEOMETRIES = {
+    "circle": lambda r1, r2: Circle(r1),
+    "ellipse": lambda r1, r2: Ellipse(r1, r2),
+    "sphere": lambda r1, r2: Sphere(r1),
+    "torus": lambda r1, r2: Torus(r1 + r2, r2),
+}
+
+
+@given(
+    shape=st.sampled_from(sorted(GEOMETRIES)),
+    r1=st.floats(0.3, 4.0),
+    r2=st.floats(0.3, 4.0),
+    a_star=st.floats(0.0, 2.0),
+    b_star=st.floats(0.0, 2.0),
+    eta1=st.floats(-3.0, 3.0),
+    eta2=st.floats(-3.0, 6.0),
+)
+@settings(max_examples=24)
+def test_g1_matches_the_surface_sum(shape, r1, r2, a_star, b_star, eta1, eta2):
+    geom = GEOMETRIES[shape](r1, r2)
+    g1 = g1_energy(geom, a_star, b_star, eta1, eta2)
+    # reference: the integrand summed node by node over the surface quadrature
+    mesh, wq = geom.surface_quadrature(_SURFACE_NODES if geom.chart_dims > 1 else _CURVE_NODES)
+    h0 = total_curvature(geom, mesh)
+    reference = float(np.sum((a_star * h0**2 - (eta1 + eta2) * b_star) * wq))
+    bend = a_star * bending_integral(geom)
+    area = b_star * geom.surface_measure
+    assert abs(g1 - reference) <= 1e-13 * (abs(bend) + abs(eta1 + eta2) * area)
+    # the closed form the benchmark gate checks every phase row against
+    assert g1 == bend - (eta1 + eta2) * area
 
 
 def test_report_serializes_flat(params):

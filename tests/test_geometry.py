@@ -20,6 +20,7 @@ from fchlab import (
     validate_uniform_thickness,
 )
 from fchlab.errors import InfeasibleModelError, PlacementError
+from fchlab.geometry import _greedy_spread, _halton, _surface_candidates
 
 
 def fd_curvature_of_curve(geom, t, h=1e-4):
@@ -230,6 +231,49 @@ def test_torus_placement_pinned():
         ]
     )
     assert np.array_equal(place_micelle_centers(Torus(3.0, 1.0), 0.25, 0.5, 1.0), expected)
+
+
+def _halton_loop(index, base):
+    res, f = 0.0, 1.0
+    while index > 0:
+        f /= base
+        res += f * (index % base)
+        index //= base
+    return res
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_halton_matches_the_scalar_loop(base):
+    assert _halton(5000, base).tolist() == [_halton_loop(i, base) for i in range(1, 5001)]
+
+
+def _greedy_loop(pos, n_pts, min_sep):
+    accepted = []
+    for i in range(len(pos)):
+        if accepted and np.min(np.linalg.norm(pos[accepted] - pos[i], axis=-1)) <= min_sep:
+            continue
+        accepted.append(i)
+        if len(accepted) == n_pts:
+            break
+    return accepted
+
+
+# at eps 0.05, r0 9.598 the spreads for 10 and 80 succeed; for 12 it fits 11, for 82 it fits 80
+@pytest.mark.parametrize(
+    "geom, n_pts",
+    [(Sphere(1.0), 10), (Sphere(1.0), 12), (Torus(3.0, 1.0), 80), (Torus(3.0, 1.0), 82)],
+    ids=["sphere-10", "sphere-12", "torus-80", "torus-82"],
+)
+def test_greedy_spread_matches_the_candidate_loop(geom, n_pts):
+    min_sep = 2.0 * 0.05 * 9.598
+    candidates = _surface_candidates(geom, 64 * n_pts)
+    accepted = _greedy_loop(geom.position(candidates[:, 0], candidates[:, 1]), n_pts, min_sep)
+    centers, fits = _greedy_spread(geom, n_pts, min_sep)
+    assert fits == len(accepted)
+    if fits < n_pts:
+        assert centers is None
+    else:
+        assert np.array_equal(centers, candidates[accepted])
 
 
 def test_curve_placement_builds_one_arclength_table(monkeypatch):

@@ -248,7 +248,7 @@ def test_phase_diagram_sphere_threshold(params, profile):
 
 
 def test_phase_diagram_builds_one_surface_rule(params, micelle3, monkeypatch):
-    # G1 is affine in eta1 + eta2: every cell reads the geometry's cached rule
+    # G1 is affine in eta1 + eta2: every cell reads the geometry's cached invariants
     calls = []
     quadrature = InterfaceGeom.surface_quadrature
 
@@ -300,20 +300,23 @@ def small_sphere_spec(params, **kw):
 # to Gauss-Legendre cells.  Against that recording, energy, predicted_limit,
 # mass and the norms moved by <= 1.6e-14 relative; the cancellation
 # residuals moved further: abs_error by 1.1e-11, equipartition_defect by
-# 1.4e-12 and bilayer_residual by 1.1e-12.
+# 1.4e-12 and bilayer_residual by 1.1e-12.  Re-recorded when G1 became
+# a* * bending_integral - (eta1+eta2) * b* * |Gamma| instead of one sum over
+# the surface rule: predicted_limit moved 1 ulp and abs_error <= 1.05e-13
+# relative.
 SMALL_SPHERE_CSV = (
     "eps,energy,predicted_limit,abs_error,equipartition_defect,bilayer_residual,mass,norm_u_lp,"
     "norm_uz_l2,norm_us_l2,norm_uss_l2,n_micelles,uniform_thickness\n"
-    "0.10000000000000001,-12.582903508016203,-12.508782407770862,0.074121100245340799,"
+    "0.10000000000000001,-12.582903508016203,-12.508782407770861,0.074121100245342575,"
     "0.0046696529194820667,0.00084497213237040732,195.21601272358396,"
     "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.050000000000000003,-12.540948649143107,-12.508782407770862,0.032166241372244997,"
+    "0.050000000000000003,-12.540948649143107,-12.508782407770861,0.032166241372246773,"
     "0.0046696529194820667,0.00084497213237040732,194.88489513632285,"
     "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.025000000000000001,-12.53005830520301,-12.508782407770862,0.021275897432147417,"
+    "0.025000000000000001,-12.53005830520301,-12.508782407770861,0.021275897432149193,"
     "0.0046696529194820667,0.00084497213237040732,194.8021157395076,"
     "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.012500000000000001,-12.525729267902047,-12.508782407770862,0.016946860131184849,"
+    "0.012500000000000001,-12.525729267902047,-12.508782407770861,0.016946860131186625,"
     "0.0046696529194820667,0.00084497213237040732,194.78142089030376,"
     "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
 )
