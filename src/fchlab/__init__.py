@@ -49,13 +49,13 @@ from .potential import (
     eval_well,
 )
 from .sequences import (
+    BilayerFamily,
     ConvergenceReport,
-    PhaseDiagram,
-    SequenceSpec,
     DerivativeBoundsLedger,
+    MicelleFamily,
+    PhaseDiagram,
     build_bilayer_field,
     build_micelle_field,
-    default_eps_schedule,
     micelle_limit,
     phase_diagram,
     run_convergence,

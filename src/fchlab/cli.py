@@ -23,11 +23,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InfeasibleModelError, NumericsError
-from .geometry import geometry_from_config
+from .geometry import check_alpha, geometry_from_config
 from .micelle import shoot_micelle, virial_defect
 from .potential import WellParams, default_params
 from .bilayer import solve_profile
-from .sequences import SequenceSpec, check_alpha, default_eps_schedule, phase_diagram, run_convergence
+from .sequences import BilayerFamily, MicelleFamily, phase_diagram, run_convergence
 
 _WELL_KEYS = ("r", "u_plus", "tau", "p", "c5")
 
@@ -36,6 +36,9 @@ _GEOMETRY_FLAGS = {"shape": "shape", "rho": "rho", "a": "a", "b": "b", "torus_R"
 
 # fitted eps-rates accepted by `converge` when the last width misses the limit by more than 0.1%
 _RATE_WINDOW = (0.7, 2.5)
+
+# the sequence family of each converge kind, and the config keys it reads beyond the shared ones
+_FAMILIES = {"bilayer": (BilayerFamily, ()), "micelle": (MicelleFamily, ("alpha",))}
 
 # c5 None: default_params audits the far-field coefficient
 _DEFAULT_WELL = {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None}
@@ -163,21 +166,20 @@ def cmd_converge(resolved, dry_run):
     geom = geometry_from_config(resolved["geometry"])
     params = _well_from_config(resolved)
     kind = resolved["kind"]
-    eps_list = resolved.get("eps_list")
-    if eps_list is None:
-        eps_list = default_eps_schedule(kind, alpha=resolved.get("alpha"), dim_n=geom.ambient_n)
-    spec = SequenceSpec(
-        kind=kind,
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ValueError("kind must be 'bilayer' or 'micelle'")
+    family_cls, keys = _FAMILIES[kind]
+    family = family_cls(
         geom=geom,
         params=params,
         eta1=float(resolved["eta1"]),
         eta2=float(resolved["eta2"]),
-        eps_list=tuple(eps_list),
-        alpha=float(resolved["alpha"]) if kind == "micelle" else None,
+        eps_list=resolved["eps_list"],
+        **{key: float(resolved[key]) for key in keys},
     )
     if dry_run:
         return None
-    report = run_convergence(spec)
+    report = run_convergence(family)
     errors, rate = report.errors, report.fitted_rate
     rate_txt = "" if rate is None else f"{rate:.3f}"
     line = (

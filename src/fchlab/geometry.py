@@ -32,6 +32,7 @@ __all__ = [
     "total_curvature",
     "bending_integral",
     "place_micelle_centers",
+    "check_alpha",
     "validate_uniform_thickness",
     "uniform_thickness_ok",
 ]
@@ -478,6 +479,12 @@ def _halton(count, base):
     return res
 
 
+def check_alpha(alpha) -> None:
+    """Refuse a micelle density coefficient that is not a finite number > 0."""
+    if alpha is None or not 0.0 < alpha < math.inf:
+        raise ValueError("micelle sequences need alpha > 0")
+
+
 def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: float):
     """Choose N = round(alpha * eps^(1-n)) chart points with separation > 2*eps*r0.
 
@@ -489,8 +496,7 @@ def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: flo
     """
     if eps <= 0.0 or r0 <= 0.0:
         raise ValueError("eps and r0 must be positive")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     n_amb = geom.ambient_n
     n_pts = int(round(alpha * eps ** (1 - n_amb)))
     if n_pts < 1:

@@ -1,12 +1,13 @@
-"""Competing thin-domain sequences and their limit studies.
+"""Competing thin-domain sequence families and their limit studies.
 
-Two families of fields supported near a fixed interface are built here:
-bilayer fields u(s, z) = U(z - p(s)) from the compacton pulse, and micelle
-fields summing radial compactons centered at well-separated interface
-points.  Their rescaled energies are swept over a decreasing width
-schedule and compared against the predicted limits: the bending-type
-interface energy for the bilayer family and
--alpha*(eta1/2 + (2-n)/(2n)*eta2)*sigma_n for the micelle family.
+A family maps a width eps to a field supported near a fixed interface and
+names the energy its fields tend to as eps shrinks.  `BilayerFamily` builds
+u(s, z) = U(z - p(s)) from the compacton pulse and tends to the bending-type
+interface energy G1; `MicelleFamily` sums radial compactons centered at
+well-separated interface points and tends to
+-alpha*(eta1/2 + (2-n)/(2n)*eta2)*sigma_n.  `run_convergence` sweeps a
+family's rescaled energy over its decreasing width schedule against that
+limit.
 
 Counting convention: one embedded micelle carries the unit-sphere area
 factor omega = unit_sphere_area(n) on top of the 1-D radial energy, so
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +29,13 @@ import numpy as np
 from .bilayer import solve_profile
 from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
 from .errors import InfeasibleModelError, NumericsError
-from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
+from .geometry import InterfaceGeom, TubularGrid, check_alpha, place_micelle_centers
 from .micelle import shoot_micelle, unit_sphere_area
 from .potential import WellParams
 
 __all__ = [
-    "SequenceSpec",
+    "BilayerFamily",
+    "MicelleFamily",
     "ConvergenceReport",
     "DerivativeBoundsLedger",
     "PhaseDiagram",
@@ -42,12 +45,9 @@ __all__ = [
     "verify_derivative_bounds",
     "phase_diagram",
     "micelle_limit",
-    "check_alpha",
     "snap_micelle_eps",
-    "default_eps_schedule",
 ]
 
-_BILAYER_EPS = (0.1, 0.05, 0.025, 0.0125)
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
 # default chart resolution of a micelle field: samples across one micelle diameter 2*eps*R0
 _POINTS_PER_MICELLE = 96
@@ -56,12 +56,6 @@ _POINTS_PER_MICELLE = 96
 def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: float) -> float:
     """Limiting energy of the micelle sequence: -alpha*(eta1/2 + (2-n)/(2n)*eta2)*sigma_n."""
     return -alpha * (0.5 * eta1 + (2.0 - dim_n) / (2.0 * dim_n) * eta2) * sigma_n
-
-
-def check_alpha(alpha) -> None:
-    """Refuse a micelle density coefficient that is not a finite number > 0."""
-    if alpha is None or not 0.0 < alpha < math.inf:
-        raise ValueError("micelle sequences need alpha > 0")
 
 
 def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
@@ -76,85 +70,108 @@ def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
     return eps_snapped, count
 
 
-def default_eps_schedule(kind: str, alpha: float | None = None, dim_n: int = 2):
-    """Default decreasing width schedules per sequence kind."""
-    if kind == "bilayer":
-        return _BILAYER_EPS
-    if kind != "micelle":
-        raise ValueError("kind must be 'bilayer' or 'micelle'")
-    out = []
-    for eps in _MICELLE_EPS_REQUEST:
-        snapped, _ = snap_micelle_eps(alpha, dim_n, eps)
-        if not out or snapped < out[-1] * (1.0 - 1e-12):
-            out.append(snapped)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
-class SequenceSpec:
-    """Inputs for one convergence study.
+class _Family:
+    """Inputs every family shares; eps_list None takes `default_schedule()`.
 
-    translate is an optional callable p of the chart coordinates shifting
-    the bilayer pulse along z; it must keep the pulse inside the slab:
-    max|p| + L < ell.  alpha is the micelle limit-density coefficient (see
-    the module docstring for the counting convention).
+    A family maps a width to a field (`field`) and names its limit (`limit`).
+    Class constants: `width_free`, one field serves every width; `fits_rate`,
+    its report fits an eps-rate and an Aitken value.
     """
 
-    kind: str
     geom: InterfaceGeom
     params: WellParams
     eta1: float
     eta2: float
-    eps_list: tuple
-    alpha: float | None = None
-    translate: object | None = None
+    eps_list: tuple | None = None
     ell: float | None = None
     ns: object | None = None
     nz: int = 513
 
     def __post_init__(self):
-        if self.kind not in ("bilayer", "micelle"):
-            raise ValueError("kind must be 'bilayer' or 'micelle'")
-        eps = tuple(float(e) for e in self.eps_list)
+        eps = tuple(float(e) for e in (self.default_schedule() if self.eps_list is None else self.eps_list))
         if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be positive and strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        if self.kind == "micelle":
-            check_alpha(self.alpha)
-            if self.translate is not None:
-                raise ValueError("translate applies to bilayer sequences only")
+
+    def micelle_count(self, eps: float) -> int | None:
+        return None
 
 
-def _translate_max(spec: SequenceSpec) -> float:
-    """max |p| of the translate over a 256-per-axis chart probe; 0 without one."""
-    if spec.translate is None:
-        return 0.0
-    mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in spec.geom.chart_periods], indexing="ij")
-    return float(np.max(np.abs(spec.translate(*mesh))))
+@dataclass(frozen=True, eq=False)
+class BilayerFamily(_Family):
+    """Bilayer fields u(s, z) = U(z - p(s)), width-free on the rescaled slab, tending to G1.
+
+    translate is an optional callable p of the chart coordinates shifting
+    the pulse along z; the pulse must stay inside the slab: max|p| + L < ell.
+    """
+
+    translate: object | None = None
+    width_free = True
+    fits_rate = True
+
+    def default_schedule(self) -> tuple:
+        return (0.1, 0.05, 0.025, 0.0125)
+
+    def field(self, eps: float) -> Field:
+        return build_bilayer_field(self, eps)
+
+    def limit(self) -> float:
+        prof = solve_profile(self.params)
+        return g1_energy(self.geom, prof.a_star, prof.b_star, self.eta1, self.eta2)
 
 
-def _bilayer_ell(spec: SequenceSpec, profile, pmax: float):
-    if spec.ell is not None:
-        return spec.ell
-    return 1.05 * (profile.half_width_L + pmax)
+@dataclass(frozen=True, eq=False)
+class MicelleFamily(_Family):
+    """Micelle fields at snapped widths, tending to the micelle limit.
+
+    alpha is the limit-density coefficient; the module docstring gives the
+    counting convention.  Centers move with eps, so each width has its own
+    field.  The count hits the limit at every width: no eps-rate to fit.
+    """
+
+    alpha: float | None = None
+    width_free = False
+    fits_rate = False
+
+    def __post_init__(self):
+        check_alpha(self.alpha)
+        super().__post_init__()
+
+    def default_schedule(self) -> tuple:
+        # the snapped requests, one width per count
+        snapped = {snap_micelle_eps(self.alpha, self.geom.ambient_n, eps)[0] for eps in _MICELLE_EPS_REQUEST}
+        return tuple(sorted(snapped, reverse=True))
+
+    def field(self, eps: float) -> Field:
+        return build_micelle_field(self, eps)
+
+    def limit(self) -> float:
+        n_amb = self.geom.ambient_n
+        return micelle_limit(n_amb, self.alpha, self.eta1, self.eta2, shoot_micelle(n_amb, self.params).sigma_n)
+
+    def micelle_count(self, eps: float) -> int:
+        return snap_micelle_eps(self.alpha, self.geom.ambient_n, eps)[1]
 
 
-def build_bilayer_field(spec: SequenceSpec, eps: float) -> Field:
+def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     """Sample u(s, z) = U(z - p(s)) on the tubular grid for this width."""
-    if spec.kind != "bilayer":
-        raise ValueError("spec is not a bilayer sequence")
-    profile = solve_profile(spec.params)
-    pmax = _translate_max(spec)
-    ell = _bilayer_ell(spec, profile, pmax)
-    if spec.translate is not None and pmax + profile.half_width_L >= ell:
-        raise InfeasibleModelError("translate pushes the pulse outside |z| < ell")
-    ns = spec.ns if spec.ns is not None else (64 if spec.translate is None else 192)
-    grid = TubularGrid.build(spec.geom, ell, eps, ns, spec.nz)
-    z = grid.z_grid.reshape((1,) * spec.geom.chart_dims + (-1,))
-    if spec.translate is None:
+    profile = solve_profile(family.params)
+    translate, pmax = family.translate, 0.0
+    if translate is not None:
+        # max |p| over a 256-per-axis chart probe
+        mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in family.geom.chart_periods], indexing="ij")
+        pmax = float(np.max(np.abs(translate(*mesh))))
+    ell = family.ell if family.ell is not None else 1.05 * (profile.half_width_L + pmax)
+    if pmax + profile.half_width_L >= ell:
+        raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
+    ns = family.ns if family.ns is not None else (64 if translate is None else 192)
+    grid = TubularGrid.build(family.geom, ell, eps, ns, family.nz)
+    z = grid.z_grid.reshape((1,) * family.geom.chart_dims + (-1,))
+    if translate is None:
         vals = np.broadcast_to(profile.evaluate(z), grid.shape).copy()
     else:
-        p = np.asarray(spec.translate(*grid.s_mesh), dtype=float)[..., None]
+        p = np.asarray(translate(*grid.s_mesh), dtype=float)[..., None]
         vals = profile.evaluate(z - p)
     return Field(grid, np.maximum(vals, 0.0))
 
@@ -171,34 +188,28 @@ def _chart_window(geom, grid, center_t, halfwidths):
     return slices
 
 
-def build_micelle_field(spec: SequenceSpec, eps: float) -> Field:
+def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     """Superpose radial compactons at separated interface points.
 
     Supports are pairwise disjoint by the placement separation 2*eps*R0;
     a runtime overlap check guards the construction.
     """
-    if spec.kind != "micelle":
-        raise ValueError("spec is not a micelle sequence")
-    geom = spec.geom
+    geom = family.geom
     n_amb = geom.ambient_n
-    prof = shoot_micelle(n_amb, spec.params)
+    prof = shoot_micelle(n_amb, family.params)
     r0 = prof.r0_support
-    ell = spec.ell if spec.ell is not None else 1.05 * r0
-    alpha_count = spec.alpha / unit_sphere_area(n_amb)
+    ell = family.ell if family.ell is not None else 1.05 * r0
+    alpha_count = family.alpha / unit_sphere_area(n_amb)
     centers = place_micelle_centers(geom, eps, alpha_count, r0)
 
     # metric factors on a coarse chart mesh: the largest sets the default
     # resolution, the smallest a conservative chart extent of one micelle
     lames = geom.lame(*np.meshgrid(*[np.linspace(0, p, 128) for p in geom.chart_periods], indexing="ij"))
-    if spec.ns is not None:
-        ns = spec.ns
-    else:
-        ns = []
-        for w, period in zip(lames, geom.chart_periods):
-            h_target = 2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / float(np.max(w)))
-            ns.append(int(np.ceil(period / h_target)))
-        ns = tuple(ns)
-    grid = TubularGrid.build(geom, ell, eps, ns, min(spec.nz, 257))
+    ns = family.ns
+    if ns is None:
+        h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / float(np.max(w))) for w in lames]
+        ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
+    grid = TubularGrid.build(geom, ell, eps, ns, min(family.nz, 257))
 
     vals = np.zeros(grid.shape)
     mesh = grid.s_mesh
@@ -232,22 +243,18 @@ _REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """One EnergyReport per width of a schedule, against the predicted limit.
+    """One EnergyReport per width of a family's schedule, against its limit.
 
     Energies, errors, the eps-rate and the Aitken value derive from reports.
-    A snapped micelle family hits its limit at every width, so its error is
-    discretisation only: it has no eps-rate or Aitken value (both None).
+    Without the family's fits_rate (a snapped micelle family hits its limit
+    at every width) there is no eps-rate or Aitken value (both None).
 
     uniform_thickness holds eps*ell*kappa0 < 1/2 per width, the unscaled
     half-thickness against the curvature; TubularGrid.uniform_thickness is
     the eps-free ell*kappa0 < 1/2.
     """
 
-    kind: str
-    geometry: str
-    eta1: float
-    eta2: float
-    alpha: float | None
+    fits_rate: bool
     eps_list: tuple
     reports: tuple
     predicted_limit: float
@@ -265,11 +272,11 @@ class ConvergenceReport:
 
     @property
     def fitted_rate(self) -> float | None:
-        return None if self.kind == "micelle" else _fit_rate(self.eps_list, self.errors)
+        return _fit_rate(self.eps_list, self.errors) if self.fits_rate else None
 
     @property
     def extrapolated(self) -> float | None:
-        return None if self.kind == "micelle" else _aitken(self.energy_list)
+        return _aitken(self.energy_list) if self.fits_rate else None
 
     def to_csv(self) -> str:
         columns = ("eps", "energy", "predicted_limit", "abs_error", *_REPORT_COLUMNS, "n_micelles", "uniform_thickness")
@@ -302,37 +309,29 @@ def _aitken(values):
     return float(e3 - (e3 - e2) ** 2 / denom)
 
 
-def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
-    """Evaluate the energy along the width schedule against the predicted limit."""
-    geom = spec.geom
-    if spec.kind == "bilayer":
-        # U(z - p(s)) is width-free on the rescaled slab: one field serves every width
-        fld = build_bilayer_field(spec, spec.eps_list[0])
-        reports = fch_energy_sweep(fld, geom, spec.eps_list, spec.eta1, spec.eta2, spec.params)
-        counts = None
-        prof = solve_profile(spec.params)
-        predicted = g1_energy(geom, prof.a_star, prof.b_star, spec.eta1, spec.eta2)
+def run_convergence(family) -> ConvergenceReport:
+    """Evaluate a family's energy along its width schedule against its limit."""
+    geom, eps_list = family.geom, family.eps_list
+    coeffs = (family.eta1, family.eta2, family.params)
+    if family.width_free:  # one field, swept over every width
+        fld = family.field(eps_list[0])
+        reports = fch_energy_sweep(fld, geom, eps_list, *coeffs)
+        ells = [fld.grid.ell] * len(eps_list)
     else:
-        reports, counts = [], []
-        for eps in spec.eps_list:
-            fld = build_micelle_field(spec, eps)
-            counts.append(snap_micelle_eps(spec.alpha, geom.ambient_n, eps)[1])
-            reports.append(fch_energy(fld, geom, spec.eta1, spec.eta2, spec.params))
-        prof = shoot_micelle(geom.ambient_n, spec.params)
-        predicted = micelle_limit(geom.ambient_n, spec.alpha, spec.eta1, spec.eta2, prof.sigma_n)
-    # every width's field has the same ell
-    ell = fld.grid.ell
+        reports, ells = [], []
+        for eps in eps_list:
+            fld = family.field(eps)
+            reports.append(fch_energy(fld, geom, *coeffs))
+            ells.append(fld.grid.ell)
+            del fld  # the next width's field is built without this one alive
+    counts = tuple(family.micelle_count(eps) for eps in eps_list)
     return ConvergenceReport(
-        kind=spec.kind,
-        geometry=geom.name,
-        eta1=spec.eta1,
-        eta2=spec.eta2,
-        alpha=spec.alpha,
-        eps_list=spec.eps_list,
+        fits_rate=family.fits_rate,
+        eps_list=eps_list,
         reports=tuple(reports),
-        predicted_limit=float(predicted),
-        n_micelles=tuple(counts) if counts is not None else None,
-        uniform_thickness=tuple(e * ell * geom.kappa0 < 0.5 for e in spec.eps_list),
+        predicted_limit=float(family.limit()),
+        n_micelles=None if None in counts else counts,
+        uniform_thickness=tuple(e * ell * geom.kappa0 < 0.5 for e, ell in zip(eps_list, ells)),
     )
 
 
@@ -401,9 +400,7 @@ def verify_derivative_bounds(report: ConvergenceReport) -> DerivativeBoundsLedge
 class PhaseDiagram:
     """Closed-form limit comparison over a grid of (eta1, eta2) pairs."""
 
-    geometry: str
     dim_n: int
-    alpha: float
     rows: tuple  # (eta1, eta2, bilayer_limit, micelle_limit, winner, valid)
 
     def to_csv(self) -> str:
@@ -420,13 +417,7 @@ class PhaseDiagram:
         return buf.getvalue()
 
     def count_regimes(self):
-        counts = {}
-        for _, _, bl, mi, winner, valid in self.rows:
-            if not valid:
-                continue
-            key = (_sign_label(bl), _sign_label(mi))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return dict(Counter((_sign_label(bl), _sign_label(mi)) for _, _, bl, mi, _, valid in self.rows if valid))
 
 
 def _sign_label(x):
@@ -456,4 +447,4 @@ def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_gri
         mi = micelle_limit(n_amb, alpha, eta1, eta2, prof_m.sigma_n)
         winner = "micelle" if mi < bl else "bilayer"
         rows.append((float(eta1), float(eta2), float(bl), float(mi), winner, True))
-    return PhaseDiagram(geometry=geom.name, dim_n=n_amb, alpha=alpha, rows=tuple(rows))
+    return PhaseDiagram(dim_n=n_amb, rows=tuple(rows))

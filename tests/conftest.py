@@ -2,12 +2,12 @@ import pytest
 from hypothesis import settings
 
 from fchlab import (
+    BilayerFamily,
     Circle,
     Ellipse,
-    SequenceSpec,
+    MicelleFamily,
     audit_growth,
     default_audit_grid,
-    default_eps_schedule,
     default_params,
     run_convergence,
     shoot_micelle,
@@ -46,40 +46,14 @@ def growth(params):
 
 @pytest.fixture(scope="session")
 def bilayer_report(params):
-    spec = SequenceSpec(
-        kind="bilayer",
-        geom=Circle(1.0),
-        params=params,
-        eta1=1.0,
-        eta2=1.0,
-        eps_list=default_eps_schedule("bilayer"),
-    )
-    return run_convergence(spec)
+    return run_convergence(BilayerFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0))
 
 
 @pytest.fixture(scope="session")
 def micelle_report_circle(params):
-    spec = SequenceSpec(
-        kind="micelle",
-        geom=Circle(1.0),
-        params=params,
-        eta1=1.0,
-        eta2=1.0,
-        alpha=0.5,
-        eps_list=default_eps_schedule("micelle", alpha=0.5, dim_n=2),
-    )
-    return run_convergence(spec)
+    return run_convergence(MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5))
 
 
 @pytest.fixture(scope="session")
 def micelle_report_ellipse(params):
-    spec = SequenceSpec(
-        kind="micelle",
-        geom=Ellipse(2.0, 1.0),
-        params=params,
-        eta1=1.0,
-        eta2=1.0,
-        alpha=0.5,
-        eps_list=default_eps_schedule("micelle", alpha=0.5, dim_n=2),
-    )
-    return run_convergence(spec)
+    return run_convergence(MicelleFamily(geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5))

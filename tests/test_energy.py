@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fchlab import (
+    BilayerFamily,
     Circle,
     Ellipse,
     Field,
-    SequenceSpec,
+    MicelleFamily,
     Sphere,
     Torus,
     TubularGrid,
@@ -385,14 +386,14 @@ PINNED = {
 def pinned_field(case, params):
     if case == "sphere_bilayer":
         # a tilted pulse, so the tangential norms are not round-off
-        spec = SequenceSpec(
-            kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1,),
+        spec = BilayerFamily(
+            geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1,),
             translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
         )
         return build_bilayer_field(spec, 0.1), spec.geom
     eps, _ = snap_micelle_eps(0.5, 2, 0.05)
-    spec = SequenceSpec(
-        kind="micelle", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+    spec = MicelleFamily(
+        geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
         eps_list=(eps,), ns=(768,), nz=129,
     )
     return build_micelle_field(spec, eps), spec.geom
@@ -427,12 +428,12 @@ def test_audit_integral_pinned(case, params, growth):
 
 def sweep_spec(case, params):
     if case == "sphere_bilayer":
-        return SequenceSpec(
-            kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.1, 0.05, 0.025),
+        return BilayerFamily(
+            geom=Sphere(3.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.1, 0.05, 0.025),
             translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
         )
-    return SequenceSpec(
-        kind="bilayer", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.04, 0.02, 0.01),
+    return BilayerFamily(
+        geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=0.5, eps_list=(0.04, 0.02, 0.01),
         translate=lambda t: 0.1 * np.cos(t), ns=96, nz=129,
     )
 
@@ -520,21 +521,21 @@ EDGE_PINNED = {
 def edge_field(case, params):
     if case == "circle_micelle_seam":
         eps, _ = snap_micelle_eps(0.5, 2, 0.05)
-        spec = SequenceSpec(
-            kind="micelle", geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+        spec = MicelleFamily(
+            geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
             eps_list=(eps,), ns=(512,), nz=129,
         )
         fld = build_micelle_field(spec, eps)
         return Field(fld.grid, np.roll(fld.values, 7, axis=0)), spec.geom
     if case == "sphere_micelle":
         eps, _ = snap_micelle_eps(0.5, 3, 0.1)
-        spec = SequenceSpec(
-            kind="micelle", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+        spec = MicelleFamily(
+            geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
             eps_list=(eps,), ns=(64, 128), nz=65,
         )
         return build_micelle_field(spec, eps), spec.geom
-    spec = SequenceSpec(
-        kind="bilayer", geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.025,),
+    spec = BilayerFamily(
+        geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.025,),
         translate=lambda t: 0.1 * np.cos(t), ns=96, nz=129,
     )
     return build_bilayer_field(spec, 0.025), spec.geom

@@ -183,6 +183,14 @@ def test_placement_separation_on_surfaces():
         assert dmin > 2 * 0.05 * 1.0
 
 
+@pytest.mark.parametrize("geom", [Circle(1.0), Sphere(3.0)], ids=["curve", "surface"])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
+def test_placement_refuses_nonfinite_alpha(geom, alpha):
+    # round(alpha * eps^(1-n)) would raise OverflowError on inf and ValueError on nan
+    with pytest.raises(ValueError, match=r"^micelle sequences need alpha > 0$"):
+        place_micelle_centers(geom, 0.05, alpha, 1.0)
+
+
 def test_placement_infeasible_when_too_dense():
     # pigeonhole: 2*eps*r0 * N exceeds the circumference; the refusal counts centers
     with pytest.raises(PlacementError, match=r"cannot place 2000 centers .*fits at most 52 at eps = 0.01$"):

@@ -1,16 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fchlab import (
+    BilayerFamily,
     Circle,
     Ellipse,
     Field,
     InterfaceGeom,
+    MicelleFamily,
     Sphere,
     TubularGrid,
     build_bilayer_field,
     build_micelle_field,
-    default_eps_schedule,
     fch_energy,
     g1_energy,
     micelle_energy,
@@ -20,33 +23,26 @@ from fchlab import (
     run_convergence,
     shoot_micelle,
     snap_micelle_eps,
+    solve_profile,
     unit_sphere_area,
     verify_derivative_bounds,
 )
 from fchlab.errors import InfeasibleModelError
-from fchlab.sequences import SequenceSpec
 
 
 def bilayer_spec(params, **kw):
-    defaults = dict(
-        kind="bilayer",
-        geom=Circle(1.0),
-        params=params,
-        eta1=1.0,
-        eta2=1.0,
-        eps_list=default_eps_schedule("bilayer"),
-    )
+    defaults = dict(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0)
     defaults.update(kw)
-    return SequenceSpec(**defaults)
+    return BilayerFamily(**defaults)
 
 
 def test_spec_validation(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly decreasing"):
         bilayer_spec(params, eps_list=(0.05, 0.1))
-    with pytest.raises(ValueError):
-        bilayer_spec(params, kind="micelle", alpha=None)
-    with pytest.raises(ValueError):
-        bilayer_spec(params, kind="pore")
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.05, 0.1))
+    with pytest.raises(ValueError, match="alpha > 0"):
+        MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=None)
 
 
 def test_bilayer_field_is_s_independent(params):
@@ -77,14 +73,20 @@ def test_bilayer_translate_containment(params, profile):
         build_bilayer_field(spec, 0.05)
 
 
+def test_untranslated_pulse_containment(params, profile):
+    # a pulse reaching |z| = ell is infeasible whether or not it is translated
+    spec = bilayer_spec(params, ell=0.5 * profile.half_width_L)
+    with pytest.raises(InfeasibleModelError, match="must stay below ell"):
+        build_bilayer_field(spec, 0.05)
+
+
 def test_micelle_field_single_center(params, micelle2):
     # one compacton: energy matches the closed form with the angular factor,
     # improving under width refinement
     omega = unit_sphere_area(2)
     gaps = []
     for eps in (0.05, 0.02):
-        spec = SequenceSpec(
-            kind="micelle",
+        spec = MicelleFamily(
             geom=Circle(1.0),
             params=params,
             eta1=1.0,
@@ -104,8 +106,8 @@ def test_micelle_field_single_center(params, micelle2):
     # sampled point by point through offset_position, bit for bit
     geom, eps = Sphere(3.0), 0.1
     omega = unit_sphere_area(3)
-    spec = SequenceSpec(
-        kind="micelle", geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=omega * eps**2,
+    spec = MicelleFamily(
+        geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=omega * eps**2,
         eps_list=(eps,), ns=(48, 96), nz=65,
     )
     fld = build_micelle_field(spec, eps)
@@ -129,9 +131,9 @@ def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
 
 
 def test_micelle_supports_disjoint(params, micelle2):
-    eps = default_eps_schedule("micelle", alpha=0.5, dim_n=2)[-1]
-    spec = SequenceSpec(
-        kind="micelle", geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,)
+    eps = MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5).eps_list[-1]
+    spec = MicelleFamily(
+        geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,)
     )
     fld = build_micelle_field(spec, eps)  # raises if any supports overlap
     assert np.max(fld.values) <= micelle2.amplitude * (1.0 + 1e-8)
@@ -195,31 +197,26 @@ def test_micelle_limit_geometry_independent(micelle_report_circle, micelle_repor
     assert micelle_report_circle.predicted_limit == micelle_report_ellipse.predicted_limit
 
 
-def test_oscillatory_bilayer_breaks_enhanced_bound(params, profile):
-    geom = Circle(1.0)
-    ell = 1.05 * profile.half_width_L
-    from fchlab.sequences import ConvergenceReport
+@dataclass(frozen=True, eq=False)
+class OscillatoryBilayer(BilayerFamily):
+    """U(z) * (1 + sin(s/eps)/2): the amplitude oscillates on the width's own scale."""
 
-    eps_list = (0.1, 0.05, 0.025)
-    reports = []
-    for eps in eps_list:
-        grid = TubularGrid.build(geom, ell, eps, 512, 385)
+    width_free = False
+
+    def field(self, eps):
+        grid = TubularGrid.build(self.geom, self.ell, eps, self.ns, self.nz)
         s = grid.s_grids[0][:, None]
         k = round(1.0 / eps)
-        vals = np.maximum(profile.evaluate(grid.z_grid)[None, :] * (1.0 + 0.5 * np.sin(k * s)), 0.0)
-        reports.append(fch_energy(Field(grid, vals), geom, 1.0, 1.0, params))
-    report = ConvergenceReport(
-        kind="bilayer",
-        geometry="circle",
-        eta1=1.0,
-        eta2=1.0,
-        alpha=None,
-        eps_list=eps_list,
-        reports=tuple(reports),
-        predicted_limit=0.0,
-        n_micelles=None,
-        uniform_thickness=(False, False, False),
+        pulse = solve_profile(self.params).evaluate(grid.z_grid)[None, :]
+        return Field(grid, np.maximum(pulse * (1.0 + 0.5 * np.sin(k * s)), 0.0))
+
+
+def test_oscillatory_bilayer_breaks_enhanced_bound(params, profile):
+    family = OscillatoryBilayer(
+        geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025),
+        ell=1.05 * profile.half_width_L, ns=512, nz=385,
     )
+    report = run_convergence(family)
     led = verify_derivative_bounds(report)
     assert led.base_bounded
     assert not led.tangential_gradient_bounded
@@ -287,12 +284,12 @@ def test_csv_deterministic(bilayer_report):
 
 def small_sphere_spec(params, **kw):
     defaults = dict(
-        kind="bilayer", geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0,
+        geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0,
         eps_list=(0.1, 0.05, 0.025, 0.0125),
         translate=lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph), ns=(16, 24), nz=65,
     )
     defaults.update(kw)
-    return SequenceSpec(**defaults)
+    return BilayerFamily(**defaults)
 
 
 # Recorded when every width built and evaluated its own field; re-recorded
