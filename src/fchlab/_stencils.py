@@ -1,8 +1,11 @@
 """Fourth-order finite-difference stencils used by the energy evaluator.
 
-Periodic directions use centered differences via np.roll; bounded
-directions (the z axis, the sphere polar angle) switch to one-sided
-stencils of the same order on the two layers nearest each end.
+Periodic directions use centered differences written into one output
+array: interior rows read their neighbours as slices of the samples, and
+the two rows at each end read them from a small copy of the rows around
+the seam.  Bounded directions (the z axis, the sphere polar angle) switch
+to one-sided stencils of the same order on the two layers nearest each
+end.
 """
 
 from __future__ import annotations
@@ -12,20 +15,58 @@ import numpy as np
 __all__ = ["d1_periodic", "d2_periodic", "d1_bounded", "d2_bounded"]
 
 
+def _periodic(f, axis, rows):
+    """A 5-point stencil along a periodic axis, as a new C-contiguous array.
+
+    rows(out, f_m2, f_m1, f_0, f_p1, f_p2) writes a block of rows from
+    their neighbours f[i-2] .. f[i+2].  Interior rows read them as slices
+    of f; the two rows at each end read them from a copy of the 8 rows
+    n-4 .. n+3 (mod n) around the seam.  Below 4 samples a first neighbour
+    would also be a second one.
+    """
+    f = np.asarray(f, dtype=float)
+    n = f.shape[axis]
+    if n < 4:
+        raise ValueError("periodic stencils need at least 4 samples")
+
+    def along(a, start, stop):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, stop)
+        return a[tuple(index)]
+
+    def neighbours(a, start, stop):
+        return [along(a, start + k, stop + k) for k in range(-2, 3)]
+
+    out = np.empty(f.shape)
+    rows(along(out, 2, n - 2), *neighbours(f, 2, n - 2))
+    seam = np.take(f, [n - 4, n - 3, n - 2, n - 1, 0, 1, 2, 3], axis=axis)
+    rows(along(out, 0, 2), *neighbours(seam, 4, 6))
+    rows(along(out, n - 2, n), *neighbours(seam, 2, 4))
+    return out
+
+
 def d1_periodic(f, axis, h):
-    # grouped so that equal neighbors cancel exactly in floating point
-    return (
-        8.0 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
-        - (np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis))
-    ) / (12.0 * h)
+    def rows(out, f_m2, f_m1, f_0, f_p1, f_p2):
+        # (8 (f_p1 - f_m1) - (f_p2 - f_m2)) / 12h, grouped so that equal
+        # neighbors cancel exactly in floating point
+        np.subtract(f_p1, f_m1, out=out)
+        out *= 8.0
+        out -= f_p2 - f_m2
+        out /= 12.0 * h
+
+    return _periodic(f, axis, rows)
 
 
 def d2_periodic(f, axis, h):
-    return (
-        16.0 * (np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis))
-        - (np.roll(f, 2, axis=axis) + np.roll(f, -2, axis=axis))
-        - 30.0 * f
-    ) / (12.0 * h * h)
+    def rows(out, f_m2, f_m1, f_0, f_p1, f_p2):
+        # (16 (f_m1 + f_p1) - (f_m2 + f_p2) - 30 f_0) / 12h^2
+        np.add(f_m1, f_p1, out=out)
+        out *= 16.0
+        out -= f_m2 + f_p2
+        out -= 30.0 * f_0
+        out /= 12.0 * h * h
+
+    return _periodic(f, axis, rows)
 
 
 _D1_EDGE = np.array(

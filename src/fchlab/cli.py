@@ -80,6 +80,14 @@ def _well_from_config(cfg) -> WellParams:
     return WellParams(**{k: well[k] for k in _WELL_KEYS})
 
 
+def _number(resolved, key) -> float:
+    """resolved[key] as a float; refuses null, strings and booleans by the key's name."""
+    val = resolved[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{key} must be a number")
+    return float(val)
+
+
 def _merge(defaults, config, flags):
     """Defaults, then the config file, then the flags that are set.
 
@@ -172,10 +180,10 @@ def cmd_converge(resolved, dry_run):
     family = family_cls(
         geom=geom,
         params=params,
-        eta1=float(resolved["eta1"]),
-        eta2=float(resolved["eta2"]),
+        eta1=_number(resolved, "eta1"),
+        eta2=_number(resolved, "eta2"),
         eps_list=resolved["eps_list"],
-        **{key: float(resolved[key]) for key in keys},
+        **{key: _number(resolved, key) for key in keys},
     )
     if dry_run:
         return None
@@ -210,7 +218,7 @@ def cmd_phase(resolved, dry_run):
         for j in range(n2):
             eta2 = lo2 if n2 == 1 else lo2 + (hi2 - lo2) * j / (n2 - 1)
             cells.append((eta1, eta2))
-    alpha = float(resolved["alpha"])
+    alpha = _number(resolved, "alpha")
     check_alpha(alpha)
     if dry_run:
         return None

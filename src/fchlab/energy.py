@@ -37,15 +37,20 @@ and the flat weight prod_j w_j(t) with the z trapezoid are all in
 rescaled chart and z coordinates; eps appears in the factors
 1 + eps*z*kappa_j and in the powers of eps in the residual and the
 gradient.  So the energy runs as two passes.  The field pass, once per
-field, takes the support, u, W and W', u_z, u_zz and each per-axis u_t,
-and the six flat-weight diagnostics (equipartition defect, pulse residual
-and the four norms).  The width pass, once per eps, builds the metric and
-its degenerate check, the Laplacian with its metric coefficients c_j, the
-residual, |grad u|^2 and the quadratic, functional and mass integrals.
-It recomputes each per-axis d2_s(u) instead of holding them across
-widths, which would raise peak memory.  fch_energy_sweep evaluates one
-field at a schedule of widths, each on the same operations and arrays as
-its own fch_energy call, so the two agree bit for bit.
+field, takes the support, u, W and W', u_z, u_zz and each per-axis u_t
+and u_tt, and holds them for the whole width schedule, so no stencil of
+u runs twice.  Its six flat-weight diagnostics (equipartition defect,
+pulse residual and the four norms) are evaluated before the first width
+pass, so their temporaries never meet a width's arrays.  The width pass,
+once per eps, builds 1 + eps*z*kappa_j, P and the degenerate check, then
+runs one loop over the chart axes.  H_j depends on eps, so that loop forms
+it there, once per axis, for the three terms that read it: u_tt/H_j^2 and
+the metric term c_j*u_t of the Laplacian and (u_t/H_j)^2 of |grad u|^2.
+Only one H_j is alive at a time, and the Laplacian, the residual and
+|grad u|^2 accumulate in place.  The quadratic, functional and mass
+integrals follow.  fch_energy_sweep evaluates one field at a schedule of
+widths, each on the same operations and arrays as its own fch_energy
+call, so the two agree bit for bit.
 
 All reductions are plain numpy sums in a fixed order, so results are
 bit-reproducible for identical inputs.
@@ -165,9 +170,9 @@ def _support(u, geom: InterfaceGeom):
 
 def _integrate(grid: TubularGrid, f, density):
     """integral f density ds dz with trapezoid in z, periodic trapezoid in s."""
-    wz = grid.z_trapezoid_weights()
-    hprod = float(np.prod(grid.h_s))
-    return float(np.sum(f * density * wz) * hprod)
+    g = f * density
+    g *= grid.z_trapezoid_weights()
+    return float(np.sum(g) * float(np.prod(grid.h_s)))
 
 
 class _Chart:
@@ -208,7 +213,10 @@ class _Chart:
 
 
 class _Metric:
-    """The metric of a chart at one width: 1 + eps*z*kappa_j, H_j and P = J * weight.
+    """The metric of a chart at one width: 1 + eps*z*kappa_j and P = J * weight.
+
+    The scale factors H_j = w_j * (1 + eps*z*kappa_j) are not held; scale
+    forms one axis's when a term needs it.
 
     Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid, not
     only on the chart's sub-grid; the factor is linear in z, so its
@@ -224,8 +232,11 @@ class _Metric:
         self.grid = grid
         zrow = grid.z_grid.reshape((1,) * chart.geom.chart_dims + (-1,))
         self.one_plus = [1.0 + eps * zrow * k for k in chart.kappas]
-        self.H = [w * f for w, f in zip(chart.lames, self.one_plus)]
         self.P = math.prod(self.one_plus) * chart.weight
+
+    def scale(self, axis):
+        """H_j = w_j * (1 + eps*z*kappa_j) along one chart axis."""
+        return self.chart.lames[axis] * self.one_plus[axis]
 
     def integrate(self, f):
         """integral f J weight ds dz."""
@@ -239,53 +250,70 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
     arc-length derivative; the normal component is u_z / eps.
     """
     chart = _Chart(field.grid, geom)
-    u_z, _, u_t = _derivatives(field.values, chart)
-    normal, *tangential = _gradient(_Metric(chart, field.grid), u_z, u_t)
-    return np.stack(tangential + [normal])
+    m = _Metric(chart, field.grid)
+    u_z, _, u_t, _ = _derivatives(field.values, chart)
+    return np.stack([t / m.scale(axis) for axis, t in enumerate(u_t)] + [u_z / field.grid.eps])
 
 
 def curvilinear_laplacian(field: Field, geom: InterfaceGeom):
     """Ambient Laplacian of the field in tubular coordinates."""
     chart = _Chart(field.grid, geom)
-    u = field.values
-    return _laplacian(_Metric(chart, field.grid), u, *_derivatives(u, chart))
+    return _width_terms(_Metric(chart, field.grid), *_derivatives(field.values, chart))[0]
 
 
 def _derivatives(u, chart: _Chart):
-    """u_z, u_zz and the list of per-axis u_t: the stencil passes shared by every term."""
+    """u_z, u_zz and the per-axis lists u_t and u_tt: every stencil pass of u."""
     h_z = chart.grid.h_z
-    u_t = [chart.d1_s(u, axis) for axis in range(chart.geom.chart_dims)]
-    return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t
+    axes = range(chart.geom.chart_dims)
+    u_t = [chart.d1_s(u, axis) for axis in axes]
+    u_tt = [chart.d2_s(u, axis) for axis in axes]
+    return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t, u_tt
 
 
-def _gradient(m: _Metric, u_z, u_t):
-    """The gradient's components u_z / eps along n, then u_tj / H_j along each T_j.
+def _width_terms(m: _Metric, u_z, u_zz, u_t, u_tt):
+    """The Laplacian and |grad u|^2 at the metric's width.
 
-    Yielded one at a time, so a caller reducing them holds one component.
+    One loop over the chart axes forms H_j once for the three terms that
+    read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
+    of the gradient.  Both sums accumulate in place, and each axis's
+    temporaries are freed before the next axis.
     """
-    yield u_z / m.grid.eps
-    for t, h in zip(u_t, m.H):
-        yield t / h
-
-
-def _laplacian(m: _Metric, u, u_z, u_zz, u_t):
-    # u_tt feeds only this sum, so each axis's second derivative lives one iteration
     chart = m.chart
     eps = m.grid.eps
-    out = u_zz / eps**2
+    lap = u_zz / eps**2
     curv = sum(k / f for k, f in zip(chart.kappas, m.one_plus))
-    out = out + curv * u_z / eps
-    for axis, t in enumerate(u_t):
-        out = out + chart.d2_s(u, axis) / m.H[axis] ** 2
-        out = out + chart.d1_s(m.P / m.H[axis] ** 2, axis) / m.P * t
-    return out
+    curv *= u_z  # curv * u_z / eps
+    curv /= eps
+    lap += curv
+    del curv
+    grad_sq = u_z / eps
+    grad_sq *= grad_sq
+    for axis, (t, tt) in enumerate(zip(u_t, u_tt)):
+        h = m.scale(axis)
+        term = t / h
+        term *= term
+        grad_sq += term
+        h *= h  # H_j^2
+        np.divide(tt, h, out=term)
+        lap += term
+        del term
+        np.divide(m.P, h, out=h)  # the metric coefficient P / H_j^2
+        term = chart.d1_s(h, axis)
+        del h
+        term /= m.P
+        term *= t
+        lap += term
+        del term
+    return lap, grad_sq
 
 
 class _FieldPass:
     """The width-free half of the energy of one field: everything but the metric.
 
-    The support's chart, u, W, W', u_z, u_zz and each per-axis u_t, and
-    (on first use) the six flat-weight report diagnostics.
+    Holds the support's chart, u, W, W', u_z, u_zz and each per-axis u_t
+    and u_tt for the whole width schedule, and (on first use) the six
+    flat-weight report diagnostics.  The scale factors H_j depend on the
+    width, so each width pass forms them one axis at a time.
     """
 
     def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
@@ -294,7 +322,7 @@ class _FieldPass:
         self.chart = chart = _Chart(field.grid, geom, select)
         self.u = u = field.values[select]
         self.well, self.dwell = eval_well_and_dwell(u, params)
-        self.u_z, self.u_zz, self.u_t = _derivatives(u, chart)
+        self.u_z, self.u_zz, self.u_t, self.u_tt = _derivatives(u, chart)
 
     @cached_property
     def flat(self):
@@ -319,19 +347,20 @@ class _FieldPass:
 
 
 def _width_pass(fp: _FieldPass, grid: TubularGrid):
-    """The metric at grid.eps, the residual and |grad u|^2."""
+    """The metric at grid.eps, the residual -eps*lap(u) + W'(u)/eps and |grad u|^2."""
     m = _Metric(fp.chart, grid)
     eps = grid.eps
-    residual = -eps * _laplacian(m, fp.u, fp.u_z, fp.u_zz, fp.u_t) + fp.dwell / eps
-    components = _gradient(m, fp.u_z, fp.u_t)
-    grad_sq = next(components) ** 2
-    for g in components:
-        grad_sq = grad_sq + g**2
+    # the Laplacian's array becomes the residual in place
+    residual, grad_sq = _width_terms(m, fp.u_z, fp.u_zz, fp.u_t, fp.u_tt)
+    residual *= -eps
+    residual += fp.dwell / eps
     return m, residual, grad_sq
 
 
 def _report(fp: _FieldPass, grid: TubularGrid, eta1: float, eta2: float):
     """The energy report at grid.eps, with the width pass it was built from."""
+    # the flat diagnostics first, so their temporaries never meet a width pass's arrays
+    flat = fp.flat
     m, residual, grad_sq = _width_pass(fp, grid)
     eps = grid.eps
     quadratic = m.integrate(0.5 * residual**2)
@@ -342,7 +371,7 @@ def _report(fp: _FieldPass, grid: TubularGrid, eta1: float, eta2: float):
         quadratic_part=quadratic,
         functional_part=functional,
         mass=m.integrate(fp.u),
-        **fp.flat,
+        **flat,
     )
     return report, m, residual, grad_sq
 

@@ -182,6 +182,10 @@ BAD_INPUTS = {
     "null-alpha": lambda tmp: [
         "converge", "--config", _config(tmp, '{"kind": "micelle", "alpha": null, "eps_list": [0.1]}')
     ],
+    "null-eta1": lambda tmp: ["converge", "--config", _config(tmp, '{"eta1": null, "eps_list": [0.1]}')],
+    "string-alpha": lambda tmp: [
+        "converge", "--config", _config(tmp, '{"kind": "micelle", "alpha": "0.5", "eps_list": [0.1]}')
+    ],
     "string-geometry": lambda tmp: ["converge", "--config", _config(tmp, '{"geometry": "circle"}')],
     "string-geometry-shape-flag": lambda tmp: [
         "converge", "--config", _config(tmp, '{"geometry": "circle"}'), "--shape", "ellipse"
@@ -268,7 +272,8 @@ def _refused(capsys, code):
     return payload["message"]
 
 
-ALPHA_CASES = [case for case in sorted(BAD_INPUTS) if "alpha" in case and case != "null-alpha"]
+# a null or string alpha is refused as not a number: test_non_numeric_coefficient_is_named
+ALPHA_CASES = [case for case in sorted(BAD_INPUTS) if "alpha" in case and case not in ("null-alpha", "string-alpha")]
 
 
 @pytest.mark.parametrize("case", ALPHA_CASES)
@@ -276,6 +281,15 @@ def test_nonpositive_alpha_is_named(tmp_path, capsys, case):
     # inf and nan too: alpha is refused unless it is a finite number > 0
     code = run_cli(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "x.csv")])
     assert _refused(capsys, code) == "micelle sequences need alpha > 0"
+
+
+@pytest.mark.parametrize("command, key", [("converge", "eta1"), ("converge", "eta2"), ("converge", "alpha"), ("phase", "alpha")])
+@pytest.mark.parametrize("value", ["null", "true", '"0.5"', "[1.0]"])
+def test_non_numeric_coefficient_is_named(tmp_path, capsys, command, key, value):
+    # the dry-run parity test shows the run refuses it alike
+    cfg = ('{"kind": "micelle", ' if command == "converge" else "{") + f'"{key}": {value}}}'
+    args = [command, "--config", _config(tmp_path, cfg), "--dry-run", "--out", str(tmp_path / "x.csv")]
+    assert _refused(capsys, run_cli(args)) == f"{key} must be a number"
 
 
 @pytest.mark.parametrize("command", ["converge", "phase"])

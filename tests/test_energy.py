@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -449,6 +451,33 @@ def test_sweep_equals_one_width_calls(case, params):
         one = fch_energy(build_bilayer_field(spec, eps), spec.geom, 1.0, 0.5, params)
         for key, value in one.__dict__.items():
             assert getattr(rep, key) == value, (eps, key)
+
+
+# tracemalloc peak of a 4-width sweep on a dense 32x32x129 sphere bilayer, in
+# field arrays (multiples of field.values.nbytes), numpy 2.4 on Python 3.11:
+# 18.06 when each width recomputed u_tt and held H_j for both axes, 16.81
+# with u_tt held by the field pass, H_j formed per axis and the periodic
+# stencils built without np.roll.  Whatever the field pass holds, the peak
+# must not pass the former.
+SWEEP_PEAK_FIELD_ARRAYS = 18.07
+
+
+def test_sweep_peak_memory(params):
+    spec = BilayerFamily(
+        geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
+        ns=(32, 32), nz=129,
+    )
+    fld = build_bilayer_field(spec, 0.1)
+    args = (fld, spec.geom, spec.eps_list, 1.0, 1.0, params)
+    fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fch_energy_sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / fld.values.nbytes <= SWEEP_PEAK_FIELD_ARRAYS
 
 
 def test_sweep_checks_each_width(params):

@@ -3,13 +3,16 @@
 The energy pass computes each stencil derivative of a field once and feeds
 it to several terms, so every row must be exact: the one-sided edge rows
 of the bounded stencils included.  Periodic stencils wrap at the ends;
-there every row is an interior row of some rotation of the samples.
+there every row is an interior row of some rotation of the samples.  They
+read their neighbours as slices, not as np.roll copies, and give the same
+floats as the same formula on np.roll copies.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as P
 
 from fchlab._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
@@ -62,3 +65,53 @@ def test_periodic_stencils_exact_and_shift_equivariant(stencil, order, sample, s
     assert np.max(np.abs(interior)) <= tol
     # the wrapped rows apply the interior formula to the rotated samples
     assert np.array_equal(stencil(np.roll(f, shift, axis=axis), axis, h), np.roll(out, shift, axis=axis))
+
+
+def roll_d1_periodic(f, axis, h):
+    """The periodic first derivative as four np.roll copies: the reference."""
+    return (
+        8.0 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
+        - (np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis))
+    ) / (12.0 * h)
+
+
+def roll_d2_periodic(f, axis, h):
+    """The periodic second derivative as four np.roll copies: the reference."""
+    return (
+        16.0 * (np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis))
+        - (np.roll(f, 2, axis=axis) + np.roll(f, -2, axis=axis))
+        - 30.0 * f
+    ) / (12.0 * h * h)
+
+
+@st.composite
+def periodic_samples(draw):
+    """Arbitrary samples on 1-3 axes, the stencil axis 4-14 long, in C or Fortran order."""
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    shape = [draw(st.integers(1, 3)) for _ in range(ndim)]
+    shape[axis] = draw(st.integers(4, 14))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    order = draw(st.sampled_from("CF"))
+    return np.asarray(values, order=order), axis, draw(st.sampled_from([0.5, 0.1, 0.0625]))
+
+
+@pytest.mark.parametrize(
+    "stencil, reference", [(d1_periodic, roll_d1_periodic), (d2_periodic, roll_d2_periodic)]
+)
+@given(sample=periodic_samples())
+def test_periodic_stencils_match_roll_bit_for_bit(stencil, reference, sample):
+    f, axis, h = sample
+    out = stencil(f, axis, h)
+    assert out.flags.c_contiguous
+    assert out.shape == f.shape
+    assert out.tobytes() == np.ascontiguousarray(reference(f, axis, h)).tobytes()
+
+
+@pytest.mark.parametrize("stencil", [d1_periodic, d2_periodic])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_periodic_stencils_refuse_fewer_than_4_samples(stencil, n):
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        stencil(np.ones((2, n)), 1, 0.5)
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        stencil(np.ones((n, 5)), -2, 0.5)
