@@ -1,11 +1,11 @@
 """Fourth-order finite-difference stencils used by the energy evaluator.
 
-Periodic directions use centered differences written into one output
-array: interior rows read their neighbours as slices of the samples, and
-the two rows at each end read them from a small copy of the rows around
-the seam.  Bounded directions (the z axis, the sphere polar angle) switch
-to one-sided stencils of the same order on the two layers nearest each
-end.
+One 5-point core serves both kinds of axis.  Each derivative order has one
+interior row formula, written in place into one C-contiguous output whose
+interior rows read their neighbours as slices of the samples.  Only the
+two rows at each end differ: periodic axes apply the interior formula to
+a small copy of the rows around the seam, and bounded axes (the z axis,
+the sphere polar angle) apply one-sided stencils of the same order.
 """
 
 from __future__ import annotations
@@ -15,60 +15,26 @@ import numpy as np
 __all__ = ["d1_periodic", "d2_periodic", "d1_bounded", "d2_bounded"]
 
 
-def _periodic(f, axis, rows):
-    """A 5-point stencil along a periodic axis, as a new C-contiguous array.
-
-    rows(out, f_m2, f_m1, f_0, f_p1, f_p2) writes a block of rows from
-    their neighbours f[i-2] .. f[i+2].  Interior rows read them as slices
-    of f; the two rows at each end read them from a copy of the 8 rows
-    n-4 .. n+3 (mod n) around the seam.  Below 4 samples a first neighbour
-    would also be a second one.
-    """
-    f = np.asarray(f, dtype=float)
-    n = f.shape[axis]
-    if n < 4:
-        raise ValueError("periodic stencils need at least 4 samples")
-
-    def along(a, start, stop):
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(start, stop)
-        return a[tuple(index)]
-
-    def neighbours(a, start, stop):
-        return [along(a, start + k, stop + k) for k in range(-2, 3)]
-
-    out = np.empty(f.shape)
-    rows(along(out, 2, n - 2), *neighbours(f, 2, n - 2))
-    seam = np.take(f, [n - 4, n - 3, n - 2, n - 1, 0, 1, 2, 3], axis=axis)
-    rows(along(out, 0, 2), *neighbours(seam, 4, 6))
-    rows(along(out, n - 2, n), *neighbours(seam, 2, 4))
-    return out
+def _d1_rows(out, h, f_m2, f_m1, f_0, f_p1, f_p2):
+    # (8 (f_p1 - f_m1) - (f_p2 - f_m2)) / 12h, grouped so that equal
+    # neighbors cancel exactly in floating point
+    np.subtract(f_p1, f_m1, out=out)
+    out *= 8.0
+    out -= f_p2 - f_m2
+    out /= 12.0 * h
 
 
-def d1_periodic(f, axis, h):
-    def rows(out, f_m2, f_m1, f_0, f_p1, f_p2):
-        # (8 (f_p1 - f_m1) - (f_p2 - f_m2)) / 12h, grouped so that equal
-        # neighbors cancel exactly in floating point
-        np.subtract(f_p1, f_m1, out=out)
-        out *= 8.0
-        out -= f_p2 - f_m2
-        out /= 12.0 * h
-
-    return _periodic(f, axis, rows)
+def _d2_rows(out, h, f_m2, f_m1, f_0, f_p1, f_p2):
+    # (16 (f_m1 + f_p1) - (f_m2 + f_p2) - 30 f_0) / 12h^2
+    np.add(f_m1, f_p1, out=out)
+    out *= 16.0
+    out -= f_m2 + f_p2
+    out -= 30.0 * f_0
+    out /= 12.0 * h * h
 
 
-def d2_periodic(f, axis, h):
-    def rows(out, f_m2, f_m1, f_0, f_p1, f_p2):
-        # (16 (f_m1 + f_p1) - (f_m2 + f_p2) - 30 f_0) / 12h^2
-        np.add(f_m1, f_p1, out=out)
-        out *= 16.0
-        out -= f_m2 + f_p2
-        out -= 30.0 * f_0
-        out /= 12.0 * h * h
-
-    return _periodic(f, axis, rows)
-
-
+# one-sided rows for the two samples nearest an end, in units of 1/12h^power;
+# integer coefficient tables keep the stencil exact on constants
 _D1_EDGE = np.array(
     [
         [-25.0, 48.0, -36.0, 16.0, -3.0],
@@ -84,44 +50,60 @@ _D2_EDGE = np.array(
 )
 
 
-def _apply_edges(out, f, h, table, power):
-    # integer coefficient tables keep the stencil exact on constants
+def _five_point(f, axis, h, power, periodic):
+    """The 5-point stencil of derivative order `power` along `axis`.
+
+    Returns a new C-contiguous array.  A periodic axis wraps: its two rows
+    at each end read their neighbours from a copy of the 8 rows n-4 .. n+3
+    (mod n) around the seam, and below 4 samples a first neighbour would
+    also be a second one.  A bounded axis contracts the one-sided table
+    with the first and the reversed last k samples, which needs 6 samples.
+    """
+    f = np.asarray(f, dtype=float)
+    n = f.shape[axis]
+    kind, least = ("periodic", 4) if periodic else ("bounded", 6)
+    if n < least:
+        raise ValueError(f"{kind} stencils need at least {least} samples")
+    rows, table = (_d1_rows, _D1_EDGE) if power == 1 else (_d2_rows, _D2_EDGE)
+
+    def at(key):
+        index = [slice(None)] * f.ndim
+        index[axis] = key
+        return tuple(index)
+
+    def neighbours(a, start, stop):
+        return [a[at(slice(start + k, stop + k))] for k in range(-2, 3)]
+
+    out = np.empty(f.shape)
+    rows(out[at(slice(2, n - 2))], h, *neighbours(f, 2, n - 2))
+    if periodic:
+        seam = np.take(f, [n - 4, n - 3, n - 2, n - 1, 0, 1, 2, 3], axis=axis)
+        rows(out[at(slice(0, 2))], h, *neighbours(seam, 4, 6))
+        rows(out[at(slice(n - 2, n))], h, *neighbours(seam, 2, 4))
+        return out
     k = table.shape[1]
-    head = np.tensordot(table, f[..., :k], axes=([1], [-1]))
-    tail = np.tensordot(table, f[..., -1:-k - 1:-1], axes=([1], [-1]))
+    head = np.tensordot(table, np.moveaxis(f[at(slice(0, k))], axis, -1), axes=([1], [-1]))
+    tail = np.tensordot(table, np.moveaxis(f[at(slice(-1, -k - 1, -1))], axis, -1), axes=([1], [-1]))
+    # the last rows see the samples reversed, which flips an odd derivative
     sign = -1.0 if power == 1 else 1.0
     scale = 12.0 * h**power
-    out[..., 0] = head[0] / scale
-    out[..., 1] = head[1] / scale
-    out[..., -1] = sign * tail[0] / scale
-    out[..., -2] = sign * tail[1] / scale
+    for i in range(2):
+        out[at(i)] = head[i] / scale
+        out[at(-1 - i)] = sign * tail[i] / scale
     return out
 
 
-def _centered_last(f, h, power):
-    out = np.empty_like(f)
-    if power == 1:
-        out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3]) - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
-    else:
-        out[..., 2:-2] = (
-            16.0 * (f[..., 1:-3] + f[..., 3:-1]) - (f[..., :-4] + f[..., 4:]) - 30.0 * f[..., 2:-2]
-        ) / (12.0 * h * h)
-    return out
+def d1_periodic(f, axis, h):
+    return _five_point(f, axis, h, 1, periodic=True)
+
+
+def d2_periodic(f, axis, h):
+    return _five_point(f, axis, h, 2, periodic=True)
 
 
 def d1_bounded(f, axis, h):
-    f = np.moveaxis(f, axis, -1)
-    if f.shape[-1] < 6:
-        raise ValueError("bounded stencils need at least 6 samples")
-    out = _centered_last(f, h, 1)
-    out = _apply_edges(out, f, h, _D1_EDGE, 1)
-    return np.moveaxis(out, -1, axis)
+    return _five_point(f, axis, h, 1, periodic=False)
 
 
 def d2_bounded(f, axis, h):
-    f = np.moveaxis(f, axis, -1)
-    if f.shape[-1] < 6:
-        raise ValueError("bounded stencils need at least 6 samples")
-    out = _centered_last(f, h, 2)
-    out = _apply_edges(out, f, h, _D2_EDGE, 2)
-    return np.moveaxis(out, -1, axis)
+    return _five_point(f, axis, h, 2, periodic=False)

@@ -80,12 +80,23 @@ def _well_from_config(cfg) -> WellParams:
     return WellParams(**{k: well[k] for k in _WELL_KEYS})
 
 
-def _number(resolved, key) -> float:
-    """resolved[key] as a float; refuses null, strings and booleans by the key's name."""
-    val = resolved[key]
+def _number(val, name) -> float:
+    """val as a float; refuses null, strings and booleans by the name it came from."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"{key} must be a number")
+        raise ValueError(f"{name} must be a number")
     return float(val)
+
+
+def _range(resolved, key):
+    """resolved[key] as (lo, hi, count): two numbers and an integral count >= 1."""
+    val = resolved[key]
+    if not isinstance(val, (list, tuple)) or len(val) != 3:
+        raise ValueError(f"{key} must be [lo, hi, count]")
+    lo, hi, count = val
+    integral = isinstance(count, int) or (isinstance(count, float) and count.is_integer())
+    if isinstance(count, bool) or not integral or count < 1:
+        raise ValueError(f"{key} count must be an integer >= 1")
+    return _number(lo, f"{key} lo"), _number(hi, f"{key} hi"), int(count)
 
 
 def _merge(defaults, config, flags):
@@ -180,10 +191,10 @@ def cmd_converge(resolved, dry_run):
     family = family_cls(
         geom=geom,
         params=params,
-        eta1=_number(resolved, "eta1"),
-        eta2=_number(resolved, "eta2"),
+        eta1=_number(resolved["eta1"], "eta1"),
+        eta2=_number(resolved["eta2"], "eta2"),
         eps_list=resolved["eps_list"],
-        **{key: _number(resolved, key) for key in keys},
+        **{key: _number(resolved[key], key) for key in keys},
     )
     if dry_run:
         return None
@@ -206,11 +217,8 @@ def cmd_converge(resolved, dry_run):
 
 def cmd_phase(resolved, dry_run):
     geom = geometry_from_config(resolved["geometry"])
-    lo1, hi1, n1 = resolved["eta1_range"]
-    lo2, hi2, n2 = resolved["eta2_range"]
-    n1, n2 = int(n1), int(n2)
-    if n1 < 1 or n2 < 1:
-        raise ValueError("phase grid must contain at least one cell per axis")
+    lo1, hi1, n1 = _range(resolved, "eta1_range")
+    lo2, hi2, n2 = _range(resolved, "eta2_range")
     params = _well_from_config(resolved)
     cells = []
     for i in range(n1):
@@ -218,7 +226,7 @@ def cmd_phase(resolved, dry_run):
         for j in range(n2):
             eta2 = lo2 if n2 == 1 else lo2 + (hi2 - lo2) * j / (n2 - 1)
             cells.append((eta1, eta2))
-    alpha = _number(resolved, "alpha")
+    alpha = _number(resolved["alpha"], "alpha")
     check_alpha(alpha)
     if dry_run:
         return None

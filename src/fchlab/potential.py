@@ -288,8 +288,11 @@ def default_c5(r=1.75, u_plus=1.0, tau=0.25, p=3.0):
 
     Verified on a grid over [-1000, 1000]: W' must be strictly negative
     left of 0 and strictly positive right of u_plus (a small collar around
-    the exact zeros at 0 and u_plus is excluded).
+    the exact zeros at 0 and u_plus is excluded).  A bracket without a
+    root in (0, u_plus) is refused first, by that reason: it leaves W < 0
+    on both sides of 0, so 0 is not a well and no c5 mends it.
     """
+    smallest_positive_bracket_root(WellParams(r=r, u_plus=u_plus, tau=tau, p=p, c5=0.0))
     lo = np.geomspace(1e-4, 1000.0, 4001)
     delta = 1e-3 * u_plus
     left = -lo[::-1]

@@ -166,6 +166,14 @@ def test_infeasible_well_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_well_without_bracket_root_exits_3_with_its_reason(tmp_path, capsys):
+    code = run_cli(["profile", "--kind", "bilayer", "--u-plus", "0.25", "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["message"] == "no bracket root in (0, u_plus): tau=0.25 exceeds the critical value 0.159091"
+    assert not (tmp_path / "p.csv").exists()
+
+
 def _config(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -205,6 +213,13 @@ BAD_INPUTS = {
     "increasing-eps-list": lambda tmp: ["converge", "--eps-list", "0.1,0.2"],
     "unknown-kind": lambda tmp: ["converge", "--config", _config(tmp, '{"kind": "trilayer"}')],
     "empty-phase-axis": lambda tmp: ["phase", "--eta1-range", "0:1:0"],
+    "phase-null-range-lo": lambda tmp: [
+        "phase", "--config", _config(tmp, '{"eta1_range": [null, 2.0, 1], "eta2_range": [1, 1, 1]}')
+    ],
+    "phase-two-element-range": lambda tmp: ["phase", "--config", _config(tmp, '{"eta1_range": [0.1, 2.0]}')],
+    "phase-fractional-count": lambda tmp: ["phase", "--config", _config(tmp, '{"eta2_range": [1, 2, 1.5]}')],
+    "phase-boolean-count": lambda tmp: ["phase", "--config", _config(tmp, '{"eta1_range": [1, 2, true]}')],
+    "phase-string-range": lambda tmp: ["phase", "--config", _config(tmp, '{"eta2_range": "abc"}')],
 }
 
 
@@ -308,6 +323,23 @@ def test_geometry_unused_key_is_refused(tmp_path, capsys, command):
     assert _refused(capsys, run_cli(args + ["--dry-run"])) == "ellipse geometry does not use key 'rho'"
     assert _refused(capsys, run_cli(args)) == "ellipse geometry does not use key 'rho'"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("phase-null-range-lo", "eta1_range lo must be a number"),
+        ("phase-two-element-range", "eta1_range must be [lo, hi, count]"),
+        ("phase-fractional-count", "eta2_range count must be an integer >= 1"),
+        ("phase-boolean-count", "eta1_range count must be an integer >= 1"),
+        ("phase-string-range", "eta2_range must be [lo, hi, count]"),
+        ("empty-phase-axis", "eta1_range count must be an integer >= 1"),
+    ],
+)
+def test_phase_range_is_named(tmp_path, capsys, case, message):
+    # the dry-run parity test shows the run refuses it alike
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
+    assert _refused(capsys, code) == message
 
 
 def _dry_run(args, config):

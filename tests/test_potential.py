@@ -125,6 +125,15 @@ def test_default_c5_is_power_of_two_and_removes_spurious_zeros(params):
     assert np.all(eval_dwell(right, params) > 0.0)
 
 
+@pytest.mark.parametrize("u_plus", [0.1, 0.25])
+def test_well_without_bracket_root_is_refused_by_that_reason(u_plus):
+    # tau = 0.25 >= r*u_plus/(1+r): W < 0 on both sides of 0, for every c5
+    critical = 1.75 * u_plus / 2.75
+    message = f"tau=0.25 exceeds the critical value {critical:.6g}"
+    with pytest.raises(InfeasibleWellError, match=message):
+        default_params(1.75, u_plus=u_plus)
+
+
 def knot_neighbours(params, steps=3):
     """Each cutoff knot with its `steps` nearest floats on either side."""
     out = []

@@ -3,9 +3,11 @@
 The energy pass computes each stencil derivative of a field once and feeds
 it to several terms, so every row must be exact: the one-sided edge rows
 of the bounded stencils included.  Periodic stencils wrap at the ends;
-there every row is an interior row of some rotation of the samples.  They
-read their neighbours as slices, not as np.roll copies, and give the same
-floats as the same formula on np.roll copies.
+there every row is an interior row of some rotation of the samples.  Both
+kinds read their neighbours as slices and write one C-contiguous output,
+and give the same floats as frozen references: the periodic formula on
+np.roll copies, and the bounded interior on a moved-last copy with the
+one-sided tables applied at the ends.
 """
 
 import numpy as np
@@ -84,34 +86,97 @@ def roll_d2_periodic(f, axis, h):
     ) / (12.0 * h * h)
 
 
+_REFERENCE_D1_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]])
+_REFERENCE_D2_EDGE = np.array(
+    [[45.0, -154.0, 214.0, -156.0, 61.0, -10.0], [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]]
+)
+
+
+def _reference_apply_edges(out, f, h, table, power):
+    k = table.shape[1]
+    head = np.tensordot(table, f[..., :k], axes=([1], [-1]))
+    tail = np.tensordot(table, f[..., -1:-k - 1:-1], axes=([1], [-1]))
+    sign = -1.0 if power == 1 else 1.0
+    scale = 12.0 * h**power
+    out[..., 0] = head[0] / scale
+    out[..., 1] = head[1] / scale
+    out[..., -1] = sign * tail[0] / scale
+    out[..., -2] = sign * tail[1] / scale
+    return out
+
+
+def _reference_centered_last(f, h, power):
+    out = np.empty_like(f)
+    if power == 1:
+        out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3]) - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
+    else:
+        out[..., 2:-2] = (
+            16.0 * (f[..., 1:-3] + f[..., 3:-1]) - (f[..., :-4] + f[..., 4:]) - 30.0 * f[..., 2:-2]
+        ) / (12.0 * h * h)
+    return out
+
+
+def moved_d1_bounded(f, axis, h):
+    """The bounded first derivative on the stencil axis moved last: the reference."""
+    f = np.moveaxis(f, axis, -1)
+    out = _reference_apply_edges(_reference_centered_last(f, h, 1), f, h, _REFERENCE_D1_EDGE, 1)
+    return np.moveaxis(out, -1, axis)
+
+
+def moved_d2_bounded(f, axis, h):
+    """The bounded second derivative on the stencil axis moved last: the reference."""
+    f = np.moveaxis(f, axis, -1)
+    out = _reference_apply_edges(_reference_centered_last(f, h, 2), f, h, _REFERENCE_D2_EDGE, 2)
+    return np.moveaxis(out, -1, axis)
+
+
 @st.composite
-def periodic_samples(draw):
-    """Arbitrary samples on 1-3 axes, the stencil axis 4-14 long, in C or Fortran order."""
+def arbitrary_samples(draw, least):
+    """Arbitrary samples on 1-3 axes, the stencil axis least-14 long, in C or Fortran order."""
     ndim = draw(st.integers(1, 3))
     axis = draw(st.integers(-ndim, ndim - 1))
     shape = [draw(st.integers(1, 3)) for _ in range(ndim)]
-    shape[axis] = draw(st.integers(4, 14))
+    shape[axis] = draw(st.integers(least, 14))
     values = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, allow_nan=False)))
     order = draw(st.sampled_from("CF"))
     return np.asarray(values, order=order), axis, draw(st.sampled_from([0.5, 0.1, 0.0625]))
 
 
+def assert_same_bytes_c_contiguous(out, f, expected):
+    assert out.flags.c_contiguous
+    assert out.shape == f.shape
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 @pytest.mark.parametrize(
     "stencil, reference", [(d1_periodic, roll_d1_periodic), (d2_periodic, roll_d2_periodic)]
 )
-@given(sample=periodic_samples())
+@given(sample=arbitrary_samples(4))
 def test_periodic_stencils_match_roll_bit_for_bit(stencil, reference, sample):
     f, axis, h = sample
-    out = stencil(f, axis, h)
-    assert out.flags.c_contiguous
-    assert out.shape == f.shape
-    assert out.tobytes() == np.ascontiguousarray(reference(f, axis, h)).tobytes()
+    assert_same_bytes_c_contiguous(stencil(f, axis, h), f, reference(f, axis, h))
 
 
-@pytest.mark.parametrize("stencil", [d1_periodic, d2_periodic])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_periodic_stencils_refuse_fewer_than_4_samples(stencil, n):
-    with pytest.raises(ValueError, match="at least 4 samples"):
+@pytest.mark.parametrize(
+    "stencil, reference", [(d1_bounded, moved_d1_bounded), (d2_bounded, moved_d2_bounded)]
+)
+@given(sample=arbitrary_samples(6))
+def test_bounded_stencils_match_moved_last_bit_for_bit(stencil, reference, sample):
+    f, axis, h = sample
+    assert_same_bytes_c_contiguous(stencil(f, axis, h), f, reference(f, axis, h))
+
+
+@pytest.mark.parametrize(
+    "stencil, least, n",
+    [
+        pytest.param(stencil, least, n, id=f"{n}-{stencil.__name__}")
+        for stencil, least in [(d1_periodic, 4), (d2_periodic, 4), (d1_bounded, 6), (d2_bounded, 6)]
+        for n in range(1, least)
+    ],
+)
+def test_periodic_stencils_refuse_fewer_than_4_samples(stencil, least, n):
+    """Each stencil refuses fewer samples than it needs: 4 periodic, 6 bounded."""
+    with pytest.raises(ValueError, match=f"at least {least} samples"):
         stencil(np.ones((2, n)), 1, 0.5)
-    with pytest.raises(ValueError, match="at least 4 samples"):
-        stencil(np.ones((n, 5)), -2, 0.5)
+    with pytest.raises(ValueError, match=f"at least {least} samples"):
+        stencil(np.ones((n, 7)), -2, 0.5)
