@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,11 +81,19 @@ def _well_from_config(cfg) -> WellParams:
     return WellParams(**{k: well[k] for k in _WELL_KEYS})
 
 
-def _number(val, name) -> float:
+def _real(val, name) -> float:
     """val as a float; refuses null, strings and booleans by the name it came from."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValueError(f"{name} must be a number")
     return float(val)
+
+
+def _number(val, name) -> float:
+    """val as a finite float; refuses what _real refuses, and nan and inf, by name."""
+    val = _real(val, name)
+    if not math.isfinite(val):
+        raise ValueError(f"{name} must be finite")
+    return val
 
 
 def _range(resolved, key):
@@ -194,7 +203,8 @@ def cmd_converge(resolved, dry_run):
         eta1=_number(resolved["eta1"], "eta1"),
         eta2=_number(resolved["eta2"], "eta2"),
         eps_list=resolved["eps_list"],
-        **{key: _number(resolved[key], key) for key in keys},
+        # alpha: check_alpha refuses nan and inf with the other alphas it refuses
+        **{key: _real(resolved[key], key) for key in keys},
     )
     if dry_run:
         return None
@@ -226,7 +236,7 @@ def cmd_phase(resolved, dry_run):
         for j in range(n2):
             eta2 = lo2 if n2 == 1 else lo2 + (hi2 - lo2) * j / (n2 - 1)
             cells.append((eta1, eta2))
-    alpha = _number(resolved["alpha"], "alpha")
+    alpha = _real(resolved["alpha"], "alpha")
     check_alpha(alpha)
     if dry_run:
         return None
@@ -295,11 +305,13 @@ def build_parser():
     return parser
 
 
-def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("range must be lo:hi:num")
-    return (float(parts[0]), float(parts[1]), int(parts[2]))
+def _parse_range(text, key):
+    """A lo:hi:num flag as (lo, hi, num) for _range to check; refuses text that is not three numbers by key."""
+    try:
+        lo, hi, num = (float(part) for part in text.split(":"))
+    except ValueError:  # not a number, or not three parts
+        raise ValueError(f"{key} must be lo:hi:num") from None
+    return lo, hi, int(num) if num.is_integer() else num
 
 
 def main(argv=None) -> int:
@@ -315,7 +327,7 @@ def main(argv=None) -> int:
         if command == "phase":
             for key in ("eta1_range", "eta2_range"):
                 if flags.get(key) is not None:
-                    flags[key] = _parse_range(flags[key])
+                    flags[key] = _parse_range(flags[key], key)
         resolved = _merge(_DEFAULTS[command], config, flags)
         out_path = Path(resolved["out"])
         result = _COMMANDS[command](resolved, args.dry_run)

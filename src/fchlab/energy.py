@@ -36,32 +36,42 @@ The width eps enters only through the metric.  Samples, stencil spacings
 and the flat weight prod_j w_j(t) with the z trapezoid are all in
 rescaled chart and z coordinates; eps appears in the factors
 1 + eps*z*kappa_j and in the powers of eps in the residual and the
-gradient.  So the energy runs as two passes.  The field pass, once per
-field, takes the support, u, W and W', u_z, u_zz and each per-axis u_t
-and u_tt, and holds them for the whole width schedule, so no stencil of
-u runs twice.  Its six flat-weight diagnostics (equipartition defect,
-pulse residual and the four norms) are evaluated before the first width
-pass, so their temporaries never meet a width's arrays.  The width pass,
-once per eps, builds 1 + eps*z*kappa_j, P and the degenerate check, then
-runs one loop over the chart axes.  H_j depends on eps, so that loop forms
-it there, once per axis, for the three terms that read it: u_tt/H_j^2 and
-the metric term c_j*u_t of the Laplacian and (u_t/H_j)^2 of |grad u|^2.
-Only one H_j is alive at a time, and the Laplacian, the residual and
-|grad u|^2 accumulate in place.  The quadratic, functional and mass
-integrals follow.  fch_energy_sweep evaluates one field at a schedule of
-widths, each on the same operations and arrays as its own fch_energy
-call, so the two agree bit for bit.
+gradient.  So the energy runs as one pass over slabs of chart axis 0,
+taken from the support's sub-grid, and every width of a schedule runs
+inside it.  A slab reads its body rows and the 4 rows on either side that
+the chained stencils reach, wrapped on a periodic axis and clipped at the
+ends of a bounded one, where the stencils apply the one-sided rows they
+apply on the whole axis.  From these it forms u, W and W', u_z, u_zz and
+each per-axis u_t and u_tt once, with the partial sums of the six
+flat-weight diagnostics (equipartition defect, pulse residual and the four
+norms).  Then, per width, it builds 1 + eps*z*kappa_j and P on the body
++-2 rows and runs one loop over the chart axes.  H_j depends on eps, so
+that loop forms it there, once per axis, for the three terms that read
+it: u_tt/H_j^2 and the metric term c_j*u_t of the Laplacian and
+(u_t/H_j)^2 of |grad u|^2.  The Laplacian, the residual and |grad u|^2
+accumulate in place, and the quadratic, functional and mass integrands
+(and the lower-bound audit's) become the slab's partial sums.  Within a
+slab no stencil of u runs twice; neighbouring slabs share only halo rows.
+A pass holds slab-sized arrays (_SLAB_SAMPLES samples a body) whatever
+the size of the grid.
 
-All reductions are plain numpy sums in a fixed order, so results are
-bit-reproducible for identical inputs.
+Every stencil row is formed from the same samples with the same
+operations as on the whole sub-grid, so each sample's value does not
+depend on the slabs; the samplewise operators write each slab into their
+output.  The partial sums are combined in slab order with math.fsum and
+then scaled by prod_j h_j, so results depend only on the array shape and
+are bit-reproducible for identical inputs; a grid of one slab sums
+exactly as a whole-grid pass.  fch_energy_sweep evaluates one field at a
+schedule of widths, each on the same operations as its own fch_energy
+call, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -101,14 +111,16 @@ class Field:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(f"field shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
+        # min and max propagate nan and reach inf, and need no whole-grid temporary
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("field contains non-finite samples")
         object.__setattr__(self, "values", vals)
         if self.check_bc:
-            scale = max(float(np.max(np.abs(vals))), 1.0)
+            scale = max(hi, -lo, 1.0)  # max |u|
             if np.max(np.abs(vals[..., 0])) > 1e-10 * scale or np.max(np.abs(vals[..., -1])) > 1e-10 * scale:
                 raise ValueError("field must vanish at z = +-ell")
-            if np.min(vals) < -1e-10 * scale:
+            if lo < -1e-10 * scale:
                 raise ValueError("field must be nonnegative")
 
     @property
@@ -145,6 +157,10 @@ class EnergyReport:
 # integrand vanishes exactly.
 _HALO = 8
 
+# Samples in the body of one slab of chart axis 0 (at least 8 rows): a pass
+# holds arrays of about this size, whatever the size of the grid.
+_SLAB_SAMPLES = 2**18
+
 
 def _support(u, geom: InterfaceGeom):
     """Selector of the sub-grid within _HALO chart samples of any nonzero column.
@@ -168,21 +184,70 @@ def _support(u, geom: InterfaceGeom):
     return np.ix_(*index)
 
 
-def _integrate(grid: TubularGrid, f, density):
-    """integral f density ds dz with trapezoid in z, periodic trapezoid in s."""
+class _Slab:
+    """Rows a .. b-1 of chart axis 0 of an array of n rows, and the rows around them.
+
+    rows(x, reach) takes rows a-reach .. b-1+reach of x: wrapped mod n on a
+    periodic axis, clipped at the ends of a bounded one, where a stencil
+    then applies the one-sided rows it applies on the whole axis.  A slab
+    that is the whole axis takes no halo, so its stencils see the axis as
+    a whole-grid pass does.
+    """
+
+    def __init__(self, a, b, n, periodic):
+        self.a, self.b, self.n, self.periodic = a, b, n, periodic
+
+    def _pad(self, reach):
+        """Rows before and after the body in rows(x, reach)."""
+        if self.b - self.a == self.n:
+            return 0, 0
+        if self.periodic:
+            return reach, reach
+        return min(reach, self.a), min(reach, self.n - self.b)
+
+    def rows(self, x, reach):
+        lo, hi = self._pad(reach)
+        start, stop = self.a - lo, self.b + hi
+        if start >= 0 and stop <= self.n:
+            return x[start:stop]
+        return np.take(x, np.arange(start, stop) % self.n, axis=0)
+
+    def within(self, outer, inner):
+        """The slice of rows(x, outer) that is rows(x, inner)."""
+        lo_out = self._pad(outer)[0]
+        lo_in, hi_in = self._pad(inner)
+        return slice(lo_out - lo_in, lo_out + self.b - self.a + hi_in)
+
+
+def _slabs(shape, periodic):
+    """Equal slabs of an array of this shape: at most _SLAB_SAMPLES samples a body, unless 8 rows hold more."""
+    n = shape[0]
+    rows = max(8, _SLAB_SAMPLES // math.prod(shape[1:]))
+    count = max(1, min(-(-n // rows), n // 8))
+    edges = [n * i // count for i in range(count + 1)]
+    return [_Slab(a, b, n, periodic) for a, b in zip(edges, edges[1:])]
+
+
+def _partial(grid, f, density):
+    """One slab's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
     g = f * density
     g *= grid.z_trapezoid_weights()
-    return float(np.sum(g) * float(np.prod(grid.h_s)))
+    return np.sum(g)
+
+
+def _total(grid, partials):
+    """The integral from its slab partials: their exactly rounded sum, times prod h_s."""
+    return float(math.fsum(partials) * float(np.prod(grid.h_s)))
 
 
 class _Chart:
-    """Width-free sampling of one grid's chart: Lame factors, flat weight, stencils.
+    """Width-free sampling of one grid's chart: curvatures, Lame factors, stencils.
 
-    select picks a sub-grid from any array over the chart, and z with it
-    (Ellipsis: the whole grid); z stays whole and the stencils keep the
-    grid's spacings.  Curvatures and Lame factors are sampled once on the
-    whole chart mesh; whole_kappas keeps the curvatures for each width's
-    metric check.
+    select picks a sub-grid (Ellipsis: the whole grid); z stays whole and the
+    stencils keep the grid's spacings.  Curvatures and Lame factors are
+    sampled once on the whole chart mesh and held without a z axis, so
+    they cost a chart, not a grid; whole_kappas keeps the curvatures of the
+    whole chart for each width's metric check.
     """
 
     def __init__(self, grid: TubularGrid, geom: InterfaceGeom, select=Ellipsis):
@@ -191,9 +256,31 @@ class _Chart:
         self.geom = geom
         self.select = select
         self.whole_kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
-        self.kappas = [k[select][..., None] for k in self.whole_kappas]
-        self.lames = [np.asarray(w, dtype=float)[select][..., None] for w in geom.lame(*mesh)]
-        self.weight = math.prod(self.lames)
+        self.kappas = [k[select] for k in self.whole_kappas]
+        self.lames = [np.asarray(w, dtype=float)[select] for w in geom.lame(*mesh)]
+
+    def check(self, grid: TubularGrid):
+        """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid.
+
+        The whole grid, not only the chart's sub-grid; the factor is linear
+        in z, so its minimum over [-ell, ell] sits at z = +-ell.
+        """
+        ends = grid.z_grid[[0, -1]]
+        if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in self.whole_kappas) <= 0.0:
+            raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
+
+    def rows(self, slab: _Slab, reach):
+        """Curvatures and Lame factors on a slab's rows at this reach, with a z axis."""
+        return (
+            [slab.rows(k, reach)[..., None] for k in self.kappas],
+            [slab.rows(w, reach)[..., None] for w in self.lames],
+        )
+
+    def index(self, slab: _Slab):
+        """Index of a slab's body in an array over the whole grid."""
+        if self.select is Ellipsis:
+            return slice(slab.a, slab.b)
+        return (self.select[0][slab.a : slab.b],) + tuple(self.select[1:])
 
     def d1_s(self, f, axis):
         h = self.grid.h_s[axis]
@@ -207,40 +294,106 @@ class _Chart:
             return d2_periodic(f, axis, h)
         return d2_bounded(f, axis, h)
 
-    def integrate_flat(self, f):
-        """integral f weight ds dz (no Jacobian), for the derivative-bound norms."""
-        return _integrate(self.grid, f, self.weight)
+
+class _SlabPass:
+    """The width-free fields of one slab: every stencil pass of u, on the slab's body.
+
+    Holds u, u_z, u_zz and each per-axis u_t and u_tt on the body, and the
+    chart on the body +-2 rows.  Chart axis 0's stencils read past the
+    body: u_t there is formed from u on the body +-4 rows and kept on the
+    body +-2 rows (t_near[0]), which the chained u_ss reads, as the metric
+    coefficient d1_s(P/H_0^2) reads the metric there.  near[axis] is the
+    slice of the body +-2 rows that an axis's stencils read for the body,
+    and inner[axis] the body within those; the other axes read the body.
+    """
+
+    def __init__(self, chart: _Chart, slab: _Slab, u):
+        self.chart = chart
+        self.index = chart.index(slab)
+        self.body = body = slab.within(2, 0)
+        self.near = [slice(None)] + [body] * (chart.geom.chart_dims - 1)
+        self.inner = [body] + [slice(None)] * (chart.geom.chart_dims - 1)
+        self.kappas, self.lames = chart.rows(slab, 2)
+        self.weight = math.prod(self.lames)
+        ext = slab.rows(u, 4)
+        self.u = u = ext[slab.within(4, 0)]
+        self.t_near = [chart.d1_s(ext, 0)[slab.within(4, 2)]]
+        self.t_near += [chart.d1_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+        self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
+        self.u_tt = [chart.d2_s(ext, 0)[slab.within(4, 0)]]
+        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+        h_z = chart.grid.h_z
+        self.u_z = d1_bounded(u, -1, h_z)
+        self.u_zz = d2_bounded(u, -1, h_z)
 
 
 class _Metric:
-    """The metric of a chart at one width: 1 + eps*z*kappa_j and P = J * weight.
+    """The metric at one width on a slab's rows: 1 + eps*z*kappa_j and P = J * weight."""
 
-    The scale factors H_j = w_j * (1 + eps*z*kappa_j) are not held; scale
-    forms one axis's when a term needs it.
-
-    Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid, not
-    only on the chart's sub-grid; the factor is linear in z, so its
-    minimum over the slab sits at z = +-ell.
-    """
-
-    def __init__(self, chart: _Chart, grid: TubularGrid):
+    def __init__(self, kappas, weight, grid: TubularGrid):
         eps = grid.eps
-        ends = grid.z_grid[[0, -1]]
-        if min(float(np.min(1.0 + eps * ends * k[..., None])) for k in chart.whole_kappas) <= 0.0:
-            raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
-        self.chart = chart
-        self.grid = grid
-        zrow = grid.z_grid.reshape((1,) * chart.geom.chart_dims + (-1,))
-        self.one_plus = [1.0 + eps * zrow * k for k in chart.kappas]
-        self.P = math.prod(self.one_plus) * chart.weight
+        zrow = grid.z_grid.reshape((1,) * (kappas[0].ndim - 1) + (-1,))
+        self.one_plus = [1.0 + eps * zrow * k for k in kappas]
+        self.P = math.prod(self.one_plus) * weight
 
-    def scale(self, axis):
-        """H_j = w_j * (1 + eps*z*kappa_j) along one chart axis."""
-        return self.chart.lames[axis] * self.one_plus[axis]
 
-    def integrate(self, f):
-        """integral f J weight ds dz."""
-        return _integrate(self.grid, f, self.P)
+def _slab_passes(field: Field, geom: InterfaceGeom, grids, select=Ellipsis):
+    """Each grid's metric check, then one _SlabPass per slab of the sub-grid select picks, in slab order."""
+    chart = _Chart(field.grid, geom, select)
+    for grid in grids:
+        chart.check(grid)
+    u = field.values[select]
+    for slab in _slabs(u.shape, geom.periodic[0]):
+        yield _SlabPass(chart, slab, u)
+
+
+def _width_terms(sp: _SlabPass, m: _Metric, eps):
+    """The Laplacian and |grad u|^2 on the slab's body at the metric's width.
+
+    One loop over the chart axes forms H_j once for the three terms that
+    read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
+    of the gradient.  Both sums accumulate in place, and each axis's
+    temporaries are freed before the next axis.
+    """
+    body = sp.body
+    P = m.P[body]
+    lap = sp.u_zz / eps**2
+    curv = sum(k[body] / f[body] for k, f in zip(sp.kappas, m.one_plus))
+    curv *= sp.u_z  # curv * u_z / eps
+    curv /= eps
+    lap += curv
+    del curv
+    grad_sq = sp.u_z / eps
+    grad_sq *= grad_sq
+    for axis, (t, tt) in enumerate(zip(sp.u_t, sp.u_tt)):
+        near, inner = sp.near[axis], sp.inner[axis]
+        h = sp.lames[axis][near] * m.one_plus[axis][near]  # H_j
+        term = t / h[inner]
+        term *= term
+        grad_sq += term
+        h *= h  # H_j^2
+        np.divide(tt, h[inner], out=term)
+        lap += term
+        del term
+        np.divide(m.P[near], h, out=h)  # the metric coefficient P / H_j^2
+        term = sp.chart.d1_s(h, axis)[inner]
+        del h
+        term /= P
+        term *= t
+        lap += term
+        del term
+    return lap, grad_sq
+
+
+def _residual(sp: _SlabPass, grid: TubularGrid, dwell):
+    """The metric at grid.eps and, on the slab's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
+    m = _Metric(sp.kappas, sp.weight, grid)
+    eps = grid.eps
+    # the Laplacian's array becomes the residual in place
+    residual, grad_sq = _width_terms(sp, m, eps)
+    residual *= -eps
+    residual += dwell / eps
+    return m, residual, grad_sq
 
 
 def curvilinear_gradient(field: Field, geom: InterfaceGeom):
@@ -249,131 +402,109 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
     Tangential component j is u_sj / (1 + eps*z*kappa_j) with u_sj the
     arc-length derivative; the normal component is u_z / eps.
     """
-    chart = _Chart(field.grid, geom)
-    m = _Metric(chart, field.grid)
-    u_z, _, u_t, _ = _derivatives(field.values, chart)
-    return np.stack([t / m.scale(axis) for axis, t in enumerate(u_t)] + [u_z / field.grid.eps])
+    grid = field.grid
+    out = np.empty((geom.chart_dims + 1,) + grid.shape)
+    for sp in _slab_passes(field, geom, (grid,)):
+        m = _Metric(sp.kappas, sp.weight, grid)
+        for axis, t in enumerate(sp.u_t):
+            out[axis][sp.index] = t / (sp.lames[axis][sp.body] * m.one_plus[axis][sp.body])
+        out[-1][sp.index] = sp.u_z / grid.eps
+    return out
 
 
 def curvilinear_laplacian(field: Field, geom: InterfaceGeom):
     """Ambient Laplacian of the field in tubular coordinates."""
-    chart = _Chart(field.grid, geom)
-    return _width_terms(_Metric(chart, field.grid), *_derivatives(field.values, chart))[0]
+    grid = field.grid
+    out = np.empty(grid.shape)
+    for sp in _slab_passes(field, geom, (grid,)):
+        out[sp.index] = _width_terms(sp, _Metric(sp.kappas, sp.weight, grid), grid.eps)[0]
+    return out
 
 
-def _derivatives(u, chart: _Chart):
-    """u_z, u_zz and the per-axis lists u_t and u_tt: every stencil pass of u."""
-    h_z = chart.grid.h_z
-    axes = range(chart.geom.chart_dims)
-    u_t = [chart.d1_s(u, axis) for axis in axes]
-    u_tt = [chart.d2_s(u, axis) for axis in axes]
-    return d1_bounded(u, -1, h_z), d2_bounded(u, -1, h_z), u_t, u_tt
+def _flat_partials(sp: _SlabPass, well, dwell, p):
+    """The slab's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
+    weight = sp.weight[sp.body]
+    grid = sp.chart.grid
+    u_z = sp.u_z
+    parts = {
+        "equipartition_defect": _partial(grid, np.abs(0.5 * u_z**2 - well), weight),
+        "bilayer_residual": _partial(grid, (-sp.u_zz + dwell) ** 2, weight),
+        "norm_u_lp": _partial(grid, np.abs(sp.u) ** p, weight),
+        "norm_uz_l2": _partial(grid, u_z**2, weight),
+    }
+    for axis, t in enumerate(sp.t_near):
+        near, inner = sp.near[axis], sp.inner[axis]
+        w = sp.lames[axis]
+        parts["norm_us_l2", axis] = _partial(grid, (t[inner] / w[sp.body]) ** 2, weight)
+        u_ss = sp.chart.d1_s(t / w[near], axis)[inner] / w[sp.body]
+        parts["norm_uss_l2", axis] = _partial(grid, u_ss**2, weight)
+    return parts
 
 
-def _width_terms(m: _Metric, u_z, u_zz, u_t, u_tt):
-    """The Laplacian and |grad u|^2 at the metric's width.
-
-    One loop over the chart axes forms H_j once for the three terms that
-    read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
-    of the gradient.  Both sums accumulate in place, and each axis's
-    temporaries are freed before the next axis.
-    """
-    chart = m.chart
-    eps = m.grid.eps
-    lap = u_zz / eps**2
-    curv = sum(k / f for k, f in zip(chart.kappas, m.one_plus))
-    curv *= u_z  # curv * u_z / eps
-    curv /= eps
-    lap += curv
-    del curv
-    grad_sq = u_z / eps
-    grad_sq *= grad_sq
-    for axis, (t, tt) in enumerate(zip(u_t, u_tt)):
-        h = m.scale(axis)
-        term = t / h
-        term *= term
-        grad_sq += term
-        h *= h  # H_j^2
-        np.divide(tt, h, out=term)
-        lap += term
-        del term
-        np.divide(m.P, h, out=h)  # the metric coefficient P / H_j^2
-        term = chart.d1_s(h, axis)
-        del h
-        term /= m.P
-        term *= t
-        lap += term
-        del term
-    return lap, grad_sq
+def _flat_report(grid: TubularGrid, sums, p):
+    """The EnergyReport diagnostics integrated with the flat weight, by field name."""
+    total = {key: _total(grid, parts) for key, parts in sums.items()}
+    norm_us = 0.0
+    norm_uss = 0.0
+    for axis in range(len(grid.s_grids)):
+        norm_us += np.sqrt(total["norm_us_l2", axis])
+        norm_uss += np.sqrt(total["norm_uss_l2", axis])
+    return {
+        "equipartition_defect": total["equipartition_defect"],
+        "bilayer_residual": float(np.sqrt(total["bilayer_residual"])),
+        "norm_u_lp": float(total["norm_u_lp"] ** (1.0 / p)),
+        "norm_uz_l2": float(np.sqrt(total["norm_uz_l2"])),
+        "norm_us_l2": float(norm_us),
+        "norm_uss_l2": float(norm_uss),
+    }
 
 
-class _FieldPass:
-    """The width-free half of the energy of one field: everything but the metric.
-
-    Holds the support's chart, u, W, W', u_z, u_zz and each per-axis u_t
-    and u_tt for the whole width schedule, and (on first use) the six
-    flat-weight report diagnostics.  The scale factors H_j depend on the
-    width, so each width pass forms them one axis at a time.
-    """
-
-    def __init__(self, field: Field, geom: InterfaceGeom, params: WellParams):
-        self.params = params
-        select = _support(field.values, geom)
-        self.chart = chart = _Chart(field.grid, geom, select)
-        self.u = u = field.values[select]
-        self.well, self.dwell = eval_well_and_dwell(u, params)
-        self.u_z, self.u_zz, self.u_t, self.u_tt = _derivatives(u, chart)
-
-    @cached_property
-    def flat(self):
-        """The EnergyReport diagnostics integrated with the flat weight, by field name."""
-        chart, u, u_z = self.chart, self.u, self.u_z
-        p = self.params.p
-        norm_us = 0.0
-        norm_uss = 0.0
-        for axis, t in enumerate(self.u_t):
-            w = chart.lames[axis]
-            norm_us += np.sqrt(chart.integrate_flat((t / w) ** 2))
-            u_ss = chart.d1_s(t / w, axis) / w
-            norm_uss += np.sqrt(chart.integrate_flat(u_ss**2))
-        return {
-            "equipartition_defect": chart.integrate_flat(np.abs(0.5 * u_z**2 - self.well)),
-            "bilayer_residual": float(np.sqrt(chart.integrate_flat((-self.u_zz + self.dwell) ** 2))),
-            "norm_u_lp": float(chart.integrate_flat(np.abs(u) ** p) ** (1.0 / p)),
-            "norm_uz_l2": float(np.sqrt(chart.integrate_flat(u_z**2))),
-            "norm_us_l2": float(norm_us),
-            "norm_uss_l2": float(norm_uss),
-        }
-
-
-def _width_pass(fp: _FieldPass, grid: TubularGrid):
-    """The metric at grid.eps, the residual -eps*lap(u) + W'(u)/eps and |grad u|^2."""
-    m = _Metric(fp.chart, grid)
+def _width_partials(sp: _SlabPass, grid: TubularGrid, well, dwell, eta1, eta2, audit_a1, p):
+    """The slab's partials of the Jacobian-weighted integrals at grid.eps, with the audit's if audit_a1 is set."""
+    m, residual, grad_sq = _residual(sp, grid, dwell)
     eps = grid.eps
-    # the Laplacian's array becomes the residual in place
-    residual, grad_sq = _width_terms(m, fp.u_z, fp.u_zz, fp.u_t, fp.u_tt)
-    residual *= -eps
-    residual += fp.dwell / eps
-    return m, residual, grad_sq
+    P = m.P[sp.body]
+    parts = {
+        "quadratic": _partial(grid, 0.5 * residual**2, P),
+        "functional": _partial(grid, 0.5 * eta1 * eps**2 * grad_sq + eta2 * well, P),
+        "mass": _partial(grid, sp.u, P),
+    }
+    if audit_a1 is not None:
+        integrand = 0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + audit_a1 * np.abs(sp.u) ** p
+        parts["audit"] = _partial(grid, integrand, P)
+    return parts
 
 
-def _report(fp: _FieldPass, grid: TubularGrid, eta1: float, eta2: float):
-    """The energy report at grid.eps, with the width pass it was built from."""
-    # the flat diagnostics first, so their temporaries never meet a width pass's arrays
-    flat = fp.flat
-    m, residual, grad_sq = _width_pass(fp, grid)
-    eps = grid.eps
-    quadratic = m.integrate(0.5 * residual**2)
-    functional = m.integrate(0.5 * eta1 * eps**2 * grad_sq + eta2 * fp.well)
-    report = EnergyReport(
-        eps=eps,
-        total=quadratic - functional,
-        quadratic_part=quadratic,
-        functional_part=functional,
-        mass=m.integrate(fp.u),
-        **flat,
-    )
-    return report, m, residual, grad_sq
+def _energy_pass(field: Field, geom: InterfaceGeom, grids, eta1, eta2, params: WellParams, audit_a1=None):
+    """One slab pass over the field's support for every width: (EnergyReport, audit integral) per grid.
+
+    The audit integral is None unless audit_a1 (the bound's A1) is set.
+    """
+    p = params.p
+    flat = defaultdict(list)
+    widths = [defaultdict(list) for _ in grids]
+    for sp in _slab_passes(field, geom, grids, _support(field.values, geom)):
+        well, dwell = eval_well_and_dwell(sp.u, params)
+        for key, part in _flat_partials(sp, well, dwell, p).items():
+            flat[key].append(part)
+        for grid, sums in zip(grids, widths):
+            for key, part in _width_partials(sp, grid, well, dwell, eta1, eta2, audit_a1, p).items():
+                sums[key].append(part)
+    diagnostics = _flat_report(field.grid, flat, p)
+    out = []
+    for grid, sums in zip(grids, widths):
+        quadratic = _total(grid, sums["quadratic"])
+        functional = _total(grid, sums["functional"])
+        report = EnergyReport(
+            eps=grid.eps,
+            total=quadratic - functional,
+            quadratic_part=quadratic,
+            functional_part=functional,
+            mass=_total(grid, sums["mass"]),
+            **diagnostics,
+        )
+        out.append((report, _total(grid, sums["audit"]) if audit_a1 is not None else None))
+    return out
 
 
 def _width_grid(grid: TubularGrid, geom: InterfaceGeom, eps: float) -> TubularGrid:
@@ -390,9 +521,10 @@ def _check_eta(eta1, eta2):
 
 def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
-    out = np.zeros(field.grid.shape)
-    fp = _FieldPass(field, geom, params)
-    out[fp.chart.select] = _width_pass(fp, field.grid)[1]
+    grid = field.grid
+    out = np.zeros(grid.shape)
+    for sp in _slab_passes(field, geom, (grid,), _support(field.values, geom)):
+        out[sp.index] = _residual(sp, grid, eval_well_and_dwell(sp.u, params)[1])[1]
     return out
 
 
@@ -402,18 +534,17 @@ def fch_energy_sweep(
     """Rescaled FCH energy of one field's samples at each width of eps_list.
 
     The samples u(s, z) live on the rescaled slab, so one field serves a
-    whole width schedule: the field pass runs once, and only the metric,
-    the Laplacian, the residual, |grad u|^2 and the three Jacobian-weighted
-    integrals run per width.  Width eps is evaluated on
-    TubularGrid.build(geom, ell, eps, ns, nz) with the field grid's ell, ns
-    and nz (on the field's own grid at its own width), so TubularGrid.build
-    checks every width as it checks any grid.  Returns one EnergyReport per
+    whole width schedule: one slab pass forms every stencil pass of u once
+    per slab, and only the metric, the Laplacian, the residual, |grad u|^2
+    and the three Jacobian-weighted integrals run per width.  Width eps is
+    evaluated on TubularGrid.build(geom, ell, eps, ns, nz) with the field
+    grid's ell, ns and nz (on the field's own grid at its own width), so
+    TubularGrid.build checks every width as it checks any grid.  Returns one EnergyReport per
     width, each equal to fch_energy of the same samples on that grid.
     """
     _check_eta(eta1, eta2)
     grids = [_width_grid(field.grid, geom, eps) for eps in eps_list]
-    fp = _FieldPass(field, geom, params)
-    return tuple(_report(fp, grid, eta1, eta2)[0] for grid in grids)
+    return tuple(report for report, _ in _energy_pass(field, geom, grids, eta1, eta2, params))
 
 
 def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
@@ -487,11 +618,15 @@ def lower_bound_audit(
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
     _check_eta(eta1, eta2)
-    fp = _FieldPass(field, geom, params)
-    report, m, residual, grad_sq = _report(fp, field.grid, eta1, eta2)
-    # |domain| is over the whole grid; the integrand below vanishes off the support
-    domain = _Metric(_Chart(field.grid, geom), field.grid).integrate(np.ones(field.grid.shape))
-    integral = m.integrate(0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + a1 * np.abs(fp.u) ** p)
+    grid = field.grid
+    ((report, integral),) = _energy_pass(field, geom, (grid,), eta1, eta2, params, audit_a1=a1)
+    # |domain| is over the whole grid; the audit integrand vanishes off the support
+    chart = _Chart(grid, geom)
+    parts = []
+    for slab in _slabs(grid.shape, geom.periodic[0]):
+        kappas, lames = chart.rows(slab, 0)
+        parts.append(_partial(grid, 1.0, _Metric(kappas, math.prod(lames), grid).P))
+    domain = _total(grid, parts)
     return LowerBoundAudit(
         lhs=report.total,
         rhs=integral - a2 * domain,

@@ -90,8 +90,8 @@ class _Family:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in (self.default_schedule() if self.eps_list is None else self.eps_list))
-        if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_list must be positive and strictly decreasing")
+        if not eps or any(not 0.0 < e < math.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError("eps_list must be finite, positive and strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
 
     def micelle_count(self, eps: float) -> int | None:
@@ -173,7 +173,7 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     else:
         p = np.asarray(translate(*grid.s_mesh), dtype=float)[..., None]
         vals = profile.evaluate(z - p)
-    return Field(grid, np.maximum(vals, 0.0))
+    return Field(grid, np.maximum(vals, 0.0, out=vals))
 
 
 def _chart_window(geom, grid, center_t, halfwidths):
@@ -431,8 +431,8 @@ def _sign_label(x):
 def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_grid) -> PhaseDiagram:
     """Tabulate both limiting energies and the winning structure per cell.
 
-    eta_grid is an iterable of (eta1, eta2) pairs; cells with eta1 <= 0 are
-    marked invalid rather than fatal.
+    eta_grid is an iterable of (eta1, eta2) pairs; cells with eta1 <= 0 or
+    a non-finite eta are marked invalid rather than fatal.
     """
     check_alpha(alpha)
     prof_b = solve_profile(params)
@@ -440,7 +440,7 @@ def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_gri
     prof_m = shoot_micelle(n_amb, params)
     rows = []
     for eta1, eta2 in eta_grid:
-        if eta1 <= 0.0:
+        if not (0.0 < eta1 < math.inf and math.isfinite(eta2)):
             rows.append((float(eta1), float(eta2), math.nan, math.nan, "invalid", False))
             continue
         bl = g1_energy(geom, prof_b.a_star, prof_b.b_star, eta1, eta2)

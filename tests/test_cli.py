@@ -220,6 +220,13 @@ BAD_INPUTS = {
     "phase-fractional-count": lambda tmp: ["phase", "--config", _config(tmp, '{"eta2_range": [1, 2, 1.5]}')],
     "phase-boolean-count": lambda tmp: ["phase", "--config", _config(tmp, '{"eta1_range": [1, 2, true]}')],
     "phase-string-range": lambda tmp: ["phase", "--config", _config(tmp, '{"eta2_range": "abc"}')],
+    "nan-eta1": lambda tmp: ["converge", "--eta1", "nan", "--eps-list", "0.1"],
+    "inf-eta2": lambda tmp: ["converge", "--eta2", "inf", "--eps-list", "0.1"],
+    "nan-eps-list": lambda tmp: ["converge", "--eps-list", "0.1,nan"],
+    "phase-nan-range-lo": lambda tmp: ["phase", "--eta1-range", "nan:1:3"],
+    "phase-inf-range-hi": lambda tmp: ["phase", "--eta2-range", "0:inf:3"],
+    "phase-fractional-count-flag": lambda tmp: ["phase", "--eta1-range", "0:1:1.5"],
+    "phase-string-range-flag": lambda tmp: ["phase", "--eta1-range", "0:abc:3"],
 }
 
 
@@ -307,6 +314,13 @@ def test_non_numeric_coefficient_is_named(tmp_path, capsys, command, key, value)
     assert _refused(capsys, run_cli(args)) == f"{key} must be a number"
 
 
+@pytest.mark.parametrize("case, key", [("nan-eta1", "eta1"), ("inf-eta2", "eta2")])
+def test_non_finite_coefficient_is_named(tmp_path, capsys, case, key):
+    # the dry-run parity test shows the run refuses it alike
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
+    assert _refused(capsys, code) == f"{key} must be finite"
+
+
 @pytest.mark.parametrize("command", ["converge", "phase"])
 def test_geometry_missing_key_is_named(tmp_path, capsys, command):
     # a new shape from the flags drops the default's keys; ellipse needs a and b
@@ -334,6 +348,11 @@ def test_geometry_unused_key_is_refused(tmp_path, capsys, command):
         ("phase-boolean-count", "eta1_range count must be an integer >= 1"),
         ("phase-string-range", "eta2_range must be [lo, hi, count]"),
         ("empty-phase-axis", "eta1_range count must be an integer >= 1"),
+        ("short-range", "eta1_range must be lo:hi:num"),
+        ("phase-string-range-flag", "eta1_range must be lo:hi:num"),
+        ("phase-fractional-count-flag", "eta1_range count must be an integer >= 1"),
+        ("phase-nan-range-lo", "eta1_range lo must be finite"),
+        ("phase-inf-range-hi", "eta2_range hi must be finite"),
     ],
 )
 def test_phase_range_is_named(tmp_path, capsys, case, message):

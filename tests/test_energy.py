@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fchlab import energy
 from fchlab import (
     BilayerFamily,
     Circle,
@@ -457,8 +459,8 @@ def test_sweep_equals_one_width_calls(case, params):
 # field arrays (multiples of field.values.nbytes), numpy 2.4 on Python 3.11:
 # 18.06 when each width recomputed u_tt and held H_j for both axes, 16.81
 # with u_tt held by the field pass, H_j formed per axis and the periodic
-# stencils built without np.roll.  Whatever the field pass holds, the peak
-# must not pass the former.
+# stencils built without np.roll, 15.94 with the slab pass, whose one slab
+# is this whole grid.  Whatever a slab holds, the peak must not pass 18.06.
 SWEEP_PEAK_FIELD_ARRAYS = 18.07
 
 
@@ -478,6 +480,32 @@ def test_sweep_peak_memory(params):
     finally:
         tracemalloc.stop()
     assert (peak - base) / fld.values.nbytes <= SWEEP_PEAK_FIELD_ARRAYS
+
+
+# The same sweep on a dense 64x64x257 sphere bilayer, whose pass runs five
+# slabs of chart axis 0: 3.83 field arrays, numpy 2.4 on Python 3.11 (15.95
+# when the whole grid was one pass).  A slab's arrays are about a fifth of a
+# field's, so the peak stays at a few field arrays however large the grid.
+SLAB_SWEEP_PEAK_FIELD_ARRAYS = 4.5
+
+
+def test_slab_sweep_peak_memory(params):
+    spec = BilayerFamily(
+        geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
+        ns=(64, 64), nz=257,
+    )
+    fld = build_bilayer_field(spec, 0.1)
+    assert len(energy._slabs(fld.values.shape, periodic=False)) >= 4
+    args = (fld, spec.geom, spec.eps_list, 1.0, 1.0, params)
+    fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fch_energy_sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / fld.values.nbytes <= SLAB_SWEEP_PEAK_FIELD_ARRAYS
 
 
 def test_sweep_checks_each_width(params):
@@ -578,6 +606,33 @@ def test_support_local_pass_pinned(case, params, growth):
     got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
     for key, value in EDGE_PINNED[case].items():
         assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+@pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
+def test_slab_size_changes_only_the_summation_order(case, params, growth, monkeypatch):
+    # periodic chart axis 0 (the bilayer, and the micelle across the seam) and
+    # a bounded one (the sphere micelle touches theta = 0): slabs split the
+    # sums, never a sample's value
+    fld, geom = edge_field(case, params)
+    eps = fld.eps
+    shape = fld.values[energy._support(fld.values, geom)].shape
+
+    def evaluate():
+        reports = fch_energy_sweep(fld, geom, (eps, eps / 2), 1.0, 1.0, params)
+        audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+        return [r.__dict__ for r in reports] + [audit.__dict__], cahn_hilliard_residual(fld, geom, params)
+
+    monkeypatch.setattr(energy, "_SLAB_SAMPLES", 2**62)
+    assert len(energy._slabs(shape, geom.periodic[0])) == 1
+    whole, whole_residual = evaluate()
+    for samples in (1, 16 * math.prod(shape[1:])):  # slabs of 8 to 15 rows, and of 16 at most
+        monkeypatch.setattr(energy, "_SLAB_SAMPLES", samples)
+        assert len(energy._slabs(shape, geom.periodic[0])) >= 2
+        sliced, residual = evaluate()
+        assert np.array_equal(residual, whole_residual)
+        for got, want in zip(sliced, whole):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-13), (samples, key)
 
 
 @pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle"])

@@ -41,6 +41,9 @@ def test_spec_validation(params):
         bilayer_spec(params, eps_list=(0.05, 0.1))
     with pytest.raises(ValueError, match="strictly decreasing"):
         MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.05, 0.1))
+    for eps_list in ((float("nan"),), (0.1, float("nan")), (float("inf"), 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            bilayer_spec(params, eps_list=eps_list)
     with pytest.raises(ValueError, match="alpha > 0"):
         MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=None)
 
@@ -261,11 +264,14 @@ def test_phase_diagram_builds_one_surface_rule(params, micelle3, monkeypatch):
 
 
 def test_phase_diagram_invalid_cells(params):
-    table = phase_diagram(Circle(1.0), 0.5, params, [(0.0, 1.0), (1.0, 1.0)])
-    assert table.rows[0][4] == "invalid" and not table.rows[0][5]
-    assert table.rows[1][5]
+    nan, inf = float("nan"), float("inf")
+    cells = [(0.0, 1.0), (nan, 1.0), (inf, 1.0), (1.0, nan), (1.0, -inf), (1.0, 1.0)]
+    table = phase_diagram(Circle(1.0), 0.5, params, cells)
+    for row in table.rows[:-1]:
+        assert row[4] == "invalid" and not row[5], row
+    assert table.rows[-1][5]
     csv = table.to_csv()
-    assert "invalid" in csv
+    assert csv.count("invalid") == len(cells) - 1
 
 
 def test_snap_micelle_eps_counts():
