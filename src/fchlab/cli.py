@@ -75,10 +75,12 @@ _DEFAULTS = {
 
 
 def _well_from_config(cfg) -> WellParams:
+    """The well of a resolved config; each value must be a finite number, c5 may be null (audited)."""
     well = cfg["well"]
+    values = {key: _number(well[key], key) for key in _WELL_KEYS if key != "c5"}
     if well.get("c5") is None:
-        return default_params(r=well["r"], u_plus=well["u_plus"], tau=well["tau"], p=well["p"])
-    return WellParams(**{k: well[k] for k in _WELL_KEYS})
+        return default_params(**values)
+    return WellParams(**values, c5=_number(well["c5"], "c5"))
 
 
 def _real(val, name) -> float:
@@ -96,16 +98,21 @@ def _number(val, name) -> float:
     return val
 
 
+def _count(val, name) -> int:
+    """val as an int >= 1; refuses booleans, null, strings and non-integral numbers by the name it came from."""
+    integral = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    if isinstance(val, bool) or not integral or val < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return int(val)
+
+
 def _range(resolved, key):
     """resolved[key] as (lo, hi, count): two numbers and an integral count >= 1."""
     val = resolved[key]
     if not isinstance(val, (list, tuple)) or len(val) != 3:
         raise ValueError(f"{key} must be [lo, hi, count]")
     lo, hi, count = val
-    integral = isinstance(count, int) or (isinstance(count, float) and count.is_integer())
-    if isinstance(count, bool) or not integral or count < 1:
-        raise ValueError(f"{key} count must be an integer >= 1")
-    return _number(lo, f"{key} lo"), _number(hi, f"{key} hi"), int(count)
+    return _number(lo, f"{key} lo"), _number(hi, f"{key} hi"), _count(count, f"{key} count")
 
 
 def _merge(defaults, config, flags):
@@ -171,7 +178,8 @@ def cmd_profile(resolved, dry_run):
     params = _well_from_config(resolved)
     kind = resolved["kind"]
     # the pulse's sample count, or the micelle's ambient dimension
-    size = int(resolved["samples" if kind == "bilayer" else "n"])
+    key = "samples" if kind == "bilayer" else "n"
+    size = _count(resolved[key], key)
     if dry_run:
         return None
     if kind == "bilayer":

@@ -17,53 +17,54 @@ per-coordinate expansion misses.  The c_j coefficients are obtained by
 differencing the sampled metric products, so geometries only need to
 supply w_j and kappa_j.
 
-Integrals run over the field's support plus a halo of 8 chart samples:
-along each chart axis, every index within 8 samples of a column holding a
-nonzero sample, as one tensor sub-grid (z stays whole, spacings are the
-grid's).  This is exact because W(0) = W'(0) = 0: every integrand vanishes
-where u and its stencil derivatives do.  The chained chart stencils
-u -> u_t -> u_ss reach 4 samples and the one-sided edge rows read 6, so
-at every kept sample each stencil operand is either the true neighbour or
-an exact zero standing in for one; across a gap between kept indices the
-metric stencils only ever multiply an exact-zero u_t.  Only the summation
-order changes, so sparse fields agree with the whole-grid sums to
-round-off and fully supported fields (every index kept) bit for bit.  An
-all-zero field has no support and takes the whole-grid pass, so its report
-comes from the same integrals as any other.  The degenerate-metric check
-and |domain| in the lower-bound audit still cover the whole grid.
+Integrals run over the field's support, as slabs of chart axis 0.  The
+marked rows are those within 8 rows of a row holding a nonzero sample,
+wrapped on a periodic axis and clipped on a bounded one; z and the other
+chart axes stay whole.  Each maximal run of marked rows (cut at a
+periodic seam) is split into slabs of at most _SLAB_SAMPLES samples a
+body, at least 8 rows.  This is exact because W(0) = W'(0) = 0: every
+integrand vanishes where u and its stencil derivatives do.  The chained
+chart stencils u -> u_t -> u_ss reach 4 rows and the one-sided edge rows
+read 6, so on an unmarked row every integrand and every samplewise
+operator is an exact zero.  A slab reads its halo rows from the field
+itself, so every stencil operand is a true neighbour and only the
+summation order changes: sparse fields agree with the whole-grid sums to
+round-off, and a field with every row marked takes the slabs of the whole
+axis.  An all-zero field has no slabs and reports zeros; the
+degenerate-metric check and |domain| in the lower-bound audit still cover
+every row.
 
 The width eps enters only through the metric.  Samples, stencil spacings
 and the flat weight prod_j w_j(t) with the z trapezoid are all in
 rescaled chart and z coordinates; eps appears in the factors
 1 + eps*z*kappa_j and in the powers of eps in the residual and the
-gradient.  So the energy runs as one pass over slabs of chart axis 0,
-taken from the support's sub-grid, and every width of a schedule runs
-inside it.  A slab reads its body rows and the 4 rows on either side that
-the chained stencils reach, wrapped on a periodic axis and clipped at the
-ends of a bounded one, where the stencils apply the one-sided rows they
-apply on the whole axis.  From these it forms u, W and W', u_z, u_zz and
-each per-axis u_t and u_tt once, with the partial sums of the six
-flat-weight diagnostics (equipartition defect, pulse residual and the four
-norms).  Then, per width, it builds 1 + eps*z*kappa_j and P on the body
-+-2 rows and runs one loop over the chart axes.  H_j depends on eps, so
-that loop forms it there, once per axis, for the three terms that read
-it: u_tt/H_j^2 and the metric term c_j*u_t of the Laplacian and
-(u_t/H_j)^2 of |grad u|^2.  The Laplacian, the residual and |grad u|^2
-accumulate in place, and the quadratic, functional and mass integrands
-(and the lower-bound audit's) become the slab's partial sums.  Within a
-slab no stencil of u runs twice; neighbouring slabs share only halo rows.
-A pass holds slab-sized arrays (_SLAB_SAMPLES samples a body) whatever
-the size of the grid.
+gradient.  So the energy runs as one pass over the slabs, and every
+width of a schedule runs inside it.  A slab reads its body rows and the 4
+rows on either side that the chained stencils reach, wrapped on a
+periodic axis and clipped at the ends of a bounded one, where the
+stencils apply the one-sided rows they apply on the whole axis.  From
+these it forms u, W and W', u_z, u_zz and each per-axis u_t and u_tt
+once, with the partial sums of the six flat-weight diagnostics
+(equipartition defect, pulse residual and the four norms).  Then, per
+width, it builds 1 + eps*z*kappa_j and P on the body +-2 rows and runs
+one loop over the chart axes.  H_j depends on eps, so that loop forms it
+there, once per axis, for the three terms that read it: u_tt/H_j^2 and
+the metric term c_j*u_t of the Laplacian and (u_t/H_j)^2 of |grad u|^2.
+The Laplacian, the residual and |grad u|^2 accumulate in place, and the
+quadratic, functional and mass integrands (and the lower-bound audit's)
+become the slab's partial sums.  Within a slab no stencil of u runs
+twice; neighbouring slabs share only halo rows.  A pass holds slab-sized
+arrays (_SLAB_SAMPLES samples a body) whatever the size of the grid.
 
 Every stencil row is formed from the same samples with the same
-operations as on the whole sub-grid, so each sample's value does not
-depend on the slabs; the samplewise operators write each slab into their
-output.  The partial sums are combined in slab order with math.fsum and
-then scaled by prod_j h_j, so results depend only on the array shape and
-are bit-reproducible for identical inputs; a grid of one slab sums
-exactly as a whole-grid pass.  fch_energy_sweep evaluates one field at a
-schedule of widths, each on the same operations as its own fch_energy
-call, so the two agree bit for bit.
+operations as on the whole grid, so each sample's value does not depend
+on the slabs; the samplewise operators write each slab into their
+zeroed output.  The partial sums are combined in slab order with
+math.fsum and then scaled by prod_j h_j, so results depend only on the
+samples and the array shape and are bit-reproducible for identical
+inputs; a grid of one slab sums exactly as a whole-grid pass.
+fch_energy_sweep evaluates one field at a schedule of widths, each on the
+same operations as its own fch_energy call, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -152,36 +153,14 @@ class EnergyReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-# Chained chart stencils (u -> u_t -> u_ss) reach 4 samples, and the one-sided
-# edge rows read 6; beyond this many samples from every nonzero column each
-# integrand vanishes exactly.
+# Chained chart stencils (u -> u_t -> u_ss) reach 4 rows, and the one-sided
+# edge rows read 6; beyond this many rows from every nonzero row each
+# integrand and each samplewise operator vanishes exactly.
 _HALO = 8
 
 # Samples in the body of one slab of chart axis 0 (at least 8 rows): a pass
 # holds arrays of about this size, whatever the size of the grid.
 _SLAB_SAMPLES = 2**18
-
-
-def _support(u, geom: InterfaceGeom):
-    """Selector of the sub-grid within _HALO chart samples of any nonzero column.
-
-    np.ix_ of the per-axis chart indices; Ellipsis when that is the whole
-    grid, so a fully supported field is a view, not a copy, and for an
-    all-zero field, which then takes the same pass as any other.
-    """
-    cols = np.any(u != 0.0, axis=-1)
-    if not cols.any():
-        return Ellipsis
-    index = []
-    for axis, periodic in enumerate(geom.periodic):
-        n = cols.shape[axis]
-        hits = np.flatnonzero(np.any(cols, axis=tuple(a for a in range(cols.ndim) if a != axis)))
-        near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
-        near = near % n if periodic else near[(near >= 0) & (near < n)]
-        index.append(np.unique(near))
-    if all(len(i) == n for i, n in zip(index, cols.shape)):
-        return Ellipsis
-    return np.ix_(*index)
 
 
 class _Slab:
@@ -219,13 +198,29 @@ class _Slab:
         return slice(lo_out - lo_in, lo_out + self.b - self.a + hi_in)
 
 
-def _slabs(shape, periodic):
-    """Equal slabs of an array of this shape: at most _SLAB_SAMPLES samples a body, unless 8 rows hold more."""
-    n = shape[0]
-    rows = max(8, _SLAB_SAMPLES // math.prod(shape[1:]))
-    count = max(1, min(-(-n // rows), n // 8))
-    edges = [n * i // count for i in range(count + 1)]
-    return [_Slab(a, b, n, periodic) for a, b in zip(edges, edges[1:])]
+def _slabs(u, periodic):
+    """Slabs of chart axis 0 over the rows within _HALO of a row of u holding a nonzero sample.
+
+    The marks wrap on a periodic axis and are clipped on a bounded one.
+    Each maximal run of marked rows (a run is cut at a periodic seam) is
+    split into equal bodies of at most _SLAB_SAMPLES samples, unless 8 rows
+    hold more.  An all-zero u has no slabs.
+    """
+    n = u.shape[0]
+    hits = np.flatnonzero(np.any(u, axis=tuple(range(1, u.ndim))))
+    near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
+    near = near % n if periodic else near[(near >= 0) & (near < n)]
+    marks = np.zeros(n + 2, dtype=bool)
+    marks[near + 1] = True
+    ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
+    rows = max(8, _SLAB_SAMPLES // math.prod(u.shape[1:]))
+    out = []
+    for start, stop in zip(ends[::2], ends[1::2]):
+        length = stop - start
+        count = max(1, min(-(-length // rows), length // 8))
+        edges = [start + length * i // count for i in range(count + 1)]
+        out += [_Slab(a, b, n, periodic) for a, b in zip(edges, edges[1:])]
+    return out
 
 
 def _partial(grid, f, density):
@@ -243,30 +238,25 @@ def _total(grid, partials):
 class _Chart:
     """Width-free sampling of one grid's chart: curvatures, Lame factors, stencils.
 
-    select picks a sub-grid (Ellipsis: the whole grid); z stays whole and the
-    stencils keep the grid's spacings.  Curvatures and Lame factors are
-    sampled once on the whole chart mesh and held without a z axis, so
-    they cost a chart, not a grid; whole_kappas keeps the curvatures of the
-    whole chart for each width's metric check.
+    Curvatures and Lame factors are sampled once on the chart mesh and held
+    without a z axis, so they cost a chart, not a grid.
     """
 
-    def __init__(self, grid: TubularGrid, geom: InterfaceGeom, select=Ellipsis):
+    def __init__(self, grid: TubularGrid, geom: InterfaceGeom):
         mesh = grid.s_mesh
         self.grid = grid
         self.geom = geom
-        self.select = select
-        self.whole_kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
-        self.kappas = [k[select] for k in self.whole_kappas]
-        self.lames = [np.asarray(w, dtype=float)[select] for w in geom.lame(*mesh)]
+        self.kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
+        self.lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
 
     def check(self, grid: TubularGrid):
         """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid.
 
-        The whole grid, not only the chart's sub-grid; the factor is linear
-        in z, so its minimum over [-ell, ell] sits at z = +-ell.
+        Every row, not only the slabs' rows; the factor is linear in z, so
+        its minimum over [-ell, ell] sits at z = +-ell.
         """
         ends = grid.z_grid[[0, -1]]
-        if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in self.whole_kappas) <= 0.0:
+        if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in self.kappas) <= 0.0:
             raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
 
     def rows(self, slab: _Slab, reach):
@@ -275,12 +265,6 @@ class _Chart:
             [slab.rows(k, reach)[..., None] for k in self.kappas],
             [slab.rows(w, reach)[..., None] for w in self.lames],
         )
-
-    def index(self, slab: _Slab):
-        """Index of a slab's body in an array over the whole grid."""
-        if self.select is Ellipsis:
-            return slice(slab.a, slab.b)
-        return (self.select[0][slab.a : slab.b],) + tuple(self.select[1:])
 
     def d1_s(self, f, axis):
         h = self.grid.h_s[axis]
@@ -309,7 +293,7 @@ class _SlabPass:
 
     def __init__(self, chart: _Chart, slab: _Slab, u):
         self.chart = chart
-        self.index = chart.index(slab)
+        self.index = slice(slab.a, slab.b)
         self.body = body = slab.within(2, 0)
         self.near = [slice(None)] + [body] * (chart.geom.chart_dims - 1)
         self.inner = [body] + [slice(None)] * (chart.geom.chart_dims - 1)
@@ -337,13 +321,11 @@ class _Metric:
         self.P = math.prod(self.one_plus) * weight
 
 
-def _slab_passes(field: Field, geom: InterfaceGeom, grids, select=Ellipsis):
-    """Each grid's metric check, then one _SlabPass per slab of the sub-grid select picks, in slab order."""
-    chart = _Chart(field.grid, geom, select)
+def _slab_passes(chart: _Chart, u, grids):
+    """Each grid's metric check, then one _SlabPass per slab of u, in slab order."""
     for grid in grids:
         chart.check(grid)
-    u = field.values[select]
-    for slab in _slabs(u.shape, geom.periodic[0]):
+    for slab in _slabs(u, chart.geom.periodic[0]):
         yield _SlabPass(chart, slab, u)
 
 
@@ -403,8 +385,8 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
     arc-length derivative; the normal component is u_z / eps.
     """
     grid = field.grid
-    out = np.empty((geom.chart_dims + 1,) + grid.shape)
-    for sp in _slab_passes(field, geom, (grid,)):
+    out = np.zeros((geom.chart_dims + 1,) + grid.shape)
+    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
         m = _Metric(sp.kappas, sp.weight, grid)
         for axis, t in enumerate(sp.u_t):
             out[axis][sp.index] = t / (sp.lames[axis][sp.body] * m.one_plus[axis][sp.body])
@@ -415,8 +397,8 @@ def curvilinear_gradient(field: Field, geom: InterfaceGeom):
 def curvilinear_laplacian(field: Field, geom: InterfaceGeom):
     """Ambient Laplacian of the field in tubular coordinates."""
     grid = field.grid
-    out = np.empty(grid.shape)
-    for sp in _slab_passes(field, geom, (grid,)):
+    out = np.zeros(grid.shape)
+    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
         out[sp.index] = _width_terms(sp, _Metric(sp.kappas, sp.weight, grid), grid.eps)[0]
     return out
 
@@ -443,17 +425,16 @@ def _flat_partials(sp: _SlabPass, well, dwell, p):
 
 def _flat_report(grid: TubularGrid, sums, p):
     """The EnergyReport diagnostics integrated with the flat weight, by field name."""
-    total = {key: _total(grid, parts) for key, parts in sums.items()}
     norm_us = 0.0
     norm_uss = 0.0
     for axis in range(len(grid.s_grids)):
-        norm_us += np.sqrt(total["norm_us_l2", axis])
-        norm_uss += np.sqrt(total["norm_uss_l2", axis])
+        norm_us += np.sqrt(_total(grid, sums["norm_us_l2", axis]))
+        norm_uss += np.sqrt(_total(grid, sums["norm_uss_l2", axis]))
     return {
-        "equipartition_defect": total["equipartition_defect"],
-        "bilayer_residual": float(np.sqrt(total["bilayer_residual"])),
-        "norm_u_lp": float(total["norm_u_lp"] ** (1.0 / p)),
-        "norm_uz_l2": float(np.sqrt(total["norm_uz_l2"])),
+        "equipartition_defect": _total(grid, sums["equipartition_defect"]),
+        "bilayer_residual": float(np.sqrt(_total(grid, sums["bilayer_residual"]))),
+        "norm_u_lp": float(_total(grid, sums["norm_u_lp"]) ** (1.0 / p)),
+        "norm_uz_l2": float(np.sqrt(_total(grid, sums["norm_uz_l2"]))),
         "norm_us_l2": float(norm_us),
         "norm_uss_l2": float(norm_uss),
     }
@@ -475,22 +456,22 @@ def _width_partials(sp: _SlabPass, grid: TubularGrid, well, dwell, eta1, eta2, a
     return parts
 
 
-def _energy_pass(field: Field, geom: InterfaceGeom, grids, eta1, eta2, params: WellParams, audit_a1=None):
-    """One slab pass over the field's support for every width: (EnergyReport, audit integral) per grid.
+def _energy_pass(chart: _Chart, u, grids, eta1, eta2, params: WellParams, audit_a1=None):
+    """One slab pass over the support of u for every width: (EnergyReport, audit integral) per grid.
 
     The audit integral is None unless audit_a1 (the bound's A1) is set.
     """
     p = params.p
     flat = defaultdict(list)
     widths = [defaultdict(list) for _ in grids]
-    for sp in _slab_passes(field, geom, grids, _support(field.values, geom)):
+    for sp in _slab_passes(chart, u, grids):
         well, dwell = eval_well_and_dwell(sp.u, params)
         for key, part in _flat_partials(sp, well, dwell, p).items():
             flat[key].append(part)
         for grid, sums in zip(grids, widths):
             for key, part in _width_partials(sp, grid, well, dwell, eta1, eta2, audit_a1, p).items():
                 sums[key].append(part)
-    diagnostics = _flat_report(field.grid, flat, p)
+    diagnostics = _flat_report(chart.grid, flat, p)
     out = []
     for grid, sums in zip(grids, widths):
         quadratic = _total(grid, sums["quadratic"])
@@ -523,7 +504,7 @@ def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
     grid = field.grid
     out = np.zeros(grid.shape)
-    for sp in _slab_passes(field, geom, (grid,), _support(field.values, geom)):
+    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
         out[sp.index] = _residual(sp, grid, eval_well_and_dwell(sp.u, params)[1])[1]
     return out
 
@@ -544,7 +525,8 @@ def fch_energy_sweep(
     """
     _check_eta(eta1, eta2)
     grids = [_width_grid(field.grid, geom, eps) for eps in eps_list]
-    return tuple(report for report, _ in _energy_pass(field, geom, grids, eta1, eta2, params))
+    chart = _Chart(field.grid, geom)
+    return tuple(report for report, _ in _energy_pass(chart, field.values, grids, eta1, eta2, params))
 
 
 def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
@@ -619,11 +601,12 @@ def lower_bound_audit(
 
     _check_eta(eta1, eta2)
     grid = field.grid
-    ((report, integral),) = _energy_pass(field, geom, (grid,), eta1, eta2, params, audit_a1=a1)
-    # |domain| is over the whole grid; the audit integrand vanishes off the support
     chart = _Chart(grid, geom)
+    ((report, integral),) = _energy_pass(chart, field.values, (grid,), eta1, eta2, params, audit_a1=a1)
+    # |domain| is over every row, as the slabs of a field nonzero on every row;
+    # the audit integrand vanishes off the support
     parts = []
-    for slab in _slabs(grid.shape, geom.periodic[0]):
+    for slab in _slabs(np.broadcast_to(1.0, grid.shape), geom.periodic[0]):
         kappas, lames = chart.rows(slab, 0)
         parts.append(_partial(grid, 1.0, _Metric(kappas, math.prod(lames), grid).P))
     domain = _total(grid, parts)

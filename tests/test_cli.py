@@ -227,6 +227,22 @@ BAD_INPUTS = {
     "phase-inf-range-hi": lambda tmp: ["phase", "--eta2-range", "0:inf:3"],
     "phase-fractional-count-flag": lambda tmp: ["phase", "--eta1-range", "0:1:1.5"],
     "phase-string-range-flag": lambda tmp: ["phase", "--eta1-range", "0:abc:3"],
+    "nan-tau": lambda tmp: ["converge", "--tau", "nan", "--eps-list", "0.1"],
+    "nan-c5": lambda tmp: ["converge", "--c5", "nan", "--eps-list", "0.1"],
+    "inf-c5": lambda tmp: ["converge", "--c5", "inf", "--eps-list", "0.1"],
+    "nan-r": lambda tmp: ["converge", "--r", "nan", "--eps-list", "0.1"],
+    "inf-u-plus": lambda tmp: ["converge", "--u-plus", "inf", "--eps-list", "0.1"],
+    "nan-p": lambda tmp: ["phase", "--p", "nan", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"],
+    "profile-nan-c5": lambda tmp: ["profile", "--kind", "bilayer", "--c5", "nan"],
+    "profile-string-tau": lambda tmp: [
+        "profile", "--kind", "bilayer", "--config", _config(tmp, '{"well": {"tau": "0.1"}}')
+    ],
+    "profile-boolean-n": lambda tmp: ["profile", "--kind", "micelle", "--config", _config(tmp, '{"n": true}')],
+    "profile-fractional-n": lambda tmp: ["profile", "--kind", "micelle", "--config", _config(tmp, '{"n": 2.7}')],
+    "profile-fractional-samples": lambda tmp: [
+        "profile", "--kind", "bilayer", "--config", _config(tmp, '{"samples": 40.5}')
+    ],
+    "profile-null-samples": lambda tmp: ["profile", "--kind", "bilayer", "--config", _config(tmp, '{"samples": null}')],
 }
 
 
@@ -319,6 +335,29 @@ def test_non_finite_coefficient_is_named(tmp_path, capsys, case, key):
     # the dry-run parity test shows the run refuses it alike
     code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
     assert _refused(capsys, code) == f"{key} must be finite"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("nan-tau", "tau must be finite"),
+        ("nan-c5", "c5 must be finite"),
+        ("inf-c5", "c5 must be finite"),
+        ("nan-r", "r must be finite"),
+        ("inf-u-plus", "u_plus must be finite"),
+        ("nan-p", "p must be finite"),
+        ("profile-nan-c5", "c5 must be finite"),
+        ("profile-string-tau", "tau must be a number"),
+        ("profile-boolean-n", "n must be an integer >= 1"),
+        ("profile-fractional-n", "n must be an integer >= 1"),
+        ("profile-fractional-samples", "samples must be an integer >= 1"),
+        ("profile-null-samples", "samples must be an integer >= 1"),
+    ],
+)
+def test_well_value_and_profile_count_are_named(tmp_path, capsys, case, message):
+    # the dry-run parity test shows the run refuses it alike
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
+    assert _refused(capsys, code) == message
 
 
 @pytest.mark.parametrize("command", ["converge", "phase"])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fchlab import energy
@@ -495,7 +495,7 @@ def test_slab_sweep_peak_memory(params):
         ns=(64, 64), nz=257,
     )
     fld = build_bilayer_field(spec, 0.1)
-    assert len(energy._slabs(fld.values.shape, periodic=False)) >= 4
+    assert len(energy._slabs(fld.values, periodic=False)) >= 4
     args = (fld, spec.geom, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
@@ -615,24 +615,96 @@ def test_slab_size_changes_only_the_summation_order(case, params, growth, monkey
     # sums, never a sample's value
     fld, geom = edge_field(case, params)
     eps = fld.eps
-    shape = fld.values[energy._support(fld.values, geom)].shape
+    periodic = geom.periodic[0]
 
     def evaluate():
         reports = fch_energy_sweep(fld, geom, (eps, eps / 2), 1.0, 1.0, params)
         audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
-        return [r.__dict__ for r in reports] + [audit.__dict__], cahn_hilliard_residual(fld, geom, params)
+        operators = [
+            cahn_hilliard_residual(fld, geom, params), curvilinear_gradient(fld, geom), curvilinear_laplacian(fld, geom)
+        ]
+        return [r.__dict__ for r in reports] + [audit.__dict__], operators
 
     monkeypatch.setattr(energy, "_SLAB_SAMPLES", 2**62)
-    assert len(energy._slabs(shape, geom.periodic[0])) == 1
-    whole, whole_residual = evaluate()
-    for samples in (1, 16 * math.prod(shape[1:])):  # slabs of 8 to 15 rows, and of 16 at most
+    runs = len(energy._slabs(fld.values, periodic))  # one slab per run of marked rows
+    whole, whole_operators = evaluate()
+    # rows more than _HALO from every nonzero row: the operators' exact zeros
+    hits = np.flatnonzero(np.any(fld.values, axis=tuple(range(1, fld.values.ndim))))
+    rows = np.arange(fld.values.shape[0])
+    gap = np.abs(rows[:, None] - hits)
+    if periodic:
+        gap = np.minimum(gap, rows.size - gap)
+    far = gap.min(axis=1) > energy._HALO
+    assert far.any() == (case != "ellipse_bilayer")
+    for out in whole_operators:
+        assert np.all(np.moveaxis(out, -geom.chart_dims - 1, 0)[far] == 0.0)
+    row = math.prod(fld.values.shape[1:])
+    for samples in (1, 16 * row):  # slabs of 8 to 15 rows, and of 16 at most
         monkeypatch.setattr(energy, "_SLAB_SAMPLES", samples)
-        assert len(energy._slabs(shape, geom.periodic[0])) >= 2
-        sliced, residual = evaluate()
-        assert np.array_equal(residual, whole_residual)
+        assert len(energy._slabs(fld.values, periodic)) > runs
+        sliced, operators = evaluate()
+        for got, want in zip(operators, whole_operators):
+            assert np.array_equal(got, want)
         for got, want in zip(sliced, whole):
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-13), (samples, key)
+
+
+@pytest.fixture(scope="module")
+def seam_field(params):
+    """Four micelles on Circle(1), 512 x 129: the builder's two, each with a copy 10 empty rows on.
+
+    Each micelle's halo meets its copy's, so the marked rows form two runs;
+    the one that crosses the seam s = 0 is cut there in two.
+    """
+    eps, _ = snap_micelle_eps(0.5, 2, 0.05)
+    spec = MicelleFamily(
+        geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5,
+        eps_list=(eps,), ns=(512,), nz=129,
+    )
+    fld = build_micelle_field(spec, eps)
+    assert np.count_nonzero(np.any(fld.values, axis=1)) == 110  # two micelles of 55 rows
+    copy = np.roll(fld.values, 65, axis=0)
+    assert not np.any((fld.values != 0.0) & (copy != 0.0))
+    fld = Field(fld.grid, fld.values + copy)
+    assert [(s.a, s.b) for s in energy._slabs(fld.values, periodic=True)] == [(0, 101), (221, 357), (477, 512)]
+    return fld, spec.geom
+
+
+def _shifted(fld, geom, params, k):
+    """The field rolled by k rows along s: fch_energy with one slab per run and with 8-row slabs, and its residual."""
+    rolled = Field(fld.grid, np.roll(fld.values, k, axis=0))
+    reports = []
+    for samples in (2**62, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "_SLAB_SAMPLES", samples)
+            reports.append(fch_energy(rolled, geom, 1.0, 1.0, params))
+    return reports, cahn_hilliard_residual(rolled, geom, params)
+
+
+# k = 0: the seam cuts a run; 100: the two pieces of that run merge; 163: a
+# micelle ends on the last row, so only marks wrapped across the seam cover
+# rows 0..7; 252: the seam cuts the other run through a micelle; 479: it
+# cuts the first run between a micelle and its copy
+@given(k=st.integers(0, 511))
+@example(k=0)
+@example(k=100)
+@example(k=163)
+@example(k=252)
+@example(k=479)
+@settings(max_examples=16)
+def test_energy_is_invariant_under_a_shift_along_s(seam_field, params, k):
+    # the metric of Circle(rho) does not depend on s, so a shift of the
+    # samples only reorders the sums
+    fld, geom = seam_field
+    (want, _), residual = _shifted(fld, geom, params, 0)
+    reports, rolled_residual = _shifted(fld, geom, params, k)
+    # each sample reads the same neighbours wherever the seam falls, so the
+    # residual moves with the field bit for bit
+    assert np.array_equal(rolled_residual, np.roll(residual, k, axis=0))
+    for got in reports:
+        for key, value in want.__dict__.items():
+            assert getattr(got, key) == pytest.approx(value, rel=1e-13), (k, key)
 
 
 @pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle"])
