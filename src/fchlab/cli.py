@@ -193,7 +193,7 @@ def cmd_profile(resolved, dry_run):
         line = (
             f"micelle profile (n={prof.dim_n}): amplitude={prof.amplitude:.9g} "
             f"R0={prof.r0_support:.9g} sigma_n={prof.sigma_n:.9g} "
-            f"virial_defect={virial_defect(prof, params):.3e}"
+            f"virial_defect={virial_defect(prof):.3e}"
         )
     return prof.to_csv(), line, 0
 

@@ -34,18 +34,19 @@ axis.  An all-zero field has no slabs and reports zeros; the
 degenerate-metric check and |domain| in the lower-bound audit still cover
 every row.
 
-The width eps enters only through the metric.  Samples, stencil spacings
-and the flat weight prod_j w_j(t) with the z trapezoid are all in
-rescaled chart and z coordinates; eps appears in the factors
-1 + eps*z*kappa_j and in the powers of eps in the residual and the
-gradient.  So the energy runs as one pass over the slabs, and every
-width of a schedule runs inside it.  A slab reads its body rows and the 4
-rows on either side that the chained stencils reach, wrapped on a
-periodic axis and clipped at the ends of a bounded one, where the
-stencils apply the one-sided rows they apply on the whole axis.  From
-these it forms u, W and W', u_z, u_zz and each per-axis u_t and u_tt
-once, with the partial sums of the six flat-weight diagnostics
-(equipartition defect, pulse residual and the four norms).  Then, per
+Every entry point reads the interface from field.grid.geom, and a width
+is a plain float.  The width eps enters only through the metric.
+Samples, stencil spacings and the flat weight prod_j w_j(t) with the z
+trapezoid are all in rescaled chart and z coordinates; eps appears in the
+factors 1 + eps*z*kappa_j and in the powers of eps in the residual and
+the gradient.  So the energy runs as one pass over the slabs, and every
+width of a schedule runs inside it, on the field's own grid.  A slab
+reads its body rows and the 4 rows on either side that the chained
+stencils reach, wrapped on a periodic axis and clipped at the ends of a
+bounded one, where the stencils apply the one-sided rows they apply on
+the whole axis.  From these it forms u, W and W', u_z, u_zz and each
+per-axis u_t and u_tt once, with the partial sums of the six flat-weight
+diagnostics (equipartition defect, pulse residual and the four norms).  Then, per
 width, it builds 1 + eps*z*kappa_j and P on the body +-2 rows and runs
 one loop over the chart axes.  H_j depends on eps, so that loop forms it
 there, once per axis, for the three terms that read it: u_tt/H_j^2 and
@@ -64,7 +65,8 @@ math.fsum and then scaled by prod_j h_j, so results depend only on the
 samples and the array shape and are bit-reproducible for identical
 inputs; a grid of one slab sums exactly as a whole-grid pass.
 fch_energy_sweep evaluates one field at a schedule of widths, each on the
-same operations as its own fch_energy call, so the two agree bit for bit.
+same operations as its own fch_energy call, so the two agree bit for bit;
+it checks each width with geometry.check_width, as TubularGrid.build does.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
 from .errors import InfeasibleModelError
-from .geometry import InterfaceGeom, TubularGrid, bending_integral
-from .potential import GrowthConstants, WellParams, eval_well_and_dwell
+from .geometry import InterfaceGeom, TubularGrid, bending_integral, check_width
+from .potential import GrowthViolation, WellParams, audit_growth, default_audit_grid, eval_well_and_dwell
 
 __all__ = [
     "Field",
@@ -223,40 +225,42 @@ def _slabs(u, periodic):
     return out
 
 
-def _partial(grid, f, density):
-    """One slab's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
-    g = f * density
-    g *= grid.z_trapezoid_weights()
-    return np.sum(g)
-
-
-def _total(grid, partials):
-    """The integral from its slab partials: their exactly rounded sum, times prod h_s."""
-    return float(math.fsum(partials) * float(np.prod(grid.h_s)))
-
-
 class _Chart:
-    """Width-free sampling of one grid's chart: curvatures, Lame factors, stencils.
+    """Width-free sampling of one grid: curvatures, Lame factors, stencils, quadrature weights.
 
     Curvatures and Lame factors are sampled once on the chart mesh and held
-    without a z axis, so they cost a chart, not a grid.
+    without a z axis, so they cost a chart, not a grid.  The z trapezoid
+    weights and the chart cell prod_j h_j do not depend on eps either, so
+    one chart serves every width.
     """
 
-    def __init__(self, grid: TubularGrid, geom: InterfaceGeom):
+    def __init__(self, grid: TubularGrid):
         mesh = grid.s_mesh
         self.grid = grid
-        self.geom = geom
+        self.geom = geom = grid.geom
         self.kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
         self.lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
+        self.z_weights = grid.z_trapezoid_weights()
+        self.cell = float(np.prod(grid.h_s))
 
-    def check(self, grid: TubularGrid):
-        """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid.
+    def partial(self, f, density):
+        """One slab's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
+        g = f * density
+        g *= self.z_weights
+        return np.sum(g)
+
+    def total(self, partials):
+        """The integral from its slab partials: their exactly rounded sum, times prod h_s."""
+        return float(math.fsum(partials) * self.cell)
+
+    def check(self, eps):
+        """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid at width eps.
 
         Every row, not only the slabs' rows; the factor is linear in z, so
         its minimum over [-ell, ell] sits at z = +-ell.
         """
-        ends = grid.z_grid[[0, -1]]
-        if min(float(np.min(1.0 + grid.eps * ends * k[..., None])) for k in self.kappas) <= 0.0:
+        ends = self.grid.z_grid[[0, -1]]
+        if min(float(np.min(1.0 + eps * ends * k[..., None])) for k in self.kappas) <= 0.0:
             raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
 
     def rows(self, slab: _Slab, reach):
@@ -312,19 +316,18 @@ class _SlabPass:
 
 
 class _Metric:
-    """The metric at one width on a slab's rows: 1 + eps*z*kappa_j and P = J * weight."""
+    """The metric at width eps on a slab's rows: 1 + eps*z*kappa_j and P = J * weight."""
 
-    def __init__(self, kappas, weight, grid: TubularGrid):
-        eps = grid.eps
-        zrow = grid.z_grid.reshape((1,) * (kappas[0].ndim - 1) + (-1,))
+    def __init__(self, kappas, weight, z_grid, eps):
+        zrow = z_grid.reshape((1,) * (kappas[0].ndim - 1) + (-1,))
         self.one_plus = [1.0 + eps * zrow * k for k in kappas]
         self.P = math.prod(self.one_plus) * weight
 
 
-def _slab_passes(chart: _Chart, u, grids):
-    """Each grid's metric check, then one _SlabPass per slab of u, in slab order."""
-    for grid in grids:
-        chart.check(grid)
+def _slab_passes(chart: _Chart, u, eps_list):
+    """The metric check at each width, then one _SlabPass per slab of u, in slab order."""
+    for eps in eps_list:
+        chart.check(eps)
     for slab in _slabs(u, chart.geom.periodic[0]):
         yield _SlabPass(chart, slab, u)
 
@@ -367,10 +370,9 @@ def _width_terms(sp: _SlabPass, m: _Metric, eps):
     return lap, grad_sq
 
 
-def _residual(sp: _SlabPass, grid: TubularGrid, dwell):
-    """The metric at grid.eps and, on the slab's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
-    m = _Metric(sp.kappas, sp.weight, grid)
-    eps = grid.eps
+def _residual(sp: _SlabPass, eps, dwell):
+    """The metric at width eps and, on the slab's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
+    m = _Metric(sp.kappas, sp.weight, sp.chart.grid.z_grid, eps)
     # the Laplacian's array becomes the residual in place
     residual, grad_sq = _width_terms(sp, m, eps)
     residual *= -eps
@@ -378,121 +380,115 @@ def _residual(sp: _SlabPass, grid: TubularGrid, dwell):
     return m, residual, grad_sq
 
 
-def curvilinear_gradient(field: Field, geom: InterfaceGeom):
+def curvilinear_gradient(field: Field):
     """Gradient components in the frame (T_1, ..., T_{n-1}, n).
 
     Tangential component j is u_sj / (1 + eps*z*kappa_j) with u_sj the
     arc-length derivative; the normal component is u_z / eps.
     """
-    grid = field.grid
-    out = np.zeros((geom.chart_dims + 1,) + grid.shape)
-    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
-        m = _Metric(sp.kappas, sp.weight, grid)
+    grid, eps = field.grid, field.eps
+    out = np.zeros((grid.geom.chart_dims + 1,) + grid.shape)
+    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
+        m = _Metric(sp.kappas, sp.weight, grid.z_grid, eps)
         for axis, t in enumerate(sp.u_t):
             out[axis][sp.index] = t / (sp.lames[axis][sp.body] * m.one_plus[axis][sp.body])
-        out[-1][sp.index] = sp.u_z / grid.eps
+        out[-1][sp.index] = sp.u_z / eps
     return out
 
 
-def curvilinear_laplacian(field: Field, geom: InterfaceGeom):
+def curvilinear_laplacian(field: Field):
     """Ambient Laplacian of the field in tubular coordinates."""
-    grid = field.grid
+    grid, eps = field.grid, field.eps
     out = np.zeros(grid.shape)
-    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
-        out[sp.index] = _width_terms(sp, _Metric(sp.kappas, sp.weight, grid), grid.eps)[0]
+    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
+        out[sp.index] = _width_terms(sp, _Metric(sp.kappas, sp.weight, grid.z_grid, eps), eps)[0]
     return out
 
 
 def _flat_partials(sp: _SlabPass, well, dwell, p):
     """The slab's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
     weight = sp.weight[sp.body]
-    grid = sp.chart.grid
+    partial = sp.chart.partial
     u_z = sp.u_z
     parts = {
-        "equipartition_defect": _partial(grid, np.abs(0.5 * u_z**2 - well), weight),
-        "bilayer_residual": _partial(grid, (-sp.u_zz + dwell) ** 2, weight),
-        "norm_u_lp": _partial(grid, np.abs(sp.u) ** p, weight),
-        "norm_uz_l2": _partial(grid, u_z**2, weight),
+        "equipartition_defect": partial(np.abs(0.5 * u_z**2 - well), weight),
+        "bilayer_residual": partial((-sp.u_zz + dwell) ** 2, weight),
+        "norm_u_lp": partial(np.abs(sp.u) ** p, weight),
+        "norm_uz_l2": partial(u_z**2, weight),
     }
     for axis, t in enumerate(sp.t_near):
         near, inner = sp.near[axis], sp.inner[axis]
         w = sp.lames[axis]
-        parts["norm_us_l2", axis] = _partial(grid, (t[inner] / w[sp.body]) ** 2, weight)
+        parts["norm_us_l2", axis] = partial((t[inner] / w[sp.body]) ** 2, weight)
         u_ss = sp.chart.d1_s(t / w[near], axis)[inner] / w[sp.body]
-        parts["norm_uss_l2", axis] = _partial(grid, u_ss**2, weight)
+        parts["norm_uss_l2", axis] = partial(u_ss**2, weight)
     return parts
 
 
-def _flat_report(grid: TubularGrid, sums, p):
+def _flat_report(chart: _Chart, sums, p):
     """The EnergyReport diagnostics integrated with the flat weight, by field name."""
+    total = chart.total
     norm_us = 0.0
     norm_uss = 0.0
-    for axis in range(len(grid.s_grids)):
-        norm_us += np.sqrt(_total(grid, sums["norm_us_l2", axis]))
-        norm_uss += np.sqrt(_total(grid, sums["norm_uss_l2", axis]))
+    for axis in range(chart.geom.chart_dims):
+        norm_us += np.sqrt(total(sums["norm_us_l2", axis]))
+        norm_uss += np.sqrt(total(sums["norm_uss_l2", axis]))
     return {
-        "equipartition_defect": _total(grid, sums["equipartition_defect"]),
-        "bilayer_residual": float(np.sqrt(_total(grid, sums["bilayer_residual"]))),
-        "norm_u_lp": float(_total(grid, sums["norm_u_lp"]) ** (1.0 / p)),
-        "norm_uz_l2": float(np.sqrt(_total(grid, sums["norm_uz_l2"]))),
+        "equipartition_defect": total(sums["equipartition_defect"]),
+        "bilayer_residual": float(np.sqrt(total(sums["bilayer_residual"]))),
+        "norm_u_lp": float(total(sums["norm_u_lp"]) ** (1.0 / p)),
+        "norm_uz_l2": float(np.sqrt(total(sums["norm_uz_l2"]))),
         "norm_us_l2": float(norm_us),
         "norm_uss_l2": float(norm_uss),
     }
 
 
-def _width_partials(sp: _SlabPass, grid: TubularGrid, well, dwell, eta1, eta2, audit_a1, p):
-    """The slab's partials of the Jacobian-weighted integrals at grid.eps, with the audit's if audit_a1 is set."""
-    m, residual, grad_sq = _residual(sp, grid, dwell)
-    eps = grid.eps
+def _width_partials(sp: _SlabPass, eps, well, dwell, eta1, eta2, audit_a1, p):
+    """The slab's partials of the Jacobian-weighted integrals at width eps, with the audit's if audit_a1 is set."""
+    m, residual, grad_sq = _residual(sp, eps, dwell)
+    partial = sp.chart.partial
     P = m.P[sp.body]
     parts = {
-        "quadratic": _partial(grid, 0.5 * residual**2, P),
-        "functional": _partial(grid, 0.5 * eta1 * eps**2 * grad_sq + eta2 * well, P),
-        "mass": _partial(grid, sp.u, P),
+        "quadratic": partial(0.5 * residual**2, P),
+        "functional": partial(0.5 * eta1 * eps**2 * grad_sq + eta2 * well, P),
+        "mass": partial(sp.u, P),
     }
     if audit_a1 is not None:
         integrand = 0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + audit_a1 * np.abs(sp.u) ** p
-        parts["audit"] = _partial(grid, integrand, P)
+        parts["audit"] = partial(integrand, P)
     return parts
 
 
-def _energy_pass(chart: _Chart, u, grids, eta1, eta2, params: WellParams, audit_a1=None):
-    """One slab pass over the support of u for every width: (EnergyReport, audit integral) per grid.
+def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, audit_a1=None):
+    """One slab pass over the support of u for every width: (EnergyReport, audit integral) per width.
 
     The audit integral is None unless audit_a1 (the bound's A1) is set.
     """
     p = params.p
     flat = defaultdict(list)
-    widths = [defaultdict(list) for _ in grids]
-    for sp in _slab_passes(chart, u, grids):
+    widths = [defaultdict(list) for _ in eps_list]
+    for sp in _slab_passes(chart, u, eps_list):
         well, dwell = eval_well_and_dwell(sp.u, params)
         for key, part in _flat_partials(sp, well, dwell, p).items():
             flat[key].append(part)
-        for grid, sums in zip(grids, widths):
-            for key, part in _width_partials(sp, grid, well, dwell, eta1, eta2, audit_a1, p).items():
+        for eps, sums in zip(eps_list, widths):
+            for key, part in _width_partials(sp, eps, well, dwell, eta1, eta2, audit_a1, p).items():
                 sums[key].append(part)
-    diagnostics = _flat_report(chart.grid, flat, p)
+    diagnostics = _flat_report(chart, flat, p)
     out = []
-    for grid, sums in zip(grids, widths):
-        quadratic = _total(grid, sums["quadratic"])
-        functional = _total(grid, sums["functional"])
+    for eps, sums in zip(eps_list, widths):
+        quadratic = chart.total(sums["quadratic"])
+        functional = chart.total(sums["functional"])
         report = EnergyReport(
-            eps=grid.eps,
+            eps=eps,
             total=quadratic - functional,
             quadratic_part=quadratic,
             functional_part=functional,
-            mass=_total(grid, sums["mass"]),
+            mass=chart.total(sums["mass"]),
             **diagnostics,
         )
-        out.append((report, _total(grid, sums["audit"]) if audit_a1 is not None else None))
+        out.append((report, chart.total(sums["audit"]) if audit_a1 is not None else None))
     return out
-
-
-def _width_grid(grid: TubularGrid, geom: InterfaceGeom, eps: float) -> TubularGrid:
-    """The grid at width eps with this grid's ell, ns and nz; the grid itself at its own width."""
-    if eps == grid.eps:
-        return grid
-    return TubularGrid.build(geom, grid.ell, eps, grid.shape[:-1], grid.shape[-1])
 
 
 def _check_eta(eta1, eta2):
@@ -500,38 +496,39 @@ def _check_eta(eta1, eta2):
         raise ValueError("eta coefficients must be finite")
 
 
-def cahn_hilliard_residual(field: Field, geom: InterfaceGeom, params: WellParams):
+def cahn_hilliard_residual(field: Field, params: WellParams):
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
-    grid = field.grid
+    grid, eps = field.grid, field.eps
     out = np.zeros(grid.shape)
-    for sp in _slab_passes(_Chart(grid, geom), field.values, (grid,)):
-        out[sp.index] = _residual(sp, grid, eval_well_and_dwell(sp.u, params)[1])[1]
+    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
+        out[sp.index] = _residual(sp, eps, eval_well_and_dwell(sp.u, params)[1])[1]
     return out
 
 
-def fch_energy_sweep(
-    field: Field, geom: InterfaceGeom, eps_list, eta1: float, eta2: float, params: WellParams
-) -> tuple:
+def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: WellParams) -> tuple:
     """Rescaled FCH energy of one field's samples at each width of eps_list.
 
     The samples u(s, z) live on the rescaled slab, so one field serves a
     whole width schedule: one slab pass forms every stencil pass of u once
     per slab, and only the metric, the Laplacian, the residual, |grad u|^2
-    and the three Jacobian-weighted integrals run per width.  Width eps is
-    evaluated on TubularGrid.build(geom, ell, eps, ns, nz) with the field
-    grid's ell, ns and nz (on the field's own grid at its own width), so
-    TubularGrid.build checks every width as it checks any grid.  Returns one EnergyReport per
-    width, each equal to fch_energy of the same samples on that grid.
+    and the three Jacobian-weighted integrals run per width.  Each width
+    other than the field's own is checked against the field grid's
+    geometry and ell by geometry.check_width, the check TubularGrid.build
+    runs on any grid.  Returns one EnergyReport per width, each equal to
+    fch_energy of the same samples on the grid of that width.
     """
     _check_eta(eta1, eta2)
-    grids = [_width_grid(field.grid, geom, eps) for eps in eps_list]
-    chart = _Chart(field.grid, geom)
-    return tuple(report for report, _ in _energy_pass(chart, field.values, grids, eta1, eta2, params))
+    grid = field.grid
+    eps_list = [float(eps) for eps in eps_list]
+    for eps in eps_list:
+        if eps != grid.eps:  # the field's own width was checked when its grid was built
+            check_width(grid.geom, grid.ell, eps)
+    return tuple(report for report, _ in _energy_pass(_Chart(grid), field.values, eps_list, eta1, eta2, params))
 
 
-def fch_energy(field: Field, geom: InterfaceGeom, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
+def fch_energy(field: Field, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
     """Rescaled FCH energy of the field plus all report diagnostics."""
-    return fch_energy_sweep(field, geom, (field.eps,), eta1, eta2, params)[0]
+    return fch_energy_sweep(field, (field.eps,), eta1, eta2, params)[0]
 
 
 def g1_energy(geom: InterfaceGeom, a_star: float, b_star: float, eta1: float, eta2: float) -> float:
@@ -571,14 +568,7 @@ class LowerBoundAudit:
         return self.lhs >= self.rhs
 
 
-def lower_bound_audit(
-    field: Field,
-    geom: InterfaceGeom,
-    eta1: float,
-    eta2: float,
-    params: WellParams,
-    growth: GrowthConstants,
-) -> LowerBoundAudit:
+def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams) -> LowerBoundAudit:
     """Check the explicit-constant lower bound on the rescaled energy.
 
     With A1 = C1*(eta1*p - eta2) - eps^2*eta1^2 and
@@ -587,13 +577,19 @@ def lower_bound_audit(
         integral { (1/4) R^2 + (eta1 eps^2 / 2)|grad u|^2 + A1 |u|^p } J ds dz
         - A2 * |domain|
 
-    where R is the Cahn-Hilliard residual.  Requires eta2 < p*eta1 and eps
-    small enough that A1 > 0.
+    where R is the Cahn-Hilliard residual.  The growth constants C1, C3
+    and C4 are those audit_growth certifies for the well on
+    default_audit_grid(params); a well they cannot be certified for (a
+    GrowthViolation) has no bound, and is refused with the violation's
+    message.  Requires eta2 < p*eta1 and eps small enough that A1 > 0.
     """
-    eps = field.grid.eps
+    eps = field.eps
     p = params.p
     if not eta2 < p * eta1:
         raise InfeasibleModelError("lower bound inapplicable: requires eta2 < p*eta1")
+    growth = audit_growth(params, default_audit_grid(params))
+    if isinstance(growth, GrowthViolation):
+        raise InfeasibleModelError(f"lower bound inapplicable: {growth.message}")
     a1 = growth.c1 * (eta1 * p - eta2) - eps**2 * eta1**2
     if a1 <= 0.0:
         raise InfeasibleModelError("lower bound inapplicable: eps too large for A1 > 0")
@@ -601,15 +597,15 @@ def lower_bound_audit(
 
     _check_eta(eta1, eta2)
     grid = field.grid
-    chart = _Chart(grid, geom)
-    ((report, integral),) = _energy_pass(chart, field.values, (grid,), eta1, eta2, params, audit_a1=a1)
+    chart = _Chart(grid)
+    ((report, integral),) = _energy_pass(chart, field.values, (eps,), eta1, eta2, params, audit_a1=a1)
     # |domain| is over every row, as the slabs of a field nonzero on every row;
     # the audit integrand vanishes off the support
     parts = []
-    for slab in _slabs(np.broadcast_to(1.0, grid.shape), geom.periodic[0]):
+    for slab in _slabs(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
         kappas, lames = chart.rows(slab, 0)
-        parts.append(_partial(grid, 1.0, _Metric(kappas, math.prod(lames), grid).P))
-    domain = _total(grid, parts)
+        parts.append(chart.partial(1.0, _Metric(kappas, math.prod(lames), grid.z_grid, eps).P))
+    domain = chart.total(parts)
     return LowerBoundAudit(
         lhs=report.total,
         rhs=integral - a2 * domain,

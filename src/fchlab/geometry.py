@@ -26,6 +26,7 @@ __all__ = [
     "Sphere",
     "Torus",
     "TubularGrid",
+    "check_width",
     "geometry_from_config",
     "jacobian",
     "gaussian_curvature_sums",
@@ -43,6 +44,8 @@ _SURFACE_NODES = 512
 _CURVE_NODES = 2048
 # intervals of the arc-length table that places micelle centers on curves
 _ARCLENGTH_NODES = 16384
+# bytes of the largest field TubularGrid.build accepts (float64 samples)
+_MAX_FIELD_BYTES = 2**30
 
 
 class InterfaceGeom:
@@ -396,6 +399,20 @@ def uniform_thickness_ok(geom: InterfaceGeom, ell: float) -> bool:
     return True
 
 
+def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
+    """Refuse a width at which the tubular map of half-thickness ell degenerates.
+
+    eps and ell must be positive and eps*ell*kappa0 < 1, which keeps the
+    Jacobian positive on the grid.
+    """
+    if ell <= 0.0 or eps <= 0.0:
+        raise ValueError("ell and eps must be positive")
+    if not eps * ell * geom.kappa0 < 1.0:
+        raise InfeasibleModelError(
+            f"tubular grid degenerate: eps*ell*kappa0 = {eps * ell * geom.kappa0:.3f} >= 1"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TubularGrid:
     """Tensor grid on the rescaled tubular domain Q x [-ell, ell].
@@ -414,12 +431,12 @@ class TubularGrid:
 
     @classmethod
     def build(cls, geom, ell, eps, ns, nz):
-        if ell <= 0.0 or eps <= 0.0:
-            raise ValueError("ell and eps must be positive")
-        if not eps * ell * geom.kappa0 < 1.0:
-            raise InfeasibleModelError(
-                f"tubular grid degenerate: eps*ell*kappa0 = {eps * ell * geom.kappa0:.3f} >= 1"
-            )
+        """The grid of ns chart samples and nz z samples on Q x [-ell, ell] at width eps.
+
+        Refuses a grid whose field would take more than _MAX_FIELD_BYTES,
+        before anything of its size is allocated.
+        """
+        check_width(geom, ell, eps)
         if isinstance(ns, int):
             ns = (ns,) * geom.chart_dims
         if len(ns) != geom.chart_dims:
@@ -431,6 +448,13 @@ class TubularGrid:
             grids.append(_chart_axis(per, period, n_i))
         if nz < 4:
             raise ValueError("at least 4 points per direction required")
+        shape = (*ns, nz)
+        nbytes = 8 * math.prod(shape)
+        if nbytes > _MAX_FIELD_BYTES:
+            raise ValueError(
+                f"{geom.name} grid {'x'.join(map(str, shape))} needs {nbytes} bytes a field, "
+                f"above the {_MAX_FIELD_BYTES} bytes allowed"
+            )
         z = np.linspace(-ell, ell, nz)
         return cls(geom=geom, ell=float(ell), eps=float(eps), s_grids=tuple(grids), z_grid=z)
 

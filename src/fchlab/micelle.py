@@ -99,7 +99,7 @@ class MicelleProfile:
             "amplitude": self.amplitude,
             "R0": self.r0_support,
             "sigma_n": self.sigma_n,
-            "virial_defect": virial_defect(self, self.params),
+            "virial_defect": virial_defect(self),
         }
         return json.dumps(head, sort_keys=True)
 
@@ -315,16 +315,17 @@ def _bilayer_as_micelle(params):
     )
 
 
-def virial_defect(profile: MicelleProfile, params: WellParams) -> float:
+def virial_defect(profile: MicelleProfile) -> float:
     """Relative defect of the radial identity relating the well integral to sigma.
 
-    Both sides are recomputed from the stored samples, so a profile that is
-    not actually a solution produces a defect of the size of its violation:
+    W is the well the profile was solved for, profile.params.  Both sides
+    are recomputed from the stored samples, so a profile that is not
+    actually a solution produces a defect of the size of its violation:
     |integral W(U) R^(n-1) dR - (2-n)/(2n) sigma| / sigma.
     """
     n = profile.dim_n
     r = profile.r_samples
-    w_int = float(simpson(eval_well(profile.u_samples, params) * r ** (n - 1.0), x=r))
+    w_int = float(simpson(eval_well(profile.u_samples, profile.params) * r ** (n - 1.0), x=r))
     sigma = _sigma_quadrature(r, profile.du_samples, n)
     target = (2.0 - n) / (2.0 * n) * sigma
     return abs(w_int - target) / abs(sigma)

@@ -74,6 +74,8 @@ def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
 class _Family:
     """Inputs every family shares; eps_list None takes `default_schedule()`.
 
+    nz None takes 513 z samples for a bilayer and 257 for a micelle.
+
     A family maps a width to a field (`field`) and names its limit (`limit`).
     Class constants: `width_free`, one field serves every width; `fits_rate`,
     its report fits an eps-rate and an Aitken value.
@@ -86,7 +88,7 @@ class _Family:
     eps_list: tuple | None = None
     ell: float | None = None
     ns: object | None = None
-    nz: int = 513
+    nz: int | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in (self.default_schedule() if self.eps_list is None else self.eps_list))
@@ -166,7 +168,7 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     if pmax + profile.half_width_L >= ell:
         raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
     ns = family.ns if family.ns is not None else (64 if translate is None else 192)
-    grid = TubularGrid.build(family.geom, ell, eps, ns, family.nz)
+    grid = TubularGrid.build(family.geom, ell, eps, ns, 513 if family.nz is None else family.nz)
     z = grid.z_grid.reshape((1,) * family.geom.chart_dims + (-1,))
     if translate is None:
         vals = np.broadcast_to(profile.evaluate(z), grid.shape).copy()
@@ -209,26 +211,23 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     if ns is None:
         h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / float(np.max(w))) for w in lames]
         ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
-    grid = TubularGrid.build(geom, ell, eps, ns, min(family.nz, 257))
+    grid = TubularGrid.build(geom, ell, eps, ns, 257 if family.nz is None else family.nz)
 
     vals = np.zeros(grid.shape)
     mesh = grid.s_mesh
-    z_offset = (eps * grid.z_grid)[:, None]
     reach = 1.2 * eps * r0 + eps * ell
     halfwidths = [
         int(np.ceil(reach / max(float(np.min(w)), 1e-12) / h)) + 4 for w, h in zip(lames, grid.h_s)
     ]
     for center in centers:
         c_pos = geom.position(*center)
-        windows = _chart_window(geom, grid, center, halfwidths)
-        sub_mesh = [m[np.ix_(*windows)] if geom.chart_dims > 1 else m[windows[0]] for m in mesh]
-        # phi(s) + eps*z*n(s): position and normal once per chart point, not per z sample
-        pos = geom.position(*sub_mesh)[..., None, :] + z_offset * geom.normal(*sub_mesh)[..., None, :]
+        idx = np.ix_(*_chart_window(geom, grid, center, halfwidths))
+        # the trailing chart axis: position and normal once per chart point, not per z sample
+        pos = geom.offset_position([m[idx][..., None] for m in mesh], grid.z_grid, eps)
         radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
         inside = radius < r0
         bump = np.zeros(radius.shape)
         bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
-        idx = np.ix_(*windows, np.arange(grid.shape[-1]))
         if np.any((vals[idx] > 0.0) & (bump > 0.0)):
             raise NumericsError("micelle supports overlap despite placement separation")
         vals[idx] += bump
@@ -315,13 +314,13 @@ def run_convergence(family) -> ConvergenceReport:
     coeffs = (family.eta1, family.eta2, family.params)
     if family.width_free:  # one field, swept over every width
         fld = family.field(eps_list[0])
-        reports = fch_energy_sweep(fld, geom, eps_list, *coeffs)
+        reports = fch_energy_sweep(fld, eps_list, *coeffs)
         ells = [fld.grid.ell] * len(eps_list)
     else:
         reports, ells = [], []
         for eps in eps_list:
             fld = family.field(eps)
-            reports.append(fch_energy(fld, geom, *coeffs))
+            reports.append(fch_energy(fld, *coeffs))
             ells.append(fld.grid.ell)
             del fld  # the next width's field is built without this one alive
     counts = tuple(family.micelle_count(eps) for eps in eps_list)

@@ -67,8 +67,8 @@ def test_criterion_2_shape_constants(profile):
 
 
 def test_criterion_3_virial(params, micelle2, micelle3):
-    d2 = virial_defect(micelle2, params)
-    d3 = virial_defect(micelle3, params)
+    d2 = virial_defect(micelle2)
+    d3 = virial_defect(micelle3)
     _verdict("3-virial", d2 <= 1e-6 and d3 <= 1e-4, f"n=2 defect {d2:.2e}, n=3 defect {d3:.2e}")
 
 
@@ -129,12 +129,12 @@ def test_criterion_7_regime_signs(params, profile, micelle2, micelle3):
     )
 
 
-def test_criterion_8_lower_bound(params, profile, growth):
+def test_criterion_8_lower_bound(params, profile):
     geom = Circle(1.0)
     ell = 1.05 * profile.half_width_L
     grid = TubularGrid.build(geom, ell, 0.05, 48, 513)
     vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-    audits = [lower_bound_audit(Field(grid, vals), geom, 1.0, 1.0, params, growth)]
+    audits = [lower_bound_audit(Field(grid, vals), 1.0, 1.0, params)]
 
     rng = np.random.default_rng(2024)
     bump_grid = TubularGrid.build(geom, 0.45, 0.05, 64, 257)
@@ -147,7 +147,7 @@ def test_criterion_8_lower_bound(params, profile, growth):
         phase = rng.uniform(0, 2 * np.pi)
         body = np.where(np.abs(z) < z0, (1.0 - (z / z0) ** 2) ** 3, 0.0)
         field = Field(bump_grid, amp * body * (1.0 + rng.uniform(-0.3, 0.3) * np.sin(k * s + phase)))
-        audits.append(lower_bound_audit(field, geom, 1.0, 1.0, params, growth))
+        audits.append(lower_bound_audit(field, 1.0, 1.0, params))
     worst = min(a.margin for a in audits)
     _verdict(
         "8-lower-bound",

@@ -84,6 +84,15 @@ def test_converge_placement_error_reports_counts(tmp_path, capsys):
     )
 
 
+def test_converge_oversized_grid_exits_2_with_its_bytes(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    args = ["converge", "--kind", "micelle", "--shape", "torus", "--torus-R", "3", "--torus-r", "1"]
+    code = run_cli(args + ["--alpha", "0.5", "--eps-list", "0.0499", "--out", str(out)])
+    message = _refused(capsys, code)
+    assert message.startswith("torus grid ") and " bytes" in message
+    assert not out.exists()
+
+
 def test_converge_single_eps(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run_cli(["converge", "--kind", "bilayer", "--eps-list", "0.1", "--out", str(out)])

@@ -12,16 +12,20 @@ from fchlab import (
     Circle,
     Ellipse,
     Field,
+    GrowthViolation,
     MicelleFamily,
     Sphere,
     Torus,
     TubularGrid,
+    WellParams,
+    audit_growth,
     bending_integral,
     build_bilayer_field,
     build_micelle_field,
     cahn_hilliard_residual,
     curvilinear_gradient,
     curvilinear_laplacian,
+    default_audit_grid,
     eval_dwell,
     fch_energy,
     fch_energy_sweep,
@@ -46,14 +50,14 @@ def circle_grid(eps=0.1, ell=0.8, ns=64, nz=257):
 def test_gradient_of_s_independent_field_has_zero_tangential(params):
     grid = circle_grid()
     vals = np.broadcast_to(smooth_bump(grid.z_grid, 0.6), grid.shape).copy()
-    g = curvilinear_gradient(Field(grid, vals), grid.geom)
+    g = curvilinear_gradient(Field(grid, vals))
     assert np.all(g[0] == 0.0)
 
 
 def test_gradient_of_linear_field(params):
     grid = circle_grid()
     vals = np.broadcast_to(grid.z_grid[None, :], grid.shape).copy()
-    g = curvilinear_gradient(Field(grid, vals, check_bc=False), grid.geom)
+    g = curvilinear_gradient(Field(grid, vals, check_bc=False))
     assert np.max(np.abs(g[0])) < 1e-13
     assert np.max(np.abs(g[1] - 1.0 / grid.eps)) < 1e-10
 
@@ -65,7 +69,7 @@ def test_gradient_tangential_closed_form_fourth_order():
         s = grid.s_grids[0][:, None]
         gz = smooth_bump(grid.z_grid, 0.6)[None, :]
         fld = Field(grid, np.sin(s) * gz + 1.0e-9, check_bc=False)
-        g = curvilinear_gradient(fld, grid.geom)
+        g = curvilinear_gradient(fld)
         exact = np.cos(s) * gz / (1.0 + grid.eps * grid.z_grid[None, :])
         errs.append(np.max(np.abs(g[0] - exact)))
     assert errs[0] / errs[1] > 10.0  # 4th order would give 16
@@ -74,7 +78,7 @@ def test_gradient_tangential_closed_form_fourth_order():
 def test_laplacian_of_constant_is_zero():
     grid = circle_grid()
     fld = Field(grid, np.ones(grid.shape), check_bc=False)
-    assert np.max(np.abs(curvilinear_laplacian(fld, grid.geom))) == 0.0
+    assert np.max(np.abs(curvilinear_laplacian(fld))) == 0.0
 
 
 def test_laplacian_radial_closed_form():
@@ -88,7 +92,7 @@ def test_laplacian_radial_closed_form():
         up = -4.0 * c * np.sin(c * z) * np.cos(c * z) ** 3
         upp = -4.0 * c * c * (np.cos(c * z) ** 4 - 3.0 * np.sin(c * z) ** 2 * np.cos(c * z) ** 2)
         fld = Field(grid, np.broadcast_to(u, grid.shape).copy(), check_bc=False)
-        lap = curvilinear_laplacian(fld, grid.geom)
+        lap = curvilinear_laplacian(fld)
         eps = grid.eps
         exact = upp / eps**2 + up / (eps * (1.0 + eps * z))
         errs.append(np.max(np.abs(lap - exact[None, :])))
@@ -130,7 +134,7 @@ def test_laplacian_closed_form_fourth_order(geom):
     for ns, nz in ((64, 257), (128, 513)):
         grid = TubularGrid.build(geom, 0.15, 0.1, ns, nz)
         u, main, metric_gradient = _laplacian_closed_form(geom, grid)
-        lap = curvilinear_laplacian(Field(grid, u, check_bc=False), geom)
+        lap = curvilinear_laplacian(Field(grid, u, check_bc=False))
         errs.append(np.max(np.abs(lap - main - metric_gradient)))
     assert errs[0] / errs[1] > 14.0  # 4th order gives 16
     if isinstance(geom, Ellipse):
@@ -141,7 +145,7 @@ def test_laplacian_closed_form_fourth_order(geom):
 
 def test_zero_field_has_zero_energy(params):
     grid = circle_grid()
-    rep = fch_energy(Field(grid, np.zeros(grid.shape)), grid.geom, 1.0, 1.0, params)
+    rep = fch_energy(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params)
     assert rep.total == 0.0
     assert rep.mass == 0.0
     assert rep.norm_u_lp == 0.0
@@ -152,7 +156,7 @@ def test_exact_bilayer_diagnostics(params, profile):
     ell = 1.05 * profile.half_width_L
     grid = TubularGrid.build(geom, ell, 0.05, 48, 1025)
     vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-    rep = fch_energy(Field(grid, vals), geom, 1.0, 1.0, params)
+    rep = fch_energy(Field(grid, vals), 1.0, 1.0, params)
     assert rep.equipartition_defect <= 1e-8 * geom.surface_measure
     assert rep.bilayer_residual <= 1e-5
     assert rep.total == rep.quadratic_part - rep.functional_part
@@ -166,7 +170,7 @@ def test_energy_approaches_interface_limit(params, profile):
     for eps in (0.1, 0.05, 0.025, 0.0125):
         grid = TubularGrid.build(geom, ell, eps, 48, 513)
         vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-        rep = fch_energy(Field(grid, vals), geom, 1.0, 1.0, params)
+        rep = fch_energy(Field(grid, vals), 1.0, 1.0, params)
         errs.append(abs(rep.total - g1))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     rate = np.polyfit(np.log([0.1, 0.05, 0.025, 0.0125]), np.log(errs), 1)[0]
@@ -180,7 +184,7 @@ def test_quadrature_self_convergence(params, profile):
     for ns, nz in ((48, 513), (96, 1025)):
         grid = TubularGrid.build(geom, ell, 0.05, ns, nz)
         vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-        vals_of[(ns, nz)] = fch_energy(Field(grid, vals), geom, 1.0, 1.0, params).total
+        vals_of[(ns, nz)] = fch_energy(Field(grid, vals), 1.0, 1.0, params).total
     a, b = vals_of[(48, 513)], vals_of[(96, 1025)]
     assert abs(a - b) < 1e-6 * abs(b)
 
@@ -192,7 +196,7 @@ def test_norm_diagnostics_uniform_in_eps(params, profile):
     for eps in (0.1, 0.05, 0.025, 0.0125):
         grid = TubularGrid.build(geom, ell, eps, 48, 513)
         vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-        rep = fch_energy(Field(grid, vals), geom, 1.0, 1.0, params)
+        rep = fch_energy(Field(grid, vals), 1.0, 1.0, params)
         rows.append((rep.norm_u_lp, rep.norm_uz_l2, rep.norm_us_l2, rep.norm_uss_l2))
     arr = np.array(rows)
     assert np.max(arr[:, 0]) / np.min(arr[:, 0]) < 1.001
@@ -248,7 +252,7 @@ def test_report_serializes_flat(params):
     import json
 
     grid = circle_grid()
-    rep = fch_energy(Field(grid, np.zeros(grid.shape)), grid.geom, 1.0, 1.0, params)
+    rep = fch_energy(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params)
     payload = json.loads(rep.to_json())
     assert payload["total"] == 0.0
     assert all(not isinstance(v, (dict, list)) for v in payload.values())
@@ -256,7 +260,7 @@ def test_report_serializes_flat(params):
 
 def test_cahn_hilliard_residual_zero_field(params):
     grid = circle_grid()
-    r = cahn_hilliard_residual(Field(grid, np.zeros(grid.shape)), grid.geom, params)
+    r = cahn_hilliard_residual(Field(grid, np.zeros(grid.shape)), params)
     assert np.max(np.abs(r)) == 0.0
 
 
@@ -268,7 +272,7 @@ def test_cahn_hilliard_residual_bounded_on_bilayer(params, profile):
         grid = TubularGrid.build(geom, ell, eps, 48, 513)
         vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
         fld = Field(grid, vals)
-        res = cahn_hilliard_residual(fld, geom, params)
+        res = cahn_hilliard_residual(fld, params)
         wz = grid.z_trapezoid_weights()
         w = geom.metric_weight(grid.s_mesh[0])[:, None]
         norms.append(np.sqrt(np.sum(res**2 * w * wz) * grid.h_s[0]))
@@ -285,32 +289,32 @@ def test_cahn_hilliard_residual_detects_pearling(params, profile):
         k = round(1.0 / eps)
         vals = profile.evaluate(grid.z_grid)[None, :] * (1.0 + 0.5 * np.sin(k * s))
         fld = Field(grid, np.maximum(vals, 0.0))
-        res = cahn_hilliard_residual(fld, geom, params)
+        res = cahn_hilliard_residual(fld, params)
         wz = grid.z_trapezoid_weights()
         w = geom.metric_weight(grid.s_mesh[0])[:, None]
         norms.append(np.sqrt(np.sum(res**2 * w * wz) * grid.h_s[0]))
     assert norms[1] > 1.5 * norms[0]
 
 
-def test_lower_bound_zero_field(params, growth):
+def test_lower_bound_zero_field(params):
     grid = circle_grid(ell=0.45, eps=0.05)
-    audit = lower_bound_audit(Field(grid, np.zeros(grid.shape)), grid.geom, 1.0, 1.0, params, growth)
+    audit = lower_bound_audit(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params)
     assert audit.lhs == 0.0
     assert audit.rhs == pytest.approx(-audit.a2 * audit.domain_measure)
     assert audit.holds
 
 
-def test_lower_bound_exact_bilayer(params, profile, growth):
+def test_lower_bound_exact_bilayer(params, profile):
     geom = Circle(1.0)
     ell = 1.05 * profile.half_width_L
     grid = TubularGrid.build(geom, ell, 0.05, 48, 513)
     vals = np.broadcast_to(profile.evaluate(grid.z_grid)[None, :], grid.shape).copy()
-    audit = lower_bound_audit(Field(grid, vals), geom, 1.0, 1.0, params, growth)
+    audit = lower_bound_audit(Field(grid, vals), 1.0, 1.0, params)
     assert audit.holds
     assert audit.margin > 0.0
 
 
-def test_lower_bound_random_bumps(params, growth):
+def test_lower_bound_random_bumps(params):
     rng = np.random.default_rng(42)
     grid = circle_grid(ell=0.45, eps=0.05, ns=64, nz=257)
     s = grid.s_grids[0][:, None]
@@ -322,15 +326,26 @@ def test_lower_bound_random_bumps(params, growth):
         phase = rng.uniform(0, 2 * np.pi)
         mod = 1.0 + rng.uniform(-0.3, 0.3) * np.sin(k * s + phase)
         vals = amp * smooth_bump(z, z0) * mod
-        audit = lower_bound_audit(Field(grid, vals), grid.geom, 1.0, 1.0, params, growth)
+        audit = lower_bound_audit(Field(grid, vals), 1.0, 1.0, params)
         assert audit.holds
 
 
-def test_lower_bound_precondition(params, growth):
+def test_lower_bound_precondition(params):
     grid = circle_grid(ell=0.45, eps=0.05)
     fld = Field(grid, np.zeros(grid.shape))
     with pytest.raises(InfeasibleModelError):
-        lower_bound_audit(fld, grid.geom, 1.0, 4.0, params, growth)  # eta2 >= p*eta1
+        lower_bound_audit(fld, 1.0, 4.0, params)  # eta2 >= p*eta1
+
+
+def test_lower_bound_refuses_a_well_without_growth_constants(params):
+    # c5 = 0: W vanishes in the far field, so no C1|u|^p bounds it from below
+    bad = WellParams(r=params.r, u_plus=params.u_plus, tau=params.tau, p=3.0, c5=0.0)
+    violation = audit_growth(bad, default_audit_grid(bad))
+    assert isinstance(violation, GrowthViolation)
+    grid = circle_grid(ell=0.45, eps=0.05)
+    with pytest.raises(InfeasibleModelError) as refused:
+        lower_bound_audit(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, bad)
+    assert str(refused.value) == f"lower bound inapplicable: {violation.message}"
 
 
 def test_field_validation(params):
@@ -404,10 +419,10 @@ def pinned_field(case, params):
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
-def test_energy_and_audit_pinned(case, params, growth):
-    fld, geom = pinned_field(case, params)
-    rep = fch_energy(fld, geom, 1.0, 1.0, params)
-    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+def test_energy_and_audit_pinned(case, params):
+    fld, _ = pinned_field(case, params)
+    rep = fch_energy(fld, 1.0, 1.0, params)
+    audit = lower_bound_audit(fld, 1.0, 1.0, params)
     got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
     for key, value in PINNED[case].items():
         assert got[key] == pytest.approx(value, rel=1e-13), key
@@ -423,9 +438,9 @@ PINNED_AUDIT_INTEGRAL = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_AUDIT_INTEGRAL))
-def test_audit_integral_pinned(case, params, growth):
-    fld, geom = pinned_field(case, params)
-    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+def test_audit_integral_pinned(case, params):
+    fld, _ = pinned_field(case, params)
+    audit = lower_bound_audit(fld, 1.0, 1.0, params)
     assert audit.integral == pytest.approx(PINNED_AUDIT_INTEGRAL[case], rel=1e-13)
     assert audit.rhs == audit.integral - audit.a2 * audit.domain_measure
 
@@ -447,10 +462,10 @@ def test_sweep_equals_one_width_calls(case, params):
     # U(z - p(s)) does not depend on eps: one field's sweep is each width's own field
     spec = sweep_spec(case, params)
     fld = build_bilayer_field(spec, spec.eps_list[0])
-    sweep = fch_energy_sweep(fld, spec.geom, spec.eps_list, 1.0, 0.5, params)
+    sweep = fch_energy_sweep(fld, spec.eps_list, 1.0, 0.5, params)
     assert len(sweep) == len(spec.eps_list)
     for eps, rep in zip(spec.eps_list, sweep):
-        one = fch_energy(build_bilayer_field(spec, eps), spec.geom, 1.0, 0.5, params)
+        one = fch_energy(build_bilayer_field(spec, eps), 1.0, 0.5, params)
         for key, value in one.__dict__.items():
             assert getattr(rep, key) == value, (eps, key)
 
@@ -470,7 +485,7 @@ def test_sweep_peak_memory(params):
         ns=(32, 32), nz=129,
     )
     fld = build_bilayer_field(spec, 0.1)
-    args = (fld, spec.geom, spec.eps_list, 1.0, 1.0, params)
+    args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
     try:
@@ -496,7 +511,7 @@ def test_slab_sweep_peak_memory(params):
     )
     fld = build_bilayer_field(spec, 0.1)
     assert len(energy._slabs(fld.values, periodic=False)) >= 4
-    args = (fld, spec.geom, spec.eps_list, 1.0, 1.0, params)
+    args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
     try:
@@ -513,11 +528,20 @@ def test_sweep_checks_each_width(params):
     fld = build_bilayer_field(spec, 0.1)
     # eps*ell*kappa0 >= 1 on Sphere(3) once eps*ell >= 3
     with pytest.raises(InfeasibleModelError):
-        fch_energy_sweep(fld, spec.geom, (0.1, 3.0 / fld.grid.ell), 1.0, 1.0, params)
+        fch_energy_sweep(fld, (0.1, 3.0 / fld.grid.ell), 1.0, 1.0, params)
     with pytest.raises(ValueError):
-        fch_energy_sweep(fld, spec.geom, (0.1, 0.0), 1.0, 1.0, params)
+        fch_energy_sweep(fld, (0.1, 0.0), 1.0, 1.0, params)
+    # the sweep refuses a width as TubularGrid.build refuses a grid at that width
+    grid = fld.grid
+    for eps in (3.0 / grid.ell, 0.0, -0.05):
+        with pytest.raises((InfeasibleModelError, ValueError)) as built:
+            TubularGrid.build(grid.geom, grid.ell, eps, grid.shape[:-1], grid.shape[-1])
+        with pytest.raises(type(built.value)) as swept:
+            fch_energy_sweep(fld, (0.1, eps), 1.0, 1.0, params)
+        assert type(swept.value) is type(built.value)
+        assert str(swept.value) == str(built.value)
     zero = Field(fld.grid, np.zeros(fld.grid.shape))
-    reps = fch_energy_sweep(zero, spec.geom, (0.1, 0.05), 1.0, 1.0, params)
+    reps = fch_energy_sweep(zero, (0.1, 0.05), 1.0, 1.0, params)
     assert [r.eps for r in reps] == [0.1, 0.05]
     assert all(v == 0.0 for r in reps for k, v in r.__dict__.items() if k != "eps")
 
@@ -599,17 +623,17 @@ def edge_field(case, params):
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_PINNED))
-def test_support_local_pass_pinned(case, params, growth):
-    fld, geom = edge_field(case, params)
-    rep = fch_energy(fld, geom, 1.0, 1.0, params)
-    audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+def test_support_local_pass_pinned(case, params):
+    fld, _ = edge_field(case, params)
+    rep = fch_energy(fld, 1.0, 1.0, params)
+    audit = lower_bound_audit(fld, 1.0, 1.0, params)
     got = dict(rep.__dict__, audit_lhs=audit.lhs, audit_rhs=audit.rhs)
     for key, value in EDGE_PINNED[case].items():
         assert got[key] == pytest.approx(value, rel=1e-12), key
 
 
 @pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
-def test_slab_size_changes_only_the_summation_order(case, params, growth, monkeypatch):
+def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
     # periodic chart axis 0 (the bilayer, and the micelle across the seam) and
     # a bounded one (the sphere micelle touches theta = 0): slabs split the
     # sums, never a sample's value
@@ -618,10 +642,10 @@ def test_slab_size_changes_only_the_summation_order(case, params, growth, monkey
     periodic = geom.periodic[0]
 
     def evaluate():
-        reports = fch_energy_sweep(fld, geom, (eps, eps / 2), 1.0, 1.0, params)
-        audit = lower_bound_audit(fld, geom, 1.0, 1.0, params, growth)
+        reports = fch_energy_sweep(fld, (eps, eps / 2), 1.0, 1.0, params)
+        audit = lower_bound_audit(fld, 1.0, 1.0, params)
         operators = [
-            cahn_hilliard_residual(fld, geom, params), curvilinear_gradient(fld, geom), curvilinear_laplacian(fld, geom)
+            cahn_hilliard_residual(fld, params), curvilinear_gradient(fld), curvilinear_laplacian(fld)
         ]
         return [r.__dict__ for r in reports] + [audit.__dict__], operators
 
@@ -671,15 +695,15 @@ def seam_field(params):
     return fld, spec.geom
 
 
-def _shifted(fld, geom, params, k):
+def _shifted(fld, params, k):
     """The field rolled by k rows along s: fch_energy with one slab per run and with 8-row slabs, and its residual."""
     rolled = Field(fld.grid, np.roll(fld.values, k, axis=0))
     reports = []
     for samples in (2**62, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(energy, "_SLAB_SAMPLES", samples)
-            reports.append(fch_energy(rolled, geom, 1.0, 1.0, params))
-    return reports, cahn_hilliard_residual(rolled, geom, params)
+            reports.append(fch_energy(rolled, 1.0, 1.0, params))
+    return reports, cahn_hilliard_residual(rolled, params)
 
 
 # k = 0: the seam cuts a run; 100: the two pieces of that run merge; 163: a
@@ -696,9 +720,9 @@ def _shifted(fld, geom, params, k):
 def test_energy_is_invariant_under_a_shift_along_s(seam_field, params, k):
     # the metric of Circle(rho) does not depend on s, so a shift of the
     # samples only reorders the sums
-    fld, geom = seam_field
-    (want, _), residual = _shifted(fld, geom, params, 0)
-    reports, rolled_residual = _shifted(fld, geom, params, k)
+    fld, _ = seam_field
+    (want, _), residual = _shifted(fld, params, 0)
+    reports, rolled_residual = _shifted(fld, params, k)
     # each sample reads the same neighbours wherever the seam falls, so the
     # residual moves with the field bit for bit
     assert np.array_equal(rolled_residual, np.roll(residual, k, axis=0))
@@ -709,11 +733,11 @@ def test_energy_is_invariant_under_a_shift_along_s(seam_field, params, k):
 
 @pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle"])
 def test_residual_matches_whole_grid_operators(case, params):
-    fld, geom = edge_field(case, params)
-    res = cahn_hilliard_residual(fld, geom, params)
+    fld, _ = edge_field(case, params)
+    res = cahn_hilliard_residual(fld, params)
     assert res.shape == fld.grid.shape
     eps = fld.grid.eps
-    dense = -eps * curvilinear_laplacian(fld, geom) + eval_dwell(fld.values, params) / eps
+    dense = -eps * curvilinear_laplacian(fld) + eval_dwell(fld.values, params) / eps
     assert np.array_equal(res, dense)
 
 
@@ -728,6 +752,6 @@ def test_degenerate_metric_refused_off_the_support(params):
     fld = Field(grid, vals)
     assert np.all(1.0 - eps * ell * geom.curvatures(s[np.any(vals > 0.0, axis=1)])[0] > 0.0)
     with pytest.raises(InfeasibleModelError):
-        fch_energy(fld, geom, 1.0, 1.0, params)
+        fch_energy(fld, 1.0, 1.0, params)
     with pytest.raises(InfeasibleModelError):
-        fch_energy(Field(grid, np.zeros(grid.shape)), geom, 1.0, 1.0, params)
+        fch_energy(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params)

@@ -145,6 +145,14 @@ def test_uniform_thickness_threshold():
     assert not uniform_thickness_ok(geom, 1.0000000001)
 
 
+def test_tubular_grid_refuses_a_field_above_the_size_cap():
+    # 8 bytes a sample: 4096 x 4096 x 8 samples are exactly 2^30 bytes
+    geom = Sphere(3.0)
+    assert TubularGrid.build(geom, 0.5, 0.1, (4096, 4096), 8).shape == (4096, 4096, 8)
+    with pytest.raises(ValueError, match=r"^sphere grid 4096x4096x9 needs 1207959552 bytes a field"):
+        TubularGrid.build(geom, 0.5, 0.1, (4096, 4096), 9)
+
+
 def test_tubular_grid_requires_positive_jacobian():
     geom = Circle(1.0)
     with pytest.raises(InfeasibleModelError):

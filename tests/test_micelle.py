@@ -18,7 +18,7 @@ def test_n1_reduces_to_bilayer_half_pulse(params, profile):
 
 def test_n1_virial_is_equipartition(params):
     m = shoot_micelle(1, params)
-    assert virial_defect(m, params) < 1e-8
+    assert virial_defect(m) < 1e-8
 
 
 def _well(profile, params):
@@ -31,14 +31,14 @@ def test_n2_well_integral_vanishes(params, micelle2):
     r = micelle2.r_samples
     w_int = simpson(_well(micelle2, params) * r, x=r)
     assert abs(w_int) < 1e-6 * micelle2.sigma_n
-    assert virial_defect(micelle2, params) < 1e-6
+    assert virial_defect(micelle2) < 1e-6
 
 
 def test_n3_virial_identity(params, micelle3):
     r = micelle3.r_samples
     w_int = simpson(_well(micelle3, params) * r**2, x=r)
     assert w_int == pytest.approx(-micelle3.sigma_n / 6.0, rel=1e-4)
-    assert virial_defect(micelle3, params) < 1e-4
+    assert virial_defect(micelle3) < 1e-4
 
 
 def test_virial_check_has_teeth(params, micelle2):
@@ -48,7 +48,7 @@ def test_virial_check_has_teeth(params, micelle2):
         du_samples=1.1 * micelle2.du_samples,
         _interp=micelle2._interp,
     )
-    assert virial_defect(scaled, params) > 1e-3
+    assert virial_defect(scaled) > 1e-3
 
 
 def test_grazing_landing(micelle2, micelle3):

@@ -1,4 +1,5 @@
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fchlab import (
     InterfaceGeom,
     MicelleFamily,
     Sphere,
+    Torus,
     TubularGrid,
     build_bilayer_field,
     build_micelle_field,
@@ -50,7 +52,7 @@ def test_spec_validation(params):
 
 def test_bilayer_field_is_s_independent(params):
     fld = build_bilayer_field(bilayer_spec(params), 0.1)
-    rep = fch_energy(fld, Circle(1.0), 1.0, 1.0, params)
+    rep = fch_energy(fld, 1.0, 1.0, params)
     assert rep.norm_us_l2 == 0.0
     assert rep.norm_uss_l2 == 0.0
 
@@ -98,7 +100,7 @@ def test_micelle_field_single_center(params, micelle2):
             eps_list=(eps,),
         )
         fld = build_micelle_field(spec, eps)
-        rep = fch_energy(fld, Circle(1.0), 1.0, 1.0, params)
+        rep = fch_energy(fld, 1.0, 1.0, params)
         predicted = omega * micelle_energy(2, eps, 1.0, 1.0, micelle2.sigma_n)
         gaps.append(abs(rep.total - predicted) / abs(predicted))
     assert gaps[0] <= 0.02 and gaps[1] <= 0.02
@@ -122,6 +124,34 @@ def test_micelle_field_single_center(params, micelle2):
     ref = np.maximum(prof.evaluate(np.linalg.norm(pos - geom.position(*center), axis=-1) / eps), 0.0)
     assert np.count_nonzero(ref) > 0
     assert np.array_equal(fld.values, ref)
+
+
+def test_family_builds_the_nz_it_asks_for(params):
+    eps, _ = snap_micelle_eps(0.5, 2, 0.05)
+    micelles = MicelleFamily(
+        geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,), ns=(512,), nz=385
+    )
+    assert build_micelle_field(micelles, eps).grid.shape == (512, 385)
+    # nz None: 257 z samples for a micelle, 513 for a bilayer
+    assert build_micelle_field(replace(micelles, nz=None), eps).grid.shape == (512, 257)
+    assert build_bilayer_field(bilayer_spec(params), 0.1).grid.shape == (64, 513)
+
+
+def test_oversized_grid_is_refused_before_it_is_allocated(params):
+    # the default micelle resolution on Torus(3, 1) at eps 0.0499 asks for
+    # about 629 x 2516 x 257 samples, 3.25 GB a field
+    family = MicelleFamily(
+        geom=Torus(3.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.0499,)
+    )
+    shoot_micelle(3, params)  # the memoised profile, outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^torus grid \d+x\d+x257 needs \d+ bytes a field"):
+            run_convergence(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
