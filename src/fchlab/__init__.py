@@ -29,15 +29,12 @@ from .geometry import (
     Torus,
     TubularGrid,
     bending_integral,
-    gaussian_curvature_sums,
     geometry_from_config,
     jacobian,
     place_micelle_centers,
     total_curvature,
-    uniform_thickness_ok,
-    validate_uniform_thickness,
 )
-from .micelle import MicelleProfile, micelle_energy, shoot_micelle, unit_sphere_area, virial_defect
+from .micelle import MicelleProfile, shoot_micelle, unit_sphere_area, virial_defect
 from .potential import (
     GrowthConstants,
     GrowthViolation,

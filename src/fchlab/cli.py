@@ -24,11 +24,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InfeasibleModelError, NumericsError
-from .geometry import check_alpha, geometry_from_config
+from .geometry import geometry_from_config
 from .micelle import shoot_micelle, virial_defect
 from .potential import WellParams, default_params
 from .bilayer import solve_profile
-from .sequences import BilayerFamily, MicelleFamily, phase_diagram, run_convergence
+from .sequences import BilayerFamily, MicelleFamily, check_alpha, phase_diagram, run_convergence
 
 _WELL_KEYS = ("r", "u_plus", "tau", "p", "c5")
 
@@ -106,6 +106,15 @@ def _count(val, name) -> int:
     return int(val)
 
 
+def _widths(val):
+    """An eps_list value: null (the family's default schedule) or a list of finite numbers, refused by its key."""
+    if val is None:
+        return None
+    if not isinstance(val, (list, tuple)):
+        raise ValueError("eps_list must be a list of numbers")
+    return tuple(_number(eps, "eps_list entry") for eps in val)
+
+
 def _range(resolved, key):
     """resolved[key] as (lo, hi, count): two numbers and an integral count >= 1."""
     val = resolved[key]
@@ -126,14 +135,14 @@ def _merge(defaults, config, flags):
     for key, val in config.items():
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
+        if key in ("well", "geometry") and not isinstance(val, dict):
+            # geometry too: the geometry flags below edit the block in place
+            raise ValueError(f"{key} must be a JSON object")
         if key == "well":
             unknown = [k for k in val if k not in _WELL_KEYS]
             if unknown:
                 raise ValueError(f"unknown well key {unknown[0]!r}")
             out["well"].update(val)
-        elif key == "geometry" and not isinstance(val, dict):
-            # refused here as well: the geometry flags below edit the block in place
-            raise ValueError("geometry must be a JSON object")
         else:
             out[key] = val
     for key, val in flags.items():
@@ -210,7 +219,7 @@ def cmd_converge(resolved, dry_run):
         params=params,
         eta1=_number(resolved["eta1"], "eta1"),
         eta2=_number(resolved["eta2"], "eta2"),
-        eps_list=resolved["eps_list"],
+        eps_list=_widths(resolved["eps_list"]),
         # alpha: check_alpha refuses nan and inf with the other alphas it refuses
         **{key: _real(resolved[key], key) for key in keys},
     )
@@ -331,7 +340,10 @@ def main(argv=None) -> int:
         config = json.loads(Path(args.config).read_text()) if args.config else {}
         flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "seed", "dry_run")}
         if command == "converge" and flags.get("eps_list") is not None:
-            flags["eps_list"] = [float(x) for x in flags["eps_list"].split(",")]
+            try:  # floats for _widths to check
+                flags["eps_list"] = [float(part) for part in flags["eps_list"].split(",")]
+            except ValueError:
+                raise ValueError("eps_list must be comma-separated numbers") from None
         if command == "phase":
             for key in ("eta1_range", "eta2_range"):
                 if flags.get(key) is not None:

@@ -290,9 +290,11 @@ class _SlabPass:
     chart on the body +-2 rows.  Chart axis 0's stencils read past the
     body: u_t there is formed from u on the body +-4 rows and kept on the
     body +-2 rows (t_near[0]), which the chained u_ss reads, as the metric
-    coefficient d1_s(P/H_0^2) reads the metric there.  near[axis] is the
-    slice of the body +-2 rows that an axis's stencils read for the body,
-    and inner[axis] the body within those; the other axes read the body.
+    coefficient d1_s(P/H_0^2) reads the metric there; u_tt there is formed
+    from u on the body +-2 rows, all that its five-point rows read.
+    near[axis] is the slice of the body +-2 rows that an axis's stencils
+    read for the body, and inner[axis] the body within those; the other
+    axes read the body.
     """
 
     def __init__(self, chart: _Chart, slab: _Slab, u):
@@ -308,7 +310,7 @@ class _SlabPass:
         self.t_near = [chart.d1_s(ext, 0)[slab.within(4, 2)]]
         self.t_near += [chart.d1_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
         self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
-        self.u_tt = [chart.d2_s(ext, 0)[slab.within(4, 0)]]
+        self.u_tt = [chart.d2_s(ext[slab.within(4, 2)], 0)[body]]
         self.u_tt += [chart.d2_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
         h_z = chart.grid.h_z
         self.u_z = d1_bounded(u, -1, h_z)

@@ -29,13 +29,9 @@ __all__ = [
     "check_width",
     "geometry_from_config",
     "jacobian",
-    "gaussian_curvature_sums",
     "total_curvature",
     "bending_integral",
     "place_micelle_centers",
-    "check_alpha",
-    "validate_uniform_thickness",
-    "uniform_thickness_ok",
 ]
 
 _VALIDATION_NODES = 512
@@ -44,6 +40,8 @@ _SURFACE_NODES = 512
 _CURVE_NODES = 2048
 # intervals of the arc-length table that places micelle centers on curves
 _ARCLENGTH_NODES = 16384
+# nodes per chart axis, ends included, of the mesh that bounds the Lame factors
+_LAME_NODES = 128
 # bytes of the largest field TubularGrid.build accepts (float64 samples)
 _MAX_FIELD_BYTES = 2**30
 
@@ -112,7 +110,7 @@ class InterfaceGeom:
                 grids.append(_chart_axis(per, period, n_nodes))
                 wlists.append(np.full(n_nodes, period / n_nodes))
             else:
-                nodes, ww = _nonperiodic_rule(self, period, n_nodes)
+                nodes, ww = _nonperiodic_rule(n_nodes)
                 grids.append(nodes)
                 wlists.append(ww)
         mesh = np.meshgrid(*grids, indexing="ij")
@@ -134,6 +132,12 @@ class InterfaceGeom:
     @property
     def surface_measure(self):
         return self._surface_integrals[0]
+
+    @cached_property
+    def lame_range(self):
+        """Per chart axis, (min, max) of its Lame factor on a mesh of 128 nodes an axis, ends included."""
+        mesh = np.meshgrid(*[np.linspace(0, p, _LAME_NODES) for p in self.chart_periods], indexing="ij")
+        return tuple((float(np.min(w)), float(np.max(w))) for w in self.lame(*mesh))
 
     @cached_property
     def arclength_table(self):
@@ -163,7 +167,7 @@ def _periodic_or_interior_gradient(f, axis, h, periodic):
     return np.gradient(f, h, axis=axis)
 
 
-def _nonperiodic_rule(geom, period, n_nodes):
+def _nonperiodic_rule(n_nodes):
     # only the sphere polar angle lands here; Gauss-Legendre in cos(theta)
     # integrates the sin(theta) weight exactly through the substitution
     xi, ww = gauss_legendre(n_nodes)
@@ -177,8 +181,8 @@ class Circle(InterfaceGeom):
     """Circle of radius rho in the plane, outward normal."""
 
     def __init__(self, rho: float):
-        if rho <= 0.0:
-            raise ValueError("circle radius must be positive")
+        if not 0.0 < rho < math.inf:
+            raise ValueError("circle radius must be positive and finite")
         self.rho = float(rho)
         self.name = "circle"
         self.ambient_n = 2
@@ -204,8 +208,8 @@ class Ellipse(InterfaceGeom):
     """Ellipse (a cos t, b sin t), outward normal."""
 
     def __init__(self, a: float, b: float):
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("ellipse semi-axes must be positive")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError("ellipse semi-axes must be positive and finite")
         self.a = float(a)
         self.b = float(b)
         self.name = "ellipse"
@@ -237,8 +241,8 @@ class Sphere(InterfaceGeom):
     """Sphere of radius rho, chart (theta, phi), outward normal."""
 
     def __init__(self, rho: float):
-        if rho <= 0.0:
-            raise ValueError("sphere radius must be positive")
+        if not 0.0 < rho < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
         self.rho = float(rho)
         self.name = "sphere"
         self.ambient_n = 3
@@ -272,8 +276,8 @@ class Torus(InterfaceGeom):
     """
 
     def __init__(self, R: float, r: float):
-        if not 0.0 < r < R:
-            raise ValueError("torus radii must satisfy 0 < r < R")
+        if not 0.0 < r < R < math.inf:
+            raise ValueError("torus radii must be finite and satisfy 0 < r < R")
         self.R = float(R)
         self.r = float(r)
         self.name = "torus"
@@ -318,7 +322,8 @@ _SHAPES = {
 def geometry_from_config(cfg: dict) -> InterfaceGeom:
     """Build a geometry from a config mapping like {"shape": "circle", "rho": 1}.
 
-    Names the first missing key, and refuses any key the shape does not use.
+    Names the first missing key, refuses any key the shape does not use,
+    and refuses a value that is not a finite number by its key.
     """
     if not isinstance(cfg, dict):
         raise ValueError("geometry must be a JSON object")
@@ -332,7 +337,10 @@ def geometry_from_config(cfg: dict) -> InterfaceGeom:
     unused = [k for k in cfg if k != "shape" and k not in keys]
     if unused:
         raise ValueError(f"{shape} geometry does not use key {unused[0]!r}")
-    return cls(*(cfg[k] for k in keys))
+    for key in keys:
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)) or not math.isfinite(cfg[key]):
+            raise ValueError(f"{shape} geometry key {key!r} must be a finite number")
+    return cls(*(float(cfg[k]) for k in keys))
 
 
 def total_curvature(geom: InterfaceGeom, t):
@@ -363,40 +371,9 @@ def jacobian(geom: InterfaceGeom, t, z, eps: float):
     return out
 
 
-def gaussian_curvature_sums(geom: InterfaceGeom, t):
-    """[K_0, K_1, ..., K_{n-1}]: elementary symmetric functions of the kappas."""
-    kappas = geom.curvatures(*_as_chart(geom, t))
-    sums = [np.ones_like(np.asarray(kappas[0], dtype=float))]
-    for kap in kappas:
-        new = []
-        for j in range(len(sums) + 1):
-            term = sums[j] if j < len(sums) else 0.0
-            if j > 0:
-                term = term + sums[j - 1] * kap
-            new.append(term)
-        sums = new
-    return sums
-
-
 def bending_integral(geom: InterfaceGeom) -> float:
     """integral over Gamma of H0(s)^2 ds."""
     return geom._surface_integrals[1]
-
-
-def validate_uniform_thickness(geom: InterfaceGeom, ell: float):
-    """Enforce ell < 1/(2*kappa0), the uniform-in-eps thickness hypothesis."""
-    if not ell * geom.kappa0 < 0.5:
-        raise InfeasibleModelError(
-            f"half-thickness ell={ell} violates ell < 1/(2*kappa0) = {0.5 / geom.kappa0}"
-        )
-
-
-def uniform_thickness_ok(geom: InterfaceGeom, ell: float) -> bool:
-    try:
-        validate_uniform_thickness(geom, ell)
-    except InfeasibleModelError:
-        return False
-    return True
 
 
 def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
@@ -417,10 +394,8 @@ def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
 class TubularGrid:
     """Tensor grid on the rescaled tubular domain Q x [-ell, ell].
 
-    The hard validity requirement is positivity of the Jacobian on the
-    grid, eps*ell*kappa0 < 1.  The stronger uniform hypothesis
-    ell*kappa0 < 1/2 is tracked separately (uniform_thickness flag) because
-    wide compactons need ell beyond it on strongly curved interfaces.
+    The validity requirement is positivity of the Jacobian on the grid,
+    eps*ell*kappa0 < 1 (check_width).
     """
 
     geom: InterfaceGeom
@@ -483,15 +458,6 @@ class TubularGrid:
         w[-1] *= 0.5
         return w
 
-    @property
-    def uniform_thickness(self) -> bool:
-        """ell*kappa0 < 1/2 on the rescaled slab, independent of eps.
-
-        Not the `uniform_thickness` column of a ConvergenceReport, which
-        tests eps*ell*kappa0 < 1/2 per width.
-        """
-        return uniform_thickness_ok(self.geom, self.ell)
-
 
 def _halton(count, base):
     """Points 1..count of the base-`base` Halton sequence; finished indices add exact zeros."""
@@ -503,33 +469,20 @@ def _halton(count, base):
     return res
 
 
-def check_alpha(alpha) -> None:
-    """Refuse a micelle density coefficient that is not a finite number > 0."""
-    if alpha is None or not 0.0 < alpha < math.inf:
-        raise ValueError("micelle sequences need alpha > 0")
-
-
-def place_micelle_centers(geom: InterfaceGeom, eps: float, alpha: float, r0: float):
-    """Choose N = round(alpha * eps^(1-n)) chart points with separation > 2*eps*r0.
+def place_micelle_centers(geom: InterfaceGeom, eps: float, count: int, r0: float):
+    """Choose `count` chart points with separation > 2*eps*r0.
 
     Curves get equal arc-length spacing; surfaces get an area-proportional
     low-discrepancy spread with greedy rejection.  Raises PlacementError
     when the separation constraint cannot be met, reporting how many
-    centers fit at this eps (counts, not densities: a caller's alpha may
-    be scaled before it gets here).
+    centers fit at this eps.
     """
     if eps <= 0.0 or r0 <= 0.0:
         raise ValueError("eps and r0 must be positive")
-    check_alpha(alpha)
-    n_amb = geom.ambient_n
-    n_pts = int(round(alpha * eps ** (1 - n_amb)))
-    if n_pts < 1:
-        raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
     min_sep = 2.0 * eps * r0
-
     if geom.chart_dims == 1:
-        return _place_on_curve(geom, n_pts, min_sep, eps)
-    return _place_on_surface(geom, n_pts, min_sep, eps)
+        return _place_on_curve(geom, count, min_sep, eps)
+    return _place_on_surface(geom, count, min_sep, eps)
 
 
 def _curve_points_at_arclength(geom, s_values):

@@ -43,7 +43,6 @@ __all__ = [
     "MicelleProfile",
     "shoot_micelle",
     "virial_defect",
-    "micelle_energy",
     "unit_sphere_area",
 ]
 
@@ -330,19 +329,3 @@ def virial_defect(profile: MicelleProfile) -> float:
     target = (2.0 - n) / (2.0 * n) * sigma
     return abs(w_int - target) / abs(sigma)
 
-
-def micelle_energy(dim_n: int, eps: float, eta1: float, eta2: float, sigma_n: float) -> float:
-    """Energy of a single radial profile at width eps, per unit solid angle.
-
-    Returns -eps^(n-1) * (eta1/2 + (2-n)/(2n) * eta2) * sigma_n.  The full
-    ambient energy of one embedded micelle carries an extra factor
-    unit_sphere_area(dim_n) from the angular integral; callers comparing
-    against direct energy evaluations must apply it.
-    """
-    if dim_n < 1:
-        raise ValueError("dim_n must be at least 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if sigma_n <= 0.0:
-        raise ValueError("sigma_n must be positive")
-    return -(eps ** (dim_n - 1.0)) * (0.5 * eta1 + (2.0 - dim_n) / (2.0 * dim_n) * eta2) * sigma_n

@@ -23,6 +23,11 @@ from .errors import InfeasibleWellError
 # entries each memoised solver keeps: one per distinct well and option set
 MEMO_SIZE = 32
 
+# the default audit grid: core samples, and log-spaced tail samples out to |u| = _AUDIT_FAR
+_AUDIT_CORE = 2001
+_AUDIT_TAIL = 200
+_AUDIT_FAR = 1e3
+
 __all__ = [
     "WellParams",
     "GrowthConstants",
@@ -337,10 +342,6 @@ class GrowthViolation:
     message: str
     violating_u: tuple
 
-    @property
-    def feasible(self):
-        return False
-
 
 def _fit_offsets(p, c1, u, w, dw):
     absu = np.abs(u)
@@ -416,9 +417,9 @@ def audit_growth(params: WellParams, grid):
     )
 
 
-def default_audit_grid(params: WellParams, far=1e3, n_core=2001, n_far=200):
+def default_audit_grid(params: WellParams):
     """Core samples on [-10*u_plus, 10*u_plus] plus log-spaced far-field tails."""
     span = 10.0 * params.u_plus
-    core = np.linspace(-span, span, n_core)
-    tail = np.geomspace(span, far, n_far)
+    core = np.linspace(-span, span, _AUDIT_CORE)
+    tail = np.geomspace(span, _AUDIT_FAR, _AUDIT_TAIL)
     return np.unique(np.concatenate([core, tail, -tail]))

@@ -12,9 +12,10 @@ limit.
 Counting convention: one embedded micelle carries the unit-sphere area
 factor omega = unit_sphere_area(n) on top of the 1-D radial energy, so
 hitting the limit above requires N = round(alpha/omega * eps^(1-n))
-centers.  The width schedule for micelle runs is snapped so that this
-count is an exact integer; at desk-scale widths the count is small enough
-that naive rounding would otherwise distort the limit by several percent.
+centers.  N is formed in one place, behind `MicelleFamily.micelle_count`,
+and `snap_micelle_eps` snaps the default width schedule so that it is an
+exact integer; at desk-scale widths the count is small enough that naive
+rounding would otherwise distort the limit by several percent.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .bilayer import solve_profile
 from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
-from .errors import InfeasibleModelError, NumericsError
-from .geometry import InterfaceGeom, TubularGrid, check_alpha, place_micelle_centers
+from .errors import InfeasibleModelError, NumericsError, PlacementError
+from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
 from .micelle import shoot_micelle, unit_sphere_area
 from .potential import WellParams
 
@@ -44,6 +45,7 @@ __all__ = [
     "run_convergence",
     "verify_derivative_bounds",
     "phase_diagram",
+    "check_alpha",
     "micelle_limit",
     "snap_micelle_eps",
 ]
@@ -58,15 +60,25 @@ def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: f
     return -alpha * (0.5 * eta1 + (2.0 - dim_n) / (2.0 * dim_n) * eta2) * sigma_n
 
 
+def check_alpha(alpha) -> None:
+    """Refuse a micelle density coefficient that is not a finite number > 0."""
+    if alpha is None or not 0.0 < alpha < math.inf:
+        raise ValueError("micelle sequences need alpha > 0")
+
+
+def _micelle_count(alpha, dim_n, eps) -> int:
+    """The counting convention: round(alpha/omega * eps^(1-n)) micelles at width eps."""
+    return round(alpha / unit_sphere_area(dim_n) * eps ** (1 - dim_n))
+
+
 def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
     """Nearest width at which the micelle count is an exact integer.
 
-    Returns (eps_snapped, count) with count = alpha/omega * eps^(1-n).
+    Returns (eps_snapped, count) with count = alpha/omega * eps^(1-n), at least 1.
     """
     check_alpha(alpha)
-    omega = unit_sphere_area(dim_n)
-    count = max(1, round(alpha / omega * eps ** (1 - dim_n)))
-    eps_snapped = (alpha / (omega * count)) ** (1.0 / (dim_n - 1))
+    count = max(1, _micelle_count(alpha, dim_n, eps))
+    eps_snapped = (alpha / (unit_sphere_area(dim_n) * count)) ** (1.0 / (dim_n - 1))
     return eps_snapped, count
 
 
@@ -127,9 +139,9 @@ class BilayerFamily(_Family):
 class MicelleFamily(_Family):
     """Micelle fields at snapped widths, tending to the micelle limit.
 
-    alpha is the limit-density coefficient; the module docstring gives the
-    counting convention.  Centers move with eps, so each width has its own
-    field.  The count hits the limit at every width: no eps-rate to fit.
+    alpha is the limit-density coefficient; micelle_count(eps) forms the
+    module docstring's count.  Centers move with eps, so each width has its
+    own field.  The count hits the limit at every width: no eps-rate to fit.
     """
 
     alpha: float | None = None
@@ -153,7 +165,7 @@ class MicelleFamily(_Family):
         return micelle_limit(n_amb, self.alpha, self.eta1, self.eta2, shoot_micelle(n_amb, self.params).sigma_n)
 
     def micelle_count(self, eps: float) -> int:
-        return snap_micelle_eps(self.alpha, self.geom.ambient_n, eps)[1]
+        return _micelle_count(self.alpha, self.geom.ambient_n, eps)
 
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
@@ -197,28 +209,26 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     a runtime overlap check guards the construction.
     """
     geom = family.geom
-    n_amb = geom.ambient_n
-    prof = shoot_micelle(n_amb, family.params)
+    prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
     ell = family.ell if family.ell is not None else 1.05 * r0
-    alpha_count = family.alpha / unit_sphere_area(n_amb)
-    centers = place_micelle_centers(geom, eps, alpha_count, r0)
+    count = family.micelle_count(eps)
+    if count < 1:
+        raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
+    centers = place_micelle_centers(geom, eps, count, r0)
 
-    # metric factors on a coarse chart mesh: the largest sets the default
-    # resolution, the smallest a conservative chart extent of one micelle
-    lames = geom.lame(*np.meshgrid(*[np.linspace(0, p, 128) for p in geom.chart_periods], indexing="ij"))
+    # the largest metric factor sets the default resolution, the smallest a
+    # conservative chart extent of one micelle
     ns = family.ns
     if ns is None:
-        h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / float(np.max(w))) for w in lames]
+        h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for _, hi in geom.lame_range]
         ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
     grid = TubularGrid.build(geom, ell, eps, ns, 257 if family.nz is None else family.nz)
 
     vals = np.zeros(grid.shape)
     mesh = grid.s_mesh
     reach = 1.2 * eps * r0 + eps * ell
-    halfwidths = [
-        int(np.ceil(reach / max(float(np.min(w)), 1e-12) / h)) + 4 for w, h in zip(lames, grid.h_s)
-    ]
+    halfwidths = [int(np.ceil(reach / max(lo, 1e-12) / h)) + 4 for (lo, _), h in zip(geom.lame_range, grid.h_s)]
     for center in centers:
         c_pos = geom.position(*center)
         idx = np.ix_(*_chart_window(geom, grid, center, halfwidths))
@@ -249,8 +259,7 @@ class ConvergenceReport:
     at every width) there is no eps-rate or Aitken value (both None).
 
     uniform_thickness holds eps*ell*kappa0 < 1/2 per width, the unscaled
-    half-thickness against the curvature; TubularGrid.uniform_thickness is
-    the eps-free ell*kappa0 < 1/2.
+    half-thickness against the curvature.
     """
 
     fits_rate: bool

@@ -252,6 +252,22 @@ BAD_INPUTS = {
         "profile", "--kind", "bilayer", "--config", _config(tmp, '{"samples": 40.5}')
     ],
     "profile-null-samples": lambda tmp: ["profile", "--kind", "bilayer", "--config", _config(tmp, '{"samples": null}')],
+    "inf-ellipse-a": lambda tmp: ["converge", "--shape", "ellipse", "--a", "inf", "--b", "1", "--eps-list", "0.1"],
+    "nan-rho": lambda tmp: ["converge", "--rho", "nan", "--eps-list", "0.1,0.05"],
+    "phase-nan-rho": lambda tmp: [
+        "phase", "--shape", "sphere", "--rho", "nan", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"
+    ],
+    "inf-torus-R": lambda tmp: ["converge", "--shape", "torus", "--torus-R", "inf", "--torus-r", "1", "--eps-list", "0.1"],
+    "boolean-rho": lambda tmp: ["converge", "--config", _config(tmp, '{"geometry": {"shape": "circle", "rho": true}}')],
+    "string-rho": lambda tmp: ["converge", "--config", _config(tmp, '{"geometry": {"shape": "circle", "rho": "2"}}')],
+    "null-rho": lambda tmp: ["phase", "--config", _config(tmp, '{"geometry": {"shape": "sphere", "rho": null}}')],
+    "boolean-eps-entry": lambda tmp: ["converge", "--config", _config(tmp, '{"eps_list": [true, 0.05]}')],
+    "string-eps-entry": lambda tmp: ["converge", "--config", _config(tmp, '{"eps_list": ["0.1", 0.05]}')],
+    "string-eps-list": lambda tmp: ["converge", "--config", _config(tmp, '{"eps_list": "0.1"}')],
+    "number-eps-list": lambda tmp: ["converge", "--config", _config(tmp, '{"eps_list": 0.1}')],
+    "number-well": lambda tmp: ["converge", "--config", _config(tmp, '{"well": 5}')],
+    "string-well": lambda tmp: ["phase", "--config", _config(tmp, '{"well": "ab"}')],
+    "list-well": lambda tmp: ["profile", "--kind", "bilayer", "--config", _config(tmp, '{"well": ["r"]}')],
 }
 
 
@@ -385,6 +401,34 @@ def test_geometry_unused_key_is_refused(tmp_path, capsys, command):
     assert _refused(capsys, run_cli(args + ["--dry-run"])) == "ellipse geometry does not use key 'rho'"
     assert _refused(capsys, run_cli(args)) == "ellipse geometry does not use key 'rho'"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("inf-ellipse-a", "ellipse geometry key 'a' must be a finite number"),
+        ("nan-rho", "circle geometry key 'rho' must be a finite number"),
+        ("phase-nan-rho", "sphere geometry key 'rho' must be a finite number"),
+        ("inf-torus-R", "torus geometry key 'R' must be a finite number"),
+        ("boolean-rho", "circle geometry key 'rho' must be a finite number"),
+        ("string-rho", "circle geometry key 'rho' must be a finite number"),
+        ("null-rho", "sphere geometry key 'rho' must be a finite number"),
+        ("boolean-eps-entry", "eps_list entry must be a number"),
+        ("string-eps-entry", "eps_list entry must be a number"),
+        ("nan-eps-list", "eps_list entry must be finite"),
+        ("string-eps-list", "eps_list must be a list of numbers"),
+        ("number-eps-list", "eps_list must be a list of numbers"),
+        ("bad-eps-list", "eps_list must be comma-separated numbers"),
+        ("number-well", "well must be a JSON object"),
+        ("string-well", "well must be a JSON object"),
+        ("list-well", "well must be a JSON object"),
+        ("string-geometry", "geometry must be a JSON object"),
+    ],
+)
+def test_geometry_width_and_well_values_are_named(tmp_path, capsys, case, message):
+    # the dry-run parity test shows the run refuses it alike
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
+    assert _refused(capsys, code) == message
 
 
 @pytest.mark.parametrize(

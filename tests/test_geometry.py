@@ -7,17 +7,16 @@ import pytest
 from fchlab import (
     Circle,
     Ellipse,
+    MicelleFamily,
     Sphere,
     Torus,
     TubularGrid,
     bending_integral,
-    gaussian_curvature_sums,
     geometry_from_config,
     jacobian,
     place_micelle_centers,
     total_curvature,
-    uniform_thickness_ok,
-    validate_uniform_thickness,
+    unit_sphere_area,
 )
 from fchlab.errors import InfeasibleModelError, PlacementError
 from fchlab.geometry import _greedy_spread, _halton, _surface_candidates
@@ -104,15 +103,6 @@ def test_jacobian_matches_tubular_map_determinant():
     assert det == pytest.approx(float(reference), rel=1e-8)
 
 
-def test_gaussian_curvature_sums():
-    sums = gaussian_curvature_sums(Sphere(3.0), (0.7, 0.3))
-    assert [float(s) for s in sums] == pytest.approx([1.0, 2 / 3.0, 1 / 9.0])
-    t = Torus(3.0, 1.0)
-    k1, k2 = (float(k) for k in t.curvatures(1.0, 0.0))
-    sums = gaussian_curvature_sums(t, (1.0, 0.0))
-    assert [float(s) for s in sums] == pytest.approx([1.0, k1 + k2, k1 * k2])
-
-
 def test_surface_measures():
     assert Circle(1.5).surface_measure == pytest.approx(3 * np.pi, rel=1e-12)
     assert Sphere(2.0).surface_measure == pytest.approx(16 * np.pi, rel=1e-12)
@@ -136,15 +126,6 @@ def test_tubular_volume_identity():
         assert vol == pytest.approx(exact, rel=1e-6)
 
 
-def test_uniform_thickness_threshold():
-    geom = Circle(2.0)  # kappa0 = 0.5, threshold ell = 1
-    validate_uniform_thickness(geom, 0.999999999)
-    assert uniform_thickness_ok(geom, 0.999999999)
-    with pytest.raises(InfeasibleModelError):
-        validate_uniform_thickness(geom, 1.0)
-    assert not uniform_thickness_ok(geom, 1.0000000001)
-
-
 def test_tubular_grid_refuses_a_field_above_the_size_cap():
     # 8 bytes a sample: 4096 x 4096 x 8 samples are exactly 2^30 bytes
     geom = Sphere(3.0)
@@ -157,14 +138,11 @@ def test_tubular_grid_requires_positive_jacobian():
     geom = Circle(1.0)
     with pytest.raises(InfeasibleModelError):
         TubularGrid.build(geom, 10.0, 0.11, 16, 65)
-    grid = TubularGrid.build(geom, 10.0, 0.05, 16, 65)
-    assert grid.shape == (16, 65)
-    assert not grid.uniform_thickness
-    assert TubularGrid.build(geom, 0.4, 0.05, 16, 65).uniform_thickness
+    assert TubularGrid.build(geom, 10.0, 0.05, 16, 65).shape == (16, 65)
 
 
 def test_placement_on_circle():
-    pts = place_micelle_centers(Circle(1.0), 0.01, 0.5, 6.0)
+    pts = place_micelle_centers(Circle(1.0), 0.01, 50, 6.0)
     assert len(pts) == 50
     spacing = 2 * np.pi / 50
     assert spacing > 2 * 0.01 * 6.0
@@ -173,18 +151,20 @@ def test_placement_on_circle():
     assert d > 2 * 0.01 * 6.0
 
 
-def test_placement_count_scaling():
-    n1 = len(place_micelle_centers(Circle(1.0), 0.02, 0.5, 6.0))
-    n2 = len(place_micelle_centers(Circle(1.0), 0.01, 0.5, 6.0))
-    assert abs(n2 - 2 * n1) <= 1
-    m1 = len(place_micelle_centers(Sphere(1.0), 0.1, 0.05, 1.0))
-    m2 = len(place_micelle_centers(Sphere(1.0), 0.05, 0.05, 1.0))
-    assert abs(m2 - 4 * m1) <= 1
+def test_placement_count_scaling(params):
+    # the family's count grows like eps^(1-n), and placement delivers each count
+    cases = ((Circle(1.0), 0.5, 6.0, (0.02, 0.01)), (Sphere(1.0), 0.05, 1.0, (0.1, 0.05)))
+    for geom, density, r0, (eps1, eps2) in cases:
+        alpha = density * unit_sphere_area(geom.ambient_n)
+        family = MicelleFamily(geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=alpha, eps_list=(eps1, eps2))
+        n1, n2 = (len(place_micelle_centers(geom, eps, family.micelle_count(eps), r0)) for eps in (eps1, eps2))
+        assert (n1, n2) == (family.micelle_count(eps1), family.micelle_count(eps2))
+        assert abs(n2 - (eps1 / eps2) ** (geom.ambient_n - 1) * n1) <= 1
 
 
 def test_placement_separation_on_surfaces():
     for geom in (Sphere(1.0), Torus(3.0, 1.0)):
-        pts = place_micelle_centers(geom, 0.05, 0.05, 1.0)
+        pts = place_micelle_centers(geom, 0.05, 20, 1.0)
         pos = geom.position(pts[:, 0], pts[:, 1])
         n = len(pos)
         dmin = min(np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n))
@@ -193,18 +173,20 @@ def test_placement_separation_on_surfaces():
 
 @pytest.mark.parametrize("geom", [Circle(1.0), Sphere(3.0)], ids=["curve", "surface"])
 @pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
-def test_placement_refuses_nonfinite_alpha(geom, alpha):
-    # round(alpha * eps^(1-n)) would raise OverflowError on inf and ValueError on nan
+def test_placement_refuses_nonfinite_alpha(params, geom, alpha):
+    # placement takes a count; the micelle family, which forms the count
+    # round(alpha/omega * eps^(1-n)), refuses the alpha before it counts:
+    # round() would raise OverflowError on inf and ValueError on nan
     with pytest.raises(ValueError, match=r"^micelle sequences need alpha > 0$"):
-        place_micelle_centers(geom, 0.05, alpha, 1.0)
+        MicelleFamily(geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=alpha, eps_list=(0.05,))
 
 
 def test_placement_infeasible_when_too_dense():
     # pigeonhole: 2*eps*r0 * N exceeds the circumference; the refusal counts centers
     with pytest.raises(PlacementError, match=r"cannot place 2000 centers .*fits at most 52 at eps = 0.01$"):
-        place_micelle_centers(Circle(1.0), 0.01, 20.0, 6.0)
+        place_micelle_centers(Circle(1.0), 0.01, 2000, 6.0)
     with pytest.raises(PlacementError) as err:
-        place_micelle_centers(Sphere(1.0), 0.05, 1.0, 6.0)
+        place_micelle_centers(Sphere(1.0), 0.05, 400, 6.0)
     fit = re.fullmatch(r"cannot place 400 centers .*; the greedy spread fits (\d+) at eps = 0.05", str(err.value))
     assert fit and 1 <= int(fit[1]) < 400
 
@@ -215,12 +197,11 @@ def test_surface_refusal_reports_a_count_that_succeeds(geom):
     # walked down, 637 centers on Sphere(1) reported 12, 12 reported 11, and
     # only 10 succeeded (Torus(3, 1): 82 reported, 80 succeed)
     eps, r0 = 0.05, 9.598
-    area = eps ** (geom.ambient_n - 1)
     with pytest.raises(PlacementError) as err:
-        place_micelle_centers(geom, eps, 637 * area, r0)
+        place_micelle_centers(geom, eps, 637, r0)
     fits = int(re.search(r"the greedy spread fits (\d+) at", str(err.value))[1])
     assert 1 <= fits < 637
-    assert len(place_micelle_centers(geom, eps, fits * area, r0)) == fits
+    assert len(place_micelle_centers(geom, eps, fits, r0)) == fits
 
 
 def test_kappa0_pinned():
@@ -246,7 +227,7 @@ def test_torus_placement_pinned():
             [0.29559582859648403, 5.585053606381854],
         ]
     )
-    assert np.array_equal(place_micelle_centers(Torus(3.0, 1.0), 0.25, 0.5, 1.0), expected)
+    assert np.array_equal(place_micelle_centers(Torus(3.0, 1.0), 0.25, 8, 1.0), expected)
 
 
 def _halton_loop(index, base):
@@ -304,10 +285,10 @@ def test_curve_placement_builds_one_arclength_table(monkeypatch):
         return lame(self, *t)
 
     monkeypatch.setattr(Ellipse, "lame", counted)
-    for eps in (0.05, 0.02, 0.01):
-        place_micelle_centers(geom, eps, 0.5, 6.0)
+    for eps, count in ((0.05, 10), (0.02, 25), (0.01, 50)):
+        place_micelle_centers(geom, eps, count, 6.0)
     with pytest.raises(PlacementError):
-        place_micelle_centers(geom, 0.01, 20.0, 6.0)
+        place_micelle_centers(geom, 0.01, 2000, 6.0)
     assert len(calls) == 1
 
 
@@ -318,6 +299,12 @@ def test_geometry_from_config():
     assert isinstance(geometry_from_config({"shape": "torus", "R": 3.0, "r": 1.0}), Torus)
     with pytest.raises(ValueError):
         geometry_from_config({"shape": "klein-bottle"})
+    # each shape value must be a finite number, refused by its key
+    for value in (math.nan, math.inf, True, "2", None, [1.0]):
+        with pytest.raises(ValueError, match=r"^circle geometry key 'rho' must be a finite number$"):
+            geometry_from_config({"shape": "circle", "rho": value})
+    with pytest.raises(ValueError, match=r"^ellipse geometry key 'a' must be a finite number$"):
+        geometry_from_config({"shape": "ellipse", "a": math.inf, "b": 1.0})
 
 
 def test_geometry_parameter_validation():
@@ -325,3 +312,14 @@ def test_geometry_parameter_validation():
         Circle(-1.0)
     with pytest.raises(ValueError):
         Torus(1.0, 2.0)
+    # non-finite radii and semi-axes: a nan compares false and an inf radius has no curvature
+    for make in (Circle, Sphere):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make(value)
+    for a, b in ((math.inf, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Ellipse(a, b)
+    for big, small in ((math.inf, 1.0), (math.nan, 1.0), (3.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Torus(big, small)

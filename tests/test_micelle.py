@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 from scipy.integrate import simpson
 
-from fchlab import micelle_energy, shoot_micelle, unit_sphere_area, virial_defect
+from fchlab import micelle_limit, shoot_micelle, unit_sphere_area, virial_defect
 from fchlab.sequences import micelle_limit
 
 
@@ -80,24 +80,16 @@ def test_amplitude_increases_with_dimension(params, micelle2, micelle3):
 
 
 def test_micelle_energy_formula():
+    # the limit -alpha*(eta1/2 + (2-n)/(2n)*eta2)*sigma_n
     sigma = 0.7
     # n = 2: eta2 drops out entirely
-    assert micelle_energy(2, 0.1, 1.3, 5.0, sigma) == pytest.approx(-0.1 * 1.3 * sigma / 2.0)
-    assert micelle_energy(2, 0.1, 1.3, -5.0, sigma) == micelle_energy(2, 0.1, 1.3, 17.0, sigma)
+    assert micelle_limit(2, 0.1, 1.3, 5.0, sigma) == pytest.approx(-0.1 * 1.3 * sigma / 2.0)
+    assert micelle_limit(2, 0.1, 1.3, -5.0, sigma) == micelle_limit(2, 0.1, 1.3, 17.0, sigma)
     # n = 3 at eta2 = 3*eta1 the prefactor vanishes
-    assert micelle_energy(3, 0.05, 1.0, 3.0, sigma) == pytest.approx(0.0, abs=1e-15)
+    assert micelle_limit(3, 0.05, 1.0, 3.0, sigma) == pytest.approx(0.0, abs=1e-15)
     # eta1 = 1, eta2 = -1: strictly negative for n >= 2
     for n in (2, 3, 4):
-        assert micelle_energy(n, 0.1, 1.0, -1.0, sigma) < 0.0
-
-
-def test_micelle_energy_validation():
-    with pytest.raises(ValueError):
-        micelle_energy(0, 0.1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        micelle_energy(2, -0.1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        micelle_energy(2, 0.1, 1.0, 1.0, -1.0)
+        assert micelle_limit(n, 0.1, 1.0, -1.0, sigma) < 0.0
 
 
 def test_limit_formula_consistent_at_eta2_minus_eta1():

@@ -300,3 +300,34 @@ def test_growth_audit_evaluates_the_well_once(params, monkeypatch):
     monkeypatch.setattr(potential, "eval_well_and_dwell", counted)
     assert isinstance(audit_growth(params, grid), GrowthConstants)
     assert len(calls) == 1
+
+
+# 3 x 4 x 4 x 2 = 96 wells: default_params either audits c5 or refuses for its true reason
+WELL_SWEEP = [
+    (r, tau, u_plus, p)
+    for r in (1.55, 1.75, 1.95)
+    for tau in (0.05, 0.1, 0.25, 0.5)
+    for u_plus in (0.1, 0.25, 1.0, 4.0)
+    for p in (2.0, 3.0)
+]
+
+
+def test_default_params_sweep_solves_or_refuses_truly():
+    refused = 0
+    for r, tau, u_plus, p in WELL_SWEEP:
+        if tau >= r * u_plus / (1.0 + r):
+            # no bracket root in (0, u_plus): W < 0 on both sides of 0, for every c5
+            with pytest.raises(InfeasibleWellError, match=r"^no bracket root in \(0, u_plus\)"):
+                default_params(r, u_plus, tau, p)
+            refused += 1
+            continue
+        params = default_params(r, u_plus, tau, p)
+        # W' zero-free outside [0, u_plus] on a grid unlike default_c5's:
+        # linear near the well, log-spaced out to 2000, other collars
+        near = np.linspace(5e-4, 20.0, 3001) * u_plus
+        far = np.geomspace(20.0 * u_plus, 2000.0, 400)
+        left = -np.concatenate([near, far])
+        right = u_plus * (1.0 + 2e-3) + np.concatenate([near, far])
+        assert np.all(eval_dwell(left, params) < 0.0), (r, tau, u_plus, p)
+        assert np.all(eval_dwell(right, params) > 0.0), (r, tau, u_plus, p)
+    assert refused == 30

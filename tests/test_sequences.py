@@ -18,7 +18,6 @@ from fchlab import (
     build_micelle_field,
     fch_energy,
     g1_energy,
-    micelle_energy,
     micelle_limit,
     phase_diagram,
     place_micelle_centers,
@@ -29,7 +28,7 @@ from fchlab import (
     unit_sphere_area,
     verify_derivative_bounds,
 )
-from fchlab.errors import InfeasibleModelError
+from fchlab.errors import InfeasibleModelError, PlacementError
 
 
 def bilayer_spec(params, **kw):
@@ -101,7 +100,7 @@ def test_micelle_field_single_center(params, micelle2):
         )
         fld = build_micelle_field(spec, eps)
         rep = fch_energy(fld, 1.0, 1.0, params)
-        predicted = omega * micelle_energy(2, eps, 1.0, 1.0, micelle2.sigma_n)
+        predicted = micelle_limit(2, spec.alpha, 1.0, 1.0, micelle2.sigma_n)
         gaps.append(abs(rep.total - predicted) / abs(predicted))
     assert gaps[0] <= 0.02 and gaps[1] <= 0.02
     # refinement must not worsen the match beyond the discretization floor
@@ -117,7 +116,7 @@ def test_micelle_field_single_center(params, micelle2):
     )
     fld = build_micelle_field(spec, eps)
     prof = shoot_micelle(3, params)
-    (center,) = place_micelle_centers(geom, eps, spec.alpha / omega, prof.r0_support)
+    (center,) = place_micelle_centers(geom, eps, spec.micelle_count(eps), prof.r0_support)
     grid = fld.grid
     t = [np.broadcast_to(m[..., None], grid.shape) for m in grid.s_mesh]
     pos = geom.offset_position(t, np.broadcast_to(grid.z_grid, grid.shape), eps)
@@ -309,6 +308,26 @@ def test_snap_micelle_eps_counts():
         eps, count = snap_micelle_eps(0.5, 2, eps_req)
         assert count == round(0.5 / (unit_sphere_area(2) * eps))
         assert abs(0.5 / (unit_sphere_area(2) * eps) - count) < 1e-9
+
+
+def test_micelle_count_is_the_one_counting_convention(params):
+    # round(alpha/omega * eps^(1-n)); the snap keeps at least one center
+    omega = unit_sphere_area(2)
+    family = MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.05,))
+    for eps in (0.05, 0.0123, 0.4, 10.0):
+        assert family.micelle_count(eps) == round(0.5 / omega * eps ** -1)
+        assert snap_micelle_eps(0.5, 2, eps)[1] == max(1, family.micelle_count(eps))
+    assert family.micelle_count(10.0) == 0
+
+
+def test_micelle_builder_refuses_a_zero_count(params):
+    # alpha/omega * eps^(1-n) = 0.3 rounds to no center: refused before placement
+    eps = 0.05
+    family = MicelleFamily(
+        geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.3 * unit_sphere_area(2) * eps, eps_list=(eps,)
+    )
+    with pytest.raises(PlacementError, match=r"^the requested density rounds to 0 centers at eps = 0.05$"):
+        build_micelle_field(family, eps)
 
 
 def test_csv_deterministic(bilayer_report):
