@@ -44,26 +44,37 @@ width of a schedule runs inside it, on the field's own grid.  A slab
 reads its body rows and the 4 rows on either side that the chained
 stencils reach, wrapped on a periodic axis and clipped at the ends of a
 bounded one, where the stencils apply the one-sided rows they apply on
-the whole axis.  From these it forms u, W and W', u_z, u_zz and each
-per-axis u_t and u_tt once, with the partial sums of the six flat-weight
-diagnostics (equipartition defect, pulse residual and the four norms).  Then, per
-width, it builds 1 + eps*z*kappa_j and P on the body +-2 rows and runs
-one loop over the chart axes.  H_j depends on eps, so that loop forms it
-there, once per axis, for the three terms that read it: u_tt/H_j^2 and
-the metric term c_j*u_t of the Laplacian and (u_t/H_j)^2 of |grad u|^2.
-The Laplacian, the residual and |grad u|^2 accumulate in place, and the
-quadratic, functional and mass integrands (and the lower-bound audit's)
-become the slab's partial sums.  Within a slab no stencil of u runs
-twice; neighbouring slabs share only halo rows.  A pass holds slab-sized
-arrays (_SLAB_SAMPLES samples a body) whatever the size of the grid.
+the whole axis.  On the whole slab it forms only u_z and u_zz, the two
+stencils that read along z.  Everything else runs on z-blocks of the
+slab: equal runs of z indices whose body holds at most _BLOCK_SAMPLES
+samples (at least one index), read as views of the slab.  No chart
+stencil reads along z, so a block needs no halo.  A block forms W and
+W', each per-axis u_t and u_tt once, and the partial sums of the six
+flat-weight diagnostics (equipartition defect, pulse residual and the
+four norms).  Then, per width, it builds 1 + eps*z*kappa_j and P on the
+body +-2 rows and runs one loop over the chart axes.  H_j depends on
+eps, so that loop forms it there, once per axis, for the three terms
+that read it: u_tt/H_j^2 and the metric term c_j*u_t of the Laplacian
+and (u_t/H_j)^2 of |grad u|^2.  The Laplacian, the residual and
+|grad u|^2 accumulate in place, and the quadratic, functional and mass
+integrands (and the lower-bound audit's) become the block's partial
+sums.  No stencil of u runs twice on a sample; neighbouring slabs share
+only halo rows.  Each slab, with every view into it, is dropped before
+the next is formed, so a pass holds a few slab-sized arrays and a few
+dozen block-sized ones whatever the size of the grid, and the block
+arrays stay in cache between the operations that read them.
 
 Every stencil row is formed from the same samples with the same
-operations as on the whole grid, so each sample's value does not depend
-on the slabs; the samplewise operators write each slab into their
-zeroed output.  The partial sums are combined in slab order with
-math.fsum and then scaled by prod_j h_j, so results depend only on the
-samples and the array shape and are bit-reproducible for identical
-inputs; a grid of one slab sums exactly as a whole-grid pass.
+operations as on the whole grid, so each sample's value, and every value
+of the samplewise operators, does not depend on the slabs or the blocks;
+those operators write each block into their zeroed output.  The partial
+sums are combined in slab and block order with math.fsum and then scaled
+by prod_j h_j, so results depend only on the samples and the array shape
+and are bit-reproducible for identical inputs; a grid of one block sums
+exactly as a whole-grid pass, and other grids move at round-off when the
+slabs or blocks change.  A width at which a reported integral is not
+finite (eps**2 underflows below eps of about 1e-154) is refused with a
+NumericsError naming the width.
 fch_energy_sweep evaluates one field at a schedule of widths, each on the
 same operations as its own fch_energy call, so the two agree bit for bit;
 it checks each width with geometry.check_width, as TubularGrid.build does.
@@ -79,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
-from .errors import InfeasibleModelError
+from .errors import InfeasibleModelError, NumericsError
 from .geometry import InterfaceGeom, TubularGrid, bending_integral, check_width
 from .potential import GrowthViolation, WellParams, audit_growth, default_audit_grid, eval_well_and_dwell
 
@@ -161,8 +172,13 @@ class EnergyReport:
 _HALO = 8
 
 # Samples in the body of one slab of chart axis 0 (at least 8 rows): a pass
-# holds arrays of about this size, whatever the size of the grid.
+# holds a few arrays of about this size, whatever the size of the grid.
 _SLAB_SAMPLES = 2**18
+
+# Samples in the body of one z-block of a slab (at least one z index): the
+# many arrays a pass forms after the z stencils are about this size, small
+# enough to stay in cache between the operations that read them.
+_BLOCK_SAMPLES = 2**16
 
 
 class _Slab:
@@ -243,15 +259,16 @@ class _Chart:
         self.z_weights = grid.z_trapezoid_weights()
         self.cell = float(np.prod(grid.h_s))
 
-    def partial(self, f, density):
-        """One slab's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
-        g = f * density
-        g *= self.z_weights
-        return np.sum(g)
-
     def total(self, partials):
-        """The integral from its slab partials: their exactly rounded sum, times prod h_s."""
-        return float(math.fsum(partials) * self.cell)
+        """The integral from its block partials: their exactly rounded sum, times prod h_s.
+
+        nan when the partials hold both infinities or their sum passes the
+        float range, where fsum raises.
+        """
+        try:
+            return float(math.fsum(partials) * self.cell)
+        except (ValueError, OverflowError):
+            return math.nan
 
     def check(self, eps):
         """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid at width eps.
@@ -284,17 +301,15 @@ class _Chart:
 
 
 class _SlabPass:
-    """The width-free fields of one slab: every stencil pass of u, on the slab's body.
+    """The z stencils of one slab, and the rows its z-blocks read.
 
-    Holds u, u_z, u_zz and each per-axis u_t and u_tt on the body, and the
-    chart on the body +-2 rows.  Chart axis 0's stencils read past the
-    body: u_t there is formed from u on the body +-4 rows and kept on the
-    body +-2 rows (t_near[0]), which the chained u_ss reads, as the metric
-    coefficient d1_s(P/H_0^2) reads the metric there; u_tt there is formed
-    from u on the body +-2 rows, all that its five-point rows read.
-    near[axis] is the slice of the body +-2 rows that an axis's stencils
-    read for the body, and inner[axis] the body within those; the other
-    axes read the body.
+    Holds u and its halo rows (ext), u_z and u_zz on the body, and the
+    chart on the body +-2 rows.  The z stencils are the only operators
+    that read along z, so they alone run on the whole slab; every other
+    array is formed per z-block (_Block).  reach2 is the slice of ext
+    that is the body +-2 rows.  near[axis] is the slice of the body +-2
+    rows that an axis's stencils read for the body, and inner[axis] the
+    body within those; the other axes read the body.
     """
 
     def __init__(self, chart: _Chart, slab: _Slab, u):
@@ -305,20 +320,60 @@ class _SlabPass:
         self.inner = [body] + [slice(None)] * (chart.geom.chart_dims - 1)
         self.kappas, self.lames = chart.rows(slab, 2)
         self.weight = math.prod(self.lames)
-        ext = slab.rows(u, 4)
+        self.ext = ext = slab.rows(u, 4)
+        self.reach2 = slab.within(4, 2)
         self.u = u = ext[slab.within(4, 0)]
-        self.t_near = [chart.d1_s(ext, 0)[slab.within(4, 2)]]
-        self.t_near += [chart.d1_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
-        self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
-        self.u_tt = [chart.d2_s(ext[slab.within(4, 2)], 0)[body]]
-        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
         h_z = chart.grid.h_z
         self.u_z = d1_bounded(u, -1, h_z)
         self.u_zz = d2_bounded(u, -1, h_z)
 
+    def z_blocks(self):
+        """Equal runs of z indices whose body holds at most _BLOCK_SAMPLES samples, at least one index each."""
+        nz = self.u.shape[-1]
+        count = min(nz, -(-self.u.size // _BLOCK_SAMPLES))
+        edges = [nz * i // count for i in range(count + 1)]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+class _Block:
+    """The width-free fields of one z-block of a slab: every stencil pass of u on the block's body.
+
+    u, u_z and u_zz are views into the slab; each per-axis u_t and u_tt is
+    formed here.  Chart axis 0's stencils read past the body: u_t there is
+    formed from u on the body +-4 rows and kept on the body +-2 rows
+    (t_near[0]), which the chained u_ss reads, as the metric coefficient
+    d1_s(P/H_0^2) reads the metric there; u_tt there is formed from u on
+    the body +-2 rows, all that its five-point rows read.  No chart
+    stencil reads along z, so a block needs no z halo and each sample is
+    the one the whole slab would give.
+    """
+
+    def __init__(self, sp: _SlabPass, zs):
+        chart = self.chart = sp.chart
+        self.index = (sp.index, Ellipsis, zs)
+        self.body, self.near, self.inner = sp.body, sp.near, sp.inner
+        self.kappas, self.lames, self.weight = sp.kappas, sp.lames, sp.weight
+        self.z_grid = chart.grid.z_grid[zs]
+        self.z_weights = chart.z_weights[zs]
+        ext = sp.ext[..., zs]
+        self.u = u = sp.u[..., zs]
+        self.u_z = sp.u_z[..., zs]
+        self.u_zz = sp.u_zz[..., zs]
+        self.t_near = [chart.d1_s(ext, 0)[sp.reach2]]
+        self.t_near += [chart.d1_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+        self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
+        self.u_tt = [chart.d2_s(ext[sp.reach2], 0)[sp.body]]
+        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+
+    def partial(self, f, density):
+        """The block's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
+        g = f * density
+        g *= self.z_weights
+        return np.sum(g)
+
 
 class _Metric:
-    """The metric at width eps on a slab's rows: 1 + eps*z*kappa_j and P = J * weight."""
+    """The metric at width eps on a block's rows: 1 + eps*z*kappa_j and P = J * weight."""
 
     def __init__(self, kappas, weight, z_grid, eps):
         zrow = z_grid.reshape((1,) * (kappas[0].ndim - 1) + (-1,))
@@ -326,35 +381,43 @@ class _Metric:
         self.P = math.prod(self.one_plus) * weight
 
 
-def _slab_passes(chart: _Chart, u, eps_list):
-    """The metric check at each width, then one _SlabPass per slab of u, in slab order."""
+def _each_block(chart: _Chart, u, eps_list, visit):
+    """The metric check at each width, then visit(block) for each z-block of each slab of u, in order.
+
+    No name holds a block past its visit, and the slab is dropped before
+    the next slab's arrays are formed, so a pass holds one slab and one
+    block at a time.
+    """
     for eps in eps_list:
         chart.check(eps)
     for slab in _slabs(u, chart.geom.periodic[0]):
-        yield _SlabPass(chart, slab, u)
+        sp = _SlabPass(chart, slab, u)
+        for zs in sp.z_blocks():
+            visit(_Block(sp, zs))
+        del sp
 
 
-def _width_terms(sp: _SlabPass, m: _Metric, eps):
-    """The Laplacian and |grad u|^2 on the slab's body at the metric's width.
+def _width_terms(b: _Block, m: _Metric, eps):
+    """The Laplacian and |grad u|^2 on the block's body at the metric's width.
 
     One loop over the chart axes forms H_j once for the three terms that
     read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
     of the gradient.  Both sums accumulate in place, and each axis's
     temporaries are freed before the next axis.
     """
-    body = sp.body
+    body = b.body
     P = m.P[body]
-    lap = sp.u_zz / eps**2
-    curv = sum(k[body] / f[body] for k, f in zip(sp.kappas, m.one_plus))
-    curv *= sp.u_z  # curv * u_z / eps
+    lap = b.u_zz / eps**2
+    curv = sum(k[body] / f[body] for k, f in zip(b.kappas, m.one_plus))
+    curv *= b.u_z  # curv * u_z / eps
     curv /= eps
     lap += curv
     del curv
-    grad_sq = sp.u_z / eps
+    grad_sq = b.u_z / eps
     grad_sq *= grad_sq
-    for axis, (t, tt) in enumerate(zip(sp.u_t, sp.u_tt)):
-        near, inner = sp.near[axis], sp.inner[axis]
-        h = sp.lames[axis][near] * m.one_plus[axis][near]  # H_j
+    for axis, (t, tt) in enumerate(zip(b.u_t, b.u_tt)):
+        near, inner = b.near[axis], b.inner[axis]
+        h = b.lames[axis][near] * m.one_plus[axis][near]  # H_j
         term = t / h[inner]
         term *= term
         grad_sq += term
@@ -363,7 +426,7 @@ def _width_terms(sp: _SlabPass, m: _Metric, eps):
         lap += term
         del term
         np.divide(m.P[near], h, out=h)  # the metric coefficient P / H_j^2
-        term = sp.chart.d1_s(h, axis)[inner]
+        term = b.chart.d1_s(h, axis)[inner]
         del h
         term /= P
         term *= t
@@ -372,11 +435,11 @@ def _width_terms(sp: _SlabPass, m: _Metric, eps):
     return lap, grad_sq
 
 
-def _residual(sp: _SlabPass, eps, dwell):
-    """The metric at width eps and, on the slab's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
-    m = _Metric(sp.kappas, sp.weight, sp.chart.grid.z_grid, eps)
+def _residual(b: _Block, eps, dwell):
+    """The metric at width eps and, on the block's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
+    m = _Metric(b.kappas, b.weight, b.z_grid, eps)
     # the Laplacian's array becomes the residual in place
-    residual, grad_sq = _width_terms(sp, m, eps)
+    residual, grad_sq = _width_terms(b, m, eps)
     residual *= -eps
     residual += dwell / eps
     return m, residual, grad_sq
@@ -390,11 +453,14 @@ def curvilinear_gradient(field: Field):
     """
     grid, eps = field.grid, field.eps
     out = np.zeros((grid.geom.chart_dims + 1,) + grid.shape)
-    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
-        m = _Metric(sp.kappas, sp.weight, grid.z_grid, eps)
-        for axis, t in enumerate(sp.u_t):
-            out[axis][sp.index] = t / (sp.lames[axis][sp.body] * m.one_plus[axis][sp.body])
-        out[-1][sp.index] = sp.u_z / eps
+
+    def visit(b):
+        m = _Metric(b.kappas, b.weight, b.z_grid, eps)
+        for axis, t in enumerate(b.u_t):
+            out[axis][b.index] = t / (b.lames[axis][b.body] * m.one_plus[axis][b.body])
+        out[-1][b.index] = b.u_z / eps
+
+    _each_block(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
@@ -402,27 +468,30 @@ def curvilinear_laplacian(field: Field):
     """Ambient Laplacian of the field in tubular coordinates."""
     grid, eps = field.grid, field.eps
     out = np.zeros(grid.shape)
-    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
-        out[sp.index] = _width_terms(sp, _Metric(sp.kappas, sp.weight, grid.z_grid, eps), eps)[0]
+
+    def visit(b):
+        out[b.index] = _width_terms(b, _Metric(b.kappas, b.weight, b.z_grid, eps), eps)[0]
+
+    _each_block(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
-def _flat_partials(sp: _SlabPass, well, dwell, p):
-    """The slab's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
-    weight = sp.weight[sp.body]
-    partial = sp.chart.partial
-    u_z = sp.u_z
+def _flat_partials(b: _Block, well, dwell, p):
+    """The block's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
+    weight = b.weight[b.body]
+    partial = b.partial
+    u_z = b.u_z
     parts = {
         "equipartition_defect": partial(np.abs(0.5 * u_z**2 - well), weight),
-        "bilayer_residual": partial((-sp.u_zz + dwell) ** 2, weight),
-        "norm_u_lp": partial(np.abs(sp.u) ** p, weight),
+        "bilayer_residual": partial((-b.u_zz + dwell) ** 2, weight),
+        "norm_u_lp": partial(np.abs(b.u) ** p, weight),
         "norm_uz_l2": partial(u_z**2, weight),
     }
-    for axis, t in enumerate(sp.t_near):
-        near, inner = sp.near[axis], sp.inner[axis]
-        w = sp.lames[axis]
-        parts["norm_us_l2", axis] = partial((t[inner] / w[sp.body]) ** 2, weight)
-        u_ss = sp.chart.d1_s(t / w[near], axis)[inner] / w[sp.body]
+    for axis, t in enumerate(b.t_near):
+        near, inner = b.near[axis], b.inner[axis]
+        w = b.lames[axis]
+        parts["norm_us_l2", axis] = partial((t[inner] / w[b.body]) ** 2, weight)
+        u_ss = b.chart.d1_s(t / w[near], axis)[inner] / w[b.body]
         parts["norm_uss_l2", axis] = partial(u_ss**2, weight)
     return parts
 
@@ -445,38 +514,45 @@ def _flat_report(chart: _Chart, sums, p):
     }
 
 
-def _width_partials(sp: _SlabPass, eps, well, dwell, eta1, eta2, audit_a1, p):
-    """The slab's partials of the Jacobian-weighted integrals at width eps, with the audit's if audit_a1 is set."""
-    m, residual, grad_sq = _residual(sp, eps, dwell)
-    partial = sp.chart.partial
-    P = m.P[sp.body]
+def _width_partials(b: _Block, eps, well, dwell, eta1, eta2, audit_a1, p):
+    """The block's partials of the Jacobian-weighted integrals at width eps, with the audit's if audit_a1 is set."""
+    m, residual, grad_sq = _residual(b, eps, dwell)
+    partial = b.partial
+    P = m.P[b.body]
     parts = {
         "quadratic": partial(0.5 * residual**2, P),
         "functional": partial(0.5 * eta1 * eps**2 * grad_sq + eta2 * well, P),
-        "mass": partial(sp.u, P),
+        "mass": partial(b.u, P),
     }
     if audit_a1 is not None:
-        integrand = 0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + audit_a1 * np.abs(sp.u) ** p
+        integrand = 0.25 * residual**2 + 0.5 * eta1 * eps**2 * grad_sq + audit_a1 * np.abs(b.u) ** p
         parts["audit"] = partial(integrand, P)
     return parts
 
 
 def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, audit_a1=None):
-    """One slab pass over the support of u for every width: (EnergyReport, audit integral) per width.
+    """One block pass over the support of u for every width: (EnergyReport, audit integral) per width.
 
     The audit integral is None unless audit_a1 (the bound's A1) is set.
+    Refuses a width at which a reported integral is not finite (a
+    NumericsError naming the width and the integral), so the pass does
+    not warn about the overflows it then refuses.
     """
     p = params.p
     flat = defaultdict(list)
     widths = [defaultdict(list) for _ in eps_list]
-    for sp in _slab_passes(chart, u, eps_list):
-        well, dwell = eval_well_and_dwell(sp.u, params)
-        for key, part in _flat_partials(sp, well, dwell, p).items():
+
+    def visit(b):
+        well, dwell = eval_well_and_dwell(b.u, params)
+        for key, part in _flat_partials(b, well, dwell, p).items():
             flat[key].append(part)
         for eps, sums in zip(eps_list, widths):
-            for key, part in _width_partials(sp, eps, well, dwell, eta1, eta2, audit_a1, p).items():
+            for key, part in _width_partials(b, eps, well, dwell, eta1, eta2, audit_a1, p).items():
                 sums[key].append(part)
-    diagnostics = _flat_report(chart, flat, p)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _each_block(chart, u, eps_list, visit)
+        diagnostics = _flat_report(chart, flat, p)
     out = []
     for eps, sums in zip(eps_list, widths):
         quadratic = chart.total(sums["quadratic"])
@@ -489,7 +565,12 @@ def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, aud
             mass=chart.total(sums["mass"]),
             **diagnostics,
         )
-        out.append((report, chart.total(sums["audit"]) if audit_a1 is not None else None))
+        audit = chart.total(sums["audit"]) if audit_a1 is not None else None
+        values = dict(report.__dict__, audit_integral=audit) if audit_a1 is not None else report.__dict__
+        bad = [key for key, value in values.items() if not math.isfinite(value)]
+        if bad:
+            raise NumericsError(f"energy at eps = {eps!r} is not finite: {bad[0]} = {values[bad[0]]!r}")
+        out.append((report, audit))
     return out
 
 
@@ -502,8 +583,11 @@ def cahn_hilliard_residual(field: Field, params: WellParams):
     """Samplewise -eps*lap(u) + W'(u)/eps, the quantity squared in the energy."""
     grid, eps = field.grid, field.eps
     out = np.zeros(grid.shape)
-    for sp in _slab_passes(_Chart(grid), field.values, (eps,)):
-        out[sp.index] = _residual(sp, eps, eval_well_and_dwell(sp.u, params)[1])[1]
+
+    def visit(b):
+        out[b.index] = _residual(b, eps, eval_well_and_dwell(b.u, params)[1])[1]
+
+    _each_block(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
@@ -511,13 +595,14 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
     """Rescaled FCH energy of one field's samples at each width of eps_list.
 
     The samples u(s, z) live on the rescaled slab, so one field serves a
-    whole width schedule: one slab pass forms every stencil pass of u once
-    per slab, and only the metric, the Laplacian, the residual, |grad u|^2
+    whole width schedule: one pass forms every stencil pass of u once per
+    z-block, and only the metric, the Laplacian, the residual, |grad u|^2
     and the three Jacobian-weighted integrals run per width.  Each width
     other than the field's own is checked against the field grid's
     geometry and ell by geometry.check_width, the check TubularGrid.build
     runs on any grid.  Returns one EnergyReport per width, each equal to
-    fch_energy of the same samples on the grid of that width.
+    fch_energy of the same samples on the grid of that width; a width at
+    which a reported integral is not finite raises NumericsError.
     """
     _check_eta(eta1, eta2)
     grid = field.grid
@@ -606,7 +691,9 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     parts = []
     for slab in _slabs(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
         kappas, lames = chart.rows(slab, 0)
-        parts.append(chart.partial(1.0, _Metric(kappas, math.prod(lames), grid.z_grid, eps).P))
+        g = _Metric(kappas, math.prod(lames), grid.z_grid, eps).P
+        g *= chart.z_weights
+        parts.append(np.sum(g))
     domain = chart.total(parts)
     return LowerBoundAudit(
         lhs=report.total,

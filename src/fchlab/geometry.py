@@ -5,7 +5,8 @@ an explicit metric weight, since global arc-length coordinates do not
 exist on spheres or tori.  Surface integrals always go through the weight:
 integral_Gamma f ds = integral_Q f * weight dt.  Principal curvatures are
 given in closed form per geometry; the uniform bound kappa0 covers both
-the curvatures and their arc-length derivatives on a validation grid.
+the curvatures and their arc-length derivatives on a validation grid,
+and on an ellipse the closed-form tip curvature that grid can miss.
 """
 
 from __future__ import annotations
@@ -212,10 +213,23 @@ class Ellipse(InterfaceGeom):
             raise ValueError("ellipse semi-axes must be positive and finite")
         self.a = float(a)
         self.b = float(b)
+        # |kappa| peaks at the tips: a/b^2 at t = 0 and b/a^2 at t = pi/2
+        self.tip_curvature = max(self.a / self.b / self.b, self.b / self.a / self.a)
+        if not math.isfinite(self.tip_curvature):
+            key, other = ("a", "b") if self.a < self.b else ("b", "a")
+            raise ValueError(
+                f"ellipse geometry key {key!r} = {getattr(self, key)!r} is too small against "
+                f"{other} = {getattr(self, other)!r}: the tip curvature {other}/{key}^2 overflows"
+            )
         self.name = "ellipse"
         self.ambient_n = 2
         self.periodic = (True,)
         self.chart_periods = (2.0 * math.pi,)
+
+    @cached_property
+    def kappa0(self):
+        """The sampled bound, and the tip curvature the mesh can miss on a near-degenerate ellipse."""
+        return max(super().kappa0, self.tip_curvature)
 
     def _speed(self, t):
         return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)

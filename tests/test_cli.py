@@ -253,6 +253,10 @@ BAD_INPUTS = {
     ],
     "profile-null-samples": lambda tmp: ["profile", "--kind", "bilayer", "--config", _config(tmp, '{"samples": null}')],
     "inf-ellipse-a": lambda tmp: ["converge", "--shape", "ellipse", "--a", "inf", "--b", "1", "--eps-list", "0.1"],
+    "overflowing-ellipse-tip": lambda tmp: [
+        "converge", "--kind", "micelle", "--shape", "ellipse", "--a", "1e-300", "--b", "1", "--alpha", "0.5",
+        "--eps-list", "0.1",
+    ],
     "nan-rho": lambda tmp: ["converge", "--rho", "nan", "--eps-list", "0.1,0.05"],
     "phase-nan-rho": lambda tmp: [
         "phase", "--shape", "sphere", "--rho", "nan", "--eta1-range", "1:1:1", "--eta2-range", "1:1:1"
@@ -311,6 +315,20 @@ def test_converge_failed_check_exits_1_and_writes_outputs(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 3
     manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
     assert manifest["config"]["eps_list"] == [0.06, 0.05]
+
+
+def test_non_finite_energy_exits_4_without_outputs(tmp_path, capsys):
+    # eps**2 underflows below about 1e-154: the energy at eps = 1e-160 is nan
+    out = tmp_path / "conv.csv"
+    code = run_cli(["converge", "--kind", "bilayer", "--eps-list", "1e-160", "--out", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NumericsError"
+    assert payload["message"].startswith("energy at eps = 1e-160 is not finite: ")
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_keys_are_named(tmp_path, capsys):
@@ -407,6 +425,10 @@ def test_geometry_unused_key_is_refused(tmp_path, capsys, command):
     "case, message",
     [
         ("inf-ellipse-a", "ellipse geometry key 'a' must be a finite number"),
+        (
+            "overflowing-ellipse-tip",
+            "ellipse geometry key 'a' = 1e-300 is too small against b = 1.0: the tip curvature b/a^2 overflows",
+        ),
         ("nan-rho", "circle geometry key 'rho' must be a finite number"),
         ("phase-nan-rho", "sphere geometry key 'rho' must be a finite number"),
         ("inf-torus-R", "torus geometry key 'R' must be a finite number"),

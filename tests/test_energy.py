@@ -34,7 +34,7 @@ from fchlab import (
     snap_micelle_eps,
     total_curvature,
 )
-from fchlab.errors import InfeasibleModelError
+from fchlab.errors import InfeasibleModelError, NumericsError
 from fchlab.geometry import _CURVE_NODES, _SURFACE_NODES
 
 
@@ -475,8 +475,9 @@ def test_sweep_equals_one_width_calls(case, params):
 # 18.06 when each width recomputed u_tt and held H_j for both axes, 16.81
 # with u_tt held by the field pass, H_j formed per axis and the periodic
 # stencils built without np.roll, 15.94 with the slab pass, whose one slab
-# is this whole grid.  Whatever a slab holds, the peak must not pass 18.06.
-SWEEP_PEAK_FIELD_ARRAYS = 18.07
+# is this whole grid, and 6.80 with that slab cut into three z-blocks that
+# hold every array formed after the z stencils.
+SWEEP_PEAK_FIELD_ARRAYS = 7.3
 
 
 def test_sweep_peak_memory(params):
@@ -499,9 +500,11 @@ def test_sweep_peak_memory(params):
 
 # The same sweep on a dense 64x64x257 sphere bilayer, whose pass runs five
 # slabs of chart axis 0: 3.83 field arrays, numpy 2.4 on Python 3.11 (15.95
-# when the whole grid was one pass).  A slab's arrays are about a fifth of a
-# field's, so the peak stays at a few field arrays however large the grid.
-SLAB_SWEEP_PEAK_FIELD_ARRAYS = 4.5
+# when the whole grid was one pass), and 1.28 once each slab is cut into
+# z-blocks of at most 2^16 samples and dropped before the next is formed.
+# A slab's arrays are about a fifth of a field's and a block's a quarter of
+# a slab's, so the peak stays near one field array however large the grid.
+SLAB_SWEEP_PEAK_FIELD_ARRAYS = 1.5
 
 
 def test_slab_sweep_peak_memory(params):
@@ -544,6 +547,28 @@ def test_sweep_checks_each_width(params):
     reps = fch_energy_sweep(zero, (0.1, 0.05), 1.0, 1.0, params)
     assert [r.eps for r in reps] == [0.1, 0.05]
     assert all(v == 0.0 for r in reps for k, v in r.__dict__.items() if k != "eps")
+
+
+def test_non_finite_integral_is_refused_by_width(params):
+    # below eps of about 1e-154, eps**2 underflows and u_zz / eps**2 overflows
+    spec = sweep_spec("ellipse_bilayer", params)
+    fld = build_bilayer_field(spec, spec.eps_list[0])
+    with pytest.raises(NumericsError, match=r"energy at eps = 1e-160 is not finite: total = nan"):
+        fch_energy_sweep(fld, (spec.eps_list[0], 1e-160), 1.0, 0.5, params)
+    tiny = build_bilayer_field(spec, 1e-160)
+    for evaluate in (fch_energy, lower_bound_audit):
+        with pytest.raises(NumericsError, match="eps = 1e-160"):
+            evaluate(tiny, 1.0, 0.5, params)
+
+
+def test_partials_past_the_float_range_are_refused(params, monkeypatch):
+    # finite block partials whose sum passes the float range make math.fsum
+    # raise OverflowError; the pass reports a numerics failure instead
+    spec = sweep_spec("ellipse_bilayer", params)
+    fld = build_bilayer_field(spec, spec.eps_list[0])
+    monkeypatch.setattr(energy, "_BLOCK_SAMPLES", 1)
+    with pytest.raises(NumericsError, match=f"eps = {spec.eps_list[0]!r} is not finite"):
+        fch_energy(fld, 1.0, 2e307, params)
 
 
 # Reports and audit sides recorded with the whole-grid evaluator, before
@@ -632,26 +657,24 @@ def test_support_local_pass_pinned(case, params):
         assert got[key] == pytest.approx(value, rel=1e-12), key
 
 
+def _evaluate_all(fld, params):
+    """Reports at two widths and the audit, as dicts, and the three samplewise operators."""
+    reports = fch_energy_sweep(fld, (fld.eps, fld.eps / 2), 1.0, 1.0, params)
+    audit = lower_bound_audit(fld, 1.0, 1.0, params)
+    operators = [cahn_hilliard_residual(fld, params), curvilinear_gradient(fld), curvilinear_laplacian(fld)]
+    return [r.__dict__ for r in reports] + [audit.__dict__], operators
+
+
 @pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
 def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
     # periodic chart axis 0 (the bilayer, and the micelle across the seam) and
     # a bounded one (the sphere micelle touches theta = 0): slabs split the
     # sums, never a sample's value
     fld, geom = edge_field(case, params)
-    eps = fld.eps
     periodic = geom.periodic[0]
-
-    def evaluate():
-        reports = fch_energy_sweep(fld, (eps, eps / 2), 1.0, 1.0, params)
-        audit = lower_bound_audit(fld, 1.0, 1.0, params)
-        operators = [
-            cahn_hilliard_residual(fld, params), curvilinear_gradient(fld), curvilinear_laplacian(fld)
-        ]
-        return [r.__dict__ for r in reports] + [audit.__dict__], operators
-
     monkeypatch.setattr(energy, "_SLAB_SAMPLES", 2**62)
     runs = len(energy._slabs(fld.values, periodic))  # one slab per run of marked rows
-    whole, whole_operators = evaluate()
+    whole, whole_operators = _evaluate_all(fld, params)
     # rows more than _HALO from every nonzero row: the operators' exact zeros
     hits = np.flatnonzero(np.any(fld.values, axis=tuple(range(1, fld.values.ndim))))
     rows = np.arange(fld.values.shape[0])
@@ -666,12 +689,35 @@ def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
     for samples in (1, 16 * row):  # slabs of 8 to 15 rows, and of 16 at most
         monkeypatch.setattr(energy, "_SLAB_SAMPLES", samples)
         assert len(energy._slabs(fld.values, periodic)) > runs
-        sliced, operators = evaluate()
+        sliced, operators = _evaluate_all(fld, params)
         for got, want in zip(operators, whole_operators):
             assert np.array_equal(got, want)
         for got, want in zip(sliced, whole):
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-13), (samples, key)
+
+
+def _block_size_invariance(fld, params):
+    """Operators bit for bit and reports and audit to rel 1e-13, with z-blocks of one z index and of the whole slab."""
+    runs = {}
+    for samples in (2**62, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "_BLOCK_SAMPLES", samples)
+            runs[samples] = _evaluate_all(fld, params)
+    (whole, whole_operators), (blocked, operators) = runs[2**62], runs[1]
+    for got, want in zip(operators, whole_operators):
+        assert np.array_equal(got, want)
+    for got, want in zip(blocked, whole):
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-13), key
+
+
+@pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
+def test_block_size_changes_only_the_summation_order(case, params):
+    # chart stencils never read along z, so a z-block needs no halo: blocks
+    # split the sums, never a sample's value
+    fld, _ = edge_field(case, params)
+    _block_size_invariance(fld, params)
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +739,10 @@ def seam_field(params):
     fld = Field(fld.grid, fld.values + copy)
     assert [(s.a, s.b) for s in energy._slabs(fld.values, periodic=True)] == [(0, 101), (221, 357), (477, 512)]
     return fld, spec.geom
+
+
+def test_block_size_changes_only_the_summation_order_across_the_seam(seam_field, params):
+    _block_size_invariance(seam_field[0], params)
 
 
 def _shifted(fld, params, k):

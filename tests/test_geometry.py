@@ -212,6 +212,29 @@ def test_kappa0_pinned():
     assert Torus(3.0, 1.0).kappa0 == 1.0
 
 
+def test_ellipse_kappa0_covers_the_tip_curvature():
+    # |kappa| peaks at a/b^2 (t = 0) and b/a^2 (t = pi/2); the 512-node mesh
+    # hits both tips, but on a near-degenerate ellipse cos(pi/2) = 6e-17
+    # leaves the sampled tip curvature far below the true one
+    for a, b in ((2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (1.7, 1.3), (1e-100, 1.0), (1.0, 1e-100)):
+        geom = Ellipse(a, b)
+        assert geom.tip_curvature == max(a / b / b, b / a / a)
+        assert geom.kappa0 >= geom.tip_curvature
+    assert Ellipse(1e-100, 1.0).kappa0 == 1e200
+    with pytest.raises(InfeasibleModelError, match="degenerate"):
+        TubularGrid.build(Ellipse(1e-100, 1.0), 8.0, 0.1, (64,), 33)
+
+
+@pytest.mark.parametrize(
+    "a, b, key", [(1e-300, 1.0, "a"), (1.0, 1e-300, "b"), (1e200, 1e-200, "b")]
+)
+def test_ellipse_with_overflowing_tip_curvature_is_refused_by_key(a, b, key):
+    with pytest.raises(ValueError, match=f"ellipse geometry key '{key}' = .* the tip curvature .* overflows"):
+        Ellipse(a, b)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        geometry_from_config({"shape": "ellipse", "a": a, "b": b})
+
+
 def test_torus_placement_pinned():
     # the area-equalizing CDF path, bit for bit against the values recorded
     # before it shared the cumulative trapezoid with the arc-length table
