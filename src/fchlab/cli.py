@@ -7,8 +7,10 @@ reproducible byte for byte.
 
 Each command builds and checks every input of its run, then either stops
 for `--dry-run` or returns (csv text, summary line, exit code) for `main`
-to write, so a dry run refuses what the run would.  Checks inside the
-solvers (micelle dimension, pulse sample count) are left to the run.
+to write, so a dry run refuses what the run would.  A converge dry run
+sizes every width's grid, which shoots or solves the profile that sets
+it; other checks inside the solvers (micelle dimension, pulse sample
+count, placement) are left to the run.
 
 Exit codes: 0 success, 1 convergence checks failed, 2 usage or config
 error, 3 infeasible model, 4 numerical failure.
@@ -224,6 +226,8 @@ def cmd_converge(resolved, dry_run):
         **{key: _real(resolved[key], key) for key in keys},
     )
     if dry_run:
+        for eps in family.eps_list:
+            family.grid(eps)  # the grid each width's run would build, sized and checked
         return None
     report = run_convergence(family)
     errors, rate = report.errors, report.fitted_rate

@@ -17,67 +17,50 @@ per-coordinate expansion misses.  The c_j coefficients are obtained by
 differencing the sampled metric products, so geometries only need to
 supply w_j and kappa_j.
 
-Integrals run over the field's support, as slabs of chart axis 0.  The
-marked rows are those within 8 rows of a row holding a nonzero sample,
-wrapped on a periodic axis and clipped on a bounded one; z and the other
-chart axes stay whole.  Each maximal run of marked rows (cut at a
-periodic seam) is split into slabs of at most _SLAB_SAMPLES samples a
-body, at least 8 rows.  This is exact because W(0) = W'(0) = 0: every
-integrand vanishes where u and its stencil derivatives do.  The chained
-chart stencils u -> u_t -> u_ss reach 4 rows and the one-sided edge rows
-read 6, so on an unmarked row every integrand and every samplewise
-operator is an exact zero.  A slab reads its halo rows from the field
-itself, so every stencil operand is a true neighbour and only the
-summation order changes: sparse fields agree with the whole-grid sums to
-round-off, and a field with every row marked takes the slabs of the whole
-axis.  An all-zero field has no slabs and reports zeros; the
-degenerate-metric check and |domain| in the lower-bound audit still cover
-every row.
-
-Every entry point reads the interface from field.grid.geom, and a width
-is a plain float.  The width eps enters only through the metric.
 Samples, stencil spacings and the flat weight prod_j w_j(t) with the z
-trapezoid are all in rescaled chart and z coordinates; eps appears in the
-factors 1 + eps*z*kappa_j and in the powers of eps in the residual and
-the gradient.  So the energy runs as one pass over the slabs, and every
-width of a schedule runs inside it, on the field's own grid.  A slab
-reads its body rows and the 4 rows on either side that the chained
-stencils reach, wrapped on a periodic axis and clipped at the ends of a
-bounded one, where the stencils apply the one-sided rows they apply on
-the whole axis.  On the whole slab it forms only u_z and u_zz, the two
-stencils that read along z.  Everything else runs on z-blocks of the
-slab: equal runs of z indices whose body holds at most _BLOCK_SAMPLES
-samples (at least one index), read as views of the slab.  No chart
-stencil reads along z, so a block needs no halo.  A block forms W and
-W', each per-axis u_t and u_tt once, and the partial sums of the six
-flat-weight diagnostics (equipartition defect, pulse residual and the
-four norms).  Then, per width, it builds 1 + eps*z*kappa_j and P on the
-body +-2 rows and runs one loop over the chart axes.  H_j depends on
-eps, so that loop forms it there, once per axis, for the three terms
-that read it: u_tt/H_j^2 and the metric term c_j*u_t of the Laplacian
-and (u_t/H_j)^2 of |grad u|^2.  The Laplacian, the residual and
-|grad u|^2 accumulate in place, and the quadratic, functional and mass
-integrands (and the lower-bound audit's) become the block's partial
-sums.  No stencil of u runs twice on a sample; neighbouring slabs share
-only halo rows.  Each slab, with every view into it, is dropped before
-the next is formed, so a pass holds a few slab-sized arrays and a few
-dozen block-sized ones whatever the size of the grid, and the block
-arrays stay in cache between the operations that read them.
+trapezoid are all in rescaled chart and z coordinates; eps enters only
+through the factors 1 + eps*z*kappa_j and the powers of eps in the
+residual and the gradient.  So one pass over a field runs every width of
+a schedule, on the field's own grid.
 
-Every stencil row is formed from the same samples with the same
-operations as on the whole grid, so each sample's value, and every value
-of the samplewise operators, does not depend on the slabs or the blocks;
-those operators write each block into their zeroed output.  The partial
-sums are combined in slab and block order with math.fsum and then scaled
-by prod_j h_j, so results depend only on the samples and the array shape
-and are bit-reproducible for identical inputs; a grid of one block sums
-exactly as a whole-grid pass, and other grids move at round-off when the
-slabs or blocks change.  A width at which a reported integral is not
-finite (eps**2 underflows below eps of about 1e-154) is refused with a
-NumericsError naming the width.
-fch_energy_sweep evaluates one field at a schedule of widths, each on the
-same operations as its own fch_energy call, so the two agree bit for bit;
-it checks each width with geometry.check_width, as TubularGrid.build does.
+The pass runs on tiles of the field's support: a range of chart-axis-0
+rows by a range of z indices.  The live rows are those within 8 rows of
+a row holding a nonzero sample, wrapped on a periodic axis and clipped on
+a bounded one.  Because W(0) = W'(0) = 0 and the chained chart stencils
+u -> u_t -> u_ss reach 4 rows (the one-sided edge rows read 6), every
+integrand and every samplewise operator is an exact zero off them.  Each
+maximal run of live rows, cut at a periodic seam, is split into equal
+row chunks of at most _TILE_SAMPLES samples (at least 8 rows), and each
+chunk into equal z ranges of at most _TILE_SAMPLES samples (at least 4
+indices).  A tile reads a halo from the field itself along each axis: 4
+rows of chart axis 0, which the chained stencils and the metric
+coefficient d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz
+reach.  A halo wraps on a periodic axis and is clipped at a bounded end,
+where the stencils apply the one-sided rows they apply on the whole axis.
+So every stencil operand is a true neighbour: each sample's value, and
+each value of the samplewise operators, does not depend on the tiling.
+
+A tile forms W, W', every stencil of u once and the partials of the six
+flat-weight diagnostics (equipartition defect, pulse residual and the
+four norms).  Then, per width, it forms the metric on its rows and one
+loop over the chart axes forms H_j once for the three terms that read it
+(u_tt/H_j^2 and c_j*u_t of the Laplacian, (u_t/H_j)^2 of |grad u|^2).
+The Laplacian, the residual and |grad u|^2 accumulate in place and
+become the partials of the quadratic, functional, mass and audit
+integrals.  No name holds a tile past its visit, so a pass holds a few
+dozen tile-sized arrays whatever the size of the grid, and they stay in
+cache between the operations that read them.  An all-zero field has no
+tiles and reports zeros; the degenerate-metric check and |domain| of the
+lower-bound audit still cover every row.
+
+The partials are combined in tile order with math.fsum and scaled by
+prod_j h_j, so results depend only on the samples and the array shape
+and are bit-reproducible; a grid of one tile sums as a whole-grid pass,
+and other grids move at round-off when the tiling changes.  A width at
+which a reported integral is not finite (eps**2 underflows below eps of
+about 1e-154) is refused with a NumericsError naming the width.
+fch_energy_sweep agrees bit for bit with fch_energy at each width and
+checks each width with geometry.check_width, as TubularGrid.build does.
 """
 
 from __future__ import annotations
@@ -171,73 +154,85 @@ class EnergyReport:
 # integrand and each samplewise operator vanishes exactly.
 _HALO = 8
 
-# Samples in the body of one slab of chart axis 0 (at least 8 rows): a pass
-# holds a few arrays of about this size, whatever the size of the grid.
-_SLAB_SAMPLES = 2**18
-
-# Samples in the body of one z-block of a slab (at least one z index): the
-# many arrays a pass forms after the z stencils are about this size, small
-# enough to stay in cache between the operations that read them.
-_BLOCK_SAMPLES = 2**16
+# Samples in the body of one tile (at least 8 rows by 4 z indices): a pass
+# holds a few dozen arrays of about this size whatever the size of the grid,
+# small enough to stay in cache between the operations that read them.
+_TILE_SAMPLES = 2**16
 
 
-class _Slab:
-    """Rows a .. b-1 of chart axis 0 of an array of n rows, and the rows around them.
+class _Span:
+    """Indices a .. b-1 along one axis of n samples, and the indices around them.
 
-    rows(x, reach) takes rows a-reach .. b-1+reach of x: wrapped mod n on a
-    periodic axis, clipped at the ends of a bounded one, where a stencil
-    then applies the one-sided rows it applies on the whole axis.  A slab
-    that is the whole axis takes no halo, so its stencils see the axis as
-    a whole-grid pass does.
+    take(x, reach) takes indices a-reach .. b-1+reach of x along the axis:
+    wrapped mod n on a periodic axis, clipped at the ends of a bounded one,
+    where a stencil then applies the one-sided rows it applies on the whole
+    axis.  A span that is the whole axis takes no halo, so its stencils see
+    the axis as a whole-grid pass does.
     """
 
-    def __init__(self, a, b, n, periodic):
-        self.a, self.b, self.n, self.periodic = a, b, n, periodic
+    def __init__(self, a, b, n, periodic, axis):
+        self.a, self.b, self.n, self.periodic, self.axis = a, b, n, periodic, axis
 
     def _pad(self, reach):
-        """Rows before and after the body in rows(x, reach)."""
+        """Indices before and after the body in take(x, reach)."""
         if self.b - self.a == self.n:
             return 0, 0
         if self.periodic:
             return reach, reach
         return min(reach, self.a), min(reach, self.n - self.b)
 
-    def rows(self, x, reach):
+    def _at(self, key):
+        """An index that applies key along the span's axis."""
+        if self.axis < 0:
+            return (Ellipsis, key) + (slice(None),) * (-1 - self.axis)
+        return (slice(None),) * self.axis + (key,)
+
+    def take(self, x, reach):
         lo, hi = self._pad(reach)
         start, stop = self.a - lo, self.b + hi
         if start >= 0 and stop <= self.n:
-            return x[start:stop]
-        return np.take(x, np.arange(start, stop) % self.n, axis=0)
+            return x[self._at(slice(start, stop))]
+        return np.take(x, np.arange(start, stop) % self.n, axis=self.axis)
 
     def within(self, outer, inner):
-        """The slice of rows(x, outer) that is rows(x, inner)."""
+        """The index of take(x, outer) that is take(x, inner)."""
         lo_out = self._pad(outer)[0]
         lo_in, hi_in = self._pad(inner)
-        return slice(lo_out - lo_in, lo_out + self.b - self.a + hi_in)
+        return self._at(slice(lo_out - lo_in, lo_out + self.b - self.a + hi_in))
 
 
-def _slabs(u, periodic):
-    """Slabs of chart axis 0 over the rows within _HALO of a row of u holding a nonzero sample.
+def _split(start, stop, count):
+    """start .. stop-1 cut into count equal runs, as (a, b) pairs."""
+    edges = [start + (stop - start) * i // count for i in range(count + 1)]
+    return zip(edges, edges[1:])
+
+
+def _tiles(u, periodic):
+    """Tiles over the rows within _HALO of a row of u holding a nonzero sample, as (rows, z range) spans.
 
     The marks wrap on a periodic axis and are clipped on a bounded one.
     Each maximal run of marked rows (a run is cut at a periodic seam) is
-    split into equal bodies of at most _SLAB_SAMPLES samples, unless 8 rows
-    hold more.  An all-zero u has no slabs.
+    split into equal row chunks of at most _TILE_SAMPLES samples, unless 8
+    rows hold more, and each chunk into equal z ranges of at most
+    _TILE_SAMPLES samples, at least 4 z indices each.  An all-zero u has no
+    tiles.
     """
-    n = u.shape[0]
+    n, nz = u.shape[0], u.shape[-1]
+    row = math.prod(u.shape[1:])
     hits = np.flatnonzero(np.any(u, axis=tuple(range(1, u.ndim))))
     near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
     near = near % n if periodic else near[(near >= 0) & (near < n)]
     marks = np.zeros(n + 2, dtype=bool)
     marks[near + 1] = True
     ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
-    rows = max(8, _SLAB_SAMPLES // math.prod(u.shape[1:]))
+    rows = max(8, _TILE_SAMPLES // row)
     out = []
     for start, stop in zip(ends[::2], ends[1::2]):
         length = stop - start
-        count = max(1, min(-(-length // rows), length // 8))
-        edges = [start + length * i // count for i in range(count + 1)]
-        out += [_Slab(a, b, n, periodic) for a, b in zip(edges, edges[1:])]
+        for a, b in _split(start, stop, max(1, min(-(-length // rows), length // 8))):
+            count = max(1, min(-(-(b - a) * row // _TILE_SAMPLES), nz // 4))
+            span = _Span(a, b, n, periodic, 0)
+            out += [(span, _Span(c, d, nz, False, -1)) for c, d in _split(0, nz, count)]
     return out
 
 
@@ -260,7 +255,7 @@ class _Chart:
         self.cell = float(np.prod(grid.h_s))
 
     def total(self, partials):
-        """The integral from its block partials: their exactly rounded sum, times prod h_s.
+        """The integral from its tile partials: their exactly rounded sum, times prod h_s.
 
         nan when the partials hold both infinities or their sum passes the
         float range, where fsum raises.
@@ -273,18 +268,18 @@ class _Chart:
     def check(self, eps):
         """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid at width eps.
 
-        Every row, not only the slabs' rows; the factor is linear in z, so
+        Every row, not only the tiles' rows; the factor is linear in z, so
         its minimum over [-ell, ell] sits at z = +-ell.
         """
         ends = self.grid.z_grid[[0, -1]]
         if min(float(np.min(1.0 + eps * ends * k[..., None])) for k in self.kappas) <= 0.0:
             raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
 
-    def rows(self, slab: _Slab, reach):
-        """Curvatures and Lame factors on a slab's rows at this reach, with a z axis."""
+    def rows(self, span: _Span, reach):
+        """Curvatures and Lame factors on a span's rows at this reach, with a z axis."""
         return (
-            [slab.rows(k, reach)[..., None] for k in self.kappas],
-            [slab.rows(w, reach)[..., None] for w in self.lames],
+            [span.take(k, reach)[..., None] for k in self.kappas],
+            [span.take(w, reach)[..., None] for w in self.lames],
         )
 
     def d1_s(self, f, axis):
@@ -300,80 +295,55 @@ class _Chart:
         return d2_bounded(f, axis, h)
 
 
-class _SlabPass:
-    """The z stencils of one slab, and the rows its z-blocks read.
+class _Tile:
+    """The width-free fields of one tile: every stencil pass of u on the tile's body.
 
-    Holds u and its halo rows (ext), u_z and u_zz on the body, and the
-    chart on the body +-2 rows.  The z stencils are the only operators
-    that read along z, so they alone run on the whole slab; every other
-    array is formed per z-block (_Block).  reach2 is the slice of ext
-    that is the body +-2 rows.  near[axis] is the slice of the body +-2
-    rows that an axis's stencils read for the body, and inner[axis] the
-    body within those; the other axes read the body.
+    u_z and u_zz are formed on the body rows and the z range +-2 and cut
+    to the body.  Chart axis 0's stencils read past the body rows: u_t
+    there is formed from u on the body +-4 rows and kept on the body +-2
+    rows (t_near[0]), which the chained u_ss reads, as the metric
+    coefficient d1_s(P/H_0^2) reads the metric there; u_tt there is formed
+    from u on the body +-2 rows.  The chart is held on the body +-2 rows:
+    body is their index that is the body, near[axis] the part of them an
+    axis's stencils read for the body, and inner[axis] the body within
+    near[axis].
     """
 
-    def __init__(self, chart: _Chart, slab: _Slab, u):
+    def __init__(self, chart: _Chart, rows: _Span, zs: _Span, u):
         self.chart = chart
-        self.index = slice(slab.a, slab.b)
-        self.body = body = slab.within(2, 0)
-        self.near = [slice(None)] + [body] * (chart.geom.chart_dims - 1)
-        self.inner = [body] + [slice(None)] * (chart.geom.chart_dims - 1)
-        self.kappas, self.lames = chart.rows(slab, 2)
+        dims = chart.geom.chart_dims
+        self.index = (slice(rows.a, rows.b), Ellipsis, slice(zs.a, zs.b))
+        self.body = body = rows.within(2, 0)
+        self.near = [slice(None)] + [body] * (dims - 1)
+        self.inner = [body] + [slice(None)] * (dims - 1)
+        self.kappas, self.lames = chart.rows(rows, 2)
         self.weight = math.prod(self.lames)
-        self.ext = ext = slab.rows(u, 4)
-        self.reach2 = slab.within(4, 2)
-        self.u = u = ext[slab.within(4, 0)]
+        self.z_grid = zs.take(chart.grid.z_grid, 0)
+        self.z_weights = zs.take(chart.z_weights, 0)
+        # the z range is taken first, so a copy across a periodic seam is tile-sized
+        ext = rows.take(zs.take(u, 2), 4)
+        window, z_body = ext[rows.within(4, 0)], zs.within(2, 0)
         h_z = chart.grid.h_z
-        self.u_z = d1_bounded(u, -1, h_z)
-        self.u_zz = d2_bounded(u, -1, h_z)
-
-    def z_blocks(self):
-        """Equal runs of z indices whose body holds at most _BLOCK_SAMPLES samples, at least one index each."""
-        nz = self.u.shape[-1]
-        count = min(nz, -(-self.u.size // _BLOCK_SAMPLES))
-        edges = [nz * i // count for i in range(count + 1)]
-        return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-class _Block:
-    """The width-free fields of one z-block of a slab: every stencil pass of u on the block's body.
-
-    u, u_z and u_zz are views into the slab; each per-axis u_t and u_tt is
-    formed here.  Chart axis 0's stencils read past the body: u_t there is
-    formed from u on the body +-4 rows and kept on the body +-2 rows
-    (t_near[0]), which the chained u_ss reads, as the metric coefficient
-    d1_s(P/H_0^2) reads the metric there; u_tt there is formed from u on
-    the body +-2 rows, all that its five-point rows read.  No chart
-    stencil reads along z, so a block needs no z halo and each sample is
-    the one the whole slab would give.
-    """
-
-    def __init__(self, sp: _SlabPass, zs):
-        chart = self.chart = sp.chart
-        self.index = (sp.index, Ellipsis, zs)
-        self.body, self.near, self.inner = sp.body, sp.near, sp.inner
-        self.kappas, self.lames, self.weight = sp.kappas, sp.lames, sp.weight
-        self.z_grid = chart.grid.z_grid[zs]
-        self.z_weights = chart.z_weights[zs]
-        ext = sp.ext[..., zs]
-        self.u = u = sp.u[..., zs]
-        self.u_z = sp.u_z[..., zs]
-        self.u_zz = sp.u_zz[..., zs]
-        self.t_near = [chart.d1_s(ext, 0)[sp.reach2]]
-        self.t_near += [chart.d1_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+        self.u_z = d1_bounded(window, -1, h_z)[z_body]
+        self.u_zz = d2_bounded(window, -1, h_z)[z_body]
+        ext = ext[z_body]
+        reach2 = rows.within(4, 2)
+        self.u = u = ext[rows.within(4, 0)]
+        self.t_near = [chart.d1_s(ext, 0)[reach2]]
+        self.t_near += [chart.d1_s(u, axis) for axis in range(1, dims)]
         self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
-        self.u_tt = [chart.d2_s(ext[sp.reach2], 0)[sp.body]]
-        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, chart.geom.chart_dims)]
+        self.u_tt = [chart.d2_s(ext[reach2], 0)[body]]
+        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, dims)]
 
     def partial(self, f, density):
-        """The block's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
+        """The tile's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
         g = f * density
         g *= self.z_weights
         return np.sum(g)
 
 
 class _Metric:
-    """The metric at width eps on a block's rows: 1 + eps*z*kappa_j and P = J * weight."""
+    """The metric at width eps on a tile's rows: 1 + eps*z*kappa_j and P = J * weight."""
 
     def __init__(self, kappas, weight, z_grid, eps):
         zrow = z_grid.reshape((1,) * (kappas[0].ndim - 1) + (-1,))
@@ -381,24 +351,19 @@ class _Metric:
         self.P = math.prod(self.one_plus) * weight
 
 
-def _each_block(chart: _Chart, u, eps_list, visit):
-    """The metric check at each width, then visit(block) for each z-block of each slab of u, in order.
+def _each_tile(chart: _Chart, u, eps_list, visit):
+    """The metric check at each width, then visit(tile) for each tile of u, in order.
 
-    No name holds a block past its visit, and the slab is dropped before
-    the next slab's arrays are formed, so a pass holds one slab and one
-    block at a time.
+    No name holds a tile past its visit, so a pass holds one tile at a time.
     """
     for eps in eps_list:
         chart.check(eps)
-    for slab in _slabs(u, chart.geom.periodic[0]):
-        sp = _SlabPass(chart, slab, u)
-        for zs in sp.z_blocks():
-            visit(_Block(sp, zs))
-        del sp
+    for rows, zs in _tiles(u, chart.geom.periodic[0]):
+        visit(_Tile(chart, rows, zs, u))
 
 
-def _width_terms(b: _Block, m: _Metric, eps):
-    """The Laplacian and |grad u|^2 on the block's body at the metric's width.
+def _width_terms(b: _Tile, m: _Metric, eps):
+    """The Laplacian and |grad u|^2 on the tile's body at the metric's width.
 
     One loop over the chart axes forms H_j once for the three terms that
     read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
@@ -435,8 +400,8 @@ def _width_terms(b: _Block, m: _Metric, eps):
     return lap, grad_sq
 
 
-def _residual(b: _Block, eps, dwell):
-    """The metric at width eps and, on the block's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
+def _residual(b: _Tile, eps, dwell):
+    """The metric at width eps and, on the tile's body, -eps*lap(u) + W'(u)/eps and |grad u|^2."""
     m = _Metric(b.kappas, b.weight, b.z_grid, eps)
     # the Laplacian's array becomes the residual in place
     residual, grad_sq = _width_terms(b, m, eps)
@@ -460,7 +425,7 @@ def curvilinear_gradient(field: Field):
             out[axis][b.index] = t / (b.lames[axis][b.body] * m.one_plus[axis][b.body])
         out[-1][b.index] = b.u_z / eps
 
-    _each_block(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
@@ -472,12 +437,12 @@ def curvilinear_laplacian(field: Field):
     def visit(b):
         out[b.index] = _width_terms(b, _Metric(b.kappas, b.weight, b.z_grid, eps), eps)[0]
 
-    _each_block(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
-def _flat_partials(b: _Block, well, dwell, p):
-    """The block's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
+def _flat_partials(b: _Tile, well, dwell, p):
+    """The tile's partials of the flat-weight integrals (no Jacobian), per axis for the tangential norms."""
     weight = b.weight[b.body]
     partial = b.partial
     u_z = b.u_z
@@ -514,8 +479,8 @@ def _flat_report(chart: _Chart, sums, p):
     }
 
 
-def _width_partials(b: _Block, eps, well, dwell, eta1, eta2, audit_a1, p):
-    """The block's partials of the Jacobian-weighted integrals at width eps, with the audit's if audit_a1 is set."""
+def _width_partials(b: _Tile, eps, well, dwell, eta1, eta2, audit_a1, p):
+    """The tile's partials of the Jacobian-weighted integrals at width eps, with the audit's if audit_a1 is set."""
     m, residual, grad_sq = _residual(b, eps, dwell)
     partial = b.partial
     P = m.P[b.body]
@@ -531,7 +496,7 @@ def _width_partials(b: _Block, eps, well, dwell, eta1, eta2, audit_a1, p):
 
 
 def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, audit_a1=None):
-    """One block pass over the support of u for every width: (EnergyReport, audit integral) per width.
+    """One tile pass over the support of u for every width: (EnergyReport, audit integral) per width.
 
     The audit integral is None unless audit_a1 (the bound's A1) is set.
     Refuses a width at which a reported integral is not finite (a
@@ -551,7 +516,7 @@ def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, aud
                 sums[key].append(part)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _each_block(chart, u, eps_list, visit)
+        _each_tile(chart, u, eps_list, visit)
         diagnostics = _flat_report(chart, flat, p)
     out = []
     for eps, sums in zip(eps_list, widths):
@@ -587,7 +552,7 @@ def cahn_hilliard_residual(field: Field, params: WellParams):
     def visit(b):
         out[b.index] = _residual(b, eps, eval_well_and_dwell(b.u, params)[1])[1]
 
-    _each_block(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, (eps,), visit)
     return out
 
 
@@ -596,7 +561,7 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
 
     The samples u(s, z) live on the rescaled slab, so one field serves a
     whole width schedule: one pass forms every stencil pass of u once per
-    z-block, and only the metric, the Laplacian, the residual, |grad u|^2
+    tile, and only the metric, the Laplacian, the residual, |grad u|^2
     and the three Jacobian-weighted integrals run per width.  Each width
     other than the field's own is checked against the field grid's
     geometry and ell by geometry.check_width, the check TubularGrid.build
@@ -686,13 +651,13 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     grid = field.grid
     chart = _Chart(grid)
     ((report, integral),) = _energy_pass(chart, field.values, (eps,), eta1, eta2, params, audit_a1=a1)
-    # |domain| is over every row, as the slabs of a field nonzero on every row;
+    # |domain| is over every row, as the tiles of a field nonzero on every row;
     # the audit integrand vanishes off the support
     parts = []
-    for slab in _slabs(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
-        kappas, lames = chart.rows(slab, 0)
-        g = _Metric(kappas, math.prod(lames), grid.z_grid, eps).P
-        g *= chart.z_weights
+    for rows, zs in _tiles(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
+        kappas, lames = chart.rows(rows, 0)
+        g = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
+        g *= zs.take(chart.z_weights, 0)
         parts.append(np.sum(g))
     domain = chart.total(parts)
     return LowerBoundAudit(

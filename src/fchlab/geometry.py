@@ -393,9 +393,13 @@ def bending_integral(geom: InterfaceGeom) -> float:
 def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
     """Refuse a width at which the tubular map of half-thickness ell degenerates.
 
-    eps and ell must be positive and eps*ell*kappa0 < 1, which keeps the
-    Jacobian positive on the grid.
+    eps and ell must be finite and positive and eps*ell*kappa0 < 1, which
+    keeps the Jacobian positive on the grid.  A nan or infinite value is a
+    usage error (ValueError) named by its key, not an infeasible model.
     """
+    for name, value in (("eps", eps), ("ell", ell)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if ell <= 0.0 or eps <= 0.0:
         raise ValueError("ell and eps must be positive")
     if not eps * ell * geom.kappa0 < 1.0:
@@ -430,22 +434,18 @@ class TubularGrid:
             ns = (ns,) * geom.chart_dims
         if len(ns) != geom.chart_dims:
             raise ValueError("ns must match the chart dimension")
-        grids = []
-        for n_i, per, period in zip(ns, geom.periodic, geom.chart_periods):
-            if n_i < 4:
-                raise ValueError("at least 4 points per direction required")
-            grids.append(_chart_axis(per, period, n_i))
-        if nz < 4:
-            raise ValueError("at least 4 points per direction required")
         shape = (*ns, nz)
+        if min(shape) < 4:
+            raise ValueError("at least 4 points per direction required")
         nbytes = 8 * math.prod(shape)
         if nbytes > _MAX_FIELD_BYTES:
             raise ValueError(
                 f"{geom.name} grid {'x'.join(map(str, shape))} needs {nbytes} bytes a field, "
                 f"above the {_MAX_FIELD_BYTES} bytes allowed"
             )
+        grids = tuple(_chart_axis(*axis) for axis in zip(geom.periodic, geom.chart_periods, ns))
         z = np.linspace(-ell, ell, nz)
-        return cls(geom=geom, ell=float(ell), eps=float(eps), s_grids=tuple(grids), z_grid=z)
+        return cls(geom=geom, ell=float(ell), eps=float(eps), s_grids=grids, z_grid=z)
 
     @property
     def shape(self):

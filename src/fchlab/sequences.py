@@ -88,7 +88,8 @@ class _Family:
 
     nz None takes 513 z samples for a bilayer and 257 for a micelle.
 
-    A family maps a width to a field (`field`) and names its limit (`limit`).
+    A family maps a width to a grid (`grid`) and a field on it (`field`),
+    and names its limit (`limit`).
     Class constants: `width_free`, one field serves every width; `fits_rate`,
     its report fits an eps-rate and an Aitken value.
     """
@@ -127,6 +128,24 @@ class BilayerFamily(_Family):
     def default_schedule(self) -> tuple:
         return (0.1, 0.05, 0.025, 0.0125)
 
+    def grid(self, eps: float) -> TubularGrid:
+        """The field's grid at width eps: ell, ns and nz as given, or their defaults.
+
+        By default ell = 1.05*(L + max|p|), 64 chart samples per axis (192
+        with a translate) and 513 z samples.
+        """
+        half_width = solve_profile(self.params).half_width_L
+        pmax = 0.0
+        if self.translate is not None:
+            # max |p| over a 256-per-axis chart probe
+            mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in self.geom.chart_periods], indexing="ij")
+            pmax = float(np.max(np.abs(self.translate(*mesh))))
+        ell = self.ell if self.ell is not None else 1.05 * (half_width + pmax)
+        if pmax + half_width >= ell:
+            raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
+        ns = self.ns if self.ns is not None else (64 if self.translate is None else 192)
+        return TubularGrid.build(self.geom, ell, eps, ns, 513 if self.nz is None else self.nz)
+
     def field(self, eps: float) -> Field:
         return build_bilayer_field(self, eps)
 
@@ -157,6 +176,22 @@ class MicelleFamily(_Family):
         snapped = {snap_micelle_eps(self.alpha, self.geom.ambient_n, eps)[0] for eps in _MICELLE_EPS_REQUEST}
         return tuple(sorted(snapped, reverse=True))
 
+    def grid(self, eps: float) -> TubularGrid:
+        """The field's grid at width eps: ell, ns and nz as given, or their defaults.
+
+        By default ell = 1.05*R0, _POINTS_PER_MICELLE chart samples across
+        one micelle diameter 2*eps*R0 where the metric factor is largest,
+        and 257 z samples.
+        """
+        geom = self.geom
+        r0 = shoot_micelle(geom.ambient_n, self.params).r0_support
+        ell = self.ell if self.ell is not None else 1.05 * r0
+        ns = self.ns
+        if ns is None:
+            h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for _, hi in geom.lame_range]
+            ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
+        return TubularGrid.build(geom, ell, eps, ns, 257 if self.nz is None else self.nz)
+
     def field(self, eps: float) -> Field:
         return build_micelle_field(self, eps)
 
@@ -169,23 +204,14 @@ class MicelleFamily(_Family):
 
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
-    """Sample u(s, z) = U(z - p(s)) on the tubular grid for this width."""
+    """Sample u(s, z) = U(z - p(s)) on the family's grid for this width."""
+    grid = family.grid(eps)
     profile = solve_profile(family.params)
-    translate, pmax = family.translate, 0.0
-    if translate is not None:
-        # max |p| over a 256-per-axis chart probe
-        mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in family.geom.chart_periods], indexing="ij")
-        pmax = float(np.max(np.abs(translate(*mesh))))
-    ell = family.ell if family.ell is not None else 1.05 * (profile.half_width_L + pmax)
-    if pmax + profile.half_width_L >= ell:
-        raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
-    ns = family.ns if family.ns is not None else (64 if translate is None else 192)
-    grid = TubularGrid.build(family.geom, ell, eps, ns, 513 if family.nz is None else family.nz)
     z = grid.z_grid.reshape((1,) * family.geom.chart_dims + (-1,))
-    if translate is None:
+    if family.translate is None:
         vals = np.broadcast_to(profile.evaluate(z), grid.shape).copy()
     else:
-        p = np.asarray(translate(*grid.s_mesh), dtype=float)[..., None]
+        p = np.asarray(family.translate(*grid.s_mesh), dtype=float)[..., None]
         vals = profile.evaluate(z - p)
     return Field(grid, np.maximum(vals, 0.0, out=vals))
 
@@ -211,23 +237,16 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
-    ell = family.ell if family.ell is not None else 1.05 * r0
+    grid = family.grid(eps)  # refuses an oversized grid before placement runs
     count = family.micelle_count(eps)
     if count < 1:
         raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
     centers = place_micelle_centers(geom, eps, count, r0)
 
-    # the largest metric factor sets the default resolution, the smallest a
-    # conservative chart extent of one micelle
-    ns = family.ns
-    if ns is None:
-        h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for _, hi in geom.lame_range]
-        ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
-    grid = TubularGrid.build(geom, ell, eps, ns, 257 if family.nz is None else family.nz)
-
     vals = np.zeros(grid.shape)
     mesh = grid.s_mesh
-    reach = 1.2 * eps * r0 + eps * ell
+    # the smallest metric factor sets a conservative chart extent of one micelle
+    reach = 1.2 * eps * r0 + eps * grid.ell
     halfwidths = [int(np.ceil(reach / max(lo, 1e-12) / h)) + 4 for (lo, _), h in zip(geom.lame_range, grid.h_s)]
     for center in centers:
         c_pos = geom.position(*center)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -91,6 +92,14 @@ def test_converge_oversized_grid_exits_2_with_its_bytes(tmp_path, capsys):
     message = _refused(capsys, code)
     assert message.startswith("torus grid ") and " bytes" in message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, shape", [("oversized-sphere-micelle-grid", "sphere"), ("oversized-one-micelle-grid", "circle")])
+def test_dry_run_sizes_the_grid_of_every_width(tmp_path, capsys, case, shape):
+    # the dry run once exited 0 here, since only the run shot R0 and sized the grids;
+    # the dry-run parity test shows the run refuses it alike
+    code = run_cli(BAD_INPUTS[case](tmp_path) + ["--dry-run", "--out", str(tmp_path / "x.csv")])
+    assert re.fullmatch(rf"{shape} grid [0-9x]+ needs \d+ bytes a field, above the \d+ bytes allowed", _refused(capsys, code))
 
 
 def test_converge_single_eps(tmp_path, capsys):
@@ -190,6 +199,7 @@ def _config(tmp_path, text):
 
 
 # malformed flags and config files: usage errors, each found before any solve
+# but the profile shot that sizes an oversized micelle grid
 BAD_INPUTS = {
     "missing-config": lambda tmp: ["converge", "--config", str(tmp / "absent.json")],
     "malformed-json": lambda tmp: ["converge", "--config", _config(tmp, '{"kind": ')],
@@ -272,6 +282,10 @@ BAD_INPUTS = {
     "number-well": lambda tmp: ["converge", "--config", _config(tmp, '{"well": 5}')],
     "string-well": lambda tmp: ["phase", "--config", _config(tmp, '{"well": "ab"}')],
     "list-well": lambda tmp: ["profile", "--kind", "bilayer", "--config", _config(tmp, '{"well": ["r"]}')],
+    # the default micelle resolution asks for 945x1888x257 samples, 3.7 GB a field
+    "oversized-sphere-micelle-grid": lambda tmp: ["converge", "--kind", "micelle", "--shape", "sphere", "--rho", "3"],
+    # every default width snaps to one micelle at eps 1.6e-7: a 229969074x257 grid
+    "oversized-one-micelle-grid": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "1e-6"],
 }
 
 
@@ -501,7 +515,10 @@ TORUS = [("R", "--torus-R", (2.0, 4.0)), ("r", "--torus-r", (0.5, 1.5))]
 @st.composite
 def merge_cases(draw):
     """(flags, config file, expected resolved value per path)."""
-    config = {"geometry": {"shape": "torus"}}
+    # a dry run sizes and checks the run's grids: at eps 0.1 a bilayer on a
+    # thin torus is degenerate (eps*ell*kappa0 >= 1); at 0.001 none of the
+    # drawn ones is (ell <= 1.05*57 at r = 1.95 and tau = 0.5, kappa0 <= 2)
+    config = {"geometry": {"shape": "torus"}, "eps_list": [0.001]}
     args, expected = [], {}
     for path, flag, default, (lo, hi) in MERGED:
         value = default

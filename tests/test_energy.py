@@ -474,10 +474,11 @@ def test_sweep_equals_one_width_calls(case, params):
 # field arrays (multiples of field.values.nbytes), numpy 2.4 on Python 3.11:
 # 18.06 when each width recomputed u_tt and held H_j for both axes, 16.81
 # with u_tt held by the field pass, H_j formed per axis and the periodic
-# stencils built without np.roll, 15.94 with the slab pass, whose one slab
-# is this whole grid, and 6.80 with that slab cut into three z-blocks that
-# hold every array formed after the z stencils.
-SWEEP_PEAK_FIELD_ARRAYS = 7.3
+# stencils built without np.roll, 15.94 with a pass over row slabs, whose
+# one slab was this whole grid, 6.80 with that slab cut into three z-blocks
+# after the z stencils ran on it whole, and 6.56 with three tiles of 10 or
+# 11 rows by the whole z axis, on which every stencil runs.
+SWEEP_PEAK_FIELD_ARRAYS = 7.0
 
 
 def test_sweep_peak_memory(params):
@@ -498,13 +499,14 @@ def test_sweep_peak_memory(params):
     assert (peak - base) / fld.values.nbytes <= SWEEP_PEAK_FIELD_ARRAYS
 
 
-# The same sweep on a dense 64x64x257 sphere bilayer, whose pass runs five
-# slabs of chart axis 0: 3.83 field arrays, numpy 2.4 on Python 3.11 (15.95
-# when the whole grid was one pass), and 1.28 once each slab is cut into
-# z-blocks of at most 2^16 samples and dropped before the next is formed.
-# A slab's arrays are about a fifth of a field's and a block's a quarter of
-# a slab's, so the peak stays near one field array however large the grid.
-SLAB_SWEEP_PEAK_FIELD_ARRAYS = 1.5
+# The same sweep on a dense 64x64x257 sphere bilayer, numpy 2.4 on Python
+# 3.11: 15.95 field arrays when the whole grid was one pass, 3.83 over five
+# row slabs, 1.28 with each slab cut into z-blocks after its z stencils ran
+# on it whole, and 0.87 with 24 tiles of 8 rows by 85 or 86 z indices, of
+# which the pass holds one at a time.  A tile's arrays are about a
+# twenty-fourth of a field's, so the peak stays below one field array
+# however large the grid.
+SLAB_SWEEP_PEAK_FIELD_ARRAYS = 1.0
 
 
 def test_slab_sweep_peak_memory(params):
@@ -513,7 +515,7 @@ def test_slab_sweep_peak_memory(params):
         ns=(64, 64), nz=257,
     )
     fld = build_bilayer_field(spec, 0.1)
-    assert len(energy._slabs(fld.values, periodic=False)) >= 4
+    assert len(energy._tiles(fld.values, periodic=False)) >= 4
     args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
@@ -562,11 +564,11 @@ def test_non_finite_integral_is_refused_by_width(params):
 
 
 def test_partials_past_the_float_range_are_refused(params, monkeypatch):
-    # finite block partials whose sum passes the float range make math.fsum
+    # finite tile partials whose sum passes the float range make math.fsum
     # raise OverflowError; the pass reports a numerics failure instead
     spec = sweep_spec("ellipse_bilayer", params)
     fld = build_bilayer_field(spec, spec.eps_list[0])
-    monkeypatch.setattr(energy, "_BLOCK_SAMPLES", 1)
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", 1)
     with pytest.raises(NumericsError, match=f"eps = {spec.eps_list[0]!r} is not finite"):
         fch_energy(fld, 1.0, 2e307, params)
 
@@ -665,61 +667,6 @@ def _evaluate_all(fld, params):
     return [r.__dict__ for r in reports] + [audit.__dict__], operators
 
 
-@pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
-def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
-    # periodic chart axis 0 (the bilayer, and the micelle across the seam) and
-    # a bounded one (the sphere micelle touches theta = 0): slabs split the
-    # sums, never a sample's value
-    fld, geom = edge_field(case, params)
-    periodic = geom.periodic[0]
-    monkeypatch.setattr(energy, "_SLAB_SAMPLES", 2**62)
-    runs = len(energy._slabs(fld.values, periodic))  # one slab per run of marked rows
-    whole, whole_operators = _evaluate_all(fld, params)
-    # rows more than _HALO from every nonzero row: the operators' exact zeros
-    hits = np.flatnonzero(np.any(fld.values, axis=tuple(range(1, fld.values.ndim))))
-    rows = np.arange(fld.values.shape[0])
-    gap = np.abs(rows[:, None] - hits)
-    if periodic:
-        gap = np.minimum(gap, rows.size - gap)
-    far = gap.min(axis=1) > energy._HALO
-    assert far.any() == (case != "ellipse_bilayer")
-    for out in whole_operators:
-        assert np.all(np.moveaxis(out, -geom.chart_dims - 1, 0)[far] == 0.0)
-    row = math.prod(fld.values.shape[1:])
-    for samples in (1, 16 * row):  # slabs of 8 to 15 rows, and of 16 at most
-        monkeypatch.setattr(energy, "_SLAB_SAMPLES", samples)
-        assert len(energy._slabs(fld.values, periodic)) > runs
-        sliced, operators = _evaluate_all(fld, params)
-        for got, want in zip(operators, whole_operators):
-            assert np.array_equal(got, want)
-        for got, want in zip(sliced, whole):
-            for key, value in want.items():
-                assert got[key] == pytest.approx(value, rel=1e-13), (samples, key)
-
-
-def _block_size_invariance(fld, params):
-    """Operators bit for bit and reports and audit to rel 1e-13, with z-blocks of one z index and of the whole slab."""
-    runs = {}
-    for samples in (2**62, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy, "_BLOCK_SAMPLES", samples)
-            runs[samples] = _evaluate_all(fld, params)
-    (whole, whole_operators), (blocked, operators) = runs[2**62], runs[1]
-    for got, want in zip(operators, whole_operators):
-        assert np.array_equal(got, want)
-    for got, want in zip(blocked, whole):
-        for key, value in want.items():
-            assert got[key] == pytest.approx(value, rel=1e-13), key
-
-
-@pytest.mark.parametrize("case", ["circle_micelle_seam", "sphere_micelle", "ellipse_bilayer"])
-def test_block_size_changes_only_the_summation_order(case, params):
-    # chart stencils never read along z, so a z-block needs no halo: blocks
-    # split the sums, never a sample's value
-    fld, _ = edge_field(case, params)
-    _block_size_invariance(fld, params)
-
-
 @pytest.fixture(scope="module")
 def seam_field(params):
     """Four micelles on Circle(1), 512 x 129: the builder's two, each with a copy 10 empty rows on.
@@ -737,21 +684,71 @@ def seam_field(params):
     copy = np.roll(fld.values, 65, axis=0)
     assert not np.any((fld.values != 0.0) & (copy != 0.0))
     fld = Field(fld.grid, fld.values + copy)
-    assert [(s.a, s.b) for s in energy._slabs(fld.values, periodic=True)] == [(0, 101), (221, 357), (477, 512)]
+    tiles = energy._tiles(fld.values, periodic=True)
+    assert [(rows.a, rows.b, zs.a, zs.b) for rows, zs in tiles] == [(0, 101, 0, 129), (221, 357, 0, 129), (477, 512, 0, 129)]
     return fld, spec.geom
 
 
-def test_block_size_changes_only_the_summation_order_across_the_seam(seam_field, params):
-    _block_size_invariance(seam_field[0], params)
+def _check_tile_sizes(case, fld, geom, params, monkeypatch, sizes):
+    """Evaluate with one tile per run, then with each _TILE_SAMPLES in sizes: same floats per sample, sums to round-off."""
+    # periodic chart axis 0 (the bilayer, and micelles across the seam) and a
+    # bounded one (the sphere micelle touches theta = 0): each axis of a tile
+    # reads its halo from the field, so tiles split the sums, never a
+    # sample's value
+    periodic = geom.periodic[0]
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", 2**62)
+    runs = len(energy._tiles(fld.values, periodic))  # one tile per run of marked rows
+    whole, whole_operators = _evaluate_all(fld, params)
+    # rows more than _HALO from every nonzero row: the operators' exact zeros
+    hits = np.flatnonzero(np.any(fld.values, axis=tuple(range(1, fld.values.ndim))))
+    rows = np.arange(fld.values.shape[0])
+    gap = np.abs(rows[:, None] - hits)
+    if periodic:
+        gap = np.minimum(gap, rows.size - gap)
+    far = gap.min(axis=1) > energy._HALO
+    assert far.any() == (case != "ellipse_bilayer")
+    for out in whole_operators:
+        assert np.all(np.moveaxis(out, -geom.chart_dims - 1, 0)[far] == 0.0)
+    row = math.prod(fld.values.shape[1:])
+    for samples in sizes(row):
+        monkeypatch.setattr(energy, "_TILE_SAMPLES", samples)
+        assert len(energy._tiles(fld.values, periodic)) > runs
+        tiled, operators = _evaluate_all(fld, params)
+        for got, want in zip(operators, whole_operators):
+            assert np.array_equal(got, want)
+        for got, want in zip(tiled, whole):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-13), (samples, key)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PINNED))
+def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
+    # tiles of at most 16 rows by the whole z axis: the row halo alone
+    fld, geom = edge_field(case, params)
+    _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (16 * row,))
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PINNED))
+def test_block_size_changes_only_the_summation_order(case, params, monkeypatch):
+    # tiles of 8 to 15 rows by 4 to 7 z indices: the row and z halos together
+    fld, geom = edge_field(case, params)
+    _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (1,))
+
+
+@pytest.mark.parametrize("case", ["seam_field"])
+def test_tile_size_changes_only_the_summation_order(case, params, monkeypatch, request):
+    # two runs, one cut by the seam, under both tilings
+    fld, geom = request.getfixturevalue(case)
+    _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (1, 16 * row))
 
 
 def _shifted(fld, params, k):
-    """The field rolled by k rows along s: fch_energy with one slab per run and with 8-row slabs, and its residual."""
+    """The field rolled by k rows along s: fch_energy with one tile per run and with the smallest tiles, and its residual."""
     rolled = Field(fld.grid, np.roll(fld.values, k, axis=0))
     reports = []
     for samples in (2**62, 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy, "_SLAB_SAMPLES", samples)
+            mp.setattr(energy, "_TILE_SAMPLES", samples)
             reports.append(fch_energy(rolled, 1.0, 1.0, params))
     return reports, cahn_hilliard_residual(rolled, params)
 

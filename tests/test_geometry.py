@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fchlab import (
+    BilayerFamily,
     Circle,
     Ellipse,
     MicelleFamily,
@@ -12,6 +13,7 @@ from fchlab import (
     Torus,
     TubularGrid,
     bending_integral,
+    fch_energy_sweep,
     geometry_from_config,
     jacobian,
     place_micelle_centers,
@@ -19,7 +21,7 @@ from fchlab import (
     unit_sphere_area,
 )
 from fchlab.errors import InfeasibleModelError, PlacementError
-from fchlab.geometry import _greedy_spread, _halton, _surface_candidates
+from fchlab.geometry import _greedy_spread, _halton, _surface_candidates, check_width
 
 
 def fd_curvature_of_curve(geom, t, h=1e-4):
@@ -139,6 +141,35 @@ def test_tubular_grid_requires_positive_jacobian():
     with pytest.raises(InfeasibleModelError):
         TubularGrid.build(geom, 10.0, 0.11, 16, 65)
     assert TubularGrid.build(geom, 10.0, 0.05, 16, 65).shape == (16, 65)
+
+
+def _circle_bilayer(params, ell=None):
+    return BilayerFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, ell=ell, ns=16, nz=65)
+
+
+# each route to check_width, with a nan or infinite eps or ell, and the key it names
+NON_FINITE_WIDTHS = {
+    "eps-nan": (lambda params: check_width(Circle(1.0), 1.0, math.nan), "eps"),
+    "eps-inf": (lambda params: check_width(Circle(1.0), 1.0, math.inf), "eps"),
+    "eps-minus-inf": (lambda params: check_width(Circle(1.0), 1.0, -math.inf), "eps"),
+    "ell-nan": (lambda params: check_width(Circle(1.0), math.nan, 0.1), "ell"),
+    "ell-inf": (lambda params: check_width(Circle(1.0), math.inf, 0.1), "ell"),
+    "grid-ell-nan": (lambda params: TubularGrid.build(Circle(1.0), math.nan, 0.1, 16, 65), "ell"),
+    "sweep-eps-nan": (
+        lambda params: fch_energy_sweep(_circle_bilayer(params).field(0.1), (0.1, math.nan), 1.0, 1.0, params),
+        "eps",
+    ),
+    "bilayer-ell-nan": (lambda params: _circle_bilayer(params, ell=math.nan).field(0.1), "ell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_WIDTHS))
+def test_non_finite_width_is_a_usage_error_named_by_key(params, case):
+    # eps*ell*kappa0 = nan is no infeasibility verdict: such a width names its key
+    evaluate, key = NON_FINITE_WIDTHS[case]
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got -?(nan|inf)$") as refused:
+        evaluate(params)
+    assert not isinstance(refused.value, InfeasibleModelError)
 
 
 def test_placement_on_circle():
