@@ -50,6 +50,8 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 _N_DENSE = 4096
 # the half width on _N_DENSE cells must agree with the rule on half as many
 _WIDTH_RTOL = 1e-9
+# most half-profile nodes solve_profile accepts
+_MAX_SAMPLES = 2**20
 
 
 def peak_amplitude(params: WellParams) -> float:
@@ -253,13 +255,15 @@ def _mass_integral_u(params, u_max):
 def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
     """Construct the bilayer pulse on [-L, L].
 
-    n_samples is the number of half-profile nodes (graded toward both the
-    support edge and the peak); the mirrored output carries 2*n_samples - 1
-    samples.  a_star = sqrt(2) * integral sqrt(W) du and b_star =
+    n_samples is the number of half-profile nodes, 32 to 2^20 (graded
+    toward both the support edge and the peak); the mirrored output
+    carries 2*n_samples - 1 samples.  a_star = sqrt(2) * integral sqrt(W) du and b_star =
     integral W(U(z)) dz are filled by independent quadratures.
     """
     if n_samples < 32:
         raise ValueError("n_samples must be at least 32")
+    if n_samples > _MAX_SAMPLES:
+        raise ValueError(f"n_samples = {n_samples} is above the {_MAX_SAMPLES} allowed")
     u_max = peak_amplitude(params)
 
     # graded public nodes: Chebyshev clustering at u = 0 and u = u_max

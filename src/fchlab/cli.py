@@ -5,12 +5,13 @@ config file, and explicit flags (flags win), then writes a manifest with
 the fully resolved configuration next to each output so results are
 reproducible byte for byte.
 
-Each command builds and checks every input of its run, then either stops
-for `--dry-run` or returns (csv text, summary line, exit code) for `main`
-to write, so a dry run refuses what the run would.  A converge dry run
-sizes every width's grid, which shoots or solves the profile that sets
-it; other checks inside the solvers (micelle dimension, pulse sample
-count, placement) are left to the run.
+Each command returns (csv text, summary line, exit code) for `main` to
+write.  A dry run is the run stopped before its first field: `profile` and
+`phase` build none and run in full, and `converge` prepares every width
+(`family.prepare`: the grid, the micelle count and placement) and stops.
+So a dry run refuses every exit 2 and 3 the run refuses; only exit 4 from
+the energy pass (a non-finite energy, the micelle-overlap guard) needs the
+run.
 
 Exit codes: 0 success, 1 convergence checks failed, 2 usage or config
 error, 3 infeasible model, 4 numerical failure.
@@ -42,6 +43,9 @@ _RATE_WINDOW = (0.7, 2.5)
 
 # the sequence family of each converge kind, and the config keys it reads beyond the shared ones
 _FAMILIES = {"bilayer": (BilayerFamily, ()), "micelle": (MicelleFamily, ("alpha",))}
+
+# most (eta1, eta2) cells a phase map accepts
+_MAX_CELLS = 2**20
 
 # c5 None: default_params audits the far-field coefficient
 _DEFAULT_WELL = {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0, "c5": None}
@@ -185,14 +189,12 @@ def _emit_error(exc) -> int:
     return 2
 
 
-def cmd_profile(resolved, dry_run):
+def cmd_profile(resolved, _dry_run):
     params = _well_from_config(resolved)
     kind = resolved["kind"]
     # the pulse's sample count, or the micelle's ambient dimension
     key = "samples" if kind == "bilayer" else "n"
     size = _count(resolved[key], key)
-    if dry_run:
-        return None
     if kind == "bilayer":
         prof = solve_profile(params, n_samples=size)
         line = (
@@ -227,7 +229,7 @@ def cmd_converge(resolved, dry_run):
     )
     if dry_run:
         for eps in family.eps_list:
-            family.grid(eps)  # the grid each width's run would build, sized and checked
+            family.prepare(eps)
         return None
     report = run_convergence(family)
     errors, rate = report.errors, report.fitted_rate
@@ -246,10 +248,12 @@ def cmd_converge(resolved, dry_run):
     return report.to_csv(), line, 0 if passed else 1
 
 
-def cmd_phase(resolved, dry_run):
+def cmd_phase(resolved, _dry_run):
     geom = geometry_from_config(resolved["geometry"])
     lo1, hi1, n1 = _range(resolved, "eta1_range")
     lo2, hi2, n2 = _range(resolved, "eta2_range")
+    if n1 * n2 > _MAX_CELLS:
+        raise ValueError(f"phase map of {n1 * n2} cells is above the {_MAX_CELLS} allowed")
     params = _well_from_config(resolved)
     cells = []
     for i in range(n1):
@@ -259,14 +263,13 @@ def cmd_phase(resolved, dry_run):
             cells.append((eta1, eta2))
     alpha = _real(resolved["alpha"], "alpha")
     check_alpha(alpha)
-    if dry_run:
-        return None
     table = phase_diagram(geom, alpha, params, cells)
     regimes = table.count_regimes()
     summary = ", ".join(f"(bilayer {b}, micelle {m}): {k}" for (b, m), k in sorted(regimes.items()))
     return table.to_csv(), f"phase map on {geom.name} (n={table.dim_n}): {summary}", 0
 
 
+# each takes (resolved, dry_run); only converge builds fields, so only it stops early
 _COMMANDS = {"profile": cmd_profile, "converge": cmd_converge, "phase": cmd_phase}
 
 

@@ -512,20 +512,20 @@ def _min_adjacent_chord(geom, t_pts):
 
 def _place_on_curve(geom, n_pts, min_sep, eps):
     length = geom.surface_measure
-    s_values = np.arange(n_pts) * (length / n_pts)
-    t_pts = _curve_points_at_arclength(geom, s_values)
-    # on a convex closed curve equal arc spacing attains its minimum
-    # pairwise distance at adjacent pairs
-    if _min_adjacent_chord(geom, t_pts) <= min_sep:
-        n_max = n_pts
-        while n_max > 1:
-            n_max -= 1
-            trial = _curve_points_at_arclength(geom, np.arange(n_max) * (length / n_max))
-            if _min_adjacent_chord(geom, trial) > min_sep:
-                break
+    # a chord is no longer than its arc length/n, so no count above
+    # length/min_sep fits; one more absorbs the arc-length table's round-off
+    fits = min(n_pts, math.floor(length / min_sep) + 1)
+    while True:
+        t_pts = _curve_points_at_arclength(geom, np.arange(fits) * (length / fits))
+        # on a convex closed curve equal arc spacing attains its minimum
+        # pairwise distance at adjacent pairs
+        if fits == 1 or _min_adjacent_chord(geom, t_pts) > min_sep:
+            break
+        fits -= 1
+    if fits < n_pts:
         raise PlacementError(
             f"cannot place {n_pts} centers with separation {min_sep:.4g}; "
-            f"equal arc-length spacing fits at most {n_max} at eps = {eps:.4g}"
+            f"equal arc-length spacing fits at most {fits} at eps = {eps:.4g}"
         )
     return t_pts.reshape(-1, 1)
 

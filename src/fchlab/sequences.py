@@ -88,8 +88,10 @@ class _Family:
 
     nz None takes 513 z samples for a bilayer and 257 for a micelle.
 
-    A family maps a width to a grid (`grid`) and a field on it (`field`),
-    and names its limit (`limit`).
+    A family prepares a width (`prepare`: its grid and, for micelles, the
+    placed centers), builds a field there (`field`), and names its limit
+    (`limit`).  The builders call `prepare` first and a dry run calls only
+    it, so a dry run refuses each width the builders refuse.
     Class constants: `width_free`, one field serves every width; `fits_rate`,
     its report fits an eps-rate and an Aitken value.
     """
@@ -128,8 +130,8 @@ class BilayerFamily(_Family):
     def default_schedule(self) -> tuple:
         return (0.1, 0.05, 0.025, 0.0125)
 
-    def grid(self, eps: float) -> TubularGrid:
-        """The field's grid at width eps: ell, ns and nz as given, or their defaults.
+    def prepare(self, eps: float) -> tuple[TubularGrid, None]:
+        """(grid, None) at width eps: ell, ns and nz as given, or their defaults.
 
         By default ell = 1.05*(L + max|p|), 64 chart samples per axis (192
         with a translate) and 513 z samples.
@@ -144,7 +146,7 @@ class BilayerFamily(_Family):
         if pmax + half_width >= ell:
             raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
         ns = self.ns if self.ns is not None else (64 if self.translate is None else 192)
-        return TubularGrid.build(self.geom, ell, eps, ns, 513 if self.nz is None else self.nz)
+        return TubularGrid.build(self.geom, ell, eps, ns, 513 if self.nz is None else self.nz), None
 
     def field(self, eps: float) -> Field:
         return build_bilayer_field(self, eps)
@@ -176,12 +178,13 @@ class MicelleFamily(_Family):
         snapped = {snap_micelle_eps(self.alpha, self.geom.ambient_n, eps)[0] for eps in _MICELLE_EPS_REQUEST}
         return tuple(sorted(snapped, reverse=True))
 
-    def grid(self, eps: float) -> TubularGrid:
-        """The field's grid at width eps: ell, ns and nz as given, or their defaults.
+    def prepare(self, eps: float) -> tuple[TubularGrid, np.ndarray]:
+        """(grid, centers) at width eps: ell, ns and nz as given, or their defaults.
 
         By default ell = 1.05*R0, _POINTS_PER_MICELLE chart samples across
         one micelle diameter 2*eps*R0 where the metric factor is largest,
-        and 257 z samples.
+        and 257 z samples.  The grid is sized before micelle_count(eps)
+        centers are placed; a count of 0 is a PlacementError too.
         """
         geom = self.geom
         r0 = shoot_micelle(geom.ambient_n, self.params).r0_support
@@ -190,7 +193,11 @@ class MicelleFamily(_Family):
         if ns is None:
             h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for _, hi in geom.lame_range]
             ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
-        return TubularGrid.build(geom, ell, eps, ns, 257 if self.nz is None else self.nz)
+        grid = TubularGrid.build(geom, ell, eps, ns, 257 if self.nz is None else self.nz)
+        count = self.micelle_count(eps)
+        if count < 1:
+            raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
+        return grid, place_micelle_centers(geom, eps, count, r0)
 
     def field(self, eps: float) -> Field:
         return build_micelle_field(self, eps)
@@ -205,7 +212,7 @@ class MicelleFamily(_Family):
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     """Sample u(s, z) = U(z - p(s)) on the family's grid for this width."""
-    grid = family.grid(eps)
+    grid, _ = family.prepare(eps)
     profile = solve_profile(family.params)
     z = grid.z_grid.reshape((1,) * family.geom.chart_dims + (-1,))
     if family.translate is None:
@@ -237,12 +244,7 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
-    grid = family.grid(eps)  # refuses an oversized grid before placement runs
-    count = family.micelle_count(eps)
-    if count < 1:
-        raise PlacementError(f"the requested density rounds to 0 centers at eps = {eps:.4g}")
-    centers = place_micelle_centers(geom, eps, count, r0)
-
+    grid, centers = family.prepare(eps)
     vals = np.zeros(grid.shape)
     mesh = grid.s_mesh
     # the smallest metric factor sets a conservative chart extent of one micelle

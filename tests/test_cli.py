@@ -313,6 +313,51 @@ def test_dry_run_refuses_what_the_run_refuses(tmp_path, capsys, case):
     assert sorted(tmp_path.iterdir()) == before
 
 
+_GROWTH = "growth exponent p=5.0 violates p < 4.0 required in dimension n=3"
+
+# refusals found by the solvers, by placement and by the size caps: (exit
+# code, message, args).  A dry run is the run stopped before its first
+# field, so it refuses these as the run does.
+RUN_REFUSALS = {
+    "phase-growth-exponent": (3, _GROWTH, ["phase", "--p", "5"]),
+    "profile-micelle-dimension": (2, "dim_n must be between 1 and 4", ["profile", "--kind", "micelle", "--n", "5"]),
+    "profile-micelle-growth-exponent": (3, _GROWTH, ["profile", "--kind", "micelle", "--n", "3", "--p", "5"]),
+    "profile-samples-floor": (2, "n_samples must be at least 32", ["profile", "--kind", "bilayer", "--samples", "8"]),
+    "profile-samples-cap": (
+        2, "n_samples = 1048577 is above the 1048576 allowed", ["profile", "--kind", "bilayer", "--samples", "1048577"]
+    ),
+    "phase-cells-cap": (
+        2, "phase map of 1049600 cells is above the 1048576 allowed",
+        ["phase", "--eta1-range", "0:1:1025", "--eta2-range", "0:1:1024"],
+    ),
+    "converge-placement": (
+        3,
+        "cannot place 64 centers with separation 0.824; equal arc-length spacing fits at most 7 at eps = 0.05",
+        ["converge", "--kind", "micelle", "--alpha", "20", "--eps-list", "0.05"],
+    ),
+    # 318310 centers asked for: the refusal walks down from the arc-length bound (381), not from the count
+    "converge-dense-placement": (
+        3,
+        "cannot place 318310 centers with separation 0.01648; equal arc-length spacing fits at most 381 at eps = 0.001",
+        ["converge", "--kind", "micelle", "--alpha", "2000", "--eps-list", "0.001"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_REFUSALS))
+def test_dry_run_refuses_what_the_solvers_refuse(tmp_path, capsys, case):
+    code, message, args = RUN_REFUSALS[case]
+    args = args + ["--out", str(tmp_path / "x.csv")]
+    dry = run_cli(args + ["--dry-run"]), capsys.readouterr()
+    run = run_cli(args), capsys.readouterr()
+    assert dry == run
+    got, (out, err) = run
+    assert got == code and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["message"] == message
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_null_out_is_refused_before_any_solve(tmp_path, capsys):
     args = ["profile", "--kind", "bilayer", "--config", _config(tmp_path, '{"out": null}')]
     for extra in (["--dry-run"], []):

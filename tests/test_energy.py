@@ -506,10 +506,10 @@ def test_sweep_peak_memory(params):
 # which the pass holds one at a time.  A tile's arrays are about a
 # twenty-fourth of a field's, so the peak stays below one field array
 # however large the grid.
-SLAB_SWEEP_PEAK_FIELD_ARRAYS = 1.0
+TILED_SWEEP_PEAK_FIELD_ARRAYS = 1.0
 
 
-def test_slab_sweep_peak_memory(params):
+def test_tiled_sweep_peak_memory(params):
     spec = BilayerFamily(
         geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
         ns=(64, 64), nz=257,
@@ -525,7 +525,7 @@ def test_slab_sweep_peak_memory(params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - base) / fld.values.nbytes <= SLAB_SWEEP_PEAK_FIELD_ARRAYS
+    assert (peak - base) / fld.values.nbytes <= TILED_SWEEP_PEAK_FIELD_ARRAYS
 
 
 def test_sweep_checks_each_width(params):
@@ -722,14 +722,14 @@ def _check_tile_sizes(case, fld, geom, params, monkeypatch, sizes):
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_PINNED))
-def test_slab_size_changes_only_the_summation_order(case, params, monkeypatch):
+def test_row_tiles_change_only_the_summation_order(case, params, monkeypatch):
     # tiles of at most 16 rows by the whole z axis: the row halo alone
     fld, geom = edge_field(case, params)
     _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (16 * row,))
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_PINNED))
-def test_block_size_changes_only_the_summation_order(case, params, monkeypatch):
+def test_row_and_z_tiles_change_only_the_summation_order(case, params, monkeypatch):
     # tiles of 8 to 15 rows by 4 to 7 z indices: the row and z halos together
     fld, geom = edge_field(case, params)
     _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (1,))

@@ -14,6 +14,7 @@ from fchlab import (
     TubularGrid,
     bending_integral,
     fch_energy_sweep,
+    geometry,
     geometry_from_config,
     jacobian,
     place_micelle_centers,
@@ -344,6 +345,25 @@ def test_curve_placement_builds_one_arclength_table(monkeypatch):
     with pytest.raises(PlacementError):
         place_micelle_centers(geom, 0.01, 2000, 6.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("geom, fits", [(Circle(1.0), 381), (Ellipse(2.0, 1.0), 587)], ids=["circle", "ellipse"])
+def test_curve_refusal_starts_below_the_arc_length_bound(monkeypatch, geom, fits):
+    # no count above |Gamma|/min_sep fits, so the walk starts there and
+    # places a count or two, whatever count was asked for
+    calls = []
+    points = geometry._curve_points_at_arclength
+
+    def counted(geom, s_values):
+        calls.append(len(s_values))
+        return points(geom, s_values)
+
+    monkeypatch.setattr(geometry, "_curve_points_at_arclength", counted)
+    message = f"cannot place 16000 centers with separation 0.01648; equal arc-length spacing fits at most {fits}"
+    with pytest.raises(PlacementError, match=f"^{re.escape(message)} at eps = 0.001$"):
+        place_micelle_centers(geom, 0.001, 16000, 8.24)
+    assert len(calls) <= 3 and max(calls) <= fits + 1
+    assert len(place_micelle_centers(geom, 0.001, fits, 8.24)) == fits
 
 
 def test_geometry_from_config():
