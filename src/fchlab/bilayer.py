@@ -252,22 +252,22 @@ def _mass_integral_u(params, u_max):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def solve_profile(params: WellParams, n_samples: int = 512) -> BilayerProfile:
+def solve_profile(params: WellParams, samples: int = 512) -> BilayerProfile:
     """Construct the bilayer pulse on [-L, L].
 
-    n_samples is the number of half-profile nodes, 32 to 2^20 (graded
+    samples is the number of half-profile nodes, 32 to 2^20 (graded
     toward both the support edge and the peak); the mirrored output
-    carries 2*n_samples - 1 samples.  a_star = sqrt(2) * integral sqrt(W) du and b_star =
+    carries 2*samples - 1 samples.  a_star = sqrt(2) * integral sqrt(W) du and b_star =
     integral W(U(z)) dz are filled by independent quadratures.
     """
-    if n_samples < 32:
-        raise ValueError("n_samples must be at least 32")
-    if n_samples > _MAX_SAMPLES:
-        raise ValueError(f"n_samples = {n_samples} is above the {_MAX_SAMPLES} allowed")
+    if samples < 32:
+        raise ValueError("samples must be at least 32")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples = {samples} is above the {_MAX_SAMPLES} allowed")
     u_max = peak_amplitude(params)
 
     # graded public nodes: Chebyshev clustering at u = 0 and u = u_max
-    theta = np.linspace(0.0, np.pi, n_samples)
+    theta = np.linspace(0.0, np.pi, samples)
     u_nodes = u_max * 0.5 * (1.0 - np.cos(theta))
     a, u_mid, *_ = _split(params, u_max)
     hi = u_nodes >= u_mid

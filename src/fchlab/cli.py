@@ -196,7 +196,7 @@ def cmd_profile(resolved, _dry_run):
     key = "samples" if kind == "bilayer" else "n"
     size = _count(resolved[key], key)
     if kind == "bilayer":
-        prof = solve_profile(params, n_samples=size)
+        prof = solve_profile(params, samples=size)
         line = (
             f"bilayer profile: u_max={prof.u_max:.9g} L={prof.half_width_L:.9g} "
             f"a_star={prof.a_star:.9g} b_star={prof.b_star:.9g}"

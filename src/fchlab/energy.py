@@ -50,8 +50,8 @@ become the partials of the quadratic, functional, mass and audit
 integrals.  No name holds a tile past its visit, so a pass holds a few
 dozen tile-sized arrays whatever the size of the grid, and they stay in
 cache between the operations that read them.  An all-zero field has no
-tiles and reports zeros; the degenerate-metric check and |domain| of the
-lower-bound audit still cover every row.
+tiles and reports zeros; |domain| of the lower-bound audit still covers
+every row.
 
 The partials are combined in tile order with math.fsum and scaled by
 prod_j h_j, so results depend only on the samples and the array shape
@@ -60,7 +60,8 @@ and other grids move at round-off when the tiling changes.  A width at
 which a reported integral is not finite (eps**2 underflows below eps of
 about 1e-154) is refused with a NumericsError naming the width.
 fch_energy_sweep agrees bit for bit with fch_energy at each width and
-checks each width with geometry.check_width, as TubularGrid.build does.
+checks each width with geometry.check_width, as constructing a
+TubularGrid does, so the pass itself checks no metric.
 """
 
 from __future__ import annotations
@@ -265,16 +266,6 @@ class _Chart:
         except (ValueError, OverflowError):
             return math.nan
 
-    def check(self, eps):
-        """Refuses a metric with 1 + eps*z*kappa <= 0 anywhere on the grid at width eps.
-
-        Every row, not only the tiles' rows; the factor is linear in z, so
-        its minimum over [-ell, ell] sits at z = +-ell.
-        """
-        ends = self.grid.z_grid[[0, -1]]
-        if min(float(np.min(1.0 + eps * ends * k[..., None])) for k in self.kappas) <= 0.0:
-            raise InfeasibleModelError("degenerate tubular metric: 1 + eps*z*kappa <= 0")
-
     def rows(self, span: _Span, reach):
         """Curvatures and Lame factors on a span's rows at this reach, with a z axis."""
         return (
@@ -351,13 +342,11 @@ class _Metric:
         self.P = math.prod(self.one_plus) * weight
 
 
-def _each_tile(chart: _Chart, u, eps_list, visit):
-    """The metric check at each width, then visit(tile) for each tile of u, in order.
+def _each_tile(chart: _Chart, u, visit):
+    """visit(tile) for each tile of u, in order.
 
     No name holds a tile past its visit, so a pass holds one tile at a time.
     """
-    for eps in eps_list:
-        chart.check(eps)
     for rows, zs in _tiles(u, chart.geom.periodic[0]):
         visit(_Tile(chart, rows, zs, u))
 
@@ -425,7 +414,7 @@ def curvilinear_gradient(field: Field):
             out[axis][b.index] = t / (b.lames[axis][b.body] * m.one_plus[axis][b.body])
         out[-1][b.index] = b.u_z / eps
 
-    _each_tile(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, visit)
     return out
 
 
@@ -437,7 +426,7 @@ def curvilinear_laplacian(field: Field):
     def visit(b):
         out[b.index] = _width_terms(b, _Metric(b.kappas, b.weight, b.z_grid, eps), eps)[0]
 
-    _each_tile(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, visit)
     return out
 
 
@@ -516,7 +505,7 @@ def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, aud
                 sums[key].append(part)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _each_tile(chart, u, eps_list, visit)
+        _each_tile(chart, u, visit)
         diagnostics = _flat_report(chart, flat, p)
     out = []
     for eps, sums in zip(eps_list, widths):
@@ -552,7 +541,7 @@ def cahn_hilliard_residual(field: Field, params: WellParams):
     def visit(b):
         out[b.index] = _residual(b, eps, eval_well_and_dwell(b.u, params)[1])[1]
 
-    _each_tile(_Chart(grid), field.values, (eps,), visit)
+    _each_tile(_Chart(grid), field.values, visit)
     return out
 
 
@@ -564,8 +553,8 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
     tile, and only the metric, the Laplacian, the residual, |grad u|^2
     and the three Jacobian-weighted integrals run per width.  Each width
     other than the field's own is checked against the field grid's
-    geometry and ell by geometry.check_width, the check TubularGrid.build
-    runs on any grid.  Returns one EnergyReport per width, each equal to
+    geometry and ell by geometry.check_width, the check every TubularGrid
+    runs when constructed.  Returns one EnergyReport per width, each equal to
     fch_energy of the same samples on the grid of that width; a width at
     which a reported integral is not finite raises NumericsError.
     """
@@ -573,7 +562,7 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
     grid = field.grid
     eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
-        if eps != grid.eps:  # the field's own width was checked when its grid was built
+        if eps != grid.eps:  # the field's own width was checked when its grid was constructed
             check_width(grid.geom, grid.ell, eps)
     return tuple(report for report, _ in _energy_pass(_Chart(grid), field.values, eps_list, eta1, eta2, params))
 

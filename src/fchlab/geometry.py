@@ -4,9 +4,13 @@ Interfaces are supplied as closed-form charts (angle parameters) carrying
 an explicit metric weight, since global arc-length coordinates do not
 exist on spheres or tori.  Surface integrals always go through the weight:
 integral_Gamma f ds = integral_Q f * weight dt.  Principal curvatures are
-given in closed form per geometry; the uniform bound kappa0 covers both
-the curvatures and their arc-length derivatives on a validation grid,
-and on an ellipse the closed-form tip curvature that grid can miss.
+given in closed form per geometry, and so is kappa_max, the supremum of
+max_j |kappa_j| over the interface.  A tubular grid is admissible by one
+rule, eps*ell*kappa_max < 1 (check_width): exactly the widths at which the
+Jacobian prod_j (1 + eps*z*kappa_j) stays positive for |z| <= ell.  The
+paper's constant kappa0 also bounds the curvatures' arc-length
+derivatives; it is sampled on a validation grid and feeds only the
+uniform-thickness report.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ class InterfaceGeom:
     ambient_n: int
     periodic: tuple
     chart_periods: tuple
+    # the supremum of max_j |kappa_j| over the interface, in closed form
+    kappa_max: float
 
     def curvatures(self, *t):
         raise NotImplementedError
@@ -87,12 +93,12 @@ class InterfaceGeom:
 
     @cached_property
     def kappa0(self):
-        """Uniform bound on |kappa_j| and |d kappa_j / d s_i|."""
+        """Uniform bound on |kappa_j| and |d kappa_j / d s_i|: kappa_max and the sampled derivatives."""
         axes = [_chart_axis(per, period, _VALIDATION_NODES) for per, period in zip(self.periodic, self.chart_periods)]
         mesh = np.meshgrid(*axes, indexing="ij")
         kappas = self.curvatures(*mesh)
         lames = self.lame(*mesh)
-        bound = 0.0
+        bound = self.kappa_max
         for kap in kappas:
             kap = np.broadcast_to(kap, mesh[0].shape)
             bound = max(bound, float(np.max(np.abs(kap))))
@@ -185,6 +191,7 @@ class Circle(InterfaceGeom):
         if not 0.0 < rho < math.inf:
             raise ValueError("circle radius must be positive and finite")
         self.rho = float(rho)
+        self.kappa_max = 1.0 / self.rho
         self.name = "circle"
         self.ambient_n = 2
         self.periodic = (True,)
@@ -214,8 +221,8 @@ class Ellipse(InterfaceGeom):
         self.a = float(a)
         self.b = float(b)
         # |kappa| peaks at the tips: a/b^2 at t = 0 and b/a^2 at t = pi/2
-        self.tip_curvature = max(self.a / self.b / self.b, self.b / self.a / self.a)
-        if not math.isfinite(self.tip_curvature):
+        self.kappa_max = max(self.a / self.b / self.b, self.b / self.a / self.a)
+        if not math.isfinite(self.kappa_max):
             key, other = ("a", "b") if self.a < self.b else ("b", "a")
             raise ValueError(
                 f"ellipse geometry key {key!r} = {getattr(self, key)!r} is too small against "
@@ -225,11 +232,6 @@ class Ellipse(InterfaceGeom):
         self.ambient_n = 2
         self.periodic = (True,)
         self.chart_periods = (2.0 * math.pi,)
-
-    @cached_property
-    def kappa0(self):
-        """The sampled bound, and the tip curvature the mesh can miss on a near-degenerate ellipse."""
-        return max(super().kappa0, self.tip_curvature)
 
     def _speed(self, t):
         return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
@@ -258,6 +260,7 @@ class Sphere(InterfaceGeom):
         if not 0.0 < rho < math.inf:
             raise ValueError("sphere radius must be positive and finite")
         self.rho = float(rho)
+        self.kappa_max = 1.0 / self.rho
         self.name = "sphere"
         self.ambient_n = 3
         self.periodic = (False, True)
@@ -294,6 +297,8 @@ class Torus(InterfaceGeom):
             raise ValueError("torus radii must be finite and satisfy 0 < r < R")
         self.R = float(R)
         self.r = float(r)
+        # 1/r around the tube; |cos(theta)/(R + r cos(theta))| peaks at theta = pi
+        self.kappa_max = max(1.0 / self.r, 1.0 / (self.R - self.r))
         self.name = "torus"
         self.ambient_n = 3
         self.periodic = (True, True)
@@ -393,8 +398,12 @@ def bending_integral(geom: InterfaceGeom) -> float:
 def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
     """Refuse a width at which the tubular map of half-thickness ell degenerates.
 
-    eps and ell must be finite and positive and eps*ell*kappa0 < 1, which
-    keeps the Jacobian positive on the grid.  A nan or infinite value is a
+    The one admissibility rule of a tubular grid: eps and ell finite and
+    positive, and eps*ell*kappa_max < 1.  The Jacobian prod_j (1 + eps*z*kappa_j)
+    is then positive for every |z| <= ell and every point of the interface,
+    and at a larger width it vanishes where |kappa_j| peaks.  Every
+    TubularGrid runs this check when constructed, and fch_energy_sweep runs
+    it for each width other than its grid's.  A nan or infinite value is a
     usage error (ValueError) named by its key, not an infeasible model.
     """
     for name, value in (("eps", eps), ("ell", ell)):
@@ -402,9 +411,9 @@ def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
     if ell <= 0.0 or eps <= 0.0:
         raise ValueError("ell and eps must be positive")
-    if not eps * ell * geom.kappa0 < 1.0:
+    if not eps * ell * geom.kappa_max < 1.0:
         raise InfeasibleModelError(
-            f"tubular grid degenerate: eps*ell*kappa0 = {eps * ell * geom.kappa0:.3f} >= 1"
+            f"tubular grid degenerate: eps*ell*kappa_max = {eps * ell * geom.kappa_max:.3f} >= 1"
         )
 
 
@@ -412,8 +421,9 @@ def check_width(geom: InterfaceGeom, ell: float, eps: float) -> None:
 class TubularGrid:
     """Tensor grid on the rescaled tubular domain Q x [-ell, ell].
 
-    The validity requirement is positivity of the Jacobian on the grid,
-    eps*ell*kappa0 < 1 (check_width).
+    Construction refuses a width at which the Jacobian is not positive on
+    the whole domain, eps*ell*kappa_max >= 1, by check_width; so does any
+    route to a grid, build or direct construction.
     """
 
     geom: InterfaceGeom
@@ -422,14 +432,17 @@ class TubularGrid:
     s_grids: tuple
     z_grid: np.ndarray
 
+    def __post_init__(self):
+        check_width(self.geom, self.ell, self.eps)
+
     @classmethod
     def build(cls, geom, ell, eps, ns, nz):
         """The grid of ns chart samples and nz z samples on Q x [-ell, ell] at width eps.
 
         Refuses a grid whose field would take more than _MAX_FIELD_BYTES,
-        before anything of its size is allocated.
+        before anything of its size is allocated, and then a degenerate
+        width as construction does.
         """
-        check_width(geom, ell, eps)
         if isinstance(ns, int):
             ns = (ns,) * geom.chart_dims
         if len(ns) != geom.chart_dims:
@@ -444,7 +457,8 @@ class TubularGrid:
                 f"above the {_MAX_FIELD_BYTES} bytes allowed"
             )
         grids = tuple(_chart_axis(*axis) for axis in zip(geom.periodic, geom.chart_periods, ns))
-        z = np.linspace(-ell, ell, nz)
+        with np.errstate(invalid="ignore"):  # an infinite ell is refused by its key on construction
+            z = np.linspace(-ell, ell, nz)
         return cls(geom=geom, ell=float(ell), eps=float(eps), s_grids=grids, z_grid=z)
 
     @property

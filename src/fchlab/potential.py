@@ -13,6 +13,7 @@ C5*|u|^p.  A C^2 piecewise-quintic cutoff chi blends the two branches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -65,6 +66,9 @@ class WellParams:
     p : far-field growth exponent, >= 2
     c5 : far-field coefficient (>= 0; 0 only makes sense for audits)
 
+    A nan or infinite value is refused by its name ("tau must be finite"),
+    as the CLI refuses it, before any other check reads it.
+
     The cutoff is pinned to the knots (-2, -1, 2*u_plus, 2*u_plus + 1) with
     quintic C^2 joins; the knots are serialized explicitly so two
     implementations produce bit-comparable well tables.
@@ -77,6 +81,9 @@ class WellParams:
     c5: float
 
     def __post_init__(self):
+        for name in ("r", "u_plus", "tau", "p", "c5"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 1.5 < self.r < 2.0:
             raise ValueError(f"exponent r must lie in (3/2, 2), got {self.r}")
         if self.u_plus <= 0.0:

@@ -341,6 +341,10 @@ def _aitken(values):
 def run_convergence(family) -> ConvergenceReport:
     """Evaluate a family's energy along its width schedule against its limit."""
     geom, eps_list = family.geom, family.eps_list
+    # sampled before any field: freeing the sampling mesh (2 MB a chart array
+    # on a surface) raises glibc's mmap threshold, so the energy pass reuses
+    # heap memory for its tile temporaries instead of faulting in fresh pages
+    kappa0 = geom.kappa0
     coeffs = (family.eta1, family.eta2, family.params)
     if family.width_free:  # one field, swept over every width
         fld = family.field(eps_list[0])
@@ -360,7 +364,7 @@ def run_convergence(family) -> ConvergenceReport:
         reports=tuple(reports),
         predicted_limit=float(family.limit()),
         n_micelles=None if None in counts else counts,
-        uniform_thickness=tuple(e * ell * geom.kappa0 < 0.5 for e, ell in zip(eps_list, ells)),
+        uniform_thickness=tuple(e * ell * kappa0 < 0.5 for e, ell in zip(eps_list, ells)),
     )
 
 

@@ -102,6 +102,26 @@ def test_dry_run_sizes_the_grid_of_every_width(tmp_path, capsys, case, shape):
     assert re.fullmatch(rf"{shape} grid [0-9x]+ needs \d+ bytes a field, above the \d+ bytes allowed", _refused(capsys, code))
 
 
+# runs whose Jacobian is positive on every grid, eps*ell*kappa_max < 1, while
+# eps*ell*kappa0 >= 1 (kappa0 also bounds d kappa/ds); each once exited 3
+ADMISSIBLE_ELLIPSE_RUNS = {
+    "micelle-alpha-1.85": ["converge", "--kind", "micelle", "--shape", "ellipse", "--a", "2", "--b", "1", "--alpha", "1.85"],
+    "bilayer-from-0.05": [
+        "converge", "--kind", "bilayer", "--shape", "ellipse", "--a", "2", "--b", "1", "--eps-list", "0.05,0.025,0.0125",
+    ],
+    "bilayer-thin-dry-run": [
+        "converge", "--kind", "bilayer", "--shape", "ellipse", "--a", "3", "--b", "0.5",
+        "--eps-list", "0.008,0.004", "--dry-run",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADMISSIBLE_ELLIPSE_RUNS))
+def test_ellipse_below_the_curvature_bound_runs(tmp_path, capsys, case):
+    assert run_cli(ADMISSIBLE_ELLIPSE_RUNS[case] + ["--out", str(tmp_path / "conv.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_converge_single_eps(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run_cli(["converge", "--kind", "bilayer", "--eps-list", "0.1", "--out", str(out)])
@@ -315,16 +335,16 @@ def test_dry_run_refuses_what_the_run_refuses(tmp_path, capsys, case):
 
 _GROWTH = "growth exponent p=5.0 violates p < 4.0 required in dimension n=3"
 
-# refusals found by the solvers, by placement and by the size caps: (exit
-# code, message, args).  A dry run is the run stopped before its first
-# field, so it refuses these as the run does.
+# refusals found by the solvers, by placement, by the width check and by the
+# size caps: (exit code, message, args).  A dry run is the run stopped before
+# its first field, so it refuses these as the run does.
 RUN_REFUSALS = {
     "phase-growth-exponent": (3, _GROWTH, ["phase", "--p", "5"]),
     "profile-micelle-dimension": (2, "dim_n must be between 1 and 4", ["profile", "--kind", "micelle", "--n", "5"]),
     "profile-micelle-growth-exponent": (3, _GROWTH, ["profile", "--kind", "micelle", "--n", "3", "--p", "5"]),
-    "profile-samples-floor": (2, "n_samples must be at least 32", ["profile", "--kind", "bilayer", "--samples", "8"]),
+    "profile-samples-floor": (2, "samples must be at least 32", ["profile", "--kind", "bilayer", "--samples", "8"]),
     "profile-samples-cap": (
-        2, "n_samples = 1048577 is above the 1048576 allowed", ["profile", "--kind", "bilayer", "--samples", "1048577"]
+        2, "samples = 1048577 is above the 1048576 allowed", ["profile", "--kind", "bilayer", "--samples", "1048577"]
     ),
     "phase-cells-cap": (
         2, "phase map of 1049600 cells is above the 1048576 allowed",
@@ -334,6 +354,13 @@ RUN_REFUSALS = {
         3,
         "cannot place 64 centers with separation 0.824; equal arc-length spacing fits at most 7 at eps = 0.05",
         ["converge", "--kind", "micelle", "--alpha", "20", "--eps-list", "0.05"],
+    ),
+    # the default schedule's first width, 0.1, puts eps*ell*kappa_max above 1
+    # on Ellipse(2, 1): the Jacobian vanishes at the tips of the long axis
+    "converge-degenerate-ellipse": (
+        3,
+        "tubular grid degenerate: eps*ell*kappa_max = 1.694 >= 1",
+        ["converge", "--kind", "bilayer", "--shape", "ellipse", "--a", "2", "--b", "1"],
     ),
     # 318310 centers asked for: the refusal walks down from the arc-length bound (381), not from the count
     "converge-dense-placement": (
@@ -561,8 +588,8 @@ TORUS = [("R", "--torus-R", (2.0, 4.0)), ("r", "--torus-r", (0.5, 1.5))]
 def merge_cases(draw):
     """(flags, config file, expected resolved value per path)."""
     # a dry run sizes and checks the run's grids: at eps 0.1 a bilayer on a
-    # thin torus is degenerate (eps*ell*kappa0 >= 1); at 0.001 none of the
-    # drawn ones is (ell <= 1.05*57 at r = 1.95 and tau = 0.5, kappa0 <= 2)
+    # thin torus is degenerate (eps*ell*kappa_max >= 1); at 0.001 none of the
+    # drawn ones is (ell <= 1.05*57 at r = 1.95 and tau = 0.5, kappa_max <= 2)
     config = {"geometry": {"shape": "torus"}, "eps_list": [0.001]}
     args, expected = [], {}
     for path, flag, default, (lo, hi) in MERGED:

@@ -531,7 +531,7 @@ def test_tiled_sweep_peak_memory(params):
 def test_sweep_checks_each_width(params):
     spec = sweep_spec("sphere_bilayer", params)
     fld = build_bilayer_field(spec, 0.1)
-    # eps*ell*kappa0 >= 1 on Sphere(3) once eps*ell >= 3
+    # eps*ell*kappa_max >= 1 on Sphere(3) once eps*ell >= 3
     with pytest.raises(InfeasibleModelError):
         fch_energy_sweep(fld, (0.1, 3.0 / fld.grid.ell), 1.0, 1.0, params)
     with pytest.raises(ValueError):
@@ -753,6 +753,12 @@ def _shifted(fld, params, k):
     return reports, cahn_hilliard_residual(rolled, params)
 
 
+@pytest.fixture(scope="module")
+def seam_unshifted(seam_field, params):
+    """_shifted(seam_field, 0): the reference every shift is compared with, computed once."""
+    return _shifted(seam_field[0], params, 0)
+
+
 # k = 0: the seam cuts a run; 100: the two pieces of that run merge; 163: a
 # micelle ends on the last row, so only marks wrapped across the seam cover
 # rows 0..7; 252: the seam cuts the other run through a micelle; 479: it
@@ -764,11 +770,11 @@ def _shifted(fld, params, k):
 @example(k=252)
 @example(k=479)
 @settings(max_examples=16)
-def test_energy_is_invariant_under_a_shift_along_s(seam_field, params, k):
+def test_energy_is_invariant_under_a_shift_along_s(seam_field, seam_unshifted, params, k):
     # the metric of Circle(rho) does not depend on s, so a shift of the
     # samples only reorders the sums
     fld, _ = seam_field
-    (want, _), residual = _shifted(fld, params, 0)
+    (want, _), residual = seam_unshifted
     reports, rolled_residual = _shifted(fld, params, k)
     # each sample reads the same neighbours wherever the seam falls, so the
     # residual moves with the field bit for bit
@@ -790,15 +796,17 @@ def test_residual_matches_whole_grid_operators(case, params):
 
 def test_degenerate_metric_refused_off_the_support(params):
     # kappa peaks at 2 at t = 0 and is 1/4 at t = pi/2; eps*ell = 0.6 makes
-    # 1 - eps*ell*kappa negative only near t = 0, far from the field
+    # 1 - eps*ell*kappa negative only near t = 0, far from the field: the
+    # grid itself is refused when constructed, and a sweep to that width
     geom = Ellipse(2.0, 1.0)
     ns, ell, eps = 256, 1.0, 0.6
     s = np.arange(ns) * (2.0 * np.pi / ns)
-    grid = TubularGrid(geom=geom, ell=ell, eps=eps, s_grids=(s,), z_grid=np.linspace(-ell, ell, 65))
-    vals = smooth_bump(s[:, None] - 0.5 * np.pi, 0.3) * smooth_bump(grid.z_grid[None, :], 0.8)
-    fld = Field(grid, vals)
+    z = np.linspace(-ell, ell, 65)
+    vals = smooth_bump(s[:, None] - 0.5 * np.pi, 0.3) * smooth_bump(z[None, :], 0.8)
     assert np.all(1.0 - eps * ell * geom.curvatures(s[np.any(vals > 0.0, axis=1)])[0] > 0.0)
-    with pytest.raises(InfeasibleModelError):
-        fch_energy(fld, 1.0, 1.0, params)
-    with pytest.raises(InfeasibleModelError):
-        fch_energy(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params)
+    refusal = r"^tubular grid degenerate: eps\*ell\*kappa_max = 1\.200 >= 1$"
+    with pytest.raises(InfeasibleModelError, match=refusal):
+        TubularGrid(geom=geom, ell=ell, eps=eps, s_grids=(s,), z_grid=z)
+    fld = Field(TubularGrid(geom=geom, ell=ell, eps=0.1, s_grids=(s,), z_grid=z), vals)
+    with pytest.raises(InfeasibleModelError, match=refusal):
+        fch_energy_sweep(fld, (0.1, eps), 1.0, 1.0, params)

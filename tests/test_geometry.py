@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fchlab import (
     BilayerFamily,
@@ -22,7 +24,7 @@ from fchlab import (
     unit_sphere_area,
 )
 from fchlab.errors import InfeasibleModelError, PlacementError
-from fchlab.geometry import _greedy_spread, _halton, _surface_candidates, check_width
+from fchlab.geometry import _chart_axis, _greedy_spread, _halton, _surface_candidates, check_width
 
 
 def fd_curvature_of_curve(geom, t, h=1e-4):
@@ -166,7 +168,7 @@ NON_FINITE_WIDTHS = {
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_WIDTHS))
 def test_non_finite_width_is_a_usage_error_named_by_key(params, case):
-    # eps*ell*kappa0 = nan is no infeasibility verdict: such a width names its key
+    # eps*ell*kappa_max = nan is no infeasibility verdict: such a width names its key
     evaluate, key = NON_FINITE_WIDTHS[case]
     with pytest.raises(ValueError, match=f"^{key} must be finite, got -?(nan|inf)$") as refused:
         evaluate(params)
@@ -250,11 +252,58 @@ def test_ellipse_kappa0_covers_the_tip_curvature():
     # leaves the sampled tip curvature far below the true one
     for a, b in ((2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (1.7, 1.3), (1e-100, 1.0), (1.0, 1e-100)):
         geom = Ellipse(a, b)
-        assert geom.tip_curvature == max(a / b / b, b / a / a)
-        assert geom.kappa0 >= geom.tip_curvature
+        assert geom.kappa_max == max(a / b / b, b / a / a)
+        assert geom.kappa0 >= geom.kappa_max
     assert Ellipse(1e-100, 1.0).kappa0 == 1e200
     with pytest.raises(InfeasibleModelError, match="degenerate"):
         TubularGrid.build(Ellipse(1e-100, 1.0), 8.0, 0.1, (64,), 33)
+
+
+_RADII = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _tori(draw):
+    big = draw(_RADII)
+    return Torus(big, big * draw(st.floats(0.05, 0.95)))
+
+
+@given(
+    st.one_of(
+        st.builds(Circle, _RADII),
+        st.builds(Ellipse, _RADII, _RADII),
+        st.builds(Sphere, _RADII),
+        _tori(),
+    )
+)
+def test_kappa_max_is_the_peak_curvature(geom):
+    # a dense chart mesh holds every peak of |kappa_j|: the ellipse's tips at
+    # t = 0 and pi/2 and the torus's inner equator at theta = pi
+    nodes = 2**16 if geom.chart_dims == 1 else 2**10
+    axes = [_chart_axis(per, period, nodes) for per, period in zip(geom.periodic, geom.chart_periods)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    sampled = max(float(np.max(np.abs(k))) for k in geom.curvatures(*mesh))
+    assert sampled == pytest.approx(geom.kappa_max, rel=1e-12)
+    assert geom.kappa0 >= geom.kappa_max
+
+
+def test_width_check_refuses_at_the_peak_curvature():
+    # Ellipse(2, 1): kappa_max = 2 while kappa0 = 2.5995 also bounds d kappa/ds;
+    # the Jacobian 1 - eps*z*kappa stays positive for eps*ell < 1/2
+    geom = Ellipse(2.0, 1.0)
+    check_width(geom, 1.0, 0.4999)
+    assert 0.4999 * geom.kappa0 >= 1.0
+    with pytest.raises(InfeasibleModelError, match=r"^tubular grid degenerate: eps\*ell\*kappa_max = 1\.000 >= 1$"):
+        check_width(geom, 1.0, 0.5)
+    with pytest.raises(InfeasibleModelError, match="kappa_max"):
+        TubularGrid.build(geom, 1.0, 0.5, 64, 33)
+
+
+def test_oversized_degenerate_grid_is_refused_for_its_size():
+    # eps*ell*kappa_max = 2 and 2^21 x 65 samples: the size is refused first,
+    # before anything of it is allocated
+    with pytest.raises(ValueError, match=r"^circle grid 2097152x65 needs \d+ bytes a field"):
+        TubularGrid.build(Circle(1.0), 1.0, 2.0, 2**21, 65)
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,19 @@ def test_parameter_validation():
         WellParams(r=1.75, u_plus=1.0, tau=0.25, p=1.5, c5=1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["r", "u_plus", "tau", "p", "c5"])
+def test_non_finite_well_value_is_refused_by_name(name, value):
+    # a nan u_plus or tau once reached the bracket root and was refused as an
+    # infeasible well, a nan p as a missing c5, and p = inf solved
+    values = {"r": 1.75, "u_plus": 1.0, "tau": 0.25, "p": 3.0}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        WellParams(**{**values, "c5": 1.0, name: value})
+    if name != "c5":
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            default_params(**{**values, name: value})
+
+
 def test_dimension_bound_on_p(params):
     params.check_dimension(3)  # p = 3 < 4 is fine
     with pytest.raises(InfeasibleWellError):

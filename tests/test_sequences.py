@@ -400,8 +400,8 @@ def test_bilayer_sweep_builds_one_field(params, monkeypatch):
 
 
 def test_bilayer_sweep_refuses_degenerate_width(params, profile):
-    # Sphere(3): kappa0 = 1/3, so eps*ell*kappa0 >= 1 once eps >= 3/ell
+    # Sphere(3): kappa_max = 1/3, so eps*ell*kappa_max >= 1 once eps >= 3/ell
     ell = 1.05 * profile.half_width_L
     spec = small_sphere_spec(params, translate=None, ell=ell, eps_list=(3.0 / ell, 0.1))
-    with pytest.raises(InfeasibleModelError, match="eps\\*ell\\*kappa0"):
+    with pytest.raises(InfeasibleModelError, match="eps\\*ell\\*kappa_max"):
         run_convergence(spec)
