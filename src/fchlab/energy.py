@@ -45,6 +45,12 @@ flat-weight diagnostics (equipartition defect, pulse residual and the
 four norms).  Then, per width, it forms the metric on its rows and one
 loop over the chart axes forms H_j once for the three terms that read it
 (u_tt/H_j^2 and c_j*u_t of the Laplacian, (u_t/H_j)^2 of |grad u|^2).
+A periodic chart axis along which every curvature and Lame factor is
+exactly constant (phi on a sphere or a torus) is held at length 1, so the
+metric of a surface tile is rows x 1 x z and broadcasts against the field,
+and that axis forms no c_j: P/H_j^2 is constant along it, and the periodic
+stencil of a constant is exactly 0.  Outputs are bit for bit those of the
+metric sampled on the whole mesh.
 The Laplacian, the residual and |grad u|^2 accumulate in place and
 become the partials of the quadratic, functional, mass and audit
 integrals.  No name holds a tile past its visit, so a pass holds a few
@@ -241,17 +247,28 @@ class _Chart:
     """Width-free sampling of one grid: curvatures, Lame factors, stencils, quadrature weights.
 
     Curvatures and Lame factors are sampled once on the chart mesh and held
-    without a z axis, so they cost a chart, not a grid.  The z trapezoid
-    weights and the chart cell prod_j h_j do not depend on eps either, so
-    one chart serves every width.
+    without a z axis, so they cost a chart, not a grid.  A periodic chart
+    axis other than the tiled axis 0 along which every sampled curvature and
+    Lame factor is exactly constant (phi on a sphere or a torus) is held at
+    length 1: the metric built from them broadcasts against the field, and
+    the stencil of P / H_j^2 along that axis, exactly 0, is not formed.  The
+    z trapezoid weights and the chart cell prod_j h_j do not depend on eps
+    either, so one chart serves every width.
     """
 
     def __init__(self, grid: TubularGrid):
         mesh = grid.s_mesh
         self.grid = grid
         self.geom = geom = grid.geom
-        self.kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
-        self.lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
+        kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
+        lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
+        for axis in range(1, geom.chart_dims):
+            first = (slice(None),) * axis + (slice(0, 1),)
+            held = all(np.array_equal(x, np.broadcast_to(x[first], x.shape)) for x in kappas + lames)
+            if held and geom.periodic[axis]:
+                kappas = [k[first] for k in kappas]
+                lames = [w[first] for w in lames]
+        self.kappas, self.lames = kappas, lames
         self.z_weights = grid.z_trapezoid_weights()
         self.cell = float(np.prod(grid.h_s))
 
@@ -351,19 +368,25 @@ def _each_tile(chart: _Chart, u, visit):
         visit(_Tile(chart, rows, zs, u))
 
 
+def _times(a, b):
+    """a * b, formed in a's buffer unless a is smaller than b, as a metric term is on a held chart axis."""
+    return np.multiply(a, b, out=a if a.shape == b.shape else None)
+
+
 def _width_terms(b: _Tile, m: _Metric, eps):
     """The Laplacian and |grad u|^2 on the tile's body at the metric's width.
 
     One loop over the chart axes forms H_j once for the three terms that
     read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
     of the gradient.  Both sums accumulate in place, and each axis's
-    temporaries are freed before the next axis.
+    temporaries are freed before the next axis.  On a held chart axis H_j
+    broadcasts against the field and c_j is 0, so it is not formed.
     """
     body = b.body
     P = m.P[body]
     lap = b.u_zz / eps**2
     curv = sum(k[body] / f[body] for k, f in zip(b.kappas, m.one_plus))
-    curv *= b.u_z  # curv * u_z / eps
+    curv = _times(curv, b.u_z)  # curv * u_z / eps
     curv /= eps
     lap += curv
     del curv
@@ -379,11 +402,13 @@ def _width_terms(b: _Tile, m: _Metric, eps):
         np.divide(tt, h[inner], out=term)
         lap += term
         del term
+        if h.shape[axis] == 1:  # P / H_j^2 is constant along a held axis: c_j = 0
+            continue
         np.divide(m.P[near], h, out=h)  # the metric coefficient P / H_j^2
         term = b.chart.d1_s(h, axis)[inner]
         del h
         term /= P
-        term *= t
+        term = _times(term, t)
         lap += term
         del term
     return lap, grad_sq
@@ -641,12 +666,13 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     chart = _Chart(grid)
     ((report, integral),) = _energy_pass(chart, field.values, (eps,), eta1, eta2, params, audit_a1=a1)
     # |domain| is over every row, as the tiles of a field nonzero on every row;
-    # the audit integrand vanishes off the support
+    # the audit integrand vanishes off the support.  P is broadcast to the
+    # whole tile, so a held chart axis counts each of its samples
     parts = []
     for rows, zs in _tiles(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
         kappas, lames = chart.rows(rows, 0)
-        g = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
-        g *= zs.take(chart.z_weights, 0)
+        P = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
+        g = np.broadcast_to(P, (rows.b - rows.a, *grid.shape[1:-1], zs.b - zs.a)) * zs.take(chart.z_weights, 0)
         parts.append(np.sum(g))
     domain = chart.total(parts)
     return LowerBoundAudit(

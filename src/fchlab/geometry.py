@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._numerics import gauss_legendre
-from .errors import InfeasibleModelError, PlacementError
+from .errors import InfeasibleModelError, NumericsError, PlacementError
 
 __all__ = [
     "InterfaceGeom",
@@ -503,7 +503,9 @@ def place_micelle_centers(geom: InterfaceGeom, eps: float, count: int, r0: float
     Curves get equal arc-length spacing; surfaces get an area-proportional
     low-discrepancy spread with greedy rejection.  Raises PlacementError
     when the separation constraint cannot be met, reporting how many
-    centers fit at this eps.
+    centers fit at this eps.  On a sphere the count is first held to the
+    cap-packing bound: a count above it is a PlacementError, and a count
+    within it that the spread cannot place is a NumericsError naming both.
     """
     if eps <= 0.0 or r0 <= 0.0:
         raise ValueError("eps and r0 must be positive")
@@ -583,16 +585,40 @@ def _greedy_spread(geom, n_pts, min_sep):
     return candidates[accepted], n_pts
 
 
+def _cap_packing_bound(rho, min_sep):
+    """The most points on a sphere of radius rho that lie pairwise more than min_sep apart.
+
+    Points at chord > min_sep = 2*rho*sin(theta/2) are centres of disjoint
+    caps of angular radius theta/2, each of area 2*pi*rho^2*(1 - cos(theta/2)),
+    so at most 2 / (1 - cos(theta/2)) of them fit; a chord of 2*rho or more
+    leaves room for one.
+    """
+    if min_sep >= 2.0 * rho:
+        return 1
+    return math.floor(2.0 / (1.0 - math.cos(math.asin(min_sep / (2.0 * rho)))))
+
+
 def _place_on_surface(geom, n_pts, min_sep, eps):
-    centers, fits = _greedy_spread(geom, n_pts, min_sep)
-    if centers is not None:
-        return centers
+    # on a sphere cap packing bounds the count, so a request above the bound
+    # builds candidates for the bound only; other surfaces have no bound here
+    bound = _cap_packing_bound(geom.rho, min_sep) if isinstance(geom, Sphere) else None
+    request = n_pts if bound is None else min(n_pts, bound)
+    centers, fits = _greedy_spread(geom, request, min_sep)
+    if request == n_pts:
+        if centers is not None:
+            return centers
+        if bound is not None:  # the count may fit: the spread failed, not the request
+            raise NumericsError(
+                f"the greedy spread placed {fits} of {n_pts} centers with separation {min_sep:.4g} "
+                f"at eps = {eps:.4g}, within the cap-packing bound of {bound}"
+            )
     # the candidate spread is built from the requested count, so a request
     # for `fits` draws other candidates: walk down to a count whose own
     # request succeeds (one center always does)
-    while _greedy_spread(geom, fits, min_sep)[0] is None:
+    while centers is None and _greedy_spread(geom, fits, min_sep)[0] is None:
         fits -= 1
+    above = "" if bound is None else f"cap packing fits at most {bound}; "
     raise PlacementError(
         f"cannot place {n_pts} centers with separation {min_sep:.4g}; "
-        f"the greedy spread fits {fits} at eps = {eps:.4g}"
+        f"{above}the greedy spread fits {fits} at eps = {eps:.4g}"
     )

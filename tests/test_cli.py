@@ -368,6 +368,22 @@ RUN_REFUSALS = {
         "cannot place 318310 centers with separation 0.01648; equal arc-length spacing fits at most 381 at eps = 0.001",
         ["converge", "--kind", "micelle", "--alpha", "2000", "--eps-list", "0.001"],
     ),
+    # 31831 centers asked for on Sphere(1): above the cap-packing bound (16),
+    # so the spread starts there, not at the count
+    "converge-sphere-cap-bound": (
+        3,
+        "cannot place 31831 centers with separation 0.961; cap packing fits at most 16; "
+        "the greedy spread fits 10 at eps = 0.05",
+        ["converge", "--kind", "micelle", "--shape", "sphere", "--rho", "1", "--alpha", "1000", "--eps-list", "0.05"],
+    ),
+    # 11 centers fit on Sphere(1) (12 do, as an icosahedron) but the spread
+    # places 10: a numerics failure, not an infeasible model
+    "converge-sphere-spread-fails": (
+        4,
+        "the greedy spread placed 10 of 11 centers with separation 0.961 at eps = 0.05, "
+        "within the cap-packing bound of 16",
+        ["converge", "--kind", "micelle", "--shape", "sphere", "--rho", "1", "--alpha", "0.35", "--eps-list", "0.05"],
+    ),
 }
 
 

@@ -794,6 +794,56 @@ def test_residual_matches_whole_grid_operators(case, params):
     assert np.array_equal(res, dense)
 
 
+class _FullChart(energy._Chart):
+    """The chart with its curvatures and Lame factors broadcast back to the whole chart mesh."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        shape = grid.shape[:-1]
+        self.kappas = [np.broadcast_to(k, shape).copy() for k in self.kappas]
+        self.lames = [np.broadcast_to(w, shape).copy() for w in self.lames]
+
+
+def _chart_outputs(fld, eps_list, params):
+    """Every consumer of the chart, as bytes or exact reprs: the pass with its audit, the operators, the audit."""
+    sweep = energy._energy_pass(energy._Chart(fld.grid), fld.values, eps_list, 1.0, 1.0, params, audit_a1=0.5)
+    return {
+        "pass": repr(sweep),
+        "gradient": curvilinear_gradient(fld).tobytes(),
+        "laplacian": curvilinear_laplacian(fld).tobytes(),
+        "residual": cahn_hilliard_residual(fld, params).tobytes(),
+        "audit": repr(lower_bound_audit(fld, 1.0, 1.0, params)),
+    }
+
+
+@pytest.mark.parametrize("samples", [2**16, 2**10], ids=["one-tile", "tiles"])
+@pytest.mark.parametrize("translated", [False, True], ids=["flat", "translated"])
+@pytest.mark.parametrize("shape", ["sphere", "torus"])
+def test_held_chart_axis_changes_no_bit(shape, translated, samples, params, monkeypatch):
+    # phi is a held axis on both shapes: every output equals the one from the
+    # chart sampled on the whole mesh, bit for bit
+    spec = BilayerFamily(
+        geom={"sphere": Sphere(3.0), "torus": Torus(3.0, 1.0)}[shape], params=params, eta1=1.0, eta2=1.0,
+        eps_list=(0.1, 0.05), translate=(lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph)) if translated else None,
+        ns=(16, 24), nz=65,
+    )
+    fld = build_bilayer_field(spec, 0.1)
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", samples)
+    held = _chart_outputs(fld, spec.eps_list, params)
+    monkeypatch.setattr(energy, "_Chart", _FullChart)
+    assert held == _chart_outputs(fld, spec.eps_list, params)
+
+
+@pytest.mark.parametrize(
+    "geom, ns, held",
+    [(Sphere(3.0), (16, 24), (16, 1)), (Torus(3.0, 1.0), (16, 24), (16, 1)), (Ellipse(2.0, 1.0), (96,), (96,))],
+    ids=["sphere", "torus", "ellipse"],
+)
+def test_chart_holds_a_constant_axis_at_length_1(geom, ns, held):
+    chart = energy._Chart(TubularGrid.build(geom, 1.0, 0.1, ns, 65))
+    assert [x.shape for x in chart.kappas + chart.lames] == [held] * (2 * geom.chart_dims)
+
+
 def test_degenerate_metric_refused_off_the_support(params):
     # kappa peaks at 2 at t = 0 and is 1/4 at t = pi/2; eps*ell = 0.6 makes
     # 1 - eps*ell*kappa negative only near t = 0, far from the field: the

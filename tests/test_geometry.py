@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -23,8 +24,15 @@ from fchlab import (
     total_curvature,
     unit_sphere_area,
 )
-from fchlab.errors import InfeasibleModelError, PlacementError
-from fchlab.geometry import _chart_axis, _greedy_spread, _halton, _surface_candidates, check_width
+from fchlab.errors import InfeasibleModelError, NumericsError, PlacementError
+from fchlab.geometry import (
+    _cap_packing_bound,
+    _chart_axis,
+    _greedy_spread,
+    _halton,
+    _surface_candidates,
+    check_width,
+)
 
 
 def fd_curvature_of_curve(geom, t, h=1e-4):
@@ -236,6 +244,65 @@ def test_surface_refusal_reports_a_count_that_succeeds(geom):
     fits = int(re.search(r"the greedy spread fits (\d+) at", str(err.value))[1])
     assert 1 <= fits < 637
     assert len(place_micelle_centers(geom, eps, fits, r0)) == fits
+
+
+def _platonic_vertices():
+    """Unit vertices of the five Platonic solids, by vertex count."""
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    signs = [np.array(v) for v in itertools.product((-1.0, 1.0), repeat=3)]
+
+    def cyclic(a, b):
+        return [np.roll([0.0, a, b], k) for k in range(3)]
+
+    sets = {
+        4: [v for v in signs if np.prod(v) > 0],
+        6: [np.roll([s, 0.0, 0.0], k) for s in (-1.0, 1.0) for k in range(3)],
+        8: signs,
+        12: [v for a in (-1.0, 1.0) for b in (-g, g) for v in cyclic(a, b)],
+        20: signs + [v for a in (-1.0 / g, 1.0 / g) for b in (-g, g) for v in cyclic(a, b)],
+    }
+    return {n: np.array([v / np.linalg.norm(v) for v in pts]) for n, pts in sets.items()}
+
+
+@pytest.mark.parametrize("count", [4, 6, 8, 12, 20])
+def test_cap_packing_bound_admits_the_platonic_solids(count):
+    # a placement that exists never exceeds the bound: the vertices lie
+    # pairwise more than just under their least chord apart
+    pos = _platonic_vertices()[count]
+    assert len(pos) == count
+    chord = min(np.linalg.norm(pos[i] - pos[j]) for i in range(count) for j in range(i))
+    assert _cap_packing_bound(1.0, chord * (1.0 - 1e-9)) >= count
+    assert _cap_packing_bound(2.0, 2.0 * chord * (1.0 - 1e-9)) >= count
+
+
+def test_cap_packing_bound_values():
+    # 2 / (1 - cos(theta/2)) with chord 2*rho*sin(theta/2)
+    assert _cap_packing_bound(1.0, 2.0 * 0.05 * 9.598) == 16
+    assert _cap_packing_bound(1.0, 2.0) == _cap_packing_bound(1.0, 5.0) == 1
+    assert _cap_packing_bound(1.0, math.sqrt(2.0)) == 6
+
+
+def test_sphere_counts_within_the_cap_bound_are_not_refused_as_infeasible():
+    # 12 centres fit as an icosahedron (least chord 1.0515 > 0.9596), but the
+    # spread places fewer: its failure is a numerics failure naming both counts
+    for count in (11, 12):
+        with pytest.raises(NumericsError, match=rf"placed \d+ of {count} centers .*cap-packing bound of 16$"):
+            place_micelle_centers(Sphere(1.0), 0.05, count, 9.598)
+    assert len(place_micelle_centers(Sphere(1.0), 0.05, 10, 9.598)) == 10
+
+
+def test_sphere_refusal_builds_candidates_for_the_bound(monkeypatch):
+    # 127324 centres asked for: every spread draws at most 64 candidates per
+    # centre of the bound (16), not per centre asked for
+    from fchlab import geometry
+
+    sizes = []
+    build = geometry._surface_candidates
+    monkeypatch.setattr(geometry, "_surface_candidates", lambda geom, count: sizes.append(count) or build(geom, count))
+    with pytest.raises(PlacementError, match=r"^cannot place 127324 centers .*; cap packing fits at most 16; "
+                                             r"the greedy spread fits 10 at eps = 0.05$"):
+        place_micelle_centers(Sphere(1.0), 0.05, 127324, 9.598)
+    assert sizes and max(sizes) == 64 * 16
 
 
 def test_kappa0_pinned():

@@ -380,7 +380,8 @@ def test_bilayer_sweep_csv_pinned(params):
 
 def test_bilayer_sweep_builds_one_field(params, monkeypatch):
     # width-free terms once: u_t and u_tt (both axes), u_z, u_zz and the u_ss
-    # norms; per width only the metric coefficient d1_s(P/H^2) per axis
+    # norms; per width only the metric coefficient d1_s(P/H^2) on theta, since
+    # the metric is held at length 1 along phi, where that stencil is 0
     from fchlab import energy, sequences
 
     calls = {}
@@ -395,8 +396,8 @@ def test_bilayer_sweep_builds_one_field(params, monkeypatch):
     monkeypatch.setattr(sequences, "build_bilayer_field", lambda *a: builds.append(a[1]) or build(*a))
     run_convergence(small_sphere_spec(params))
     assert builds == [0.1]
-    assert calls == {"d1_bounded": 7, "d2_bounded": 2, "d1_periodic": 6, "d2_periodic": 1}
-    assert sum(calls.values()) == 16
+    assert calls == {"d1_bounded": 7, "d2_bounded": 2, "d1_periodic": 2, "d2_periodic": 1}
+    assert sum(calls.values()) == 12
 
 
 def test_bilayer_sweep_refuses_degenerate_width(params, profile):
