@@ -278,7 +278,11 @@ def _add_common(sub):
     sub.add_argument("--config", type=str, default=None, help="JSON config file")
     sub.add_argument("--out", type=str, default=None, help="output CSV path")
     sub.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
-    sub.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
+    sub.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="prepare every width and refuse what the run refuses, then print the resolved config; write nothing",
+    )
 
 
 def _add_well_flags(sub):

@@ -45,12 +45,11 @@ flat-weight diagnostics (equipartition defect, pulse residual and the
 four norms).  Then, per width, it forms the metric on its rows and one
 loop over the chart axes forms H_j once for the three terms that read it
 (u_tt/H_j^2 and c_j*u_t of the Laplacian, (u_t/H_j)^2 of |grad u|^2).
-A periodic chart axis along which every curvature and Lame factor is
-exactly constant (phi on a sphere or a torus) is held at length 1, so the
-metric of a surface tile is rows x 1 x z and broadcasts against the field,
-and that axis forms no c_j: P/H_j^2 is constant along it, and the periodic
-stencil of a constant is exactly 0.  Outputs are bit for bit those of the
-metric sampled on the whole mesh.
+The metric has the rank the geometry gives its factors: on a sphere or a
+torus none depends on phi, so a surface tile's metric is rows x 1 x z and
+broadcasts against the field, and phi forms no c_j: P/H_j^2 is constant
+along it, and the periodic stencil of a constant is exactly 0.  Outputs
+are bit for bit those of the metric sampled on the whole mesh.
 The Laplacian, the residual and |grad u|^2 accumulate in place and
 become the partials of the quadratic, functional, mass and audit
 integrals.  No name holds a tile past its visit, so a pass holds a few
@@ -246,13 +245,13 @@ def _tiles(u, periodic):
 class _Chart:
     """Width-free sampling of one grid: curvatures, Lame factors, stencils, quadrature weights.
 
-    Curvatures and Lame factors are sampled once on the chart mesh and held
-    without a z axis, so they cost a chart, not a grid.  A periodic chart
-    axis other than the tiled axis 0 along which every sampled curvature and
-    Lame factor is exactly constant (phi on a sphere or a torus) is held at
-    length 1: the metric built from them broadcasts against the field, and
-    the stencil of P / H_j^2 along that axis, exactly 0, is not formed.  The
-    z trapezoid weights and the chart cell prod_j h_j do not depend on eps
+    Curvatures and Lame factors are sampled once on the sparse chart mesh
+    and held as the geometry returns them, without a z axis, so they cost a
+    chart, not a grid.  A factor has length 1 along an axis it does not
+    depend on (phi on a sphere or a torus): the metric built from it
+    broadcasts against the field along that axis, which the geometry's
+    contract makes a periodic one other than the tiled axis 0.  The z
+    trapezoid weights and the chart cell prod_j h_j do not depend on eps
     either, so one chart serves every width.
     """
 
@@ -260,15 +259,8 @@ class _Chart:
         mesh = grid.s_mesh
         self.grid = grid
         self.geom = geom = grid.geom
-        kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
-        lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
-        for axis in range(1, geom.chart_dims):
-            first = (slice(None),) * axis + (slice(0, 1),)
-            held = all(np.array_equal(x, np.broadcast_to(x[first], x.shape)) for x in kappas + lames)
-            if held and geom.periodic[axis]:
-                kappas = [k[first] for k in kappas]
-                lames = [w[first] for w in lames]
-        self.kappas, self.lames = kappas, lames
+        self.kappas = [np.asarray(k, dtype=float) for k in geom.curvatures(*mesh)]
+        self.lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
         self.z_weights = grid.z_trapezoid_weights()
         self.cell = float(np.prod(grid.h_s))
 
@@ -369,7 +361,7 @@ def _each_tile(chart: _Chart, u, visit):
 
 
 def _times(a, b):
-    """a * b, formed in a's buffer unless a is smaller than b, as a metric term is on a held chart axis."""
+    """a * b, formed in a's buffer unless a is smaller than b, as a metric term is where its factors have length 1."""
     return np.multiply(a, b, out=a if a.shape == b.shape else None)
 
 
@@ -379,8 +371,9 @@ def _width_terms(b: _Tile, m: _Metric, eps):
     One loop over the chart axes forms H_j once for the three terms that
     read it: u_tt / H_j^2 and c_j * u_t of the Laplacian and (u_t / H_j)^2
     of the gradient.  Both sums accumulate in place, and each axis's
-    temporaries are freed before the next axis.  On a held chart axis H_j
-    broadcasts against the field and c_j is 0, so it is not formed.
+    temporaries are freed before the next axis.  Along an axis where the
+    chart's factors have length 1, H_j broadcasts against the field and c_j
+    is 0, so it is not formed.
     """
     body = b.body
     P = m.P[body]
@@ -402,7 +395,7 @@ def _width_terms(b: _Tile, m: _Metric, eps):
         np.divide(tt, h[inner], out=term)
         lap += term
         del term
-        if h.shape[axis] == 1:  # P / H_j^2 is constant along a held axis: c_j = 0
+        if h.shape[axis] == 1:  # P / H_j^2 is constant along this axis: c_j = 0
             continue
         np.divide(m.P[near], h, out=h)  # the metric coefficient P / H_j^2
         term = b.chart.d1_s(h, axis)[inner]
@@ -667,7 +660,8 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     ((report, integral),) = _energy_pass(chart, field.values, (eps,), eta1, eta2, params, audit_a1=a1)
     # |domain| is over every row, as the tiles of a field nonzero on every row;
     # the audit integrand vanishes off the support.  P is broadcast to the
-    # whole tile, so a held chart axis counts each of its samples
+    # whole tile, so an axis along which the factors have length 1 counts
+    # each of its samples
     parts = []
     for rows, zs in _tiles(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
         kappas, lames = chart.rows(rows, 0)

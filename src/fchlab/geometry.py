@@ -56,6 +56,13 @@ class InterfaceGeom:
 
     Subclasses provide chart callables; everything here is derived.  All
     chart functions broadcast over numpy arrays of chart coordinates.
+    curvatures and lame return each factor at the broadcast shape of the
+    coordinates it depends on, so on a sparse chart mesh a factor has
+    length 1 along an axis it does not depend on (phi on a sphere or a
+    torus).  That axis may only be a periodic one other than axis 0: the
+    energy pass tiles axis 0, and along a length-1 axis it forms no c_j,
+    which is exact because the periodic stencil of a constant is exactly 0
+    (the one-sided rows of a bounded axis are not).
     Instances are immutable after construction and safe to share.
     """
 
@@ -95,17 +102,15 @@ class InterfaceGeom:
     def kappa0(self):
         """Uniform bound on |kappa_j| and |d kappa_j / d s_i|: kappa_max and the sampled derivatives."""
         axes = [_chart_axis(per, period, _VALIDATION_NODES) for per, period in zip(self.periodic, self.chart_periods)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
         kappas = self.curvatures(*mesh)
         lames = self.lame(*mesh)
         bound = self.kappa_max
         for kap in kappas:
-            kap = np.broadcast_to(kap, mesh[0].shape)
             bound = max(bound, float(np.max(np.abs(kap))))
             for axis, (w, period) in enumerate(zip(lames, self.chart_periods)):
                 h = period / _VALIDATION_NODES
                 dk_dt = _periodic_or_interior_gradient(kap, axis, h, self.periodic[axis])
-                w = np.broadcast_to(np.asarray(w, dtype=float), mesh[0].shape)
                 bound = max(bound, float(np.max(np.abs(dk_dt / w))))
         return bound
 
@@ -120,8 +125,8 @@ class InterfaceGeom:
                 nodes, ww = _nonperiodic_rule(n_nodes)
                 grids.append(nodes)
                 wlists.append(ww)
-        mesh = np.meshgrid(*grids, indexing="ij")
-        wq = np.ones(mesh[0].shape)
+        mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
+        wq = np.ones([len(g) for g in grids])
         for axis, ww in enumerate(wlists):
             shape = [1] * len(wlists)
             shape[axis] = -1
@@ -143,7 +148,7 @@ class InterfaceGeom:
     @cached_property
     def lame_range(self):
         """Per chart axis, (min, max) of its Lame factor on a mesh of 128 nodes an axis, ends included."""
-        mesh = np.meshgrid(*[np.linspace(0, p, _LAME_NODES) for p in self.chart_periods], indexing="ij")
+        mesh = np.meshgrid(*[np.linspace(0, p, _LAME_NODES) for p in self.chart_periods], indexing="ij", sparse=True)
         return tuple((float(np.min(w)), float(np.max(w))) for w in self.lame(*mesh))
 
     @cached_property
@@ -267,14 +272,12 @@ class Sphere(InterfaceGeom):
         self.chart_periods = (math.pi, 2.0 * math.pi)
 
     def curvatures(self, theta, phi):
-        shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
-        k = np.full(shape, 1.0 / self.rho)
-        return (k, k.copy())
+        theta = np.asarray(theta, dtype=float)
+        return (np.full_like(theta, 1.0 / self.rho), np.full_like(theta, 1.0 / self.rho))
 
     def lame(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast(theta, np.asarray(phi)).shape
-        return (np.full(shape, self.rho), np.broadcast_to(self.rho * np.sin(theta), shape).copy())
+        return (np.full_like(theta, self.rho), self.rho * np.sin(theta))
 
     def position(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
@@ -306,15 +309,11 @@ class Torus(InterfaceGeom):
 
     def curvatures(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast(theta, np.asarray(phi)).shape
-        k1 = np.full(shape, 1.0 / self.r)
-        k2 = np.broadcast_to(np.cos(theta) / (self.R + self.r * np.cos(theta)), shape).copy()
-        return (k1, k2)
+        return (np.full_like(theta, 1.0 / self.r), np.cos(theta) / (self.R + self.r * np.cos(theta)))
 
     def lame(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast(theta, np.asarray(phi)).shape
-        return (np.full(shape, self.r), np.broadcast_to(self.R + self.r * np.cos(theta), shape).copy())
+        return (np.full_like(theta, self.r), self.R + self.r * np.cos(theta))
 
     def position(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
@@ -467,7 +466,7 @@ class TubularGrid:
 
     @property
     def s_mesh(self):
-        return np.meshgrid(*self.s_grids, indexing="ij")
+        return np.meshgrid(*self.s_grids, indexing="ij", sparse=True)
 
     @property
     def h_s(self):

@@ -53,6 +53,9 @@ __all__ = [
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
 # default chart resolution of a micelle field: samples across one micelle diameter 2*eps*R0
 _POINTS_PER_MICELLE = 96
+# samples (chart points x z) of one chunk of a micelle window: its offset
+# positions and their differences take 24 bytes a sample each
+_WINDOW_CHUNK_SAMPLES = 2**20
 
 
 def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: float) -> float:
@@ -140,7 +143,7 @@ class BilayerFamily(_Family):
         pmax = 0.0
         if self.translate is not None:
             # max |p| over a 256-per-axis chart probe
-            mesh = np.meshgrid(*[np.linspace(0.0, per, 256) for per in self.geom.chart_periods], indexing="ij")
+            mesh = np.meshgrid(*[np.linspace(0.0, p, 256) for p in self.geom.chart_periods], indexing="ij", sparse=True)
             pmax = float(np.max(np.abs(self.translate(*mesh))))
         ell = self.ell if self.ell is not None else 1.05 * (half_width + pmax)
         if pmax + half_width >= ell:
@@ -218,7 +221,7 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     if family.translate is None:
         vals = np.broadcast_to(profile.evaluate(z), grid.shape).copy()
     else:
-        p = np.asarray(family.translate(*grid.s_mesh), dtype=float)[..., None]
+        p = np.broadcast_to(np.asarray(family.translate(*grid.s_mesh), dtype=float), grid.shape[:-1])[..., None]
         vals = profile.evaluate(z - p)
     return Field(grid, np.maximum(vals, 0.0, out=vals))
 
@@ -239,29 +242,34 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     """Superpose radial compactons at separated interface points.
 
     Supports are pairwise disjoint by the placement separation 2*eps*R0;
-    a runtime overlap check guards the construction.
+    a runtime overlap check guards the construction.  Each window is built
+    in chunks of its axis-0 indices, at most _WINDOW_CHUNK_SAMPLES samples
+    a chunk (at least one index): on a sphere a window is the whole chart.
     """
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
     grid, centers = family.prepare(eps)
     vals = np.zeros(grid.shape)
-    mesh = grid.s_mesh
     # the smallest metric factor sets a conservative chart extent of one micelle
     reach = 1.2 * eps * r0 + eps * grid.ell
     halfwidths = [int(np.ceil(reach / max(lo, 1e-12) / h)) + 4 for (lo, _), h in zip(geom.lame_range, grid.h_s)]
     for center in centers:
         c_pos = geom.position(*center)
-        idx = np.ix_(*_chart_window(geom, grid, center, halfwidths))
-        # the trailing chart axis: position and normal once per chart point, not per z sample
-        pos = geom.offset_position([m[idx][..., None] for m in mesh], grid.z_grid, eps)
-        radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
-        inside = radius < r0
-        bump = np.zeros(radius.shape)
-        bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
-        if np.any((vals[idx] > 0.0) & (bump > 0.0)):
-            raise NumericsError("micelle supports overlap despite placement separation")
-        vals[idx] += bump
+        rows, *rest = _chart_window(geom, grid, center, halfwidths)
+        rows_a_chunk = max(1, _WINDOW_CHUNK_SAMPLES // (math.prod(map(len, rest)) * len(grid.z_grid)))
+        for chunk in np.array_split(rows, -(-len(rows) // rows_a_chunk)):
+            idx = np.ix_(chunk, *rest)
+            # the trailing chart axis: position and normal once per chart point, not per z sample
+            pos = geom.offset_position([g[i][..., None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
+            radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
+            del pos
+            inside = radius < r0
+            bump = np.zeros(radius.shape)
+            bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
+            if np.any((vals[idx] > 0.0) & (bump > 0.0)):
+                raise NumericsError("micelle supports overlap despite placement separation")
+            vals[idx] += bump
     return Field(grid, vals)
 
 
@@ -341,11 +349,7 @@ def _aitken(values):
 def run_convergence(family) -> ConvergenceReport:
     """Evaluate a family's energy along its width schedule against its limit."""
     geom, eps_list = family.geom, family.eps_list
-    # kappa0 feeds only the uniform-thickness column.  Sampled before any
-    # field, its freed sampling mesh (2 MB a chart array on a surface) raises
-    # glibc's mmap threshold ahead of the energy pass; with the metric held at
-    # length 1 along phi that saves under 4% of the pass's minor page faults
-    # on a sphere, so the order is no longer load-bearing
+    # kappa0 feeds only the uniform-thickness column
     kappa0 = geom.kappa0
     coeffs = (family.eta1, family.eta2, family.params)
     if family.width_free:  # one field, swept over every width

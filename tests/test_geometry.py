@@ -305,6 +305,27 @@ def test_sphere_refusal_builds_candidates_for_the_bound(monkeypatch):
     assert sizes and max(sizes) == 64 * 16
 
 
+@pytest.mark.parametrize(
+    "geom, rank",
+    [(Circle(1.5), (12,)), (Ellipse(2.0, 1.0), (12,)), (Sphere(3.0), (12, 1)), (Torus(3.0, 1.0), (12, 1))],
+    ids=["circle", "ellipse", "sphere", "torus"],
+)
+def test_factors_carry_the_rank_of_their_coordinates(geom, rank):
+    # on a sparse chart mesh a factor has full length on axis 0 and on every
+    # bounded axis, and length 1 only along a periodic axis it does not
+    # depend on (phi on a sphere or a torus); broadcast, it is the sample on
+    # the whole mesh
+    ns = (12, 20)[: geom.chart_dims]
+    axes = [_chart_axis(*axis) for axis in zip(geom.periodic, geom.chart_periods, ns)]
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    full = np.meshgrid(*axes, indexing="ij")
+    for method in (geom.curvatures, geom.lame):
+        for factor, whole in zip(method(*sparse), method(*full), strict=True):
+            assert factor.shape == rank
+            assert whole.shape == ns
+            assert np.array_equal(np.broadcast_to(factor, ns), whole)
+
+
 def test_kappa0_pinned():
     # recorded before the validation mesh and the grid shared one chart-axis helper
     assert Circle(1.0).kappa0 == 1.0

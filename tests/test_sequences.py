@@ -22,6 +22,7 @@ from fchlab import (
     phase_diagram,
     place_micelle_centers,
     run_convergence,
+    sequences,
     shoot_micelle,
     snap_micelle_eps,
     solve_profile,
@@ -151,6 +152,31 @@ def test_oversized_grid_is_refused_before_it_is_allocated(params):
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_micelle_windows_build_in_chunks(params, monkeypatch):
+    # every sphere window is the whole chart: theta is bounded, and the phi
+    # half-width comes from the Lame minimum 0 at the poles.  Built in one
+    # piece, the window's offset positions took 24 bytes a sample, and the
+    # default 314x628x257 field at eps 0.05 ran out of memory
+    family = MicelleFamily(
+        geom=Sphere(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.1, eps_list=(0.05,), ns=(40, 80), nz=65
+    )
+    whole = build_micelle_field(family, 0.05)  # one chunk: 208000 samples, under the default 2^20
+    assert np.count_nonzero(whole.values) > 0
+    # 2^14 samples: 14 chunks of 2 or 3 rows of 80 x 65 samples
+    monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**14)
+    assert build_micelle_field(family, 0.05).values.tobytes() == whole.values.tobytes()
+    # 2^10 samples: below one row, so a chunk is one row
+    monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**10)
+    tracemalloc.start()
+    try:
+        fld = build_micelle_field(family, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.values.tobytes() == whole.values.tobytes()
+    assert peak < 2 * fld.values.nbytes
 
 
 def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
