@@ -15,7 +15,8 @@ bound); only exit 4 from the energy pass (a non-finite energy, the
 micelle-overlap guard) needs the run.
 
 Exit codes: 0 success, 1 convergence checks failed, 2 usage or config
-error, 3 infeasible model, 4 numerical failure.
+error (and a request too large for this machine: the 2^30-byte grid cap,
+or an allocation the OS refuses), 3 infeasible model, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -374,6 +375,9 @@ def main(argv=None) -> int:
     # OSError: an unreadable config or output path; TypeError: a config value of the wrong type
     except (InfeasibleModelError, NumericsError, ValueError, KeyError, TypeError, OSError) as exc:
         return _emit_error(exc)
+    # the OS refused an allocation: named by the public class, not numpy's private subclass
+    except MemoryError as exc:
+        return _emit_error(MemoryError(str(exc)))
 
 
 if __name__ == "__main__":

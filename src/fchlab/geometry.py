@@ -9,8 +9,9 @@ max_j |kappa_j| over the interface.  A tubular grid is admissible by one
 rule, eps*ell*kappa_max < 1 (check_width): exactly the widths at which the
 Jacobian prod_j (1 + eps*z*kappa_j) stays positive for |z| <= ell.  The
 paper's constant kappa0 also bounds the curvatures' arc-length
-derivatives; it is sampled on a validation grid and feeds only the
-uniform-thickness report.
+derivatives: it is max(kappa_max, dkappa_max), where dkappa_max is the
+closed-form supremum of |d kappa_j / d s_i| per shape, and it feeds only
+the uniform-thickness report.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "place_micelle_centers",
 ]
 
-_VALIDATION_NODES = 512
 # nodes per chart axis of the cached surface rule; curves can afford more
 _SURFACE_NODES = 512
 _CURVE_NODES = 2048
@@ -72,6 +72,8 @@ class InterfaceGeom:
     chart_periods: tuple
     # the supremum of max_j |kappa_j| over the interface, in closed form
     kappa_max: float
+    # the supremum of max_ij |d kappa_j / d s_i| over the interface, in closed form
+    dkappa_max: float
 
     def curvatures(self, *t):
         raise NotImplementedError
@@ -98,21 +100,10 @@ class InterfaceGeom:
         nrm = self.normal(*t)
         return pos + (eps * np.asarray(z))[..., None] * nrm
 
-    @cached_property
+    @property
     def kappa0(self):
-        """Uniform bound on |kappa_j| and |d kappa_j / d s_i|: kappa_max and the sampled derivatives."""
-        axes = [_chart_axis(per, period, _VALIDATION_NODES) for per, period in zip(self.periodic, self.chart_periods)]
-        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        kappas = self.curvatures(*mesh)
-        lames = self.lame(*mesh)
-        bound = self.kappa_max
-        for kap in kappas:
-            bound = max(bound, float(np.max(np.abs(kap))))
-            for axis, (w, period) in enumerate(zip(lames, self.chart_periods)):
-                h = period / _VALIDATION_NODES
-                dk_dt = _periodic_or_interior_gradient(kap, axis, h, self.periodic[axis])
-                bound = max(bound, float(np.max(np.abs(dk_dt / w))))
-        return bound
+        """Uniform bound on |kappa_j| and |d kappa_j / d s_i|."""
+        return max(self.kappa_max, self.dkappa_max)
 
     def surface_quadrature(self, n_nodes=512):
         """Quadrature (mesh tuple, weights) with weights including the metric."""
@@ -146,10 +137,10 @@ class InterfaceGeom:
         return self._surface_integrals[0]
 
     @cached_property
-    def lame_range(self):
-        """Per chart axis, (min, max) of its Lame factor on a mesh of 128 nodes an axis, ends included."""
+    def lame_max(self):
+        """Per chart axis, the max of its Lame factor on a mesh of 128 nodes an axis, ends included."""
         mesh = np.meshgrid(*[np.linspace(0, p, _LAME_NODES) for p in self.chart_periods], indexing="ij", sparse=True)
-        return tuple((float(np.min(w)), float(np.max(w))) for w in self.lame(*mesh))
+        return tuple(float(np.max(w)) for w in self.lame(*mesh))
 
     @cached_property
     def arclength_table(self):
@@ -173,12 +164,6 @@ def _cumulative_trapezoid(f, t):
     return np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
 
 
-def _periodic_or_interior_gradient(f, axis, h, periodic):
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-    return np.gradient(f, h, axis=axis)
-
-
 def _nonperiodic_rule(n_nodes):
     # only the sphere polar angle lands here; Gauss-Legendre in cos(theta)
     # integrates the sin(theta) weight exactly through the substitution
@@ -197,6 +182,7 @@ class Circle(InterfaceGeom):
             raise ValueError("circle radius must be positive and finite")
         self.rho = float(rho)
         self.kappa_max = 1.0 / self.rho
+        self.dkappa_max = 0.0
         self.name = "circle"
         self.ambient_n = 2
         self.periodic = (True,)
@@ -233,6 +219,7 @@ class Ellipse(InterfaceGeom):
                 f"ellipse geometry key {key!r} = {getattr(self, key)!r} is too small against "
                 f"{other} = {getattr(self, other)!r}: the tip curvature {other}/{key}^2 overflows"
             )
+        self.dkappa_max = _ellipse_dkappa_max(max(self.a, self.b), min(self.a, self.b))
         self.name = "ellipse"
         self.ambient_n = 2
         self.periodic = (True,)
@@ -258,6 +245,25 @@ class Ellipse(InterfaceGeom):
         return np.stack([self.b * np.cos(t) / w, self.a * np.sin(t) / w], axis=-1)
 
 
+def _ellipse_dkappa_max(p, q):
+    """sup |d kappa / ds| on the ellipse of semi-axes p >= q; inf where it overflows.
+
+    With t = q/p, c = 1 - t^2 and x the squared sine of the chart angle
+    from the long axis's tip, |d kappa / ds| = 3tc sqrt(x(1 - x)) /
+    (t^2 + cx)^3 / p^2, which peaks at the small root of
+    4cx^2 - (5c + 2t^2)x + t^2 = 0.  Formed in units of p, so that p^2,
+    which overflows past p = 1e154, never appears.
+    """
+    t = q / p
+    c = 1.0 - t * t
+    big = 5.0 * c + 2.0 * t * t
+    x = 2.0 * t * t / (big + math.sqrt(big * big - 16.0 * c * t * t))
+    try:
+        return 3.0 * t * c * math.sqrt(x * (1.0 - x)) / (t * t + c * x) ** 3 / p / p
+    except (OverflowError, ZeroDivisionError):  # the cube underflows to 0 or overflows
+        return math.inf
+
+
 class Sphere(InterfaceGeom):
     """Sphere of radius rho, chart (theta, phi), outward normal."""
 
@@ -266,6 +272,7 @@ class Sphere(InterfaceGeom):
             raise ValueError("sphere radius must be positive and finite")
         self.rho = float(rho)
         self.kappa_max = 1.0 / self.rho
+        self.dkappa_max = 0.0
         self.name = "sphere"
         self.ambient_n = 3
         self.periodic = (False, True)
@@ -302,6 +309,11 @@ class Torus(InterfaceGeom):
         self.r = float(r)
         # 1/r around the tube; |cos(theta)/(R + r cos(theta))| peaks at theta = pi
         self.kappa_max = max(1.0 / self.r, 1.0 / (self.R - self.r))
+        # d kappa_2 / ds = -R sin(theta) / (r (R + r cos(theta))^2) along theta, whose
+        # peak solves r cos^2 - R cos - 2r = 0; the root in [-1, 0] in its stable form
+        cos_peak = -4.0 * self.r / (self.R + math.sqrt(self.R * self.R + 8.0 * self.r * self.r))
+        ring = self.R + self.r * cos_peak
+        self.dkappa_max = self.R * math.sqrt(1.0 - cos_peak * cos_peak) / (self.r * ring * ring)
         self.name = "torus"
         self.ambient_n = 3
         self.periodic = (True, True)

@@ -53,8 +53,8 @@ __all__ = [
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
 # default chart resolution of a micelle field: samples across one micelle diameter 2*eps*R0
 _POINTS_PER_MICELLE = 96
-# samples (chart points x z) of one chunk of a micelle window: its offset
-# positions and their differences take 24 bytes a sample each
+# samples (chart points x z) of one chunk of a center's candidate chart
+# points: their offset positions and differences take 24 bytes a sample each
 _WINDOW_CHUNK_SAMPLES = 2**20
 
 
@@ -194,7 +194,7 @@ class MicelleFamily(_Family):
         ell = self.ell if self.ell is not None else 1.05 * r0
         ns = self.ns
         if ns is None:
-            h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for _, hi in geom.lame_range]
+            h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for hi in geom.lame_max]
             ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
         grid = TubularGrid.build(geom, ell, eps, ns, 257 if self.nz is None else self.nz)
         count = self.micelle_count(eps)
@@ -226,42 +226,37 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     return Field(grid, np.maximum(vals, 0.0, out=vals))
 
 
-def _chart_window(geom, grid, center_t, halfwidths):
-    """Index windows (per chart axis) of the given half-widths around a center."""
-    slices = []
-    for axis, (t_axis, h, halfwidth) in enumerate(zip(grid.s_grids, grid.h_s, halfwidths)):
-        if 2 * halfwidth + 1 >= len(t_axis) or not geom.periodic[axis]:
-            slices.append(np.arange(len(t_axis)))
-            continue
-        i0 = int(np.round(center_t[axis] / h))
-        slices.append(np.mod(np.arange(i0 - halfwidth, i0 + halfwidth + 1), len(t_axis)))
-    return slices
-
-
 def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     """Superpose radial compactons at separated interface points.
 
-    Supports are pairwise disjoint by the placement separation 2*eps*R0;
-    a runtime overlap check guards the construction.  Each window is built
-    in chunks of its axis-0 indices, at most _WINDOW_CHUNK_SAMPLES samples
-    a chunk (at least one index): on a sphere a window is the whole chart.
+    A sample phi(s) + eps*z*n(s) lies within eps*R0 of a center c only if
+    |phi(s) - c| < eps*(R0 + ell), since |z| <= ell; each center's bump is
+    formed on the chart points that pass this test, found in the slab
+    |x0 - c0| < eps*(R0 + ell) of the chart points sorted once by their
+    first ambient coordinate x0.  They are processed in chunks of at most
+    _WINDOW_CHUNK_SAMPLES samples (at least one chart point).  Supports are
+    pairwise disjoint by the placement separation 2*eps*R0; a runtime
+    overlap check guards the construction.
     """
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
     grid, centers = family.prepare(eps)
     vals = np.zeros(grid.shape)
-    # the smallest metric factor sets a conservative chart extent of one micelle
-    reach = 1.2 * eps * r0 + eps * grid.ell
-    halfwidths = [int(np.ceil(reach / max(lo, 1e-12) / h)) + 4 for (lo, _), h in zip(geom.lame_range, grid.h_s)]
+    *ns, nz = grid.shape
+    points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
+    order = np.argsort(points[:, 0], kind="stable")
+    x0 = points[order, 0]
+    reach = eps * (r0 + grid.ell)
+    step = max(1, _WINDOW_CHUNK_SAMPLES // nz)
     for center in centers:
         c_pos = geom.position(*center)
-        rows, *rest = _chart_window(geom, grid, center, halfwidths)
-        rows_a_chunk = max(1, _WINDOW_CHUNK_SAMPLES // (math.prod(map(len, rest)) * len(grid.z_grid)))
-        for chunk in np.array_split(rows, -(-len(rows) // rows_a_chunk)):
-            idx = np.ix_(chunk, *rest)
-            # the trailing chart axis: position and normal once per chart point, not per z sample
-            pos = geom.offset_position([g[i][..., None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
+        slab = order[np.searchsorted(x0, c_pos[0] - reach, "right") : np.searchsorted(x0, c_pos[0] + reach)]
+        near = np.unravel_index(np.sort(slab[np.linalg.norm(points[slab] - c_pos, axis=-1) < reach]), ns)
+        for start in range(0, len(near[0]), step):
+            idx = tuple(i[start : start + step] for i in near)
+            # the trailing axis: position and normal once per chart point, not per z sample
+            pos = geom.offset_position([g[i][:, None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
             radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
             del pos
             inside = radius < r0

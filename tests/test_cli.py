@@ -5,10 +5,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fchlab import cli
 from fchlab.cli import main
 
 
@@ -92,6 +94,24 @@ def test_converge_oversized_grid_exits_2_with_its_bytes(tmp_path, capsys):
     message = _refused(capsys, code)
     assert message.startswith("torus grid ") and " bytes" in message
     assert not out.exists()
+
+
+def test_refused_allocation_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
+    # a field the OS will not allocate is a request too large for this machine,
+    # as the size cap's refusal is; it once exited 1 with a traceback
+    def refuse(family):
+        np.empty(2**60, dtype=np.uint8)  # 1 EiB: numpy's own MemoryError subclass, nothing allocated
+
+    monkeypatch.setattr(cli, "run_convergence", refuse)
+    out = tmp_path / "conv.csv"
+    code = run_cli(["converge", "--kind", "micelle", "--eps-list", "0.05", "--alpha", "0.1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError"
+    assert "Unable to allocate" in payload["message"]
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 
 @pytest.mark.parametrize("case, shape", [("oversized-sphere-micelle-grid", "sphere"), ("oversized-one-micelle-grid", "circle")])

@@ -327,9 +327,9 @@ def test_factors_carry_the_rank_of_their_coordinates(geom, rank):
 
 
 def test_kappa0_pinned():
-    # recorded before the validation mesh and the grid shared one chart-axis helper
+    # Ellipse(2, 1): the closed-form sup of |d kappa/ds|; the sampled bound read 2.5995339272304157
     assert Circle(1.0).kappa0 == 1.0
-    assert Ellipse(2.0, 1.0).kappa0 == 2.5995339272304157
+    assert Ellipse(2.0, 1.0).kappa0 == 2.6020881661031807
     assert Sphere(3.0).kappa0 == 0.3333333333333333
     assert Torus(3.0, 1.0).kappa0 == 1.0
 
@@ -342,7 +342,8 @@ def test_ellipse_kappa0_covers_the_tip_curvature():
         geom = Ellipse(a, b)
         assert geom.kappa_max == max(a / b / b, b / a / a)
         assert geom.kappa0 >= geom.kappa_max
-    assert Ellipse(1e-100, 1.0).kappa0 == 1e200
+    # its sup of |d kappa/ds| is about 0.78/q^5 = 7.8e499: past the float range
+    assert Ellipse(1e-100, 1.0).kappa0 == math.inf
     with pytest.raises(InfeasibleModelError, match="degenerate"):
         TubularGrid.build(Ellipse(1e-100, 1.0), 8.0, 0.1, (64,), 33)
 
@@ -356,14 +357,15 @@ def _tori(draw):
     return Torus(big, big * draw(st.floats(0.05, 0.95)))
 
 
-@given(
-    st.one_of(
-        st.builds(Circle, _RADII),
-        st.builds(Ellipse, _RADII, _RADII),
-        st.builds(Sphere, _RADII),
-        _tori(),
-    )
+_SHAPES = st.one_of(
+    st.builds(Circle, _RADII),
+    st.builds(Ellipse, _RADII, _RADII),
+    st.builds(Sphere, _RADII),
+    _tori(),
 )
+
+
+@given(_SHAPES)
 def test_kappa_max_is_the_peak_curvature(geom):
     # a dense chart mesh holds every peak of |kappa_j|: the ellipse's tips at
     # t = 0 and pi/2 and the torus's inner equator at theta = pi
@@ -373,6 +375,34 @@ def test_kappa_max_is_the_peak_curvature(geom):
     sampled = max(float(np.max(np.abs(k))) for k in geom.curvatures(*mesh))
     assert sampled == pytest.approx(geom.kappa_max, rel=1e-12)
     assert geom.kappa0 >= geom.kappa_max
+
+
+@given(_SHAPES)
+def test_kappa0_bounds_the_sampled_curvature_slopes(geom):
+    # between neighbouring nodes of a dense chart mesh, the change of kappa_j
+    # over the arc length between them (Simpson's rule on the Lame factor)
+    # is d kappa_j / d s_i at a point between them; the sampled bound kappa0
+    # once undershot these slopes by 0.1% on Ellipse(2, 1)
+    nodes = 2**16 if geom.chart_dims == 1 else 2**10
+    slopes = []
+    for axis, period in enumerate(geom.chart_periods):
+        h = period / nodes
+        axes = [_chart_axis(per, p, nodes) for per, p in zip(geom.periodic, geom.chart_periods)]
+        axes[axis] = np.arange(nodes + 1) * h
+        ends = np.meshgrid(*axes, indexing="ij")
+        axes[axis] = axes[axis][:-1] + 0.5 * h
+        w, w_mid = geom.lame(*ends)[axis], geom.lame(*np.meshgrid(*axes, indexing="ij"))[axis]
+        arc = h / 6.0 * (np.take(w, range(nodes), axis) + 4.0 * w_mid + np.take(w, range(1, nodes + 1), axis))
+        slopes += [float(np.max(np.abs(np.diff(kap, axis=axis)) / arc)) for kap in geom.curvatures(*ends)]
+    assert geom.kappa0 >= (1.0 - 1e-6) * max(slopes)
+
+
+def test_ellipse_dkappa_max_is_formed_in_units_of_the_long_axis():
+    # a^2 overflows on both; formed in units of a, the bound is inf where the
+    # true slope (near 7.8e319) is, and 0 on a circle, where c = a^2 - b^2 = nan
+    # once left kappa0 at kappa_max (1e160 on the first)
+    assert Ellipse(1e160, 1.0).kappa0 == math.inf
+    assert Ellipse(1e200, 1e200).dkappa_max == 0.0
 
 
 def test_width_check_refuses_at_the_peak_curvature():

@@ -107,23 +107,28 @@ def test_micelle_field_single_center(params, micelle2):
     # refinement must not worsen the match beyond the discretization floor
     assert gaps[1] <= max(gaps[0], 1e-4)
 
-    # on a sphere the bump equals U(|phi(s) + eps*z*n(s) - center| / eps)
-    # sampled point by point through offset_position, bit for bit
-    geom, eps = Sphere(3.0), 0.1
-    omega = unit_sphere_area(3)
-    spec = MicelleFamily(
-        geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=omega * eps**2,
-        eps_list=(eps,), ns=(48, 96), nz=65,
-    )
-    fld = build_micelle_field(spec, eps)
-    prof = shoot_micelle(3, params)
-    (center,) = place_micelle_centers(geom, eps, spec.micelle_count(eps), prof.r0_support)
-    grid = fld.grid
-    t = [np.broadcast_to(m[..., None], grid.shape) for m in grid.s_mesh]
-    pos = geom.offset_position(t, np.broadcast_to(grid.z_grid, grid.shape), eps)
-    ref = np.maximum(prof.evaluate(np.linalg.norm(pos - geom.position(*center), axis=-1) / eps), 0.0)
-    assert np.count_nonzero(ref) > 0
-    assert np.array_equal(fld.values, ref)
+    # on each shape the bump equals U(|phi(s) + eps*z*n(s) - center| / eps)
+    # sampled point by point through offset_position on the whole grid, bit for bit
+    for geom, eps, ns in (
+        (Circle(1.0), 0.1, None),
+        (Ellipse(2.0, 1.0), 0.05, None),
+        (Sphere(3.0), 0.1, (48, 96)),
+        (Torus(3.0, 1.0), 0.05, (128, 384)),
+    ):
+        n = geom.ambient_n
+        spec = MicelleFamily(
+            geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=unit_sphere_area(n) * eps ** (n - 1),
+            eps_list=(eps,), ns=ns, nz=65,
+        )
+        fld = build_micelle_field(spec, eps)
+        prof = shoot_micelle(n, params)
+        (center,) = place_micelle_centers(geom, eps, spec.micelle_count(eps), prof.r0_support)
+        grid = fld.grid
+        t = [np.broadcast_to(m[..., None], grid.shape) for m in grid.s_mesh]
+        pos = geom.offset_position(t, np.broadcast_to(grid.z_grid, grid.shape), eps)
+        ref = np.maximum(prof.evaluate(np.linalg.norm(pos - geom.position(*center), axis=-1) / eps), 0.0)
+        assert np.count_nonzero(ref) > 0
+        assert np.array_equal(fld.values, ref), geom.name
 
 
 def test_family_builds_the_nz_it_asks_for(params):
@@ -155,19 +160,20 @@ def test_oversized_grid_is_refused_before_it_is_allocated(params):
 
 
 def test_micelle_windows_build_in_chunks(params, monkeypatch):
-    # every sphere window is the whole chart: theta is bounded, and the phi
-    # half-width comes from the Lame minimum 0 at the poles.  Built in one
-    # piece, the window's offset positions took 24 bytes a sample, and the
-    # default 314x628x257 field at eps 0.05 ran out of memory
+    # a center's candidate chart points are built in chunks of at most
+    # _WINDOW_CHUNK_SAMPLES samples.  On Sphere(1) at eps 0.05 the candidates
+    # of a center are about a quarter of the chart; built in one piece, their
+    # offset positions at 24 bytes a sample would take over 300 MB on the
+    # default 314x628x257 field
     family = MicelleFamily(
         geom=Sphere(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.1, eps_list=(0.05,), ns=(40, 80), nz=65
     )
-    whole = build_micelle_field(family, 0.05)  # one chunk: 208000 samples, under the default 2^20
+    whole = build_micelle_field(family, 0.05)  # one chunk: the whole chart is 208000 samples, under the default 2^20
     assert np.count_nonzero(whole.values) > 0
-    # 2^14 samples: 14 chunks of 2 or 3 rows of 80 x 65 samples
+    # 2^14 samples: chunks of 252 chart points of 65 samples
     monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**14)
     assert build_micelle_field(family, 0.05).values.tobytes() == whole.values.tobytes()
-    # 2^10 samples: below one row, so a chunk is one row
+    # 2^10 samples: chunks of 15 chart points
     monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**10)
     tracemalloc.start()
     try:
@@ -177,6 +183,28 @@ def test_micelle_windows_build_in_chunks(params, monkeypatch):
         tracemalloc.stop()
     assert fld.values.tobytes() == whole.values.tobytes()
     assert peak < 2 * fld.values.nbytes
+
+
+def test_micelle_field_visits_only_chart_points_near_its_centers(params, monkeypatch):
+    # a center's bump is formed on the chart points within eps*(R0 + ell) of
+    # it; a window of chart indices spanning the whole chart once visited 88
+    # times the chart points that hold a nonzero sample here
+    geom = Sphere(3.0)
+    family = MicelleFamily(
+        geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.05,), ns=(96, 192), nz=65
+    )
+    assert family.micelle_count(0.05) == 16
+    visited = []
+    offset_position = geom.offset_position
+
+    def counting(t, z, eps):
+        visited.append(np.broadcast(*t).size)
+        return offset_position(t, z, eps)
+
+    monkeypatch.setattr(geom, "offset_position", counting)
+    fld = build_micelle_field(family, 0.05)
+    holding = np.count_nonzero(np.any(fld.values > 0.0, axis=-1))
+    assert 0 < sum(visited) <= 5 * holding
 
 
 def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
