@@ -32,7 +32,8 @@ integrand and every samplewise operator is an exact zero off them.  Each
 maximal run of live rows, cut at a periodic seam, is split into equal
 row chunks of at most _TILE_SAMPLES samples (at least 8 rows), and each
 chunk into equal z ranges of at most _TILE_SAMPLES samples (at least 4
-indices).  A tile reads a halo from the field itself along each axis: 4
+indices), samples being counted in the shape the pass's arrays take (see
+held axes below).  A tile reads a halo from the field itself along each axis: 4
 rows of chart axis 0, which the chained stencils and the metric
 coefficient d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz
 reach.  A halo wraps on a periodic axis and is clipped at a bounded end,
@@ -50,6 +51,20 @@ torus none depends on phi, so a surface tile's metric is rows x 1 x z and
 broadcasts against the field, and phi forms no c_j: P/H_j^2 is constant
 along it, and the periodic stencil of a constant is exactly 0.  Outputs
 are bit for bit those of the metric sampled on the whole mesh.
+
+The field has the rank it has too (Field): an untranslated bilayer on a
+sphere or a torus is held as rows x 1 x z.  Along a held axis u forms no
+stencil, for the same reason: each would be exactly 0, and so is every
+term it feeds (its parts of |grad u|^2, the Laplacian and the tangential
+norms).  The Laplacian and |grad u|^2 start at the broadcast shape of the
+field's and the metric's arrays, so they accumulate in place whichever
+of the two is held, and a tile's partial counts each sample of a held
+axis as many times as the grid has samples along it, so every integral
+is over the whole grid.  The samplewise operators return whole-grid
+arrays, bit for bit those of the field broadcast to the whole grid; the
+integrals move at round-off against that field, since n_j equal terms
+are summed as one product.
+
 The Laplacian, the residual and |grad u|^2 accumulate in place and
 become the partials of the quadratic, functional, mass and audit
 integrals.  No name holds a tile past its visit, so a pass holds a few
@@ -101,6 +116,11 @@ __all__ = [
 class Field:
     """Concentration samples on a tubular grid.
 
+    values has the grid's shape, except that along a periodic chart axis
+    other than axis 0 it may have length 1: the field is then constant
+    along that axis and is held at the rank it has (an untranslated
+    bilayer on a sphere or a torus is rows x 1 x z), by the rule the
+    geometry's curvatures and Lame factors follow (InterfaceGeom).
     Admissible fields are nonnegative and vanish at z = +-ell (no-contact
     boundary); construction validates both unless check_bc is disabled for
     operator-level tests with synthetic fields.
@@ -112,7 +132,11 @@ class Field:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
+        grid = self.grid
+        held = [axis for axis, per in enumerate(grid.geom.periodic) if per and axis > 0]
+        if vals.ndim != len(grid.shape) or any(
+            m != n and not (m == 1 and axis in held) for axis, (m, n) in enumerate(zip(vals.shape, grid.shape))
+        ):
             raise ValueError(f"field shape {vals.shape} does not match grid {self.grid.shape}")
         # min and max propagate nan and reach inf, and need no whole-grid temporary
         lo, hi = float(np.min(vals)), float(np.max(vals))
@@ -213,18 +237,19 @@ def _split(start, stop, count):
     return zip(edges, edges[1:])
 
 
-def _tiles(u, periodic):
+def _tiles(u, periodic, shape=None):
     """Tiles over the rows within _HALO of a row of u holding a nonzero sample, as (rows, z range) spans.
 
     The marks wrap on a periodic axis and are clipped on a bounded one.
     Each maximal run of marked rows (a run is cut at a periodic seam) is
     split into equal row chunks of at most _TILE_SAMPLES samples, unless 8
     rows hold more, and each chunk into equal z ranges of at most
-    _TILE_SAMPLES samples, at least 4 z indices each.  An all-zero u has no
-    tiles.
+    _TILE_SAMPLES samples, at least 4 z indices each.  Samples are counted
+    in shape, the shape the pass's arrays take (u's own by default).  An
+    all-zero u has no tiles.
     """
     n, nz = u.shape[0], u.shape[-1]
-    row = math.prod(u.shape[1:])
+    row = math.prod((shape or u.shape)[1:])
     hits = np.flatnonzero(np.any(u, axis=tuple(range(1, u.ndim))))
     near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
     near = near % n if periodic else near[(near >= 0) & (near < n)]
@@ -263,6 +288,11 @@ class _Chart:
         self.lames = [np.asarray(w, dtype=float) for w in geom.lame(*mesh)]
         self.z_weights = grid.z_trapezoid_weights()
         self.cell = float(np.prod(grid.h_s))
+
+    @property
+    def shape(self):
+        """The broadcast shape of the curvatures and Lame factors, with a z axis of length 1."""
+        return np.broadcast_shapes(*(f.shape for f in self.kappas + self.lames)) + (1,)
 
     def total(self, partials):
         """The integral from its tile partials: their exactly rounded sum, times prod h_s.
@@ -306,13 +336,18 @@ class _Tile:
     from u on the body +-2 rows.  The chart is held on the body +-2 rows:
     body is their index that is the body, near[axis] the part of them an
     axis's stencils read for the body, and inner[axis] the body within
-    near[axis].
+    near[axis].  u_t, u_tt and t_near hold one entry per axis of axes:
+    axis 0 and each axis along which u is not held at length 1, since
+    along a held axis every stencil of u is exactly 0.
     """
 
     def __init__(self, chart: _Chart, rows: _Span, zs: _Span, u):
         self.chart = chart
         dims = chart.geom.chart_dims
+        self.axes = [0] + [axis for axis in range(1, dims) if u.shape[axis] > 1]
         self.index = (slice(rows.a, rows.b), Ellipsis, slice(zs.a, zs.b))
+        # samples of the whole grid on the tile's body
+        self.samples = (rows.b - rows.a) * math.prod(chart.grid.shape[1:-1]) * (zs.b - zs.a)
         self.body = body = rows.within(2, 0)
         self.near = [slice(None)] + [body] * (dims - 1)
         self.inner = [body] + [slice(None)] * (dims - 1)
@@ -330,16 +365,20 @@ class _Tile:
         reach2 = rows.within(4, 2)
         self.u = u = ext[rows.within(4, 0)]
         self.t_near = [chart.d1_s(ext, 0)[reach2]]
-        self.t_near += [chart.d1_s(u, axis) for axis in range(1, dims)]
-        self.u_t = [t[inner] for t, inner in zip(self.t_near, self.inner)]
+        self.t_near += [chart.d1_s(u, axis) for axis in self.axes[1:]]
+        self.u_t = [t[self.inner[axis]] for axis, t in zip(self.axes, self.t_near)]
         self.u_tt = [chart.d2_s(ext[reach2], 0)[body]]
-        self.u_tt += [chart.d2_s(u, axis) for axis in range(1, dims)]
+        self.u_tt += [chart.d2_s(u, axis) for axis in self.axes[1:]]
 
     def partial(self, f, density):
-        """The tile's part of integral f density ds dz, trapezoid in z, before the chart spacings."""
+        """The tile's part of integral f density ds dz, trapezoid in z, before the chart spacings.
+
+        Each sample of an axis along which f * density has length 1 is
+        counted as many times as the grid has samples along it.
+        """
         g = f * density
         g *= self.z_weights
-        return np.sum(g)
+        return np.sum(g) * (self.samples // g.size)
 
 
 class _Metric:
@@ -356,7 +395,7 @@ def _each_tile(chart: _Chart, u, visit):
 
     No name holds a tile past its visit, so a pass holds one tile at a time.
     """
-    for rows, zs in _tiles(u, chart.geom.periodic[0]):
+    for rows, zs in _tiles(u, chart.geom.periodic[0], np.broadcast_shapes(u.shape, chart.shape)):
         visit(_Tile(chart, rows, zs, u))
 
 
@@ -373,19 +412,22 @@ def _width_terms(b: _Tile, m: _Metric, eps):
     of the gradient.  Both sums accumulate in place, and each axis's
     temporaries are freed before the next axis.  Along an axis where the
     chart's factors have length 1, H_j broadcasts against the field and c_j
-    is 0, so it is not formed.
+    is 0, so it is not formed; an axis along which u is held has no terms
+    at all, since each is a product with a stencil of u, which is 0 there.
     """
     body = b.body
     P = m.P[body]
-    lap = b.u_zz / eps**2
+    # both sums take the broadcast shape of the field's and the metric's arrays
+    shape = np.broadcast_shapes(b.u.shape, P.shape)
+    lap = np.divide(b.u_zz, eps**2, out=np.empty(shape))
     curv = sum(k[body] / f[body] for k, f in zip(b.kappas, m.one_plus))
     curv = _times(curv, b.u_z)  # curv * u_z / eps
     curv /= eps
     lap += curv
     del curv
-    grad_sq = b.u_z / eps
+    grad_sq = np.divide(b.u_z, eps, out=np.empty(shape))
     grad_sq *= grad_sq
-    for axis, (t, tt) in enumerate(zip(b.u_t, b.u_tt)):
+    for axis, t, tt in zip(b.axes, b.u_t, b.u_tt):
         near, inner = b.near[axis], b.inner[axis]
         h = b.lames[axis][near] * m.one_plus[axis][near]  # H_j
         term = t / h[inner]
@@ -428,7 +470,7 @@ def curvilinear_gradient(field: Field):
 
     def visit(b):
         m = _Metric(b.kappas, b.weight, b.z_grid, eps)
-        for axis, t in enumerate(b.u_t):
+        for axis, t in zip(b.axes, b.u_t):
             out[axis][b.index] = t / (b.lames[axis][b.body] * m.one_plus[axis][b.body])
         out[-1][b.index] = b.u_z / eps
 
@@ -459,7 +501,7 @@ def _flat_partials(b: _Tile, well, dwell, p):
         "norm_u_lp": partial(np.abs(b.u) ** p, weight),
         "norm_uz_l2": partial(u_z**2, weight),
     }
-    for axis, t in enumerate(b.t_near):
+    for axis, t in zip(b.axes, b.t_near):
         near, inner = b.near[axis], b.inner[axis]
         w = b.lames[axis]
         parts["norm_us_l2", axis] = partial((t[inner] / w[b.body]) ** 2, weight)

@@ -4,8 +4,9 @@ Interfaces are supplied as closed-form charts (angle parameters) carrying
 an explicit metric weight, since global arc-length coordinates do not
 exist on spheres or tori.  Surface integrals always go through the weight:
 integral_Gamma f ds = integral_Q f * weight dt.  Principal curvatures are
-given in closed form per geometry, and so is kappa_max, the supremum of
-max_j |kappa_j| over the interface.  A tubular grid is admissible by one
+given in closed form per geometry, and so are kappa_max, the supremum of
+max_j |kappa_j| over the interface, and lame_max, the largest Lame factor
+of each chart axis, which sets a micelle's default chart spacing.  A tubular grid is admissible by one
 rule, eps*ell*kappa_max < 1 (check_width): exactly the widths at which the
 Jacobian prod_j (1 + eps*z*kappa_j) stays positive for |z| <= ell.  The
 paper's constant kappa0 also bounds the curvatures' arc-length
@@ -45,8 +46,6 @@ _SURFACE_NODES = 512
 _CURVE_NODES = 2048
 # intervals of the arc-length table that places micelle centers on curves
 _ARCLENGTH_NODES = 16384
-# nodes per chart axis, ends included, of the mesh that bounds the Lame factors
-_LAME_NODES = 128
 # bytes of the largest field TubularGrid.build accepts (float64 samples)
 _MAX_FIELD_BYTES = 2**30
 
@@ -62,7 +61,9 @@ class InterfaceGeom:
     torus).  That axis may only be a periodic one other than axis 0: the
     energy pass tiles axis 0, and along a length-1 axis it forms no c_j,
     which is exact because the periodic stencil of a constant is exactly 0
-    (the one-sided rows of a bounded axis are not).
+    (the one-sided rows of a bounded axis are not).  A Field's samples
+    follow the same rule, and along such an axis the pass forms no stencil
+    of u.
     Instances are immutable after construction and safe to share.
     """
 
@@ -74,6 +75,8 @@ class InterfaceGeom:
     kappa_max: float
     # the supremum of max_ij |d kappa_j / d s_i| over the interface, in closed form
     dkappa_max: float
+    # per chart axis, the maximum of its Lame factor over the interface, in closed form
+    lame_max: tuple
 
     def curvatures(self, *t):
         raise NotImplementedError
@@ -137,12 +140,6 @@ class InterfaceGeom:
         return self._surface_integrals[0]
 
     @cached_property
-    def lame_max(self):
-        """Per chart axis, the max of its Lame factor on a mesh of 128 nodes an axis, ends included."""
-        mesh = np.meshgrid(*[np.linspace(0, p, _LAME_NODES) for p in self.chart_periods], indexing="ij", sparse=True)
-        return tuple(float(np.max(w)) for w in self.lame(*mesh))
-
-    @cached_property
     def arclength_table(self):
         """(t, s(t)) on 16385 chart nodes of a curve: trapezoid arc length from t = 0."""
         t = np.linspace(0.0, self.chart_periods[0], _ARCLENGTH_NODES + 1)
@@ -183,6 +180,7 @@ class Circle(InterfaceGeom):
         self.rho = float(rho)
         self.kappa_max = 1.0 / self.rho
         self.dkappa_max = 0.0
+        self.lame_max = (self.rho,)
         self.name = "circle"
         self.ambient_n = 2
         self.periodic = (True,)
@@ -220,6 +218,8 @@ class Ellipse(InterfaceGeom):
                 f"{other} = {getattr(self, other)!r}: the tip curvature {other}/{key}^2 overflows"
             )
         self.dkappa_max = _ellipse_dkappa_max(max(self.a, self.b), min(self.a, self.b))
+        # the speed peaks at the ends of the minor axis
+        self.lame_max = (max(self.a, self.b),)
         self.name = "ellipse"
         self.ambient_n = 2
         self.periodic = (True,)
@@ -273,6 +273,8 @@ class Sphere(InterfaceGeom):
         self.rho = float(rho)
         self.kappa_max = 1.0 / self.rho
         self.dkappa_max = 0.0
+        # rho sin(theta) peaks at the equator
+        self.lame_max = (self.rho, self.rho)
         self.name = "sphere"
         self.ambient_n = 3
         self.periodic = (False, True)
@@ -314,6 +316,8 @@ class Torus(InterfaceGeom):
         cos_peak = -4.0 * self.r / (self.R + math.sqrt(self.R * self.R + 8.0 * self.r * self.r))
         ring = self.R + self.r * cos_peak
         self.dkappa_max = self.R * math.sqrt(1.0 - cos_peak * cos_peak) / (self.r * ring * ring)
+        # R + r cos(theta) peaks on the outer equator
+        self.lame_max = (self.r, self.R + self.r)
         self.name = "torus"
         self.ambient_n = 3
         self.periodic = (True, True)

@@ -214,15 +214,19 @@ class MicelleFamily(_Family):
 
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
-    """Sample u(s, z) = U(z - p(s)) on the family's grid for this width."""
+    """Sample u(s, z) = U(z - p(s)) on the family's grid for this width.
+
+    u is held at the rank p has: along a periodic chart axis other than
+    axis 0 on which p does not depend (phi on a sphere or a torus, and
+    every such axis when there is no translate) it has length 1, as
+    Field allows; axis 0 and every bounded axis have their full length.
+    """
     grid, _ = family.prepare(eps)
     profile = solve_profile(family.params)
-    z = grid.z_grid.reshape((1,) * family.geom.chart_dims + (-1,))
-    if family.translate is None:
-        vals = np.broadcast_to(profile.evaluate(z), grid.shape).copy()
-    else:
-        p = np.broadcast_to(np.asarray(family.translate(*grid.s_mesh), dtype=float), grid.shape[:-1])[..., None]
-        vals = profile.evaluate(z - p)
+    p = 0.0 if family.translate is None else np.asarray(family.translate(*grid.s_mesh), dtype=float)
+    least = [1 if per and axis > 0 else n for axis, (n, per) in enumerate(zip(grid.shape, family.geom.periodic))]
+    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), tuple(least)))
+    vals = profile.evaluate(grid.z_grid - p[..., None])
     return Field(grid, np.maximum(vals, 0.0, out=vals))
 
 

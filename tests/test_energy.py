@@ -365,6 +365,17 @@ def test_field_validation(params):
         Field(grid, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("geom", [Sphere(3.0), Torus(3.0, 1.0)], ids=["sphere", "torus"])
+def test_field_may_hold_a_periodic_axis_other_than_0_at_length_1(geom):
+    # phi is periodic on both shapes; theta is axis 0 (bounded on the
+    # sphere, periodic on the torus) and z is bounded
+    grid = TubularGrid.build(geom, 1.0, 0.1, (16, 24), 65)
+    assert Field(grid, np.zeros((16, 1, 65))).values.shape == (16, 1, 65)
+    for shape in [(1, 24, 65), (16, 24, 1), (16, 2, 65), (16, 65), (16, 1, 1, 65)]:
+        with pytest.raises(ValueError, match=rf"^field shape \({shape[0]}, .* does not match grid \(16, 24, 65\)$"):
+            Field(grid, np.zeros(shape))
+
+
 # Reports and audit sides recorded before the energy terms were shared
 # between fch_energy and lower_bound_audit; the shared pass must reproduce
 # them to round-off.  The micelle case was re-recorded with the in-package
@@ -470,6 +481,11 @@ def test_sweep_equals_one_width_calls(case, params):
             assert getattr(rep, key) == value, (eps, key)
 
 
+def _whole(fld):
+    """The field with its samples broadcast to the whole grid, as the bilayer builder stored them before it held phi."""
+    return Field(fld.grid, np.broadcast_to(fld.values, fld.grid.shape).copy())
+
+
 # tracemalloc peak of a 4-width sweep on a dense 32x32x129 sphere bilayer, in
 # field arrays (multiples of field.values.nbytes), numpy 2.4 on Python 3.11:
 # 18.06 when each width recomputed u_tt and held H_j for both axes, 16.81
@@ -486,7 +502,7 @@ def test_sweep_peak_memory(params):
         geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
         ns=(32, 32), nz=129,
     )
-    fld = build_bilayer_field(spec, 0.1)
+    fld = _whole(build_bilayer_field(spec, 0.1))
     args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
@@ -514,7 +530,7 @@ def test_tiled_sweep_peak_memory(params):
         geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
         ns=(64, 64), nz=257,
     )
-    fld = build_bilayer_field(spec, 0.1)
+    fld = _whole(build_bilayer_field(spec, 0.1))
     assert len(energy._tiles(fld.values, periodic=False)) >= 4
     args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
@@ -827,11 +843,62 @@ def test_held_chart_axis_changes_no_bit(shape, translated, samples, params, monk
         eps_list=(0.1, 0.05), translate=(lambda th, ph: 0.1 * np.sin(th) ** 2 * np.cos(ph)) if translated else None,
         ns=(16, 24), nz=65,
     )
-    fld = build_bilayer_field(spec, 0.1)
+    fld = _whole(build_bilayer_field(spec, 0.1))
     monkeypatch.setattr(energy, "_TILE_SAMPLES", samples)
     held = _chart_outputs(fld, spec.eps_list, params)
     monkeypatch.setattr(energy, "_Chart", _FullChart)
     assert held == _chart_outputs(fld, spec.eps_list, params)
+
+
+@pytest.mark.parametrize("chart", [energy._Chart, _FullChart], ids=["chart", "full-chart"])
+@pytest.mark.parametrize("samples", [2**16, 2**10], ids=["one-tile", "tiles"])
+@pytest.mark.parametrize("translated", [False, True], ids=["flat", "theta"])
+@pytest.mark.parametrize("shape", ["sphere", "torus"])
+def test_held_field_agrees_with_its_full_rank_self(shape, translated, samples, chart, params, monkeypatch):
+    # the builder holds phi at length 1; the same samples broadcast to the
+    # whole grid take phi stencils, each exactly 0 on a constant, so every
+    # samplewise output is the same bits and the integrals move by round-off
+    spec = BilayerFamily(
+        geom={"sphere": Sphere(3.0), "torus": Torus(3.0, 1.0)}[shape], params=params, eta1=1.0, eta2=1.0,
+        eps_list=(0.1, 0.05), translate=(lambda th, ph: 0.1 * np.sin(th) ** 2) if translated else None,
+        ns=(16, 24), nz=65,
+    )
+    held = build_bilayer_field(spec, 0.1)
+    assert held.values.shape == (16, 1, 65)
+    whole = _whole(held)
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", samples)
+    monkeypatch.setattr(energy, "_Chart", chart)
+    for got, want in zip(*(_evaluate_all(fld, params)[0] for fld in (held, whole))):
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
+    for operator in (curvilinear_gradient, curvilinear_laplacian, lambda fld: cahn_hilliard_residual(fld, params)):
+        got, want = operator(held), operator(whole)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# tracemalloc peak of the 4-width sweep of test_sweep_peak_memory on the
+# builder's own 32x32x129 sphere bilayer, held as 32x1x129, in whole-grid
+# field arrays (32*32*129 samples), numpy 2.4 on Python 3.11: 0.45 (477 KB),
+# where the same sweep of the field stored at full size peaks at 6.56.
+HELD_SWEEP_PEAK_FIELD_ARRAYS = 0.6
+
+
+def test_held_sweep_peak_memory(params):
+    spec = BilayerFamily(
+        geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1, 0.05, 0.025, 0.0125),
+        ns=(32, 32), nz=129,
+    )
+    fld = build_bilayer_field(spec, 0.1)
+    args = (fld, spec.eps_list, 1.0, 1.0, params)
+    fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fch_energy_sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 * math.prod(fld.grid.shape)) <= HELD_SWEEP_PEAK_FIELD_ARRAYS
 
 
 @pytest.mark.parametrize(

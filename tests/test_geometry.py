@@ -377,6 +377,22 @@ def test_kappa_max_is_the_peak_curvature(geom):
     assert geom.kappa0 >= geom.kappa_max
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [Circle(1.5), Ellipse(2.0, 1.0), Ellipse(0.5, 3.0), Ellipse(3.0, 0.5), Sphere(3.0), Sphere(0.7), Torus(3.0, 1.0), Torus(1.1, 1.0)],
+    ids=["circle", "ellipse-2-1", "ellipse-0.5-3", "ellipse-3-0.5", "sphere-3", "sphere-0.7", "torus-3-1", "torus-1.1-1"],
+)
+def test_lame_max_is_the_peak_lame_factor(geom):
+    # 2^16 intervals an axis, ends included: the nodes come within 5e-5 of
+    # every peak (the ellipse's minor-axis ends, the sphere's equator, the
+    # torus's outer equator), so the closed form is at or just above them
+    axes = [np.linspace(0.0, period, 2**16 + 1) for period in geom.chart_periods]
+    sampled = [float(np.max(w)) for w in geom.lame(*np.meshgrid(*axes, indexing="ij", sparse=True))]
+    assert len(geom.lame_max) == geom.chart_dims
+    for exact, sample in zip(geom.lame_max, sampled):
+        assert sample <= exact <= sample * (1.0 + 1e-9)
+
+
 @given(_SHAPES)
 def test_kappa0_bounds_the_sampled_curvature_slopes(geom):
     # between neighbouring nodes of a dense chart mesh, the change of kappa_j
