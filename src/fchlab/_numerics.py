@@ -9,6 +9,8 @@
   forms them, and PPoly's power sum evaluates them.
 - simpson: composite Simpson on an odd number of samples at arbitrary
   spacing, scipy.integrate.simpson's formula for that case.
+- sorted_unique: np.unique of a 1-D array without np.unique, which imports
+  numpy.ma in numpy 2.4 (about 15 ms and 0.5 MB a process).
 
 The spline and Simpson follow scipy's algorithms (Copyright (c) 2001-2002
 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause, whose full notice is
@@ -22,7 +24,16 @@ import math
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "ClampedSpline", "simpson"]
+__all__ = ["gauss_legendre", "ClampedSpline", "simpson", "sorted_unique"]
+
+
+def sorted_unique(x):
+    """The distinct values of x, ascending: np.unique's sort and neighbour test, bit for bit on finite input."""
+    x = np.sort(np.ravel(x))
+    first = np.empty(x.shape, dtype=bool)
+    first[:1] = True
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
 
 
 def _legendre_pair(n, x):

@@ -69,6 +69,8 @@ from operator import add, mul
 
 import numpy as np
 
+from ._numerics import sorted_unique
+
 __all__ = ["OdeResult", "DenseSolution", "solve_ivp"]
 
 N_STAGES = 12
@@ -394,7 +396,7 @@ class DenseSolution:
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.interpolants) - 1)
         out = np.empty((len(self.interpolants[0].y_old),) + t.shape)
-        for k in np.unique(seg):
+        for k in sorted_unique(seg):
             on_step = seg == k
             out[:, on_step] = self.interpolants[k](t[on_step])
         return out

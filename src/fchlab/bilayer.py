@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import ClampedSpline, gauss_legendre
+from ._numerics import ClampedSpline, gauss_legendre, sorted_unique
 from .errors import NumericsError
 from .potential import (
     MEMO_SIZE,
@@ -199,11 +199,11 @@ def _build_dense_map(params, u_max, y_targets, t_targets):
     def upper(y, qslope):
         return _width_integrand_upper(y, params, u_max, qslope)
 
-    y_grid = np.union1d(np.linspace(0.0, yy, _N_DENSE + 1), y_targets)
+    y_grid = sorted_unique(np.concatenate([np.linspace(0.0, yy, _N_DENSE + 1), y_targets]))
     cum_b = _cumulative_gl(lambda y: upper(y, qslope), y_grid)
     b_total = cum_b[-1]
 
-    t_grid = np.union1d(np.linspace(0.0, t1, _N_DENSE + 1), t_targets)
+    t_grid = sorted_unique(np.concatenate([np.linspace(0.0, t1, _N_DENSE + 1), t_targets]))
     cum_a = _cumulative_gl(lambda t: lower(t, a), t_grid)
     a_total = cum_a[-1]
 

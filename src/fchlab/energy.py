@@ -23,23 +23,26 @@ through the factors 1 + eps*z*kappa_j and the powers of eps in the
 residual and the gradient.  So one pass over a field runs every width of
 a schedule, on the field's own grid.
 
-The pass runs on tiles of the field's support: a range of chart-axis-0
-rows by a range of z indices.  The live rows are those within 8 rows of
-a row holding a nonzero sample, wrapped on a periodic axis and clipped on
-a bounded one.  Because W(0) = W'(0) = 0 and the chained chart stencils
-u -> u_t -> u_ss reach 4 rows (the one-sided edge rows read 6), every
-integrand and every samplewise operator is an exact zero off them.  Each
-maximal run of live rows, cut at a periodic seam, is split into equal
-row chunks of at most _TILE_SAMPLES samples (at least 8 rows), and each
-chunk into equal z ranges of at most _TILE_SAMPLES samples (at least 4
-indices), samples being counted in the shape the pass's arrays take (see
-held axes below).  A tile reads a halo from the field itself along each axis: 4
+A field stores only its live rows (Field): the chart-axis-0 rows within
+8 rows of a row holding a nonzero sample, wrapped on a periodic axis and
+clipped on a bounded one, held as one block per maximal run of them, cut
+at a periodic seam.  Because W(0) = W'(0) = 0 and the chained chart
+stencils u -> u_t -> u_ss reach 4 rows (the one-sided edge rows read 6),
+every integrand and every samplewise operator is an exact zero off the
+runs, and the rows there are never allocated.  The pass runs on tiles of
+the runs: each run is split into equal row chunks of at most
+_TILE_SAMPLES samples (at least 8 rows), and each chunk into equal z
+ranges of at most _TILE_SAMPLES samples (at least 4 indices), samples
+being counted in the shape the pass's arrays take (see held axes
+below).  A tile reads a halo from the field itself along each axis: 4
 rows of chart axis 0, which the chained stencils and the metric
 coefficient d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz
 reach.  A halo wraps on a periodic axis and is clipped at a bounded end,
 where the stencils apply the one-sided rows they apply on the whole axis.
-So every stencil operand is a true neighbour: each sample's value, and
-each value of the samplewise operators, does not depend on the tiling.
+It reads a view of its run, or a tile-sized copy, zero off the runs,
+where the halo leaves the run or wraps (Field.rows).  So every stencil
+operand is a true neighbour: each sample's value, and each value of the
+samplewise operators, does not depend on the tiling.
 
 A tile forms W, W', every stencil of u once and the partials of the six
 flat-weight diagnostics (equipartition defect, pulse residual and the
@@ -86,6 +89,7 @@ TubularGrid does, so the pass itself checks no metric.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import defaultdict
@@ -109,43 +113,102 @@ __all__ = [
     "fch_energy_sweep",
     "g1_energy",
     "lower_bound_audit",
+    "live_runs",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Concentration samples on a tubular grid.
+# Chained chart stencils (u -> u_t -> u_ss) reach 4 rows, and the one-sided
+# edge rows read 6; beyond this many rows from every nonzero row each
+# integrand and each samplewise operator vanishes exactly.
+_HALO = 8
 
-    values has the grid's shape, except that along a periodic chart axis
-    other than axis 0 it may have length 1: the field is then constant
+# Samples in the body of one tile (at least 8 rows by 4 z indices): a pass
+# holds a few dozen arrays of about this size whatever the size of the grid,
+# small enough to stay in cache between the operations that read them.
+_TILE_SAMPLES = 2**16
+
+
+def live_runs(hits, n, periodic):
+    """The rows of an axis of n rows within _HALO of a row in hits, as maximal runs (start, stop).
+
+    The marks wrap on a periodic axis and are clipped on a bounded one; a
+    run is cut at a periodic seam, so every run lies in 0 .. n-1.
+    """
+    near = (np.asarray(hits, dtype=np.intp)[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
+    near = near % n if periodic else near[(near >= 0) & (near < n)]
+    marks = np.zeros(n + 2, dtype=bool)
+    marks[near + 1] = True
+    ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def _hit_rows(first, block):
+    """The rows of block, numbered from first, that hold a nonzero sample."""
+    return first + np.flatnonzero(np.any(block, axis=tuple(range(1, block.ndim))))
+
+
+class Field:
+    """Concentration samples on a tubular grid, stored as runs of rows along chart axis 0.
+
+    The field's shape is the grid's, except that along a periodic chart
+    axis other than axis 0 it may have length 1: the field is then constant
     along that axis and is held at the rank it has (an untranslated
     bilayer on a sphere or a torus is rows x 1 x z), by the rule the
     geometry's curvatures and Lame factors follow (InterfaceGeom).
+
+    Only the live rows are stored: the rows within _HALO of a row holding a
+    nonzero sample (live_runs).  runs is a list of (first row, block)
+    pairs, one per maximal run of live rows in row order, block holding
+    rows first .. first+len(block)-1; every row off the runs is an exact
+    zero and is never allocated.  Field(grid, values) marks a dense array
+    by this rule and holds views of it; Field.from_runs takes the runs
+    themselves.  values builds the dense array of the field's shape on
+    each access, for callers outside the package.
+
     Admissible fields are nonnegative and vanish at z = +-ell (no-contact
-    boundary); construction validates both unless check_bc is disabled for
-    operator-level tests with synthetic fields.
+    boundary); construction validates both, reading only the runs, unless
+    check_bc is disabled for operator-level tests with synthetic fields.
     """
 
-    grid: TubularGrid
-    values: np.ndarray
-    check_bc: bool = True
+    def __init__(self, grid: TubularGrid, values, check_bc: bool = True):
+        vals = np.asarray(values, dtype=float)
+        _check_shape(grid, vals.shape)
+        runs = live_runs(_hit_rows(0, vals), vals.shape[0], grid.geom.periodic[0])
+        self._hold(grid, vals.shape, [(a, vals[a:b]) for a, b in runs], check_bc)
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        grid = self.grid
-        held = [axis for axis, per in enumerate(grid.geom.periodic) if per and axis > 0]
-        if vals.ndim != len(grid.shape) or any(
-            m != n and not (m == 1 and axis in held) for axis, (m, n) in enumerate(zip(vals.shape, grid.shape))
-        ):
-            raise ValueError(f"field shape {vals.shape} does not match grid {self.grid.shape}")
-        # min and max propagate nan and reach inf, and need no whole-grid temporary
-        lo, hi = float(np.min(vals)), float(np.max(vals))
+    @classmethod
+    def from_runs(cls, grid: TubularGrid, runs, check_bc: bool = True) -> Field:
+        """The field stored as runs, (first row, block) pairs, which must be its live-row runs in row order.
+
+        Every block has the field's shape past axis 0, the grid's when there
+        are no runs (the all-zero field).
+        """
+        runs = [(int(a), np.asarray(block, dtype=float)) for a, block in runs]
+        shape = (grid.shape[0], *runs[0][1].shape[1:]) if runs else grid.shape
+        if any(block.ndim != len(shape) or block.shape[1:] != shape[1:] for _, block in runs):
+            raise ValueError(f"field runs do not share one shape past axis 0: {[b.shape for _, b in runs]}")
+        _check_shape(grid, shape)
+        hits = np.concatenate([_hit_rows(a, block) for a, block in runs] or [[]])
+        if [(a, a + len(block)) for a, block in runs] != live_runs(hits, shape[0], grid.geom.periodic[0]):
+            raise ValueError("field runs are not the rows within 8 of the rows holding a nonzero sample")
+        fld = cls.__new__(cls)
+        fld._hold(grid, shape, runs, check_bc)
+        return fld
+
+    def _hold(self, grid, shape, runs, check_bc):
+        self.grid, self.shape, self.runs, self.check_bc = grid, shape, runs, check_bc
+        self._firsts = [a for a, _ in runs]
+        blocks = [block for _, block in runs]
+        # the rows off the runs hold zeros, and min and max propagate nan and reach inf
+        gaps = [0.0] if sum(len(b) for b in blocks) < shape[0] else []
+        lo = float(np.min([np.min(b) for b in blocks] + gaps))
+        hi = float(np.max([np.max(b) for b in blocks] + gaps))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("field contains non-finite samples")
-        object.__setattr__(self, "values", vals)
-        if self.check_bc:
+        if check_bc:
             scale = max(hi, -lo, 1.0)  # max |u|
-            if np.max(np.abs(vals[..., 0])) > 1e-10 * scale or np.max(np.abs(vals[..., -1])) > 1e-10 * scale:
+            edge = max([float(np.max(np.abs(b[..., [0, -1]]))) for b in blocks] + gaps)
+            if edge > 1e-10 * scale:
                 raise ValueError("field must vanish at z = +-ell")
             if lo < -1e-10 * scale:
                 raise ValueError("field must be nonnegative")
@@ -153,6 +216,44 @@ class Field:
     @property
     def eps(self):
         return self.grid.eps
+
+    @property
+    def values(self) -> np.ndarray:
+        """The samples as one array of the field's shape, zero off the runs; built on each access."""
+        out = np.zeros(self.shape)
+        for a, block in self.runs:
+            out[a : a + len(block)] = block
+        return out
+
+    def rows(self, start, stop, z):
+        """Rows start .. stop-1 (taken mod the row count) at the z slice z.
+
+        A view of a run when they lie in one, else a copy of their size,
+        zero on the rows off the runs.  The runs met are found by bisection
+        of their first rows.
+        """
+        firsts = self._firsts
+        k = bisect.bisect_right(firsts, start) - 1
+        if k >= 0 and stop <= firsts[k] + len(self.runs[k][1]):
+            return self.runs[k][1][start - firsts[k] : stop - firsts[k], ..., z]
+        n, nz = self.shape[0], self.shape[-1]
+        out = np.zeros((stop - start, *self.shape[1:-1], len(range(*z.indices(nz)))))
+        for shift in (-n, 0, n):  # the window shifted by a turn of a periodic axis: field rows lo .. hi-1
+            lo, hi = start - shift, stop - shift
+            for a, block in self.runs[max(bisect.bisect_right(firsts, lo) - 1, 0) : bisect.bisect_left(firsts, hi)]:
+                top, bottom = max(lo, a), min(hi, a + len(block))
+                if top < bottom:
+                    out[top - lo : bottom - lo] = block[top - a : bottom - a, ..., z]
+        return out
+
+
+def _check_shape(grid, shape):
+    """Refuse a field shape other than the grid's with some periodic chart axes past axis 0 held at length 1."""
+    held = [axis for axis, per in enumerate(grid.geom.periodic) if per and axis > 0]
+    if len(shape) != len(grid.shape) or any(
+        m != n and not (m == 1 and axis in held) for axis, (m, n) in enumerate(zip(shape, grid.shape))
+    ):
+        raise ValueError(f"field shape {shape} does not match grid {grid.shape}")
 
 
 @dataclass(frozen=True)
@@ -177,17 +278,6 @@ class EnergyReport:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
-
-
-# Chained chart stencils (u -> u_t -> u_ss) reach 4 rows, and the one-sided
-# edge rows read 6; beyond this many rows from every nonzero row each
-# integrand and each samplewise operator vanishes exactly.
-_HALO = 8
-
-# Samples in the body of one tile (at least 8 rows by 4 z indices): a pass
-# holds a few dozen arrays of about this size whatever the size of the grid,
-# small enough to stay in cache between the operations that read them.
-_TILE_SAMPLES = 2**16
 
 
 class _Span:
@@ -217,9 +307,13 @@ class _Span:
             return (Ellipsis, key) + (slice(None),) * (-1 - self.axis)
         return (slice(None),) * self.axis + (key,)
 
-    def take(self, x, reach):
+    def bounds(self, reach):
+        """The first index and the stop of take(x, reach), before wrapping."""
         lo, hi = self._pad(reach)
-        start, stop = self.a - lo, self.b + hi
+        return self.a - lo, self.b + hi
+
+    def take(self, x, reach):
+        start, stop = self.bounds(reach)
         if start >= 0 and stop <= self.n:
             return x[self._at(slice(start, stop))]
         return np.take(x, np.arange(start, stop) % self.n, axis=self.axis)
@@ -237,28 +331,20 @@ def _split(start, stop, count):
     return zip(edges, edges[1:])
 
 
-def _tiles(u, periodic, shape=None):
-    """Tiles over the rows within _HALO of a row of u holding a nonzero sample, as (rows, z range) spans.
+def _tiles(runs, periodic, shape):
+    """Tiles over runs of rows, (start, stop) pairs along axis 0 of shape, as (rows, z range) spans.
 
-    The marks wrap on a periodic axis and are clipped on a bounded one.
-    Each maximal run of marked rows (a run is cut at a periodic seam) is
-    split into equal row chunks of at most _TILE_SAMPLES samples, unless 8
-    rows hold more, and each chunk into equal z ranges of at most
-    _TILE_SAMPLES samples, at least 4 z indices each.  Samples are counted
-    in shape, the shape the pass's arrays take (u's own by default).  An
-    all-zero u has no tiles.
+    Each run is split into equal row chunks of at most _TILE_SAMPLES
+    samples, unless 8 rows hold more, and each chunk into equal z ranges
+    of at most _TILE_SAMPLES samples, at least 4 z indices each.  Samples
+    are counted in shape, the shape the pass's arrays take.  The row spans
+    wrap on a periodic axis 0.
     """
-    n, nz = u.shape[0], u.shape[-1]
-    row = math.prod((shape or u.shape)[1:])
-    hits = np.flatnonzero(np.any(u, axis=tuple(range(1, u.ndim))))
-    near = (hits[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
-    near = near % n if periodic else near[(near >= 0) & (near < n)]
-    marks = np.zeros(n + 2, dtype=bool)
-    marks[near + 1] = True
-    ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
+    n, nz = shape[0], shape[-1]
+    row = math.prod(shape[1:])
     rows = max(8, _TILE_SAMPLES // row)
     out = []
-    for start, stop in zip(ends[::2], ends[1::2]):
+    for start, stop in runs:
         length = stop - start
         for a, b in _split(start, stop, max(1, min(-(-length // rows), length // 8))):
             count = max(1, min(-(-(b - a) * row // _TILE_SAMPLES), nz // 4))
@@ -341,10 +427,10 @@ class _Tile:
     along a held axis every stencil of u is exactly 0.
     """
 
-    def __init__(self, chart: _Chart, rows: _Span, zs: _Span, u):
+    def __init__(self, chart: _Chart, rows: _Span, zs: _Span, field: Field):
         self.chart = chart
         dims = chart.geom.chart_dims
-        self.axes = [0] + [axis for axis in range(1, dims) if u.shape[axis] > 1]
+        self.axes = [0] + [axis for axis in range(1, dims) if field.shape[axis] > 1]
         self.index = (slice(rows.a, rows.b), Ellipsis, slice(zs.a, zs.b))
         # samples of the whole grid on the tile's body
         self.samples = (rows.b - rows.a) * math.prod(chart.grid.shape[1:-1]) * (zs.b - zs.a)
@@ -355,8 +441,8 @@ class _Tile:
         self.weight = math.prod(self.lames)
         self.z_grid = zs.take(chart.grid.z_grid, 0)
         self.z_weights = zs.take(chart.z_weights, 0)
-        # the z range is taken first, so a copy across a periodic seam is tile-sized
-        ext = rows.take(zs.take(u, 2), 4)
+        # a view inside a run; a tile-sized copy where the halo leaves the run or wraps
+        ext = field.rows(*rows.bounds(4), slice(*zs.bounds(2)))
         window, z_body = ext[rows.within(4, 0)], zs.within(2, 0)
         h_z = chart.grid.h_z
         self.u_z = d1_bounded(window, -1, h_z)[z_body]
@@ -390,13 +476,19 @@ class _Metric:
         self.P = math.prod(self.one_plus) * weight
 
 
-def _each_tile(chart: _Chart, u, visit):
-    """visit(tile) for each tile of u, in order.
+def _run_rows(field: Field):
+    """The field's runs as (start, stop) row pairs."""
+    return [(a, a + len(block)) for a, block in field.runs]
+
+
+def _each_tile(chart: _Chart, field: Field, visit):
+    """visit(tile) for each tile of the field's runs, in order.
 
     No name holds a tile past its visit, so a pass holds one tile at a time.
     """
-    for rows, zs in _tiles(u, chart.geom.periodic[0], np.broadcast_shapes(u.shape, chart.shape)):
-        visit(_Tile(chart, rows, zs, u))
+    shape = np.broadcast_shapes(field.shape, chart.shape)
+    for rows, zs in _tiles(_run_rows(field), chart.geom.periodic[0], shape):
+        visit(_Tile(chart, rows, zs, field))
 
 
 def _times(a, b):
@@ -474,7 +566,7 @@ def curvilinear_gradient(field: Field):
             out[axis][b.index] = t / (b.lames[axis][b.body] * m.one_plus[axis][b.body])
         out[-1][b.index] = b.u_z / eps
 
-    _each_tile(_Chart(grid), field.values, visit)
+    _each_tile(_Chart(grid), field, visit)
     return out
 
 
@@ -486,7 +578,7 @@ def curvilinear_laplacian(field: Field):
     def visit(b):
         out[b.index] = _width_terms(b, _Metric(b.kappas, b.weight, b.z_grid, eps), eps)[0]
 
-    _each_tile(_Chart(grid), field.values, visit)
+    _each_tile(_Chart(grid), field, visit)
     return out
 
 
@@ -544,8 +636,8 @@ def _width_partials(b: _Tile, eps, well, dwell, eta1, eta2, audit_a1, p):
     return parts
 
 
-def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, audit_a1=None):
-    """One tile pass over the support of u for every width: (EnergyReport, audit integral) per width.
+def _energy_pass(chart: _Chart, field: Field, eps_list, eta1, eta2, params: WellParams, audit_a1=None):
+    """One tile pass over the field's runs for every width: (EnergyReport, audit integral) per width.
 
     The audit integral is None unless audit_a1 (the bound's A1) is set.
     Refuses a width at which a reported integral is not finite (a
@@ -565,7 +657,7 @@ def _energy_pass(chart: _Chart, u, eps_list, eta1, eta2, params: WellParams, aud
                 sums[key].append(part)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _each_tile(chart, u, visit)
+        _each_tile(chart, field, visit)
         diagnostics = _flat_report(chart, flat, p)
     out = []
     for eps, sums in zip(eps_list, widths):
@@ -601,7 +693,7 @@ def cahn_hilliard_residual(field: Field, params: WellParams):
     def visit(b):
         out[b.index] = _residual(b, eps, eval_well_and_dwell(b.u, params)[1])[1]
 
-    _each_tile(_Chart(grid), field.values, visit)
+    _each_tile(_Chart(grid), field, visit)
     return out
 
 
@@ -624,7 +716,7 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
     for eps in eps_list:
         if eps != grid.eps:  # the field's own width was checked when its grid was constructed
             check_width(grid.geom, grid.ell, eps)
-    return tuple(report for report, _ in _energy_pass(_Chart(grid), field.values, eps_list, eta1, eta2, params))
+    return tuple(report for report, _ in _energy_pass(_Chart(grid), field, eps_list, eta1, eta2, params))
 
 
 def fch_energy(field: Field, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
@@ -699,17 +791,20 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     _check_eta(eta1, eta2)
     grid = field.grid
     chart = _Chart(grid)
-    ((report, integral),) = _energy_pass(chart, field.values, (eps,), eta1, eta2, params, audit_a1=a1)
-    # |domain| is over every row, as the tiles of a field nonzero on every row;
-    # the audit integrand vanishes off the support.  P is broadcast to the
-    # whole tile, so an axis along which the factors have length 1 counts
-    # each of its samples
+    ((report, integral),) = _energy_pass(chart, field, (eps,), eta1, eta2, params, audit_a1=a1)
+    # |domain| is over every row, tiled as one run as the grid's field would
+    # be; the audit integrand vanishes off the runs.  The metric has the
+    # chart's rank: a tile's partials are one per chart point past axis 0,
+    # each counted as many times as the grid has samples per point, so the
+    # exactly rounded sum makes |domain| the same bits at any rank
+    held = math.prod(grid.shape[1:-1]) // math.prod(chart.shape[1:-1])
     parts = []
-    for rows, zs in _tiles(np.broadcast_to(1.0, grid.shape), chart.geom.periodic[0]):
+    for rows, zs in _tiles([(0, grid.shape[0])], chart.geom.periodic[0], grid.shape):
         kappas, lames = chart.rows(rows, 0)
         P = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
-        g = np.broadcast_to(P, (rows.b - rows.a, *grid.shape[1:-1], zs.b - zs.a)) * zs.take(chart.z_weights, 0)
-        parts.append(np.sum(g))
+        z_weights = zs.take(chart.z_weights, 0)
+        for point in np.ndindex(P.shape[1:-1]):
+            parts += [np.sum(P[(slice(None), *point)] * z_weights)] * held
     domain = chart.total(parts)
     return LowerBoundAudit(
         lhs=report.total,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilayer import solve_profile
-from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
+from .energy import Field, fch_energy, fch_energy_sweep, g1_energy, live_runs
 from .errors import InfeasibleModelError, NumericsError, PlacementError
 from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
 from .micelle import shoot_micelle, unit_sphere_area
@@ -238,21 +238,24 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     formed on the chart points that pass this test, found in the slab
     |x0 - c0| < eps*(R0 + ell) of the chart points sorted once by their
     first ambient coordinate x0.  They are processed in chunks of at most
-    _WINDOW_CHUNK_SAMPLES samples (at least one chart point).  Supports are
-    pairwise disjoint by the placement separation 2*eps*R0; a runtime
-    overlap check guards the construction.
+    _WINDOW_CHUNK_SAMPLES samples (at least one chart point), and each
+    chunk keeps only its chart points that hold a nonzero sample.  The
+    field is stored as its live-row runs (Field): each run is zero-filled
+    and the kept bumps are added into it, so no array of the whole grid
+    is formed.  Supports are pairwise disjoint by the placement separation
+    2*eps*R0; a runtime overlap check guards the construction.
     """
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
     r0 = prof.r0_support
     grid, centers = family.prepare(eps)
-    vals = np.zeros(grid.shape)
     *ns, nz = grid.shape
     points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
     order = np.argsort(points[:, 0], kind="stable")
     x0 = points[order, 0]
     reach = eps * (r0 + grid.ell)
     step = max(1, _WINDOW_CHUNK_SAMPLES // nz)
+    pieces = []  # (chart indices, bumps) of the chart points of a chunk holding a nonzero sample
     for center in centers:
         c_pos = geom.position(*center)
         slab = order[np.searchsorted(x0, c_pos[0] - reach, "right") : np.searchsorted(x0, c_pos[0] + reach)]
@@ -266,10 +269,24 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
             inside = radius < r0
             bump = np.zeros(radius.shape)
             bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
-            if np.any((vals[idx] > 0.0) & (bump > 0.0)):
+            holds = np.any(bump, axis=-1)
+            pieces.append((tuple(i[holds] for i in idx), bump[holds]))
+    hits = np.concatenate([idx[0] for idx, _ in pieces] or [[]])
+    bounds = live_runs(hits, ns[0], geom.periodic[0])
+    runs = [(a, np.zeros((b - a, *ns[1:], nz))) for a, b in bounds]
+    run_of = np.zeros(ns[0], dtype=np.intp)  # each hit row's run
+    for k, (a, b) in enumerate(bounds):
+        run_of[a:b] = k
+    for idx, bump in pieces:
+        which = run_of[idx[0]]
+        for k in set(which.tolist()):  # two runs where a bump meets a periodic seam
+            a, block = runs[k]
+            on = which == k
+            at = (idx[0][on] - a, *(i[on] for i in idx[1:]))
+            if np.any((block[at] > 0.0) & (bump[on] > 0.0)):
                 raise NumericsError("micelle supports overlap despite placement separation")
-            vals[idx] += bump
-    return Field(grid, vals)
+            block[at] += bump[on]
+    return Field.from_runs(grid, runs)
 
 
 # the CSV columns between abs_error and n_micelles, by EnergyReport field name

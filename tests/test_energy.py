@@ -376,6 +376,104 @@ def test_field_may_hold_a_periodic_axis_other_than_0_at_length_1(geom):
             Field(grid, np.zeros(shape))
 
 
+def _synthetic(geom, ns, hits):
+    """A field nonzero on the rows in hits only, as (dense samples, runs built row by row).
+
+    Its rows vary along z and, on a surface, along phi; the runs are the
+    live rows found by live_runs, zero-filled and written a row at a time,
+    as the micelle builder writes its bumps.
+    """
+    grid = TubularGrid.build(geom, 1.0, 0.1, ns, 17)
+    row = smooth_bump(grid.z_grid, 0.9)
+    if geom.chart_dims == 2:
+        row = (1.5 + np.cos(grid.s_grids[1]))[:, None] * row
+    rows = {r: (1.0 + 0.25 * k) * row for k, r in enumerate(sorted(set(hits)))}
+    dense = np.zeros(grid.shape)
+    for r, v in rows.items():
+        dense[r] = v
+    runs = []
+    for a, b in energy.live_runs(sorted(rows), grid.shape[0], geom.periodic[0]):
+        block = np.zeros((b - a, *grid.shape[1:]))
+        for r, v in rows.items():
+            if a <= r < b:
+                block[r - a] = v
+        runs.append((a, block))
+    return dense, Field.from_runs(grid, runs)
+
+
+def _assert_same_outputs(fld, other, params):
+    """Every report, audit and samplewise operator of the two fields, bit for bit."""
+    want, want_operators = _evaluate_all(fld, params)
+    got, operators = _evaluate_all(other, params)
+    assert repr(got) == repr(want)
+    for out, ref in zip(operators, want_operators):
+        assert out.tobytes() == ref.tobytes()
+
+
+# [1, 94]: one run across the seam, cut there in two; [20, 45]: two runs 8
+# rows apart; [20, 38]: 1 row apart, so a tile's halo reads the gap and the
+# next run
+@given(hits=st.lists(st.integers(0, 95), max_size=4))
+@example(hits=[])
+@example(hits=[1, 94])
+@example(hits=[20, 45])
+@example(hits=[20, 38])
+@settings(max_examples=12)
+def test_runs_and_dense_samples_agree_on_a_circle(hits, params):
+    dense, fld = _synthetic(Circle(1.0), 96, hits)
+    assert np.array_equal(fld.values, dense)
+    _assert_same_outputs(Field(fld.grid, dense), fld, params)
+
+
+# [0, 23]: runs touching both ends of the bounded theta axis
+@given(hits=st.lists(st.integers(0, 23), max_size=3))
+@example(hits=[0, 23])
+@example(hits=[])
+@settings(max_examples=8)
+def test_runs_and_dense_samples_agree_on_a_sphere(hits, params):
+    dense, fld = _synthetic(Sphere(3.0), (24, 8), hits)
+    assert np.array_equal(fld.values, dense)
+    _assert_same_outputs(Field(fld.grid, dense), fld, params)
+
+
+def test_held_bilayer_is_one_run_read_as_a_view(params):
+    spec = BilayerFamily(geom=Sphere(3.0), params=params, eta1=1.0, eta2=1.0, eps_list=(0.1,), ns=(16, 24), nz=65)
+    fld = build_bilayer_field(spec, 0.1)
+    ((first, block),) = fld.runs
+    assert first == 0 and block.shape == (16, 1, 65)
+    assert np.shares_memory(fld.rows(0, 16, slice(2, 40)), block)
+    _assert_same_outputs(fld, Field.from_runs(fld.grid, [(0, block.copy())]), params)
+
+
+@given(hits=st.lists(st.integers(0, 95), max_size=4), start=st.integers(-4, 95), length=st.integers(1, 24))
+@example(hits=[1, 94], start=-4, length=12)
+@example(hits=[20, 38], start=25, length=8)
+@settings(max_examples=30)
+def test_rows_are_the_wrapped_rows_of_the_dense_samples(hits, start, length):
+    dense, fld = _synthetic(Circle(1.0), 96, hits)
+    n = dense.shape[0]
+    stop = min(start + length, n + 4)
+    got = fld.rows(start, stop, slice(2, 15))
+    assert np.array_equal(got, np.take(dense, np.arange(start, stop) % n, axis=0)[:, 2:15])
+    inside = any(a <= start and stop <= a + len(block) for a, block in fld.runs)
+    assert inside == any(np.shares_memory(got, block) for _, block in fld.runs)
+
+
+def test_field_runs_must_be_its_live_rows():
+    dense, fld = _synthetic(Circle(1.0), 96, [20, 60])
+    grid = fld.grid
+    (a, block), run = fld.runs
+    for bad in (
+        [(a, block[1:]), run],  # a run one row short of the live rows
+        [(a, block), run, (90, np.zeros((2, 17)))],  # a run of zeros
+        [run, (a, block)],  # out of row order
+        [(a, block), (run[0], run[1][:, :16])],  # another z length
+    ):
+        with pytest.raises(ValueError, match="^field runs"):
+            Field.from_runs(grid, bad)
+    assert np.array_equal(Field.from_runs(grid, [(a, block), run]).values, dense)
+
+
 # Reports and audit sides recorded before the energy terms were shared
 # between fch_energy and lower_bound_audit; the shared pass must reproduce
 # them to round-off.  The micelle case was re-recorded with the in-package
@@ -481,6 +579,11 @@ def test_sweep_equals_one_width_calls(case, params):
             assert getattr(rep, key) == value, (eps, key)
 
 
+def _field_tiles(fld):
+    """The field's tiles, with samples counted in its own shape."""
+    return energy._tiles(energy._run_rows(fld), fld.grid.geom.periodic[0], fld.shape)
+
+
 def _whole(fld):
     """The field with its samples broadcast to the whole grid, as the bilayer builder stored them before it held phi."""
     return Field(fld.grid, np.broadcast_to(fld.values, fld.grid.shape).copy())
@@ -531,7 +634,7 @@ def test_tiled_sweep_peak_memory(params):
         ns=(64, 64), nz=257,
     )
     fld = _whole(build_bilayer_field(spec, 0.1))
-    assert len(energy._tiles(fld.values, periodic=False)) >= 4
+    assert len(_field_tiles(fld)) >= 4
     args = (fld, spec.eps_list, 1.0, 1.0, params)
     fch_energy_sweep(*args)  # fills the geometry caches outside the measurement
     tracemalloc.start()
@@ -700,7 +803,7 @@ def seam_field(params):
     copy = np.roll(fld.values, 65, axis=0)
     assert not np.any((fld.values != 0.0) & (copy != 0.0))
     fld = Field(fld.grid, fld.values + copy)
-    tiles = energy._tiles(fld.values, periodic=True)
+    tiles = _field_tiles(fld)
     assert [(rows.a, rows.b, zs.a, zs.b) for rows, zs in tiles] == [(0, 101, 0, 129), (221, 357, 0, 129), (477, 512, 0, 129)]
     return fld, spec.geom
 
@@ -713,7 +816,7 @@ def _check_tile_sizes(case, fld, geom, params, monkeypatch, sizes):
     # sample's value
     periodic = geom.periodic[0]
     monkeypatch.setattr(energy, "_TILE_SAMPLES", 2**62)
-    runs = len(energy._tiles(fld.values, periodic))  # one tile per run of marked rows
+    runs = len(_field_tiles(fld))  # one tile per run of live rows
     whole, whole_operators = _evaluate_all(fld, params)
     # rows more than _HALO from every nonzero row: the operators' exact zeros
     hits = np.flatnonzero(np.any(fld.values, axis=tuple(range(1, fld.values.ndim))))
@@ -728,7 +831,7 @@ def _check_tile_sizes(case, fld, geom, params, monkeypatch, sizes):
     row = math.prod(fld.values.shape[1:])
     for samples in sizes(row):
         monkeypatch.setattr(energy, "_TILE_SAMPLES", samples)
-        assert len(energy._tiles(fld.values, periodic)) > runs
+        assert len(_field_tiles(fld)) > runs
         tiled, operators = _evaluate_all(fld, params)
         for got, want in zip(operators, whole_operators):
             assert np.array_equal(got, want)
@@ -822,7 +925,7 @@ class _FullChart(energy._Chart):
 
 def _chart_outputs(fld, eps_list, params):
     """Every consumer of the chart, as bytes or exact reprs: the pass with its audit, the operators, the audit."""
-    sweep = energy._energy_pass(energy._Chart(fld.grid), fld.values, eps_list, 1.0, 1.0, params, audit_a1=0.5)
+    sweep = energy._energy_pass(energy._Chart(fld.grid), fld, eps_list, 1.0, 1.0, params, audit_a1=0.5)
     return {
         "pass": repr(sweep),
         "gradient": curvilinear_gradient(fld).tobytes(),

@@ -1,4 +1,4 @@
-"""The runtime needs numpy alone: scipy serves only as a test oracle."""
+"""The runtime needs numpy alone: scipy serves only as a test oracle, and no run loads numpy.ma."""
 
 import os
 import subprocess
@@ -35,6 +35,24 @@ def test_cli_runs_with_scipy_blocked(tmp_path, args, out):
     done = _run([str(TESTS / "no_scipy.py"), *args], tmp_path)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / out).stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["converge", "--kind", "micelle", "--eps-list", "0.1", "--alpha", "0.5", "--out", "out.csv"],
+        ["converge", "--kind", "bilayer", "--eps-list", "0.1", "--out", "out.csv"],
+        ["phase", "--eta1-range", "1:2:2", "--eta2-range", "0:1:2", "--out", "out.csv"],
+    ],
+    ids=["micelle", "bilayer", "phase"],
+)
+def test_cli_runs_load_no_numpy_ma(tmp_path, args):
+    # np.unique and np.union1d import numpy.ma in numpy 2.4: about 15 ms and
+    # 0.5 MB of every CLI process
+    code = f"import sys; from fchlab.cli import main; assert main({args!r}) == 0; print('numpy.ma' in sys.modules)"
+    done = _run(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_blocker_refuses_scipy(tmp_path):

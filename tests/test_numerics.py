@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fchlab._numerics import ClampedSpline, gauss_legendre, simpson
+from fchlab._numerics import ClampedSpline, gauss_legendre, simpson, sorted_unique
 from fchlab._ode import N_STAGES, _B, _C, _E3, _E5, _ROWS, _dot, _step_kernel, solve_ivp
 
 
@@ -197,3 +197,12 @@ def test_step_kernel_built_on_first_solver_not_at_import():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "1"]
+
+
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 2.0, 1e300]), max_size=40))
+def test_sorted_unique_is_np_unique(values):
+    # np.unique imports numpy.ma; its sort and neighbour test are kept bit for bit
+    x = np.asarray(values, dtype=float)
+    assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
+    seg = np.arange(x.size)[::-1] % 3
+    assert sorted_unique(seg).tobytes() == np.unique(seg).tobytes()

@@ -185,6 +185,46 @@ def test_micelle_windows_build_in_chunks(params, monkeypatch):
     assert peak < 2 * fld.values.nbytes
 
 
+def _dense_micelle_samples(family, eps):
+    """The micelle field's bumps added into one whole-grid array, each on the chart points within its reach."""
+    geom = family.geom
+    prof = shoot_micelle(geom.ambient_n, family.params)
+    grid, centers = family.prepare(eps)
+    vals = np.zeros(grid.shape)
+    points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
+    reach = eps * (prof.r0_support + grid.ell)
+    for center in centers:
+        c_pos = geom.position(*center)
+        idx = np.unravel_index(np.flatnonzero(np.linalg.norm(points - c_pos, axis=-1) < reach), grid.shape[:-1])
+        pos = geom.offset_position([g[i][:, None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
+        radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
+        inside = radius < prof.r0_support
+        bump = np.zeros(radius.shape)
+        bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
+        vals[idx] += bump
+    return vals
+
+
+def test_micelle_field_stores_only_its_live_rows(params):
+    # the finest width of the ellipse's default schedule: 13 micelles on an
+    # 11959 x 257 grid, about 15% of whose rows lie within 8 of a nonzero row
+    eps, count = snap_micelle_eps(0.5, 2, 0.00625)
+    family = MicelleFamily(geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,))
+    fld = build_micelle_field(family, eps)
+    n = fld.grid.shape[0]
+    assert (count, fld.grid.shape) == (13, (11959, 257))
+    dense = _dense_micelle_samples(family, eps)
+    assert np.array_equal(fld.values, dense)
+    hits = np.flatnonzero(np.any(dense, axis=-1))
+    gap = np.abs(np.arange(n)[:, None] - hits)
+    live = np.minimum(gap, n - gap).min(axis=1) <= 8  # t is periodic
+    stored = np.zeros(n, dtype=bool)
+    for a, block in fld.runs:
+        stored[a : a + len(block)] = True
+    assert np.array_equal(stored, live)
+    assert 0.13 < np.count_nonzero(stored) / n < 0.17
+
+
 def test_micelle_field_visits_only_chart_points_near_its_centers(params, monkeypatch):
     # a center's bump is formed on the chart points within eps*(R0 + ell) of
     # it; a window of chart indices spanning the whole chart once visited 88
