@@ -25,24 +25,30 @@ a schedule, on the field's own grid.
 
 A field stores only its live rows (Field): the chart-axis-0 rows within
 8 rows of a row holding a nonzero sample, wrapped on a periodic axis and
-clipped on a bounded one, held as one block per maximal run of them, cut
-at a periodic seam.  Because W(0) = W'(0) = 0 and the chained chart
-stencils u -> u_t -> u_ss reach 4 rows (the one-sided edge rows read 6),
-every integrand and every samplewise operator is an exact zero off the
-runs, and the rows there are never allocated.  The pass runs on tiles of
-the runs: each run is split into equal row chunks of at most
-_TILE_SAMPLES samples (at least 8 rows), and each chunk into equal z
-ranges of at most _TILE_SAMPLES samples (at least 4 indices), samples
-being counted in the shape the pass's arrays take (see held axes
-below).  A tile reads a halo from the field itself along each axis: 4
-rows of chart axis 0, which the chained stencils and the metric
-coefficient d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz
-reach.  A halo wraps on a periodic axis and is clipped at a bounded end,
-where the stencils apply the one-sided rows they apply on the whole axis.
-It reads a view of its run, or a tile-sized copy, zero off the runs,
-where the halo leaves the run or wraps (Field.rows).  So every stencil
-operand is a true neighbour: each sample's value, and each value of the
-samplewise operators, does not depend on the tiling.
+clipped on a bounded one, held as one block per maximal run of them; a
+run across a periodic seam is one block.  Because W(0) = W'(0) = 0 and
+the chained chart stencils u -> u_t -> u_ss reach 4 rows (the one-sided
+edge rows read 6), every integrand and every samplewise operator is an
+exact zero off the runs, and the rows there are never allocated.  The
+same holds on a run's 4 outer rows, since its 8 outer rows hold no
+nonzero sample: the pass tiles only each run's body, the run without
+those rows (an end at the edge of a bounded axis, where the one-sided
+rows apply, is kept, and a run over the whole axis is its own body), so
+each run holds the halo its tiles read.  A body across the seam is tiled
+as its two parts either side of it.  Each body is split into equal row
+chunks of at most _TILE_SAMPLES samples (at least 8 rows), and each
+chunk into equal z ranges of at most _TILE_SAMPLES samples (at least 4
+indices), samples being counted in the shape the pass's arrays take (see
+held axes below).  A tile reads a halo along each axis: 4 rows of chart
+axis 0, which the chained stencils and the metric coefficient
+d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz reach.  A halo
+wraps on a periodic axis and is clipped at a bounded end, where the
+stencils apply the one-sided rows they apply on the whole axis.  The
+tile takes its samples and their halo from its run's block with
+_Span.take, as it takes the chart factors: a view, except where the run
+is a whole periodic axis cut into several tiles and the halo wraps.  So
+every stencil operand is a true neighbour: each sample's value, and each
+value of the samplewise operators, does not depend on the tiling.
 
 A tile forms W, W', every stencil of u once and the partials of the six
 flat-weight diagnostics (equipartition defect, pulse residual and the
@@ -89,7 +95,6 @@ TubularGrid does, so the pass itself checks no metric.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from collections import defaultdict
@@ -131,15 +136,20 @@ _TILE_SAMPLES = 2**16
 def live_runs(hits, n, periodic):
     """The rows of an axis of n rows within _HALO of a row in hits, as maximal runs (start, stop).
 
-    The marks wrap on a periodic axis and are clipped on a bounded one; a
-    run is cut at a periodic seam, so every run lies in 0 .. n-1.
+    The marks wrap on a periodic axis and are clipped on a bounded one.  A
+    run across a periodic seam is one run whose start lies in 0 .. n-1 and
+    whose stop passes n: it holds rows start .. n-1, then 0 .. stop-n-1.
     """
     near = (np.asarray(hits, dtype=np.intp)[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
     near = near % n if periodic else near[(near >= 0) & (near < n)]
     marks = np.zeros(n + 2, dtype=bool)
     marks[near + 1] = True
     ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
-    return list(zip(ends[::2], ends[1::2]))
+    runs = list(zip(ends[::2], ends[1::2]))
+    if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:  # the run across the seam
+        (_, m), *runs = runs
+        runs[-1] = (runs[-1][0], n + m)
+    return runs
 
 
 def _hit_rows(first, block):
@@ -159,11 +169,14 @@ class Field:
     Only the live rows are stored: the rows within _HALO of a row holding a
     nonzero sample (live_runs).  runs is a list of (first row, block)
     pairs, one per maximal run of live rows in row order, block holding
-    rows first .. first+len(block)-1; every row off the runs is an exact
-    zero and is never allocated.  Field(grid, values) marks a dense array
-    by this rule and holds views of it; Field.from_runs takes the runs
-    themselves.  values builds the dense array of the field's shape on
-    each access, for callers outside the package.
+    rows first .. first+len(block)-1 taken mod the row count, so the block
+    of a run across a periodic seam holds its rows before the seam, then
+    those after it.  Every row off the runs is an exact zero and is never
+    allocated.  Field(grid, values) marks a dense array by this rule and
+    holds views of it, copying only the block of a run across the seam;
+    Field.from_runs takes the runs themselves.  values builds the dense
+    array of the field's shape on each access, for callers outside the
+    package.
 
     Admissible fields are nonnegative and vanish at z = +-ell (no-contact
     boundary); construction validates both, reading only the runs, unless
@@ -173,8 +186,9 @@ class Field:
     def __init__(self, grid: TubularGrid, values, check_bc: bool = True):
         vals = np.asarray(values, dtype=float)
         _check_shape(grid, vals.shape)
-        runs = live_runs(_hit_rows(0, vals), vals.shape[0], grid.geom.periodic[0])
-        self._hold(grid, vals.shape, [(a, vals[a:b]) for a, b in runs], check_bc)
+        runs = live_runs(_hit_rows(0, vals), len(vals), grid.geom.periodic[0])
+        # a view of each run, and a copy of the one across a periodic seam
+        self._hold(grid, vals.shape, [(a, _Span(a, b, len(vals), True, 0).take(vals, 0)) for a, b in runs], check_bc)
 
     @classmethod
     def from_runs(cls, grid: TubularGrid, runs, check_bc: bool = True) -> Field:
@@ -188,7 +202,7 @@ class Field:
         if any(block.ndim != len(shape) or block.shape[1:] != shape[1:] for _, block in runs):
             raise ValueError(f"field runs do not share one shape past axis 0: {[b.shape for _, b in runs]}")
         _check_shape(grid, shape)
-        hits = np.concatenate([_hit_rows(a, block) for a, block in runs] or [[]])
+        hits = np.concatenate([_hit_rows(a, block) % shape[0] for a, block in runs] or [[]])
         if [(a, a + len(block)) for a, block in runs] != live_runs(hits, shape[0], grid.geom.periodic[0]):
             raise ValueError("field runs are not the rows within 8 of the rows holding a nonzero sample")
         fld = cls.__new__(cls)
@@ -197,7 +211,6 @@ class Field:
 
     def _hold(self, grid, shape, runs, check_bc):
         self.grid, self.shape, self.runs, self.check_bc = grid, shape, runs, check_bc
-        self._firsts = [a for a, _ in runs]
         blocks = [block for _, block in runs]
         # the rows off the runs hold zeros, and min and max propagate nan and reach inf
         gaps = [0.0] if sum(len(b) for b in blocks) < shape[0] else []
@@ -222,28 +235,7 @@ class Field:
         """The samples as one array of the field's shape, zero off the runs; built on each access."""
         out = np.zeros(self.shape)
         for a, block in self.runs:
-            out[a : a + len(block)] = block
-        return out
-
-    def rows(self, start, stop, z):
-        """Rows start .. stop-1 (taken mod the row count) at the z slice z.
-
-        A view of a run when they lie in one, else a copy of their size,
-        zero on the rows off the runs.  The runs met are found by bisection
-        of their first rows.
-        """
-        firsts = self._firsts
-        k = bisect.bisect_right(firsts, start) - 1
-        if k >= 0 and stop <= firsts[k] + len(self.runs[k][1]):
-            return self.runs[k][1][start - firsts[k] : stop - firsts[k], ..., z]
-        n, nz = self.shape[0], self.shape[-1]
-        out = np.zeros((stop - start, *self.shape[1:-1], len(range(*z.indices(nz)))))
-        for shift in (-n, 0, n):  # the window shifted by a turn of a periodic axis: field rows lo .. hi-1
-            lo, hi = start - shift, stop - shift
-            for a, block in self.runs[max(bisect.bisect_right(firsts, lo) - 1, 0) : bisect.bisect_left(firsts, hi)]:
-                top, bottom = max(lo, a), min(hi, a + len(block))
-                if top < bottom:
-                    out[top - lo : bottom - lo] = block[top - a : bottom - a, ..., z]
+            out[np.arange(a, a + len(block)) % self.shape[0]] = block
         return out
 
 
@@ -307,13 +299,9 @@ class _Span:
             return (Ellipsis, key) + (slice(None),) * (-1 - self.axis)
         return (slice(None),) * self.axis + (key,)
 
-    def bounds(self, reach):
-        """The first index and the stop of take(x, reach), before wrapping."""
-        lo, hi = self._pad(reach)
-        return self.a - lo, self.b + hi
-
     def take(self, x, reach):
-        start, stop = self.bounds(reach)
+        lo, hi = self._pad(reach)
+        start, stop = self.a - lo, self.b + hi
         if start >= 0 and stop <= self.n:
             return x[self._at(slice(start, stop))]
         return np.take(x, np.arange(start, stop) % self.n, axis=self.axis)
@@ -332,24 +320,34 @@ def _split(start, stop, count):
 
 
 def _tiles(runs, periodic, shape):
-    """Tiles over runs of rows, (start, stop) pairs along axis 0 of shape, as (rows, z range) spans.
+    """Tiles over the bodies of runs of rows, (start, stop) pairs along axis 0 of shape, as (run, rows, z range).
 
-    Each run is split into equal row chunks of at most _TILE_SAMPLES
-    samples, unless 8 rows hold more, and each chunk into equal z ranges
-    of at most _TILE_SAMPLES samples, at least 4 z indices each.  Samples
-    are counted in shape, the shape the pass's arrays take.  The row spans
-    wrap on a periodic axis 0.
+    A run's body is the run without its 4 outer rows at each end, the rows
+    its tiles' halo reads: an end at the edge of a bounded axis is not
+    trimmed, and a run that is the whole axis is its own body.  A body
+    across a periodic seam is tiled as its two parts within 0 .. n-1.  Each
+    part is split into equal row chunks of at most _TILE_SAMPLES samples,
+    unless 8 rows hold more, and each chunk into equal z ranges of at most
+    _TILE_SAMPLES samples, at least 4 z indices each.  Samples are counted
+    in shape, the shape the pass's arrays take.  A tile carries the index
+    of its run; its row span wraps on a periodic axis 0.
     """
     n, nz = shape[0], shape[-1]
     row = math.prod(shape[1:])
     rows = max(8, _TILE_SAMPLES // row)
     out = []
-    for start, stop in runs:
-        length = stop - start
-        for a, b in _split(start, stop, max(1, min(-(-length // rows), length // 8))):
-            count = max(1, min(-(-(b - a) * row // _TILE_SAMPLES), nz // 4))
-            span = _Span(a, b, n, periodic, 0)
-            out += [(span, _Span(c, d, nz, False, -1)) for c, d in _split(0, nz, count)]
+    for k, (start, stop) in enumerate(runs):
+        if stop - start < n:  # the body: the run without the rows its halo reads, kept at a bounded edge
+            start += 4 if periodic or start > 0 else 0
+            stop -= 4 if periodic or stop < n else 0
+        for lo, hi in [(start, min(stop, n)), (max(start, n) - n, stop - n)]:  # the body before and after the seam
+            length = hi - lo
+            if length <= 0:
+                continue
+            for a, b in _split(lo, hi, max(1, min(-(-length // rows), length // 8))):
+                count = max(1, min(-(-(b - a) * row // _TILE_SAMPLES), nz // 4))
+                span = _Span(a, b, n, periodic, 0)
+                out += [(k, span, _Span(c, d, nz, False, -1)) for c, d in _split(0, nz, count)]
     return out
 
 
@@ -411,13 +409,28 @@ class _Chart:
         return d2_bounded(f, axis, h)
 
 
+def _window(field: Field, run, rows: _Span, zs: _Span):
+    """A tile's samples with their halo, 4 rows and 2 z indices, taken from the block of its run.
+
+    The rows are numbered from the run's first row.  The run holds the
+    halo of each tile of its body, so the window is a view of the block,
+    unless the run is a whole periodic axis cut into several tiles: there
+    the halo wraps, as it does for the chart factors.
+    """
+    first, block = field.runs[run]
+    a = (rows.a - first) % rows.n
+    return _Span(a, a + rows.b - rows.a, len(block), rows.periodic, 0).take(zs.take(block, 2), 4)
+
+
 class _Tile:
     """The width-free fields of one tile: every stencil pass of u on the tile's body.
 
-    u_z and u_zz are formed on the body rows and the z range +-2 and cut
-    to the body.  Chart axis 0's stencils read past the body rows: u_t
-    there is formed from u on the body +-4 rows and kept on the body +-2
-    rows (t_near[0]), which the chained u_ss reads, as the metric
+    The tile reads u with its halo from the block of its run, the run-th
+    of field.runs (_window), a view unless that halo wraps a whole periodic
+    axis.  u_z and u_zz are formed on the body rows and the z range +-2
+    and cut to the body.  Chart axis 0's stencils read past the body rows:
+    u_t there is formed from u on the body +-4 rows and kept on the body
+    +-2 rows (t_near[0]), which the chained u_ss reads, as the metric
     coefficient d1_s(P/H_0^2) reads the metric there; u_tt there is formed
     from u on the body +-2 rows.  The chart is held on the body +-2 rows:
     body is their index that is the body, near[axis] the part of them an
@@ -427,7 +440,7 @@ class _Tile:
     along a held axis every stencil of u is exactly 0.
     """
 
-    def __init__(self, chart: _Chart, rows: _Span, zs: _Span, field: Field):
+    def __init__(self, chart: _Chart, run: int, rows: _Span, zs: _Span, field: Field):
         self.chart = chart
         dims = chart.geom.chart_dims
         self.axes = [0] + [axis for axis in range(1, dims) if field.shape[axis] > 1]
@@ -441,8 +454,7 @@ class _Tile:
         self.weight = math.prod(self.lames)
         self.z_grid = zs.take(chart.grid.z_grid, 0)
         self.z_weights = zs.take(chart.z_weights, 0)
-        # a view inside a run; a tile-sized copy where the halo leaves the run or wraps
-        ext = field.rows(*rows.bounds(4), slice(*zs.bounds(2)))
+        ext = _window(field, run, rows, zs)
         window, z_body = ext[rows.within(4, 0)], zs.within(2, 0)
         h_z = chart.grid.h_z
         self.u_z = d1_bounded(window, -1, h_z)[z_body]
@@ -487,8 +499,8 @@ def _each_tile(chart: _Chart, field: Field, visit):
     No name holds a tile past its visit, so a pass holds one tile at a time.
     """
     shape = np.broadcast_shapes(field.shape, chart.shape)
-    for rows, zs in _tiles(_run_rows(field), chart.geom.periodic[0], shape):
-        visit(_Tile(chart, rows, zs, field))
+    for run, rows, zs in _tiles(_run_rows(field), chart.geom.periodic[0], shape):
+        visit(_Tile(chart, run, rows, zs, field))
 
 
 def _times(a, b):
@@ -776,6 +788,7 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     GrowthViolation) has no bound, and is refused with the violation's
     message.  Requires eta2 < p*eta1 and eps small enough that A1 > 0.
     """
+    _check_eta(eta1, eta2)
     eps = field.eps
     p = params.p
     if not eta2 < p * eta1:
@@ -788,7 +801,6 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
         raise InfeasibleModelError("lower bound inapplicable: eps too large for A1 > 0")
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
-    _check_eta(eta1, eta2)
     grid = field.grid
     chart = _Chart(grid)
     ((report, integral),) = _energy_pass(chart, field, (eps,), eta1, eta2, params, audit_a1=a1)
@@ -799,7 +811,7 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
     # exactly rounded sum makes |domain| the same bits at any rank
     held = math.prod(grid.shape[1:-1]) // math.prod(chart.shape[1:-1])
     parts = []
-    for rows, zs in _tiles([(0, grid.shape[0])], chart.geom.periodic[0], grid.shape):
+    for _, rows, zs in _tiles([(0, grid.shape[0])], chart.geom.periodic[0], grid.shape):
         kappas, lames = chart.rows(rows, 0)
         P = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
         z_weights = zs.take(chart.z_weights, 0)

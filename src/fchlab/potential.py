@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._numerics import sorted_unique
 from .errors import InfeasibleWellError
 
 # entries each memoised solver keeps: one per distinct well and option set
@@ -384,7 +385,7 @@ def audit_growth(params: WellParams, grid):
     (e.g. c5 = 0 makes the lower bound fail at large |u|).  Among feasible
     leading coefficients the one minimizing |c2|+|c3|+|c3p|+|c4| wins.
     """
-    u = np.unique(np.asarray(grid, dtype=float))
+    u = sorted_unique(np.asarray(grid, dtype=float))
     if u.size == 0:
         raise ValueError("audit grid is empty")
     p = params.p
@@ -429,4 +430,4 @@ def default_audit_grid(params: WellParams):
     span = 10.0 * params.u_plus
     core = np.linspace(-span, span, _AUDIT_CORE)
     tail = np.geomspace(span, _AUDIT_FAR, _AUDIT_TAIL)
-    return np.unique(np.concatenate([core, tail, -tail]))
+    return sorted_unique(np.concatenate([core, tail, -tail]))

@@ -239,11 +239,14 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     |x0 - c0| < eps*(R0 + ell) of the chart points sorted once by their
     first ambient coordinate x0.  They are processed in chunks of at most
     _WINDOW_CHUNK_SAMPLES samples (at least one chart point), and each
-    chunk keeps only its chart points that hold a nonzero sample.  The
-    field is stored as its live-row runs (Field): each run is zero-filled
-    and the kept bumps are added into it, so no array of the whole grid
-    is formed.  Supports are pairwise disjoint by the placement separation
-    2*eps*R0; a runtime overlap check guards the construction.
+    chunk keeps only its chart points that hold a nonzero sample; a chunk
+    that holds none is dropped.  The field is stored as its live-row runs
+    (Field): each run is zero-filled and the kept bumps are added into it,
+    so no array of the whole grid is formed.  A bump's rows are contiguous
+    mod the row count, so the kept rows of one chunk lie in one run, a run
+    across a periodic seam included.  Supports are pairwise disjoint by the
+    placement separation 2*eps*R0; a runtime overlap check guards the
+    construction.
     """
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
@@ -270,22 +273,21 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
             bump = np.zeros(radius.shape)
             bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
             holds = np.any(bump, axis=-1)
-            pieces.append((tuple(i[holds] for i in idx), bump[holds]))
+            if holds.any():
+                pieces.append((tuple(i[holds] for i in idx), bump[holds]))
     hits = np.concatenate([idx[0] for idx, _ in pieces] or [[]])
     bounds = live_runs(hits, ns[0], geom.periodic[0])
     runs = [(a, np.zeros((b - a, *ns[1:], nz))) for a, b in bounds]
     run_of = np.zeros(ns[0], dtype=np.intp)  # each hit row's run
     for k, (a, b) in enumerate(bounds):
-        run_of[a:b] = k
+        run_of[np.arange(a, b) % ns[0]] = k
     for idx, bump in pieces:
-        which = run_of[idx[0]]
-        for k in set(which.tolist()):  # two runs where a bump meets a periodic seam
-            a, block = runs[k]
-            on = which == k
-            at = (idx[0][on] - a, *(i[on] for i in idx[1:]))
-            if np.any((block[at] > 0.0) & (bump[on] > 0.0)):
-                raise NumericsError("micelle supports overlap despite placement separation")
-            block[at] += bump[on]
+        # a bump's rows are contiguous mod n, so a chunk's lie in one run
+        a, block = runs[run_of[idx[0][0]]]
+        at = ((idx[0] - a) % ns[0], *idx[1:])
+        if np.any((block[at] > 0.0) & (bump > 0.0)):
+            raise NumericsError("micelle supports overlap despite placement separation")
+        block[at] += bump
     return Field.from_runs(grid, runs)
 
 

@@ -337,6 +337,17 @@ def test_lower_bound_precondition(params):
         lower_bound_audit(fld, 1.0, 4.0, params)  # eta2 >= p*eta1
 
 
+# a nan or infinite eta is refused as fch_energy refuses it, before any
+# verdict on the bound's preconditions
+@pytest.mark.parametrize("eta1, eta2", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)])
+def test_lower_bound_refuses_non_finite_eta(eta1, eta2, params):
+    grid = circle_grid(ell=0.45, eps=0.05)
+    fld = Field(grid, np.zeros(grid.shape))
+    for evaluate in (fch_energy, lower_bound_audit):
+        with pytest.raises(ValueError, match="^eta coefficients must be finite$"):
+            evaluate(fld, eta1, eta2, params)
+
+
 def test_lower_bound_refuses_a_well_without_growth_constants(params):
     # c5 = 0: W vanishes in the far field, so no C1|u|^p bounds it from below
     bad = WellParams(r=params.r, u_plus=params.u_plus, tau=params.tau, p=3.0, c5=0.0)
@@ -381,7 +392,7 @@ def _synthetic(geom, ns, hits):
 
     Its rows vary along z and, on a surface, along phi; the runs are the
     live rows found by live_runs, zero-filled and written a row at a time,
-    as the micelle builder writes its bumps.
+    mod the row count, as the micelle builder writes its bumps.
     """
     grid = TubularGrid.build(geom, 1.0, 0.1, ns, 17)
     row = smooth_bump(grid.z_grid, 0.9)
@@ -392,11 +403,12 @@ def _synthetic(geom, ns, hits):
     for r, v in rows.items():
         dense[r] = v
     runs = []
-    for a, b in energy.live_runs(sorted(rows), grid.shape[0], geom.periodic[0]):
+    n = grid.shape[0]
+    for a, b in energy.live_runs(sorted(rows), n, geom.periodic[0]):
         block = np.zeros((b - a, *grid.shape[1:]))
         for r, v in rows.items():
-            if a <= r < b:
-                block[r - a] = v
+            if (r - a) % n < b - a:
+                block[(r - a) % n] = v
         runs.append((a, block))
     return dense, Field.from_runs(grid, runs)
 
@@ -410,7 +422,7 @@ def _assert_same_outputs(fld, other, params):
         assert out.tobytes() == ref.tobytes()
 
 
-# [1, 94]: one run across the seam, cut there in two; [20, 45]: two runs 8
+# [1, 94]: one run across the seam; [20, 45]: two runs 8
 # rows apart; [20, 38]: 1 row apart, so a tile's halo reads the gap and the
 # next run
 @given(hits=st.lists(st.integers(0, 95), max_size=4))
@@ -441,22 +453,45 @@ def test_held_bilayer_is_one_run_read_as_a_view(params):
     fld = build_bilayer_field(spec, 0.1)
     ((first, block),) = fld.runs
     assert first == 0 and block.shape == (16, 1, 65)
-    assert np.shares_memory(fld.rows(0, 16, slice(2, 40)), block)
+    tiles = []
+    energy._each_tile(energy._Chart(fld.grid), fld, lambda b: tiles.append(np.shares_memory(b.u, block)))
+    assert tiles == [True]
     _assert_same_outputs(fld, Field.from_runs(fld.grid, [(0, block.copy())]), params)
 
 
-@given(hits=st.lists(st.integers(0, 95), max_size=4), start=st.integers(-4, 95), length=st.integers(1, 24))
-@example(hits=[1, 94], start=-4, length=12)
-@example(hits=[20, 38], start=25, length=8)
+def test_a_run_across_the_seam_is_one_run(params):
+    assert energy.live_runs([1, 94], 96, True) == [(86, 106)]
+    assert energy.live_runs([1, 94], 96, False) == [(0, 10), (86, 96)]
+    dense, fld = _synthetic(Circle(1.0), 96, [1, 94])
+    assert [(a, len(block)) for a, block in fld.runs] == [(86, 20)]
+    assert np.array_equal(fld.values, dense)
+    _assert_same_outputs(Field(fld.grid, dense), fld, params)
+
+
+# [1, 94]: the run across the seam, its body tiled in two parts; seven hits
+# 14 rows apart: one run over the whole periodic axis, whose tiles' halos
+# wrap; [20, 38]: runs 1 row apart
+@given(hits=st.lists(st.integers(0, 95), max_size=7), samples=st.sampled_from([2**16, 17 * 8, 1]))
+@example(hits=[1, 94], samples=2**16)
+@example(hits=[1, 94], samples=1)
+@example(hits=[0, 14, 28, 42, 56, 70, 84], samples=1)
+@example(hits=[0, 14, 28, 42, 56, 70, 84], samples=2**16)
+@example(hits=[20, 38], samples=1)
 @settings(max_examples=30)
-def test_rows_are_the_wrapped_rows_of_the_dense_samples(hits, start, length):
+def test_tile_windows_are_the_wrapped_rows_of_the_dense_samples(hits, samples):
     dense, fld = _synthetic(Circle(1.0), 96, hits)
     n = dense.shape[0]
-    stop = min(start + length, n + 4)
-    got = fld.rows(start, stop, slice(2, 15))
-    assert np.array_equal(got, np.take(dense, np.arange(start, stop) % n, axis=0)[:, 2:15])
-    inside = any(a <= start and stop <= a + len(block) for a, block in fld.runs)
-    assert inside == any(np.shares_memory(got, block) for _, block in fld.runs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_TILE_SAMPLES", samples)
+        tiles = _field_tiles(fld)
+    for run, rows, zs in tiles:
+        got = energy._window(fld, run, rows, zs)
+        (lo, hi), (zlo, zhi) = rows._pad(4), zs._pad(2)
+        want = np.take(dense, np.arange(rows.a - lo, rows.b + hi) % n, axis=0)[:, zs.a - zlo : zs.b + zhi]
+        assert np.array_equal(got, want)
+        block = fld.runs[run][1]
+        # a copy only where the halo of a whole periodic axis wraps
+        assert np.shares_memory(got, block) == (len(block) < n or 0 <= rows.a - lo < rows.b + hi <= n)
 
 
 def test_field_runs_must_be_its_live_rows():
@@ -791,7 +826,7 @@ def seam_field(params):
     """Four micelles on Circle(1), 512 x 129: the builder's two, each with a copy 10 empty rows on.
 
     Each micelle's halo meets its copy's, so the marked rows form two runs;
-    the one that crosses the seam s = 0 is cut there in two.
+    the body of the one that crosses the seam s = 0 is tiled in two parts.
     """
     eps, _ = snap_micelle_eps(0.5, 2, 0.05)
     spec = MicelleFamily(
@@ -804,7 +839,9 @@ def seam_field(params):
     assert not np.any((fld.values != 0.0) & (copy != 0.0))
     fld = Field(fld.grid, fld.values + copy)
     tiles = _field_tiles(fld)
-    assert [(rows.a, rows.b, zs.a, zs.b) for rows, zs in tiles] == [(0, 101, 0, 129), (221, 357, 0, 129), (477, 512, 0, 129)]
+    assert [(run, rows.a, rows.b, zs.a, zs.b) for run, rows, zs in tiles] == [
+        (0, 225, 353, 0, 129), (1, 481, 512, 0, 129), (1, 0, 97, 0, 129)
+    ]
     return fld, spec.geom
 
 
@@ -859,6 +896,30 @@ def test_tile_size_changes_only_the_summation_order(case, params, monkeypatch, r
     # two runs, one cut by the seam, under both tilings
     fld, geom = request.getfixturevalue(case)
     _check_tile_sizes(case, fld, geom, params, monkeypatch, lambda row: (1, 16 * row))
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PINNED) + ["seam_field"])
+def test_operators_vanish_off_the_tile_bodies(case, params, request):
+    # no tile body covers the 4 outer rows of a run; they and the 4 rows in
+    # from them hold no nonzero sample, and the chained chart stencils reach
+    # 4 rows (the one-sided rows at a bounded edge read 6, and an end there
+    # is never trimmed), so every operator is exactly 0 on them
+    fld, geom = request.getfixturevalue(case) if case == "seam_field" else edge_field(case, params)
+    n = fld.shape[0]
+    covered = np.zeros(n, dtype=bool)
+    for _, rows, _ in _field_tiles(fld):
+        covered[rows.a : rows.b] = True
+    stored = np.zeros(n, dtype=bool)
+    for a, block in fld.runs:
+        stored[np.arange(a, a + len(block)) % n] = True
+    assert (stored & ~covered).any() == (case != "ellipse_bilayer")
+    hit = np.any(fld.values, axis=tuple(range(1, fld.values.ndim)))
+    for r in np.flatnonzero(~covered):
+        near = np.arange(r - 4, r + 5)
+        near = near % n if geom.periodic[0] else near[(near >= 0) & (near < n)]
+        assert not hit[near].any(), r
+    for out in [cahn_hilliard_residual(fld, params), curvilinear_gradient(fld), curvilinear_laplacian(fld)]:
+        assert np.all(np.moveaxis(out, -geom.chart_dims - 1, 0)[~covered] == 0.0)
 
 
 def _shifted(fld, params, k):

@@ -55,6 +55,19 @@ def test_cli_runs_load_no_numpy_ma(tmp_path, args):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_library_lower_bound_audit_loads_no_numpy_ma(tmp_path):
+    # the audit's growth constants sort their sample grid with sorted_unique
+    code = (
+        "import sys, numpy as np; from fchlab import Circle, Field, TubularGrid, default_params, lower_bound_audit; "
+        "grid = TubularGrid.build(Circle(1.0), 0.45, 0.05, 64, 65); "
+        "lower_bound_audit(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, default_params()); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = _run(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_blocker_refuses_scipy(tmp_path):
     code = (
         f"import sys; sys.path.insert(0, {str(TESTS)!r}); import no_scipy; "

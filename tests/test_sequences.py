@@ -4,6 +4,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from fchlab import energy
 from fchlab import (
     BilayerFamily,
     Circle,
@@ -205,12 +206,18 @@ def _dense_micelle_samples(family, eps):
     return vals
 
 
-def test_micelle_field_stores_only_its_live_rows(params):
-    # the finest width of the ellipse's default schedule: 13 micelles on an
-    # 11959 x 257 grid, about 15% of whose rows lie within 8 of a nonzero row
+@pytest.fixture(scope="module")
+def finest_ellipse(params):
+    """The finest width of the ellipse's default schedule: (family, eps, micelle count, field)."""
     eps, count = snap_micelle_eps(0.5, 2, 0.00625)
     family = MicelleFamily(geom=Ellipse(2.0, 1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,))
-    fld = build_micelle_field(family, eps)
+    return family, eps, count, build_micelle_field(family, eps)
+
+
+def test_micelle_field_stores_only_its_live_rows(finest_ellipse):
+    # 13 micelles on an 11959 x 257 grid, about 15% of whose rows lie within
+    # 8 of a nonzero row
+    family, eps, count, fld = finest_ellipse
     n = fld.grid.shape[0]
     assert (count, fld.grid.shape) == (13, (11959, 257))
     dense = _dense_micelle_samples(family, eps)
@@ -220,9 +227,19 @@ def test_micelle_field_stores_only_its_live_rows(params):
     live = np.minimum(gap, n - gap).min(axis=1) <= 8  # t is periodic
     stored = np.zeros(n, dtype=bool)
     for a, block in fld.runs:
-        stored[a : a + len(block)] = True
+        stored[np.arange(a, a + len(block)) % n] = True
     assert np.array_equal(stored, live)
     assert 0.13 < np.count_nonzero(stored) / n < 0.17
+
+
+def test_every_tile_of_a_micelle_field_reads_a_view_of_its_run(finest_ellipse):
+    # each run holds the halo of the tiles of its body, so no window is
+    # copied; one micelle meets the seam, and its run's body is tiled in two
+    fld = finest_ellipse[3]
+    tiles = energy._tiles(energy._run_rows(fld), True, fld.shape)
+    assert (len(fld.runs), len(tiles)) == (13, 14)
+    for run, rows, zs in tiles:
+        assert np.shares_memory(energy._window(fld, run, rows, zs), fld.runs[run][1])
 
 
 def test_micelle_field_visits_only_chart_points_near_its_centers(params, monkeypatch):
@@ -476,7 +493,7 @@ def test_bilayer_sweep_builds_one_field(params, monkeypatch):
     # width-free terms once: u_t and u_tt (both axes), u_z, u_zz and the u_ss
     # norms; per width only the metric coefficient d1_s(P/H^2) on theta, since
     # the metric is held at length 1 along phi, where that stencil is 0
-    from fchlab import energy, sequences
+    from fchlab import sequences
 
     calls = {}
     for name in ("d1_bounded", "d2_bounded", "d1_periodic", "d2_periodic"):
