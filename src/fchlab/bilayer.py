@@ -30,6 +30,7 @@ from .potential import (
     WellParams,
     eval_dwell,
     eval_well,
+    eval_well_and_dwell,
     quadratic_factor,
     quadratic_factor_coeffs,
     smallest_positive_bracket_root,
@@ -296,9 +297,9 @@ def solve_profile(params: WellParams, samples: int = 512) -> BilayerProfile:
 
     # z-space route for b_star: corrected trapezoid on the dense half grid
     # with exact derivatives d/dz W(U) = W'(U) U_z from the first integral
-    w_dense = eval_well(u_dense, params)
+    w_dense, dw_dense = eval_well_and_dwell(u_dense, params)
     uz_dense = -np.sqrt(np.maximum(2.0 * w_dense, 0.0))
-    b_star = 2.0 * _hermite_trapz(z_dense, w_dense, eval_dwell(u_dense, params) * uz_dense)
+    b_star = 2.0 * _hermite_trapz(z_dense, w_dense, dw_dense * uz_dense)
 
     mass_z = 2.0 * _hermite_trapz(z_dense, u_dense, uz_dense)
 

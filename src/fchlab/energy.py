@@ -23,15 +23,16 @@ through the factors 1 + eps*z*kappa_j and the powers of eps in the
 residual and the gradient.  So one pass over a field runs every width of
 a schedule, on the field's own grid.
 
-A field stores only its live rows (Field): the chart-axis-0 rows within
-8 rows of a row holding a nonzero sample, wrapped on a periodic axis and
-clipped on a bounded one, held as one block per maximal run of them; a
-run across a periodic seam is one block.  Because W(0) = W'(0) = 0 and
-the chained chart stencils u -> u_t -> u_ss reach 4 rows (the one-sided
-edge rows read 6), every integrand and every samplewise operator is an
-exact zero off the runs, and the rows there are never allocated.  The
-same holds on a run's 4 outer rows, since its 8 outer rows hold no
-nonzero sample: the pass tiles only each run's body, the run without
+A field stores only its live rows, and lays them out itself (Field): the
+chart-axis-0 rows within 8 rows of a row holding a nonzero sample,
+wrapped on a periodic axis and clipped on a bounded one, held as one
+block per maximal run of them; a run across a periodic seam is one
+block.  Builders hand a field its samples, never its layout.  Because
+W(0) = W'(0) = 0 and the chained chart stencils u -> u_t -> u_ss reach 4
+rows (the one-sided edge rows read 6), every integrand and every
+samplewise operator is an exact zero off the runs, and the rows there
+are never allocated.  The same holds on a run's 4 outer rows, since its
+8 outer rows hold no nonzero sample: the pass tiles only each run's body, the run without
 those rows (an end at the edge of a bounded axis, where the one-sided
 rows apply, is kept, and a run over the whole axis is its own body), so
 each run holds the halo its tiles read.  A body across the seam is tiled
@@ -118,7 +119,6 @@ __all__ = [
     "fch_energy_sweep",
     "g1_energy",
     "lower_bound_audit",
-    "live_runs",
 ]
 
 
@@ -152,11 +152,6 @@ def live_runs(hits, n, periodic):
     return runs
 
 
-def _hit_rows(first, block):
-    """The rows of block, numbered from first, that hold a nonzero sample."""
-    return first + np.flatnonzero(np.any(block, axis=tuple(range(1, block.ndim))))
-
-
 class Field:
     """Concentration samples on a tubular grid, stored as runs of rows along chart axis 0.
 
@@ -172,11 +167,11 @@ class Field:
     rows first .. first+len(block)-1 taken mod the row count, so the block
     of a run across a periodic seam holds its rows before the seam, then
     those after it.  Every row off the runs is an exact zero and is never
-    allocated.  Field(grid, values) marks a dense array by this rule and
-    holds views of it, copying only the block of a run across the seam;
-    Field.from_runs takes the runs themselves.  values builds the dense
-    array of the field's shape on each access, for callers outside the
-    package.
+    allocated.  The layout is the class's own: Field(grid, values) marks a
+    dense array by this rule and holds views of it, copying only the block
+    of a run across the seam, and Field._from_pieces lays out the runs of a
+    sum of pieces.  values builds the dense array of the field's shape on
+    each access, for callers outside the package.
 
     Admissible fields are nonnegative and vanish at z = +-ell (no-contact
     boundary); construction validates both, reading only the runs, unless
@@ -186,27 +181,35 @@ class Field:
     def __init__(self, grid: TubularGrid, values, check_bc: bool = True):
         vals = np.asarray(values, dtype=float)
         _check_shape(grid, vals.shape)
-        runs = live_runs(_hit_rows(0, vals), len(vals), grid.geom.periodic[0])
+        hits = np.flatnonzero(np.any(vals, axis=tuple(range(1, vals.ndim))))
+        runs = live_runs(hits, len(vals), grid.geom.periodic[0])
         # a view of each run, and a copy of the one across a periodic seam
         self._hold(grid, vals.shape, [(a, _Span(a, b, len(vals), True, 0).take(vals, 0)) for a, b in runs], check_bc)
 
     @classmethod
-    def from_runs(cls, grid: TubularGrid, runs, check_bc: bool = True) -> Field:
-        """The field stored as runs, (first row, block) pairs, which must be its live-row runs in row order.
+    def _from_pieces(cls, grid: TubularGrid, pieces) -> Field:
+        """The field of the grid's shape that sums pieces, (chart index, z columns) pairs, in order.
 
-        Every block has the field's shape past axis 0, the grid's when there
-        are no runs (the all-zero field).
+        A piece's chart index is a tuple of index arrays, one per chart
+        axis, and its z columns hold the samples at those chart points, one
+        row of the grid's z length each; a piece may span runs.  The runs
+        are views of one zero-filled array holding every live row.  Pieces
+        whose nonzero samples meet are refused (NumericsError): the micelle
+        builder's supports are disjoint by their placement separation.
         """
-        runs = [(int(a), np.asarray(block, dtype=float)) for a, block in runs]
-        shape = (grid.shape[0], *runs[0][1].shape[1:]) if runs else grid.shape
-        if any(block.ndim != len(shape) or block.shape[1:] != shape[1:] for _, block in runs):
-            raise ValueError(f"field runs do not share one shape past axis 0: {[b.shape for _, b in runs]}")
-        _check_shape(grid, shape)
-        hits = np.concatenate([_hit_rows(a, block) % shape[0] for a, block in runs] or [[]])
-        if [(a, a + len(block)) for a, block in runs] != live_runs(hits, shape[0], grid.geom.periodic[0]):
-            raise ValueError("field runs are not the rows within 8 of the rows holding a nonzero sample")
+        n = grid.shape[0]
+        bounds = live_runs(np.concatenate([idx[0] for idx, _ in pieces] or [[]]), n, grid.geom.periodic[0])
+        live = np.concatenate([np.arange(a, b) for a, b in bounds] or [np.arange(0)]) % n
+        held = np.zeros((len(live), *grid.shape[1:]))
+        at = np.zeros(n, dtype=np.intp)  # each live row's row of held
+        at[live] = np.arange(len(live))
+        for idx, cols in pieces:
+            where = (at[idx[0]], *idx[1:])
+            if np.any((held[where] > 0.0) & (cols > 0.0)):
+                raise NumericsError("micelle supports overlap despite placement separation")
+            held[where] += cols
         fld = cls.__new__(cls)
-        fld._hold(grid, shape, runs, check_bc)
+        fld._hold(grid, grid.shape, [(a, held[at[a] : at[a] + b - a]) for a, b in bounds], True)
         return fld
 
     def _hold(self, grid, shape, runs, check_bc):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilayer import solve_profile
-from .energy import Field, fch_energy, fch_energy_sweep, g1_energy, live_runs
-from .errors import InfeasibleModelError, NumericsError, PlacementError
+from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
+from .errors import InfeasibleModelError, PlacementError
 from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
 from .micelle import shoot_micelle, unit_sphere_area
 from .potential import WellParams
@@ -124,6 +124,8 @@ class BilayerFamily(_Family):
 
     translate is an optional callable p of the chart coordinates shifting
     the pulse along z; the pulse must stay inside the slab: max|p| + L < ell.
+    A p that is not finite on the chart probe or on the grid is refused
+    (ValueError).
     """
 
     translate: object | None = None
@@ -145,6 +147,7 @@ class BilayerFamily(_Family):
             # max |p| over a 256-per-axis chart probe
             mesh = np.meshgrid(*[np.linspace(0.0, p, 256) for p in self.geom.chart_periods], indexing="ij", sparse=True)
             pmax = float(np.max(np.abs(self.translate(*mesh))))
+            _check_translate(pmax)
         ell = self.ell if self.ell is not None else 1.05 * (half_width + pmax)
         if pmax + half_width >= ell:
             raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
@@ -213,6 +216,12 @@ class MicelleFamily(_Family):
         return _micelle_count(self.alpha, self.geom.ambient_n, eps)
 
 
+def _check_translate(pmax):
+    """Refuse a translate whose max |p| over the sampled chart points is not finite."""
+    if not math.isfinite(pmax):
+        raise ValueError(f"translate must be finite on the chart, got max|p| = {pmax}")
+
+
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     """Sample u(s, z) = U(z - p(s)) on the family's grid for this width.
 
@@ -224,6 +233,7 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     grid, _ = family.prepare(eps)
     profile = solve_profile(family.params)
     p = 0.0 if family.translate is None else np.asarray(family.translate(*grid.s_mesh), dtype=float)
+    _check_translate(np.max(np.abs(p)))
     least = [1 if per and axis > 0 else n for axis, (n, per) in enumerate(zip(grid.shape, family.geom.periodic))]
     p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), tuple(least)))
     vals = profile.evaluate(grid.z_grid - p[..., None])
@@ -240,13 +250,12 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     first ambient coordinate x0.  They are processed in chunks of at most
     _WINDOW_CHUNK_SAMPLES samples (at least one chart point), and each
     chunk keeps only its chart points that hold a nonzero sample; a chunk
-    that holds none is dropped.  The field is stored as its live-row runs
-    (Field): each run is zero-filled and the kept bumps are added into it,
-    so no array of the whole grid is formed.  A bump's rows are contiguous
-    mod the row count, so the kept rows of one chunk lie in one run, a run
-    across a periodic seam included.  Supports are pairwise disjoint by the
-    placement separation 2*eps*R0; a runtime overlap check guards the
-    construction.
+    that holds none is dropped, which bounds what is held between chunks.
+    The kept bumps go to Field._from_pieces, which lays out the field's
+    live-row runs and adds the bumps into them, so no array of the whole
+    grid is formed.  Supports are pairwise disjoint by the placement
+    separation 2*eps*R0; Field._from_pieces refuses pieces that overlap
+    (NumericsError).
     """
     geom = family.geom
     prof = shoot_micelle(geom.ambient_n, family.params)
@@ -275,20 +284,7 @@ def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
             holds = np.any(bump, axis=-1)
             if holds.any():
                 pieces.append((tuple(i[holds] for i in idx), bump[holds]))
-    hits = np.concatenate([idx[0] for idx, _ in pieces] or [[]])
-    bounds = live_runs(hits, ns[0], geom.periodic[0])
-    runs = [(a, np.zeros((b - a, *ns[1:], nz))) for a, b in bounds]
-    run_of = np.zeros(ns[0], dtype=np.intp)  # each hit row's run
-    for k, (a, b) in enumerate(bounds):
-        run_of[np.arange(a, b) % ns[0]] = k
-    for idx, bump in pieces:
-        # a bump's rows are contiguous mod n, so a chunk's lie in one run
-        a, block = runs[run_of[idx[0][0]]]
-        at = ((idx[0] - a) % ns[0], *idx[1:])
-        if np.any((block[at] > 0.0) & (bump > 0.0)):
-            raise NumericsError("micelle supports overlap despite placement separation")
-        block[at] += bump
-    return Field.from_runs(grid, runs)
+    return Field._from_pieces(grid, pieces)
 
 
 # the CSV columns between abs_error and n_micelles, by EnergyReport field name

@@ -388,29 +388,24 @@ def test_field_may_hold_a_periodic_axis_other_than_0_at_length_1(geom):
 
 
 def _synthetic(geom, ns, hits):
-    """A field nonzero on the rows in hits only, as (dense samples, runs built row by row).
+    """A field nonzero on the rows in hits only, as (dense samples, the field of one piece).
 
-    Its rows vary along z and, on a surface, along phi; the runs are the
-    live rows found by live_runs, zero-filled and written a row at a time,
-    mod the row count, as the micelle builder writes its bumps.
+    Its rows vary along z and, on a surface, along phi.  The piece holds
+    every chart point of those rows, so it spans every run, and
+    Field._from_pieces lays out the runs, as it does for the micelle
+    builder's bumps.
     """
     grid = TubularGrid.build(geom, 1.0, 0.1, ns, 17)
     row = smooth_bump(grid.z_grid, 0.9)
     if geom.chart_dims == 2:
         row = (1.5 + np.cos(grid.s_grids[1]))[:, None] * row
-    rows = {r: (1.0 + 0.25 * k) * row for k, r in enumerate(sorted(set(hits)))}
+    rows = np.array(sorted(set(hits)), dtype=np.intp)
     dense = np.zeros(grid.shape)
-    for r, v in rows.items():
-        dense[r] = v
-    runs = []
-    n = grid.shape[0]
-    for a, b in energy.live_runs(sorted(rows), n, geom.periodic[0]):
-        block = np.zeros((b - a, *grid.shape[1:]))
-        for r, v in rows.items():
-            if (r - a) % n < b - a:
-                block[(r - a) % n] = v
-        runs.append((a, block))
-    return dense, Field.from_runs(grid, runs)
+    for k, r in enumerate(rows):
+        dense[r] = (1.0 + 0.25 * k) * row
+    points = np.indices((len(rows), *grid.shape[1:-1])).reshape(geom.chart_dims, -1)
+    piece = ((rows[points[0]], *points[1:]), dense[rows].reshape(-1, grid.shape[-1]))
+    return dense, Field._from_pieces(grid, [piece])
 
 
 def _assert_same_outputs(fld, other, params):
@@ -456,7 +451,7 @@ def test_held_bilayer_is_one_run_read_as_a_view(params):
     tiles = []
     energy._each_tile(energy._Chart(fld.grid), fld, lambda b: tiles.append(np.shares_memory(b.u, block)))
     assert tiles == [True]
-    _assert_same_outputs(fld, Field.from_runs(fld.grid, [(0, block.copy())]), params)
+    _assert_same_outputs(fld, Field(fld.grid, block.copy()), params)
 
 
 def test_a_run_across_the_seam_is_one_run(params):
@@ -494,19 +489,36 @@ def test_tile_windows_are_the_wrapped_rows_of_the_dense_samples(hits, samples):
         assert np.shares_memory(got, block) == (len(block) < n or 0 <= rows.a - lo < rows.b + hi <= n)
 
 
-def test_field_runs_must_be_its_live_rows():
-    dense, fld = _synthetic(Circle(1.0), 96, [20, 60])
-    grid = fld.grid
-    (a, block), run = fld.runs
-    for bad in (
-        [(a, block[1:]), run],  # a run one row short of the live rows
-        [(a, block), run, (90, np.zeros((2, 17)))],  # a run of zeros
-        [run, (a, block)],  # out of row order
-        [(a, block), (run[0], run[1][:, :16])],  # another z length
-    ):
-        with pytest.raises(ValueError, match="^field runs"):
-            Field.from_runs(grid, bad)
-    assert np.array_equal(Field.from_runs(grid, [(a, block), run]).values, dense)
+def test_from_pieces_stores_the_live_rows_of_its_pieces():
+    circle = TubularGrid.build(Circle(1.0), 1.0, 0.1, 96, 17)
+    z = circle.z_grid
+    bump = smooth_bump(z, 0.9)
+    low, high = np.where(z < 0.0, bump, 0.0), np.where(z < 0.0, 0.0, bump)
+    # rows 1 and 94 of 96 periodic rows make one run across the seam; row 40
+    # is the sum of two pieces nonzero at different z
+    pieces = [((np.array([1, 40]),), np.stack([bump, low])), ((np.array([94, 40]),), np.stack([bump, high]))]
+    fld = Field._from_pieces(circle, pieces)
+    assert [(a, len(block)) for a, block in fld.runs] == [(32, 17), (86, 20)]
+    dense = np.zeros(circle.shape)
+    dense[[1, 40, 94]] = bump
+    assert np.array_equal(fld.values, dense)
+    # rows 0 and 23 of the bounded theta axis: runs clipped at both edges,
+    # from one piece that spans them
+    sphere = TubularGrid.build(Sphere(3.0), 1.0, 0.1, (24, 8), 17)
+    fld = Field._from_pieces(sphere, [((np.array([0, 23]), np.array([3, 5])), np.stack([bump, bump]))])
+    assert [(a, len(block)) for a, block in fld.runs] == [(0, 9), (15, 9)]
+    dense = np.zeros(sphere.shape)
+    dense[0, 3] = dense[23, 5] = bump
+    assert np.array_equal(fld.values, dense)
+    assert Field._from_pieces(sphere, []).runs == []
+
+
+def test_overlapping_pieces_are_refused():
+    grid = TubularGrid.build(Circle(1.0), 1.0, 0.1, 96, 17)
+    bump = smooth_bump(grid.z_grid, 0.9)
+    piece = ((np.array([40]),), bump[None])
+    with pytest.raises(NumericsError, match="^micelle supports overlap despite placement separation$"):
+        Field._from_pieces(grid, [piece, piece])
 
 
 # Reports and audit sides recorded before the energy terms were shared

@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from fchlab import energy
+from fchlab import cli, energy
 from fchlab import (
     BilayerFamily,
     Circle,
@@ -30,7 +31,7 @@ from fchlab import (
     unit_sphere_area,
     verify_derivative_bounds,
 )
-from fchlab.errors import InfeasibleModelError, PlacementError
+from fchlab.errors import InfeasibleModelError, NumericsError, PlacementError
 
 
 def bilayer_spec(params, **kw):
@@ -77,6 +78,30 @@ def test_bilayer_translate_containment(params, profile):
     spec = bilayer_spec(params, translate=lambda s: 0.2 * np.sin(s), ell=profile.half_width_L + 0.1)
     with pytest.raises(InfeasibleModelError):
         build_bilayer_field(spec, 0.05)
+
+
+def _nan_at_a_grid_node(params):
+    """A translate that is nan at the second chart node of the default translated grid, off the 256-node probe."""
+    grid, _ = bilayer_spec(params, translate=np.zeros_like).prepare(0.1)
+    node = grid.s_grids[0][1]
+    return lambda s: np.where(s == node, np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "translate, ell",
+    [
+        (lambda s: np.where(s > 1.0, np.nan, 0.0), 5.0),  # nan on the probe, ell given
+        (lambda s: np.where(s > 1.0, np.nan, 0.0), None),  # nan on the probe, ell from max|p|
+        (lambda s: np.where(s > 1.0, np.inf, 0.0), None),
+        ("grid node", None),  # nan at a grid node only
+    ],
+)
+def test_a_translate_that_is_not_finite_is_refused(params, translate, ell):
+    # a nan probe once zeroed its rows silently or blamed ell, and an infinite
+    # one was an InfeasibleModelError
+    translate = _nan_at_a_grid_node(params) if translate == "grid node" else translate
+    with pytest.raises(ValueError, match=r"^translate must be finite on the chart, got max\|p\| = (nan|inf)$"):
+        build_bilayer_field(bilayer_spec(params, translate=translate, ell=ell), 0.1)
 
 
 def test_untranslated_pulse_containment(params, profile):
@@ -184,6 +209,22 @@ def test_micelle_windows_build_in_chunks(params, monkeypatch):
         tracemalloc.stop()
     assert fld.values.tobytes() == whole.values.tobytes()
     assert peak < 2 * fld.values.nbytes
+
+
+def test_overlapping_micelles_are_a_numerics_error(params, monkeypatch, tmp_path, capsys):
+    # one center placed twice: its two bumps meet at every nonzero sample
+    def twice(geom, eps, count, r0):
+        return np.repeat(place_micelle_centers(geom, eps, count, r0)[:1], 2, axis=0)
+
+    monkeypatch.setattr(sequences, "place_micelle_centers", twice)
+    eps, _ = snap_micelle_eps(0.5, 2, 0.05)
+    family = MicelleFamily(geom=Circle(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(eps,))
+    with pytest.raises(NumericsError, match="^micelle supports overlap despite placement separation$"):
+        build_micelle_field(family, eps)
+    out = tmp_path / "conv.csv"
+    assert cli.main(["converge", "--kind", "micelle", "--alpha", "0.5", "--eps-list", repr(eps), "--out", str(out)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "NumericsError"
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def _dense_micelle_samples(family, eps):
