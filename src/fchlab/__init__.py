@@ -11,7 +11,6 @@ from .energy import (
     curvilinear_laplacian,
     fch_energy,
     fch_energy_sweep,
-    g1_energy,
     lower_bound_audit,
 )
 from .errors import (
@@ -34,7 +33,8 @@ from .geometry import (
     place_micelle_centers,
     total_curvature,
 )
-from .micelle import MicelleProfile, shoot_micelle, unit_sphere_area, virial_defect
+from .limits import g1_energy, micelle_limit, snap_micelle_eps, unit_sphere_area
+from .micelle import MicelleProfile, shoot_micelle, virial_defect
 from .potential import (
     GrowthConstants,
     GrowthViolation,
@@ -53,10 +53,8 @@ from .sequences import (
     PhaseDiagram,
     build_bilayer_field,
     build_micelle_field,
-    micelle_limit,
     phase_diagram,
     run_convergence,
-    snap_micelle_eps,
     verify_derivative_bounds,
 )
 

@@ -33,7 +33,7 @@ from .geometry import geometry_from_config
 from .micelle import shoot_micelle, virial_defect
 from .potential import WellParams, default_params
 from .bilayer import solve_profile
-from .sequences import BilayerFamily, MicelleFamily, check_alpha, phase_diagram, run_convergence
+from .sequences import BilayerFamily, MicelleFamily, phase_diagram, run_convergence
 
 _WELL_KEYS = ("r", "u_plus", "tau", "p", "c5")
 
@@ -226,7 +226,7 @@ def cmd_converge(resolved, dry_run):
         eta1=_number(resolved["eta1"], "eta1"),
         eta2=_number(resolved["eta2"], "eta2"),
         eps_list=_widths(resolved["eps_list"]),
-        # alpha: check_alpha refuses nan and inf with the other alphas it refuses
+        # alpha: limits.check_alpha refuses nan and inf with the other alphas it refuses
         **{key: _real(resolved[key], key) for key in keys},
     )
     if dry_run:
@@ -263,9 +263,7 @@ def cmd_phase(resolved, _dry_run):
         for j in range(n2):
             eta2 = lo2 if n2 == 1 else lo2 + (hi2 - lo2) * j / (n2 - 1)
             cells.append((eta1, eta2))
-    alpha = _real(resolved["alpha"], "alpha")
-    check_alpha(alpha)
-    table = phase_diagram(geom, alpha, params, cells)
+    table = phase_diagram(geom, _real(resolved["alpha"], "alpha"), params, cells)
     regimes = table.count_regimes()
     summary = ", ".join(f"(bilayer {b}, micelle {m}): {k}" for (b, m), k in sorted(regimes.items()))
     return table.to_csv(), f"phase map on {geom.name} (n={table.dim_n}): {summary}", 0

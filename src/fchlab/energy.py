@@ -105,7 +105,10 @@ import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
 from .errors import InfeasibleModelError, NumericsError
-from .geometry import InterfaceGeom, TubularGrid, bending_integral, check_width
+from .geometry import TubularGrid, check_width
+# unused here: bench/tracer.py finds G1 by this attribute, until the package
+# traces itself (ROADMAP item 11)
+from .limits import g1_energy
 from .potential import GrowthViolation, WellParams, audit_growth, default_audit_grid, eval_well_and_dwell
 
 __all__ = [
@@ -117,7 +120,6 @@ __all__ = [
     "cahn_hilliard_residual",
     "fch_energy",
     "fch_energy_sweep",
-    "g1_energy",
     "lower_bound_audit",
 ]
 
@@ -737,19 +739,6 @@ def fch_energy_sweep(field: Field, eps_list, eta1: float, eta2: float, params: W
 def fch_energy(field: Field, eta1: float, eta2: float, params: WellParams) -> EnergyReport:
     """Rescaled FCH energy of the field plus all report diagnostics."""
     return fch_energy_sweep(field, (field.eps,), eta1, eta2, params)[0]
-
-
-def g1_energy(geom: InterfaceGeom, a_star: float, b_star: float, eta1: float, eta2: float) -> float:
-    """Limiting interface energy: integral of a* H0^2 - (eta1+eta2) b* over Gamma.
-
-    a* and b* are constants of the profile, so this is an affine map of two
-    cached geometry invariants: a* * bending_integral(geom) - (eta1+eta2) * b* * |Gamma|.
-    """
-    if a_star < 0.0:
-        raise ValueError("a_star must be nonnegative")
-    if b_star < 0.0:
-        raise ValueError("b_star must be nonnegative")
-    return float(a_star * bending_integral(geom) - (eta1 + eta2) * (b_star * geom.surface_measure))
 
 
 @dataclass(frozen=True)

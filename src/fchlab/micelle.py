@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,7 +42,6 @@ __all__ = [
     "MicelleProfile",
     "shoot_micelle",
     "virial_defect",
-    "unit_sphere_area",
 ]
 
 # samples of a returned profile on [0, R0]
@@ -58,11 +56,6 @@ _GRAZE_TOL = 1e-9
 # 4.4e-10 here.
 _RTOL = 1e-13
 _ATOL = 1e-15
-
-
-def unit_sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^(n-1) in R^n (2*pi at n=2, 4*pi at n=3)."""
-    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
 
 
 @dataclass(frozen=True, eq=False)

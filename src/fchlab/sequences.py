@@ -9,13 +9,9 @@ well-separated interface points and tends to
 family's rescaled energy over its decreasing width schedule against that
 limit.
 
-Counting convention: one embedded micelle carries the unit-sphere area
-factor omega = unit_sphere_area(n) on top of the 1-D radial energy, so
-hitting the limit above requires N = round(alpha/omega * eps^(1-n))
-centers.  N is formed in one place, behind `MicelleFamily.micelle_count`,
-and `snap_micelle_eps` snaps the default width schedule so that it is an
-exact integer; at desk-scale widths the count is small enough that naive
-rounding would otherwise distort the limit by several percent.
+A micelle family's count of centers at a width follows the counting
+convention stated in `fchlab.limits`; its default width schedule is
+snapped (`snap_micelle_eps`) to make that count an exact integer.
 """
 
 from __future__ import annotations
@@ -28,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilayer import solve_profile
-from .energy import Field, fch_energy, fch_energy_sweep, g1_energy
+from .energy import Field, fch_energy, fch_energy_sweep
 from .errors import InfeasibleModelError, PlacementError
 from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
-from .micelle import shoot_micelle, unit_sphere_area
+from .limits import check_alpha, g1_energy, micelle_count, micelle_limit, snap_micelle_eps
+from .micelle import shoot_micelle
 from .potential import WellParams
 
 __all__ = [
@@ -45,9 +42,6 @@ __all__ = [
     "run_convergence",
     "verify_derivative_bounds",
     "phase_diagram",
-    "check_alpha",
-    "micelle_limit",
-    "snap_micelle_eps",
 ]
 
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
@@ -56,33 +50,6 @@ _POINTS_PER_MICELLE = 96
 # samples (chart points x z) of one chunk of a center's candidate chart
 # points: their offset positions and differences take 24 bytes a sample each
 _WINDOW_CHUNK_SAMPLES = 2**20
-
-
-def micelle_limit(dim_n: int, alpha: float, eta1: float, eta2: float, sigma_n: float) -> float:
-    """Limiting energy of the micelle sequence: -alpha*(eta1/2 + (2-n)/(2n)*eta2)*sigma_n."""
-    return -alpha * (0.5 * eta1 + (2.0 - dim_n) / (2.0 * dim_n) * eta2) * sigma_n
-
-
-def check_alpha(alpha) -> None:
-    """Refuse a micelle density coefficient that is not a finite number > 0."""
-    if alpha is None or not 0.0 < alpha < math.inf:
-        raise ValueError("micelle sequences need alpha > 0")
-
-
-def _micelle_count(alpha, dim_n, eps) -> int:
-    """The counting convention: round(alpha/omega * eps^(1-n)) micelles at width eps."""
-    return round(alpha / unit_sphere_area(dim_n) * eps ** (1 - dim_n))
-
-
-def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
-    """Nearest width at which the micelle count is an exact integer.
-
-    Returns (eps_snapped, count) with count = alpha/omega * eps^(1-n), at least 1.
-    """
-    check_alpha(alpha)
-    count = max(1, _micelle_count(alpha, dim_n, eps))
-    eps_snapped = (alpha / (unit_sphere_area(dim_n) * count)) ** (1.0 / (dim_n - 1))
-    return eps_snapped, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +91,7 @@ class BilayerFamily(_Family):
 
     translate is an optional callable p of the chart coordinates shifting
     the pulse along z; the pulse must stay inside the slab: max|p| + L < ell.
-    A p that is not finite on the chart probe or on the grid is refused
-    (ValueError).
+    A p that is not finite on the grid's chart nodes is refused (ValueError).
     """
 
     translate: object | None = None
@@ -135,24 +101,29 @@ class BilayerFamily(_Family):
     def default_schedule(self) -> tuple:
         return (0.1, 0.05, 0.025, 0.0125)
 
-    def prepare(self, eps: float) -> tuple[TubularGrid, None]:
-        """(grid, None) at width eps: ell, ns and nz as given, or their defaults.
+    def prepare(self, eps: float) -> tuple[TubularGrid, np.ndarray | float]:
+        """(grid, p) at width eps: ell, ns and nz as given, or their defaults.
 
-        By default ell = 1.05*(L + max|p|), 64 chart samples per axis (192
-        with a translate) and 513 z samples.
+        p is the translate sampled on the grid's chart nodes once the grid
+        passes its size check (0.0 without a translate).  By default
+        ell = 1.05*(L + max|p|), 64 chart samples per axis (192 with a
+        translate) and 513 z samples.
         """
         half_width = solve_profile(self.params).half_width_L
-        pmax = 0.0
-        if self.translate is not None:
-            # max |p| over a 256-per-axis chart probe
-            mesh = np.meshgrid(*[np.linspace(0.0, p, 256) for p in self.geom.chart_periods], indexing="ij", sparse=True)
-            pmax = float(np.max(np.abs(self.translate(*mesh))))
-            _check_translate(pmax)
-        ell = self.ell if self.ell is not None else 1.05 * (half_width + pmax)
-        if pmax + half_width >= ell:
-            raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
         ns = self.ns if self.ns is not None else (64 if self.translate is None else 192)
-        return TubularGrid.build(self.geom, ell, eps, ns, 513 if self.nz is None else self.nz), None
+        nz = 513 if self.nz is None else self.nz
+        grid = TubularGrid.build(self.geom, self.ell if self.ell is not None else 1.05 * half_width, eps, ns, nz)
+        p = pmax = 0.0
+        if self.translate is not None:
+            p = np.asarray(self.translate(*grid.s_mesh), dtype=float)
+            pmax = float(np.max(np.abs(p)))
+            if not math.isfinite(pmax):
+                raise ValueError(f"translate must be finite on the chart, got max|p| = {pmax}")
+            if self.ell is None:  # the default slab follows max|p|; the chart nodes do not depend on ell
+                grid = TubularGrid.build(self.geom, 1.05 * (half_width + pmax), eps, ns, nz)
+        if pmax + half_width >= grid.ell:
+            raise InfeasibleModelError("the pulse reaches |z| = ell: max|p| + L must stay below ell")
+        return grid, p
 
     def field(self, eps: float) -> Field:
         return build_bilayer_field(self, eps)
@@ -166,9 +137,10 @@ class BilayerFamily(_Family):
 class MicelleFamily(_Family):
     """Micelle fields at snapped widths, tending to the micelle limit.
 
-    alpha is the limit-density coefficient; micelle_count(eps) forms the
-    module docstring's count.  Centers move with eps, so each width has its
-    own field.  The count hits the limit at every width: no eps-rate to fit.
+    alpha is the limit-density coefficient; micelle_count(eps) is the count
+    of fchlab.limits.micelle_count.  Centers move with eps, so each width
+    has its own field.  The count hits the limit at every width: no
+    eps-rate to fit.
     """
 
     alpha: float | None = None
@@ -213,13 +185,7 @@ class MicelleFamily(_Family):
         return micelle_limit(n_amb, self.alpha, self.eta1, self.eta2, shoot_micelle(n_amb, self.params).sigma_n)
 
     def micelle_count(self, eps: float) -> int:
-        return _micelle_count(self.alpha, self.geom.ambient_n, eps)
-
-
-def _check_translate(pmax):
-    """Refuse a translate whose max |p| over the sampled chart points is not finite."""
-    if not math.isfinite(pmax):
-        raise ValueError(f"translate must be finite on the chart, got max|p| = {pmax}")
+        return micelle_count(self.alpha, self.geom.ambient_n, eps)
 
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
@@ -230,10 +196,8 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     every such axis when there is no translate) it has length 1, as
     Field allows; axis 0 and every bounded axis have their full length.
     """
-    grid, _ = family.prepare(eps)
+    grid, p = family.prepare(eps)
     profile = solve_profile(family.params)
-    p = 0.0 if family.translate is None else np.asarray(family.translate(*grid.s_mesh), dtype=float)
-    _check_translate(np.max(np.abs(p)))
     least = [1 if per and axis > 0 else n for axis, (n, per) in enumerate(zip(grid.shape, family.geom.periodic))]
     p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), tuple(least)))
     vals = profile.evaluate(grid.z_grid - p[..., None])

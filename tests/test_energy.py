@@ -527,19 +527,22 @@ def test_overlapping_pieces_are_refused():
 # DOP853 shooter, whose profile lands at another R0 (grazing defect below
 # 1e-9 either way); the earlier evaluator reproduces it from that profile.
 PINNED = {
+    # re-recorded when the default ell came to follow max|p| on the 16x24
+    # grid (0.0990393) instead of a 256-per-axis probe (0.0999962): ell moved
+    # 8.573557 -> 8.572552
     "sphere_bilayer": {
-        "total": -12.582903508016177,
-        "quadratic_part": 3.579114009917066,
-        "functional_part": 16.162017517933243,
-        "mass": 195.21601272358396,
-        "equipartition_defect": 0.004669652919475356,
-        "bilayer_residual": 0.0008449721323694565,
-        "norm_u_lp": 2.956658301079265,
-        "norm_uz_l2": 4.012958813158286,
-        "norm_us_l2": 0.14614379343458372,
-        "norm_uss_l2": 0.07469095846677881,
-        "audit_lhs": -12.582903508016177,
-        "audit_rhs": -57547.84054201744,
+        "total": -12.582904357069141,
+        "quadratic_part": 3.5791142637580386,
+        "functional_part": 16.16201862082718,
+        "mass": 195.21601272358313,
+        "equipartition_defect": 0.004667401928309908,
+        "bilayer_residual": 0.000844584434414883,
+        "norm_u_lp": 2.956658301079261,
+        "norm_uz_l2": 4.012959088206507,
+        "norm_us_l2": 0.1461437934345871,
+        "norm_uss_l2": 0.07469095846677584,
+        "audit_lhs": -12.582904357069141,
+        "audit_rhs": -57540.72459751993,
     },
     "ellipse_micelle": {
         "total": -0.08694963252121529,
@@ -586,10 +589,11 @@ def test_energy_and_audit_pinned(case, params):
 
 # Integral part of the audit's rhs, recorded before it was reported: rhs =
 # integral - a2*|domain|, and the -a2*|domain| term carries the bound.
-# The micelle value was re-recorded with the in-package shooter's profile.
+# The micelle value was re-recorded with the in-package shooter's profile,
+# and the bilayer value with the default ell of PINNED's sphere bilayer.
 PINNED_AUDIT_INTEGRAL = {
     "ellipse_micelle": 1.1405911212039925,
-    "sphere_bilayer": 113.07669152971695,
+    "sphere_bilayer": 113.07669275953099,
 }
 
 

@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 from scipy.integrate import simpson
 
-from fchlab import micelle_limit, shoot_micelle, unit_sphere_area, virial_defect
-from fchlab.sequences import micelle_limit
+from fchlab import shoot_micelle, virial_defect
+from fchlab.limits import micelle_limit, unit_sphere_area
 
 
 def test_n1_reduces_to_bilayer_half_pulse(params, profile):

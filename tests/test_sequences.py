@@ -80,28 +80,52 @@ def test_bilayer_translate_containment(params, profile):
         build_bilayer_field(spec, 0.05)
 
 
-def _nan_at_a_grid_node(params):
-    """A translate that is nan at the second chart node of the default translated grid, off the 256-node probe."""
+def _spike_at_a_grid_node(params, value):
+    """A translate that is `value` at the second chart node of the default translated grid and 0 elsewhere.
+
+    That node lies between the nodes of a 256-per-axis chart probe.
+    """
     grid, _ = bilayer_spec(params, translate=np.zeros_like).prepare(0.1)
     node = grid.s_grids[0][1]
-    return lambda s: np.where(s == node, np.nan, 0.0)
+    return lambda s: np.where(s == node, value, 0.0)
 
 
 @pytest.mark.parametrize(
     "translate, ell",
     [
-        (lambda s: np.where(s > 1.0, np.nan, 0.0), 5.0),  # nan on the probe, ell given
-        (lambda s: np.where(s > 1.0, np.nan, 0.0), None),  # nan on the probe, ell from max|p|
+        (lambda s: np.where(s > 1.0, np.nan, 0.0), 5.0),  # nan on many nodes, ell given
+        (lambda s: np.where(s > 1.0, np.nan, 0.0), None),  # nan on many nodes, ell from max|p|
         (lambda s: np.where(s > 1.0, np.inf, 0.0), None),
-        ("grid node", None),  # nan at a grid node only
+        ("grid node", None),  # nan at one grid node only
     ],
 )
 def test_a_translate_that_is_not_finite_is_refused(params, translate, ell):
     # a nan probe once zeroed its rows silently or blamed ell, and an infinite
     # one was an InfeasibleModelError
-    translate = _nan_at_a_grid_node(params) if translate == "grid node" else translate
+    translate = _spike_at_a_grid_node(params, np.nan) if translate == "grid node" else translate
     with pytest.raises(ValueError, match=r"^translate must be finite on the chart, got max\|p\| = (nan|inf)$"):
         build_bilayer_field(bilayer_spec(params, translate=translate, ell=ell), 0.1)
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["prepare", "build"])
+def test_the_translate_is_bounded_on_the_grid(params, profile, dry_run):
+    # max|p| = 3 at one grid node: bounded on a chart probe that missed that
+    # node, the default slab was too thin and a given ell = 9 (< L + 3) was
+    # let through, and both builds failed with "field must vanish at z = +-ell"
+    def grid_at(family, eps):
+        return family.prepare(eps)[0] if dry_run else build_bilayer_field(family, eps).grid
+
+    family = bilayer_spec(params, translate=_spike_at_a_grid_node(params, 3.0))
+    assert grid_at(family, 0.05).ell == 1.05 * (profile.half_width_L + 3.0)
+    for eps in (0.1, 0.05):
+        with pytest.raises(InfeasibleModelError, match="must stay below ell"):
+            grid_at(replace(family, ell=9.0), eps)
+
+
+def test_prepare_samples_the_translate_on_its_grid(params):
+    grid, p = bilayer_spec(params, translate=_spike_at_a_grid_node(params, 3.0)).prepare(0.05)
+    assert p.shape == grid.shape[:-1] and np.count_nonzero(p) == 1 and np.max(p) == 3.0
+    assert bilayer_spec(params).prepare(0.05)[1] == 0.0
 
 
 def test_untranslated_pulse_containment(params, profile):
@@ -507,22 +531,25 @@ def small_sphere_spec(params, **kw):
 # 1.4e-12 and bilayer_residual by 1.1e-12.  Re-recorded when G1 became
 # a* * bending_integral - (eta1+eta2) * b* * |Gamma| instead of one sum over
 # the surface rule: predicted_limit moved 1 ulp and abs_error <= 1.05e-13
-# relative.
+# relative.  Re-recorded when the default ell came to follow max|p| on the
+# 16x24 grid instead of a 256-per-axis probe (8.573557 -> 8.572552):
+# energy moved by <= 2.4e-7 relative, norm_uz_l2 by 6.9e-8, abs_error by
+# 1.7e-4 and the cancellation residuals by 4.8e-4; the rest at round-off.
 SMALL_SPHERE_CSV = (
     "eps,energy,predicted_limit,abs_error,equipartition_defect,bilayer_residual,mass,norm_u_lp,"
     "norm_uz_l2,norm_us_l2,norm_uss_l2,n_micelles,uniform_thickness\n"
-    "0.10000000000000001,-12.582903508016203,-12.508782407770861,0.074121100245342575,"
-    "0.0046696529194820667,0.00084497213237040732,195.21601272358396,"
-    "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.050000000000000003,-12.540948649143107,-12.508782407770861,0.032166241372246773,"
-    "0.0046696529194820667,0.00084497213237040732,194.88489513632285,"
-    "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.025000000000000001,-12.53005830520301,-12.508782407770861,0.021275897432149193,"
-    "0.0046696529194820667,0.00084497213237040732,194.8021157395076,"
-    "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
-    "0.012500000000000001,-12.525729267902047,-12.508782407770861,0.016946860131186625,"
-    "0.0046696529194820667,0.00084497213237040732,194.78142089030376,"
-    "2.9566583010792651,4.0129588131582858,0.14614379343458353,0.074690958466778812,,1\n"
+    "0.10000000000000001,-12.582904357069141,-12.508782407770861,0.074121949298280754,"
+    "0.004667401928309908,0.00084458443441488298,195.21601272358313,"
+    "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.074690958466775842,,1\n"
+    "0.050000000000000003,-12.540949597096034,-12.508782407770861,0.032167189325173595,"
+    "0.004667401928309908,0.00084458443441488298,194.88489513632203,"
+    "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.074690958466775842,,1\n"
+    "0.025000000000000001,-12.530059646339518,-12.508782407770861,0.021277238568657708,"
+    "0.004667401928309908,0.00084458443441488298,194.80211573950675,"
+    "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.074690958466775842,,1\n"
+    "0.012500000000000001,-12.525732181168955,-12.508782407770861,0.016949773398094337,"
+    "0.004667401928309908,0.00084458443441488298,194.78142089030294,"
+    "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.074690958466775842,,1\n"
 )
 
 
