@@ -80,8 +80,12 @@ become the partials of the quadratic, functional, mass and audit
 integrals.  No name holds a tile past its visit, so a pass holds a few
 dozen tile-sized arrays whatever the size of the grid, and they stay in
 cache between the operations that read them.  An all-zero field has no
-tiles and reports zeros; |domain| of the lower-bound audit still covers
-every row.
+tiles and reports zeros.  Tiles serve only the field: |domain| of the
+lower-bound audit is the closed-form z integral of P per chart point,
+prod_j w_j * sum_k eps^k e_k M_k with e_k the curvatures' elementary
+symmetric functions (geometry.symmetric_curvatures) and M_k the moments
+of the z trapezoid, at the chart's rank and summed over every chart
+point.
 
 The partials are combined in tile order with math.fsum and scaled by
 prod_j h_j, so results depend only on the samples and the array shape
@@ -105,7 +109,7 @@ import numpy as np
 
 from ._stencils import d1_bounded, d1_periodic, d2_bounded, d2_periodic
 from .errors import InfeasibleModelError, NumericsError
-from .geometry import TubularGrid, check_width
+from .geometry import TubularGrid, check_width, symmetric_curvatures
 # unused here: bench/tracer.py finds G1 by this attribute, until the package
 # traces itself (ROADMAP item 11)
 from .limits import g1_energy
@@ -157,11 +161,12 @@ def live_runs(hits, n, periodic):
 class Field:
     """Concentration samples on a tubular grid, stored as runs of rows along chart axis 0.
 
-    The field's shape is the grid's, except that along a periodic chart
-    axis other than axis 0 it may have length 1: the field is then constant
-    along that axis and is held at the rank it has (an untranslated
-    bilayer on a sphere or a torus is rows x 1 x z), by the rule the
-    geometry's curvatures and Lame factors follow (InterfaceGeom).
+    Along each axis the field has the grid's length or that of
+    grid.least_shape, 1 on a periodic chart axis other than axis 0: the
+    field is then constant along that axis and is held at the rank it
+    has (an untranslated bilayer on a sphere or a torus is rows x 1 x z),
+    by the rule the geometry's curvatures and Lame factors follow
+    (InterfaceGeom).
 
     Only the live rows are stored: the rows within _HALO of a row holding a
     nonzero sample (live_runs).  runs is a list of (first row, block)
@@ -245,11 +250,8 @@ class Field:
 
 
 def _check_shape(grid, shape):
-    """Refuse a field shape other than the grid's with some periodic chart axes past axis 0 held at length 1."""
-    held = [axis for axis, per in enumerate(grid.geom.periodic) if per and axis > 0]
-    if len(shape) != len(grid.shape) or any(
-        m != n and not (m == 1 and axis in held) for axis, (m, n) in enumerate(zip(shape, grid.shape))
-    ):
+    """Refuse a field shape with an axis of neither the grid's length nor the grid's least_shape."""
+    if len(shape) != len(grid.shape) or any(m not in pair for m, *pair in zip(shape, grid.shape, grid.least_shape)):
         raise ValueError(f"field shape {shape} does not match grid {grid.shape}")
 
 
@@ -394,12 +396,22 @@ class _Chart:
         except (ValueError, OverflowError):
             return math.nan
 
-    def rows(self, span: _Span, reach):
-        """Curvatures and Lame factors on a span's rows at this reach, with a z axis."""
+    def rows(self, span: _Span):
+        """Curvatures and Lame factors on a span's rows and the 2 rows either side, with a z axis."""
         return (
-            [span.take(k, reach)[..., None] for k in self.kappas],
-            [span.take(w, reach)[..., None] for w in self.lames],
+            [span.take(k, 2)[..., None] for k in self.kappas],
+            [span.take(w, 2)[..., None] for w in self.lames],
         )
+
+    def domain_density(self, eps):
+        """The z integral of P at width eps per chart point, at the chart's rank, in closed form.
+
+        P = prod_j w_j * sum_k (eps*z)^k e_k, so its z trapezoid is
+        prod_j w_j * sum_k eps^k e_k M_k with M_k = sum_z w_z z^k the
+        trapezoid's moments: exact algebra on the same rules.
+        """
+        z, e = self.grid.z_grid, symmetric_curvatures(self.kappas)
+        return math.prod(self.lames) * sum(eps**k * np.sum(self.z_weights * z**k) * e_k for k, e_k in enumerate(e))
 
     def d1_s(self, f, axis):
         h = self.grid.h_s[axis]
@@ -455,7 +467,7 @@ class _Tile:
         self.body = body = rows.within(2, 0)
         self.near = [slice(None)] + [body] * (dims - 1)
         self.inner = [body] + [slice(None)] * (dims - 1)
-        self.kappas, self.lames = chart.rows(rows, 2)
+        self.kappas, self.lames = chart.rows(rows)
         self.weight = math.prod(self.lames)
         self.z_grid = zs.take(chart.grid.z_grid, 0)
         self.z_weights = zs.take(chart.z_weights, 0)
@@ -793,23 +805,9 @@ def lower_bound_audit(field: Field, eta1: float, eta2: float, params: WellParams
         raise InfeasibleModelError("lower bound inapplicable: eps too large for A1 > 0")
     a2 = max(0.0, -(eta1 * growth.c4 - eta2 * growth.c3))
 
-    grid = field.grid
-    chart = _Chart(grid)
+    chart = _Chart(field.grid)
     ((report, integral),) = _energy_pass(chart, field, (eps,), eta1, eta2, params, audit_a1=a1)
-    # |domain| is over every row, tiled as one run as the grid's field would
-    # be; the audit integrand vanishes off the runs.  The metric has the
-    # chart's rank: a tile's partials are one per chart point past axis 0,
-    # each counted as many times as the grid has samples per point, so the
-    # exactly rounded sum makes |domain| the same bits at any rank
-    held = math.prod(grid.shape[1:-1]) // math.prod(chart.shape[1:-1])
-    parts = []
-    for _, rows, zs in _tiles([(0, grid.shape[0])], chart.geom.periodic[0], grid.shape):
-        kappas, lames = chart.rows(rows, 0)
-        P = _Metric(kappas, math.prod(lames), zs.take(grid.z_grid, 0), eps).P
-        z_weights = zs.take(chart.z_weights, 0)
-        for point in np.ndindex(P.shape[1:-1]):
-            parts += [np.sum(P[(slice(None), *point)] * z_weights)] * held
-    domain = chart.total(parts)
+    domain = chart.total(np.broadcast_to(chart.domain_density(eps), field.grid.shape[:-1]).ravel())
     return LowerBoundAudit(
         lhs=report.total,
         rhs=integral - a2 * domain,

@@ -6,7 +6,11 @@ exist on spheres or tori.  Surface integrals always go through the weight:
 integral_Gamma f ds = integral_Q f * weight dt.  Principal curvatures are
 given in closed form per geometry, and so are kappa_max, the supremum of
 max_j |kappa_j| over the interface, and lame_max, the largest Lame factor
-of each chart axis, which sets a micelle's default chart spacing.  A tubular grid is admissible by one
+of each chart axis, which sets a micelle's default chart spacing.
+symmetric_curvatures turns sampled curvatures into their elementary
+symmetric functions 1, e_1 = H0 and, on a surface, e_2 = K: the one
+source of the total curvature, of the tubular Jacobian
+sum_k (eps*z)^k e_k and of the audit's |domain|.  A tubular grid is admissible by one
 rule, eps*ell*kappa_max < 1 (check_width): exactly the widths at which the
 Jacobian prod_j (1 + eps*z*kappa_j) stays positive for |z| <= ell.  The
 paper's constant kappa0 also bounds the curvatures' arc-length
@@ -36,6 +40,7 @@ __all__ = [
     "check_width",
     "geometry_from_config",
     "jacobian",
+    "symmetric_curvatures",
     "total_curvature",
     "bending_integral",
     "place_micelle_centers",
@@ -377,13 +382,24 @@ def geometry_from_config(cfg: dict) -> InterfaceGeom:
     return cls(*(float(cfg[k]) for k in keys))
 
 
-def total_curvature(geom: InterfaceGeom, t):
-    """Total curvature H0(s) = sum of principal curvatures."""
-    kappas = geom.curvatures(*_as_chart(geom, t))
-    out = kappas[0].astype(float, copy=True)
+def symmetric_curvatures(kappas):
+    """The elementary symmetric functions [1, e_1, ..., e_m] of m sampled principal curvatures.
+
+    e_1 = H0 is the total curvature and, on a surface, e_2 = K the Gauss
+    curvature; the tubular Jacobian prod_j (1 + eps*z*kappa_j) is
+    sum_k (eps*z)^k e_k.  e_1 adds the curvatures in order, and each e_k
+    has the broadcast shape of the curvatures.
+    """
+    kappas = [np.asarray(k, dtype=float) for k in kappas]
+    out = [np.ones(np.broadcast_shapes(*(k.shape for k in kappas))), kappas[0]]
     for kap in kappas[1:]:
-        out = out + kap
+        out = [out[0]] + [e + kap * lower for e, lower in zip(out[1:], out[:-1])] + [kap * out[-1]]
     return out
+
+
+def total_curvature(geom: InterfaceGeom, t):
+    """Total curvature H0(s) = e_1, the sum of the principal curvatures."""
+    return symmetric_curvatures(geom.curvatures(*_as_chart(geom, t)))[1]
 
 
 def _as_chart(geom, t):
@@ -393,16 +409,13 @@ def _as_chart(geom, t):
 
 
 def jacobian(geom: InterfaceGeom, t, z, eps: float):
-    """Tubular Jacobian: product of (1 + eps*z*kappa_j), i.e. the polynomial
-    sum over j of eps^j K_j(s) z^j with K_j the elementary symmetric
-    functions of the principal curvatures (K_0 = 1)."""
-    kappas = geom.curvatures(*_as_chart(geom, t))
-    z = np.asarray(z, dtype=float)
-    out = None
-    for kap in kappas:
-        factor = 1.0 + eps * z * kap
-        out = factor if out is None else out * factor
-    return out
+    """Tubular Jacobian prod_j (1 + eps*z*kappa_j), formed as sum_k (eps*z)^k e_k(s).
+
+    e_k are the elementary symmetric functions of the principal curvatures
+    (symmetric_curvatures, e_0 = 1).
+    """
+    ez = eps * np.asarray(z, dtype=float)
+    return sum(ez**k * e for k, e in enumerate(symmetric_curvatures(geom.curvatures(*_as_chart(geom, t)))))
 
 
 def bending_integral(geom: InterfaceGeom) -> float:
@@ -479,6 +492,16 @@ class TubularGrid:
     @property
     def shape(self):
         return tuple(len(g) for g in self.s_grids) + (len(self.z_grid),)
+
+    @property
+    def least_shape(self):
+        """The least shape of a field on this grid: 1 on each periodic chart axis past axis 0, the full length elsewhere.
+
+        A field may be held at length 1 along such an axis (energy.Field),
+        by the rule the geometry's curvatures and Lame factors follow.
+        """
+        periodic = (False,) + self.geom.periodic[1:] + (False,)
+        return tuple(1 if per else n for n, per in zip(self.shape, periodic))
 
     @property
     def s_mesh(self):

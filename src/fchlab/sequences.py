@@ -193,13 +193,12 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
 
     u is held at the rank p has: along a periodic chart axis other than
     axis 0 on which p does not depend (phi on a sphere or a torus, and
-    every such axis when there is no translate) it has length 1, as
-    Field allows; axis 0 and every bounded axis have their full length.
+    every such axis when there is no translate) it has length 1, the
+    grid's least_shape; axis 0 and every bounded axis have their full length.
     """
     grid, p = family.prepare(eps)
     profile = solve_profile(family.params)
-    least = [1 if per and axis > 0 else n for axis, (n, per) in enumerate(zip(grid.shape, family.geom.periodic))]
-    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), tuple(least)))
+    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), grid.least_shape[:-1]))
     vals = profile.evaluate(grid.z_grid - p[..., None])
     return Field(grid, np.maximum(vals, 0.0, out=vals))
 

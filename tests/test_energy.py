@@ -304,6 +304,33 @@ def test_lower_bound_zero_field(params):
     assert audit.holds
 
 
+def _empty_audit_domain(geom, ns, params):
+    grid = TubularGrid.build(geom, 0.45, 0.1, ns, 65)
+    return lower_bound_audit(Field(grid, np.zeros(grid.shape)), 1.0, 1.0, params).domain_measure
+
+
+@pytest.mark.parametrize(
+    "geom, area", [(Circle(1.5), 3.0 * math.pi), (Torus(3.0, 1.0), 12.0 * math.pi**2)], ids=["circle", "torus"]
+)
+def test_audit_domain_is_the_slab_where_the_curvature_terms_cancel(geom, area, params):
+    # |domain| = integral prod_j w_j * sum_k (eps z)^k e_k: the e_1 term
+    # integrates z over a symmetric trapezoid, and the torus's e_2 * w_1 * w_2
+    # is cos(theta), whose rectangle rule is 0, so |domain| = 2*ell*|Gamma|
+    assert _empty_audit_domain(geom, 64 if geom.chart_dims == 1 else (32, 16), params) == pytest.approx(
+        2.0 * 0.45 * area, rel=1e-13
+    )
+
+
+def test_audit_domain_on_a_sphere_converges_at_the_midpoint_order(params):
+    # 4 pi integral (rho + eps z)^2 dz = 2 ell 4 pi rho^2 + (2 ell^3 / 3) eps^2 4 pi;
+    # the bounded theta axis takes the midpoint rule, h^2/24 in theta, an
+    # order ROADMAP item 2's end-corrected weights will raise
+    rho, ell, eps = 2.0, 0.45, 0.1
+    exact = 2.0 * ell * 4.0 * math.pi * rho**2 + (2.0 * ell**3 / 3.0) * eps**2 * 4.0 * math.pi
+    gaps = [abs(_empty_audit_domain(Sphere(rho), (n, 8), params) / exact - 1.0) for n in (16, 64)]
+    assert abs(math.log(gaps[0] / gaps[1]) / math.log(4.0) - 2.0) <= 0.05
+
+
 def test_lower_bound_exact_bilayer(params, profile):
     geom = Circle(1.0)
     ell = 1.05 * profile.half_width_L
@@ -381,6 +408,7 @@ def test_field_may_hold_a_periodic_axis_other_than_0_at_length_1(geom):
     # phi is periodic on both shapes; theta is axis 0 (bounded on the
     # sphere, periodic on the torus) and z is bounded
     grid = TubularGrid.build(geom, 1.0, 0.1, (16, 24), 65)
+    assert grid.least_shape == (16, 1, 65)
     assert Field(grid, np.zeros((16, 1, 65))).values.shape == (16, 1, 65)
     for shape in [(1, 24, 65), (16, 24, 1), (16, 2, 65), (16, 65), (16, 1, 1, 65)]:
         with pytest.raises(ValueError, match=rf"^field shape \({shape[0]}, .* does not match grid \(16, 24, 65\)$"):

@@ -32,6 +32,7 @@ from fchlab.geometry import (
     _halton,
     _surface_candidates,
     check_width,
+    symmetric_curvatures,
 )
 
 
@@ -82,6 +83,30 @@ def test_bending_integral_closed_forms():
     e = Ellipse(2.0, 1.0)
     mesh, wq = e.surface_quadrature(4096)
     assert bending_integral(e) == pytest.approx(float(np.sum(total_curvature(e, mesh) ** 2 * wq)), rel=1e-8)
+
+
+def test_symmetric_curvatures_expand_the_jacobian():
+    # three sampled curvatures at three ranks: e_k has their broadcast shape,
+    # e_1 adds them in order, and sum_k x^k e_k is prod_j (1 + x*kappa_j)
+    rng = np.random.default_rng(5)
+    k1, k2, k3 = rng.uniform(-2.0, 2.0, (3, 1)), rng.uniform(-2.0, 2.0, (1, 4)), rng.uniform(-2.0, 2.0, (3, 4))
+    e = symmetric_curvatures([k1, k2, k3])
+    assert [x.shape for x in e] == [(3, 4)] * 4
+    assert np.all(e[0] == 1.0)
+    assert np.array_equal(e[1], k1 + k2 + k3)
+    np.testing.assert_allclose(e[2], k1 * k2 + k1 * k3 + k2 * k3, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(e[3], k1 * k2 * k3, rtol=1e-14)
+    for x in (0.3, -0.7):
+        product = (1.0 + x * k1) * (1.0 + x * k2) * (1.0 + x * k3)
+        np.testing.assert_allclose(sum(x**k * e_k for k, e_k in enumerate(e)), product, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("geom, euler", [(Sphere(3.0), 2), (Torus(3.0, 1.0), 0)], ids=["sphere", "torus"])
+def test_gauss_bonnet(geom, euler):
+    # integral of the Gauss curvature e_2 over the surface is 2 pi chi
+    mesh, wq = geom.surface_quadrature(512)
+    gauss = symmetric_curvatures(geom.curvatures(*mesh))[2]
+    assert float(np.sum(gauss * wq)) == pytest.approx(2.0 * math.pi * euler, rel=1e-14, abs=1e-13)
 
 
 def test_jacobian_values():

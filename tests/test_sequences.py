@@ -9,7 +9,9 @@ from fchlab import cli, energy
 from fchlab import (
     BilayerFamily,
     Circle,
+    ConvergenceReport,
     Ellipse,
+    EnergyReport,
     Field,
     InterfaceGeom,
     MicelleFamily,
@@ -428,6 +430,41 @@ def test_oscillatory_bilayer_breaks_enhanced_bound(params, profile):
     led = verify_derivative_bounds(report)
     assert led.base_bounded
     assert not led.tangential_gradient_bounded
+
+
+_LEDGER_EPS = (0.1, 0.05, 0.025, 0.0125)
+
+
+def _ledger(norms):
+    """The ledger of synthetic reports at _LEDGER_EPS with these (u, u_s, u_ss) norms, u_z = 0."""
+    reports = tuple(
+        EnergyReport(eps, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, u, 0.0, us, uss) for eps, (u, us, uss) in zip(_LEDGER_EPS, norms)
+    )
+    return verify_derivative_bounds(ConvergenceReport(True, _LEDGER_EPS, reports, 0.0, None, (True,) * len(reports)))
+
+
+@pytest.mark.parametrize("s1", [-0.1, -0.2])
+@pytest.mark.parametrize("s2", [-0.1, -0.2])
+@pytest.mark.parametrize("s3", [0.55, 0.45])
+def test_ledger_thresholds(s1, s2, s3):
+    # bounded at a log-log slope >= -0.15, vanishing at >= 0.5: q1, q2 and
+    # q3 follow exact powers of eps 0.05 from each line, on either side
+    norms = []
+    for eps in _LEDGER_EPS:
+        uss = 0.01 * eps ** (s3 - 1.0)  # q3 = eps * u_ss
+        us = eps**s2 - eps * uss  # q2 = u_s + eps * u_ss
+        norms.append((eps**s1 - eps * us, us, uss))  # q1 = u + u_z + eps * u_s
+    led = _ledger(norms)
+    assert list(led.slopes.values()) == pytest.approx([s1, s2, s3], abs=1e-12)
+    assert led.base_bounded == (s1 > -0.15)
+    assert led.tangential_gradient_bounded == (s2 > -0.15)
+    assert led.tangential_hessian_vanishing == (s3 > 0.5)
+
+
+def test_ledger_counts_a_negligible_sequence_as_bounded_and_vanishing():
+    led = _ledger([(0.0, 0.0, 0.0)] * len(_LEDGER_EPS))
+    assert list(led.slopes.values()) == [None] * 3
+    assert led.base_bounded and led.tangential_gradient_bounded and led.tangential_hessian_vanishing
 
 
 def test_phase_diagram_regimes(params, profile, micelle3):
