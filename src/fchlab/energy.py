@@ -28,32 +28,37 @@ chart-axis-0 rows within 8 rows of a row holding a nonzero sample,
 wrapped on a periodic axis and clipped on a bounded one, held as one
 block per maximal run of them; a run across a periodic seam is one
 block.  Builders hand a field its samples, never its layout.  Because
-W(0) = W'(0) = 0 and the chained chart stencils u -> u_t -> u_ss reach 4
-rows (the one-sided edge rows read 6), every integrand and every
-samplewise operator is an exact zero off the runs, and the rows there
-are never allocated.  The same holds on a run's 4 outer rows, since its
-8 outer rows hold no nonzero sample: the pass tiles only each run's body, the run without
-those rows (an end at the edge of a bounded axis, where the one-sided
-rows apply, is kept, and a run over the whole axis is its own body), so
-each run holds the halo its tiles read.  A body across the seam is tiled
-as its two parts either side of it.  Each body is split into equal row
-chunks of at most _TILE_SAMPLES samples (at least 8 rows), and each
-chunk into equal z ranges of at most _TILE_SAMPLES samples (at least 4
-indices), samples being counted in the shape the pass's arrays take (see
-held axes below).  A tile reads a halo along each axis: 4 rows of chart
-axis 0, which the chained stencils and the metric coefficient
-d1_s(P/H_0^2) reach, and 2 z indices, which u_z and u_zz reach.  A halo
-wraps on a periodic axis and is clipped at a bounded end, where the
-stencils apply the one-sided rows they apply on the whole axis.  The
-tile takes its samples and their halo from its run's block with
-_Span.take, as it takes the chart factors: a view, except where the run
-is a whole periodic axis cut into several tiles and the halo wraps.  So
-every stencil operand is a true neighbour: each sample's value, and each
-value of the samplewise operators, does not depend on the tiling.
+W(0) = W'(0) = 0 and the 5-point stencils reach 2 rows (a one-sided row
+at a bounded edge reads 5 past it, and an edge is never trimmed), every
+integrand and every samplewise operator is an exact zero off the runs,
+and the rows there are never allocated.  The same holds on a run's 4
+outer rows, since its 8 outer rows hold no nonzero sample: the pass
+tiles only each run's body, the run without those rows (an end at the
+edge of a bounded axis, where the one-sided rows apply, is kept, and a
+run over the whole axis is its own body), so each run holds the halo its
+tiles read.  A body across the seam is tiled as its two parts either
+side of it.  Each body is split into equal row chunks of at most
+_TILE_SAMPLES samples (at least 8 rows), and each chunk into equal z
+ranges of at most _TILE_SAMPLES samples (at least 4 indices), samples
+being counted in the shape the pass's arrays take (see held axes below).
+A tile reads a halo of 2 along each axis it cuts: chart axis 0's rows,
+which u_t, u_tt and the metric coefficient d1_s(P/H_0^2) reach, and z,
+which u_z and u_zz reach.  A halo wraps on a periodic axis and is
+clipped at a bounded end, where the stencils apply the one-sided rows
+they apply on the whole axis.  The tile takes its samples and their
+halo from its run's block with _Span.take, as it takes the chart
+factors: a view, except where the run is a whole periodic axis cut into
+several tiles and the halo wraps.  So every stencil operand is a true
+neighbour: each sample's value, and each value of the samplewise
+operators, does not depend on the tiling.
 
 A tile forms W, W', every stencil of u once and the partials of the six
 flat-weight diagnostics (equipartition defect, pulse residual and the
-four norms).  Then, per width, it forms the metric on its rows and one
+four norms).  The tangential norms read the Laplacian's stencils: the
+arc-length derivatives along chart axis j are u_s = u_tj / w_j and
+u_ss = (u_tjtj - u_s * dw_j/dt_j) / w_j^2, with dw_j/dt_j the stencil of
+the Lame factor, not formed along an axis where that factor has length
+1.  Then, per width, it forms the metric on its rows and one
 loop over the chart axes forms H_j once for the three terms that read it
 (u_tt/H_j^2 and c_j*u_t of the Laplacian, (u_t/H_j)^2 of |grad u|^2).
 The metric has the rank the geometry gives its factors: on a sphere or a
@@ -128,9 +133,11 @@ __all__ = [
 ]
 
 
-# Chained chart stencils (u -> u_t -> u_ss) reach 4 rows, and the one-sided
-# edge rows read 6; beyond this many rows from every nonzero row each
-# integrand and each samplewise operator vanishes exactly.
+# The stencils of u reach 2 rows, and a one-sided row at a bounded edge reads
+# 5 past it, so beyond 5 rows from every nonzero row each integrand and each
+# samplewise operator vanishes exactly.  A run holds the rows within 8; with
+# the 4 outer rows _tiles trims, this sets the tiling, and so the summation
+# order of every integral.
 _HALO = 8
 
 # Samples in the body of one tile (at least 8 rows by 4 z indices): a pass
@@ -313,11 +320,10 @@ class _Span:
             return x[self._at(slice(start, stop))]
         return np.take(x, np.arange(start, stop) % self.n, axis=self.axis)
 
-    def within(self, outer, inner):
-        """The index of take(x, outer) that is take(x, inner)."""
-        lo_out = self._pad(outer)[0]
-        lo_in, hi_in = self._pad(inner)
-        return self._at(slice(lo_out - lo_in, lo_out + self.b - self.a + hi_in))
+    def body(self):
+        """The index of take(x, 2) that is the span."""
+        lo = self._pad(2)[0]
+        return self._at(slice(lo, lo + self.b - self.a))
 
 
 def _split(start, stop, count):
@@ -329,8 +335,9 @@ def _split(start, stop, count):
 def _tiles(runs, periodic, shape):
     """Tiles over the bodies of runs of rows, (start, stop) pairs along axis 0 of shape, as (run, rows, z range).
 
-    A run's body is the run without its 4 outer rows at each end, the rows
-    its tiles' halo reads: an end at the edge of a bounded axis is not
+    A run's body is the run without its 4 outer rows at each end, which
+    hold no nonzero sample within the 2 rows the stencils reach: an end at
+    the edge of a bounded axis, whose one-sided rows read 5 rows, is not
     trimmed, and a run that is the whole axis is its own body.  A body
     across a periodic seam is tiled as its two parts within 0 .. n-1.  Each
     part is split into equal row chunks of at most _TILE_SAMPLES samples,
@@ -344,7 +351,7 @@ def _tiles(runs, periodic, shape):
     rows = max(8, _TILE_SAMPLES // row)
     out = []
     for k, (start, stop) in enumerate(runs):
-        if stop - start < n:  # the body: the run without the rows its halo reads, kept at a bounded edge
+        if stop - start < n:  # the body: the run without its outer rows, kept at a bounded edge
             start += 4 if periodic or start > 0 else 0
             stop -= 4 if periodic or stop < n else 0
         for lo, hi in [(start, min(stop, n)), (max(start, n) - n, stop - n)]:  # the body before and after the seam
@@ -427,7 +434,7 @@ class _Chart:
 
 
 def _window(field: Field, run, rows: _Span, zs: _Span):
-    """A tile's samples with their halo, 4 rows and 2 z indices, taken from the block of its run.
+    """A tile's samples with their halo, 2 rows and 2 z indices, taken from the block of its run.
 
     The rows are numbered from the run's first row.  The run holds the
     halo of each tile of its body, so the window is a view of the block,
@@ -436,7 +443,7 @@ def _window(field: Field, run, rows: _Span, zs: _Span):
     """
     first, block = field.runs[run]
     a = (rows.a - first) % rows.n
-    return _Span(a, a + rows.b - rows.a, len(block), rows.periodic, 0).take(zs.take(block, 2), 4)
+    return _Span(a, a + rows.b - rows.a, len(block), rows.periodic, 0).take(zs.take(block, 2), 2)
 
 
 class _Tile:
@@ -444,17 +451,16 @@ class _Tile:
 
     The tile reads u with its halo from the block of its run, the run-th
     of field.runs (_window), a view unless that halo wraps a whole periodic
-    axis.  u_z and u_zz are formed on the body rows and the z range +-2
-    and cut to the body.  Chart axis 0's stencils read past the body rows:
-    u_t there is formed from u on the body +-4 rows and kept on the body
-    +-2 rows (t_near[0]), which the chained u_ss reads, as the metric
-    coefficient d1_s(P/H_0^2) reads the metric there; u_tt there is formed
-    from u on the body +-2 rows.  The chart is held on the body +-2 rows:
-    body is their index that is the body, near[axis] the part of them an
-    axis's stencils read for the body, and inner[axis] the body within
-    near[axis].  u_t, u_tt and t_near hold one entry per axis of axes:
-    axis 0 and each axis along which u is not held at length 1, since
-    along a held axis every stencil of u is exactly 0.
+    axis.  Each stencil of u is formed on the body and the halo of 2 along
+    its own axis, and cut to the body: u_z and u_zz on the z range +-2,
+    chart axis 0's u_t and u_tt on the body +-2 rows, and those of every
+    other chart axis on the whole axis, which a tile never cuts.  The
+    chart is held on the body +-2 rows, which the metric coefficient
+    d1_s(P/H_0^2) reads: body is their index that is the body, near[axis]
+    the part of them an axis's metric stencil reads for the body, and
+    inner[axis] the body within near[axis].  u_t and u_tt hold one entry
+    per axis of axes: axis 0 and each axis along which u is not held at
+    length 1, since along a held axis every stencil of u is exactly 0.
     """
 
     def __init__(self, chart: _Chart, run: int, rows: _Span, zs: _Span, field: Field):
@@ -464,7 +470,7 @@ class _Tile:
         self.index = (slice(rows.a, rows.b), Ellipsis, slice(zs.a, zs.b))
         # samples of the whole grid on the tile's body
         self.samples = (rows.b - rows.a) * math.prod(chart.grid.shape[1:-1]) * (zs.b - zs.a)
-        self.body = body = rows.within(2, 0)
+        self.body = body = rows.body()
         self.near = [slice(None)] + [body] * (dims - 1)
         self.inner = [body] + [slice(None)] * (dims - 1)
         self.kappas, self.lames = chart.rows(rows)
@@ -472,18 +478,13 @@ class _Tile:
         self.z_grid = zs.take(chart.grid.z_grid, 0)
         self.z_weights = zs.take(chart.z_weights, 0)
         ext = _window(field, run, rows, zs)
-        window, z_body = ext[rows.within(4, 0)], zs.within(2, 0)
-        h_z = chart.grid.h_z
-        self.u_z = d1_bounded(window, -1, h_z)[z_body]
-        self.u_zz = d2_bounded(window, -1, h_z)[z_body]
+        z_body, h_z = zs.body(), chart.grid.h_z
+        self.u_z = d1_bounded(ext[body], -1, h_z)[z_body]
+        self.u_zz = d2_bounded(ext[body], -1, h_z)[z_body]
         ext = ext[z_body]
-        reach2 = rows.within(4, 2)
-        self.u = u = ext[rows.within(4, 0)]
-        self.t_near = [chart.d1_s(ext, 0)[reach2]]
-        self.t_near += [chart.d1_s(u, axis) for axis in self.axes[1:]]
-        self.u_t = [t[self.inner[axis]] for axis, t in zip(self.axes, self.t_near)]
-        self.u_tt = [chart.d2_s(ext[reach2], 0)[body]]
-        self.u_tt += [chart.d2_s(u, axis) for axis in self.axes[1:]]
+        self.u = u = ext[body]
+        self.u_t = [chart.d1_s(ext, 0)[body]] + [chart.d1_s(u, axis) for axis in self.axes[1:]]
+        self.u_tt = [chart.d2_s(ext, 0)[body]] + [chart.d2_s(u, axis) for axis in self.axes[1:]]
 
     def partial(self, f, density):
         """The tile's part of integral f density ds dz, trapezoid in z, before the chart spacings.
@@ -622,12 +623,14 @@ def _flat_partials(b: _Tile, well, dwell, p):
         "norm_u_lp": partial(np.abs(b.u) ** p, weight),
         "norm_uz_l2": partial(u_z**2, weight),
     }
-    for axis, t in zip(b.axes, b.t_near):
-        near, inner = b.near[axis], b.inner[axis]
+    for axis, t, tt in zip(b.axes, b.u_t, b.u_tt):
         w = b.lames[axis]
-        parts["norm_us_l2", axis] = partial((t[inner] / w[b.body]) ** 2, weight)
-        u_ss = b.chart.d1_s(t / w[near], axis)[inner] / w[b.body]
-        parts["norm_uss_l2", axis] = partial(u_ss**2, weight)
+        w_body = w[b.body]
+        u_s = t / w_body
+        parts["norm_us_l2", axis] = partial(u_s**2, weight)
+        # w^2 u_ss = w d/dt (u_t / w) = u_tt - u_s dw/dt, and dw/dt = 0 where w has length 1
+        u_ss = tt if w.shape[axis] == 1 else tt - u_s * b.chart.d1_s(w, axis)[b.body]
+        parts["norm_uss_l2", axis] = partial((u_ss / w_body**2) ** 2, weight)
     return parts
 
 

@@ -11,7 +11,9 @@ hitting the limit above requires N = round(alpha/omega * eps^(1-n))
 centers.  N is formed in one place, `micelle_count`, and
 `snap_micelle_eps` snaps a width so that it is an exact integer; at
 desk-scale widths the count is small enough that naive rounding would
-otherwise distort the limit by several percent.
+otherwise distort the limit by several percent.  A count past the float
+range is formed exactly, so placement refuses it as it refuses any count
+it cannot place.
 """
 
 from __future__ import annotations
@@ -60,8 +62,13 @@ def check_alpha(alpha) -> None:
 
 
 def micelle_count(alpha, dim_n, eps) -> int:
-    """The counting convention: round(alpha/omega * eps^(1-n)) micelles at width eps."""
-    return round(alpha / unit_sphere_area(dim_n) * eps ** (1 - dim_n))
+    """The counting convention: round(alpha/omega * eps^(1-n)) micelles at width eps, exact past the float range."""
+    try:
+        return round(alpha / unit_sphere_area(dim_n) * eps ** (1 - dim_n))
+    except OverflowError:  # eps^(1-n) or the count passes the float range
+        from fractions import Fraction  # imports decimal, which no other run needs
+
+        return round(Fraction(alpha) / Fraction(unit_sphere_area(dim_n)) * Fraction(eps) ** (1 - dim_n))
 
 
 def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
@@ -71,5 +78,9 @@ def snap_micelle_eps(alpha: float, dim_n: int, eps: float):
     """
     check_alpha(alpha)
     count = max(1, micelle_count(alpha, dim_n, eps))
-    eps_snapped = (alpha / (unit_sphere_area(dim_n) * count)) ** (1.0 / (dim_n - 1))
+    try:
+        share = alpha / (unit_sphere_area(dim_n) * count)
+    except OverflowError:  # a count past the float range moves eps by less than one part in count
+        return eps, count
+    eps_snapped = share ** (1.0 / (dim_n - 1))
     return eps_snapped, count

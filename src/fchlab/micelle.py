@@ -173,13 +173,18 @@ def _find_bracket(params, n, r_max, lo, hi, cap_hi):
     """Scan seed amplitudes left to right for the first adjacent (stall, cross) pair.
 
     Returns (stall amplitude, cross amplitude) as soon as the pair is
-    labelled; seeds beyond it are never shot.
+    labelled; seeds beyond it are never shot.  Each amplitude is shot once:
+    every 4th of the 65 seeds is one of the 17, bit for bit, and keeps its
+    label.
     """
+    labels = {}
     for n_seed in (17, 65):
         seeds = np.linspace(lo, hi, n_seed)
         prev = None
         for i, a in enumerate(seeds):
-            label, _, _, _ = _classify(a, params, n, r_max, cap_hi)
+            if a not in labels:
+                labels[a] = _classify(a, params, n, r_max, cap_hi)[0]
+            label = labels[a]
             if {prev, label} == {"stall", "cross"}:
                 if prev == "stall":
                     return seeds[i - 1], seeds[i]

@@ -169,8 +169,7 @@ class MicelleFamily(_Family):
         ell = self.ell if self.ell is not None else 1.05 * r0
         ns = self.ns
         if ns is None:
-            h_target = [2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / hi) for hi in geom.lame_max]
-            ns = tuple(int(np.ceil(period / h)) for period, h in zip(geom.chart_periods, h_target))
+            ns = tuple(_chart_samples(period, eps, r0, hi) for period, hi in zip(geom.chart_periods, geom.lame_max))
         grid = TubularGrid.build(geom, ell, eps, ns, 257 if self.nz is None else self.nz)
         count = self.micelle_count(eps)
         if count < 1:
@@ -186,6 +185,21 @@ class MicelleFamily(_Family):
 
     def micelle_count(self, eps: float) -> int:
         return micelle_count(self.alpha, self.geom.ambient_n, eps)
+
+
+def _chart_samples(period, eps, r0, lame_max) -> int:
+    """ceil(period / h) samples at spacing h = 2*eps*r0 / _POINTS_PER_MICELLE / lame_max.
+
+    Formed exactly where h underflows or period / h overflows, so a width
+    too small for any grid is refused by the grid's size check, which names
+    the bytes it asks for.
+    """
+    h = 2.0 * eps * r0 / _POINTS_PER_MICELLE * (1.0 / lame_max)
+    if h > 0.0 and period / h < math.inf:
+        return int(np.ceil(period / h))
+    from fractions import Fraction  # imports decimal, which no other run needs
+
+    return math.ceil(Fraction(period) * _POINTS_PER_MICELLE * Fraction(lame_max) / (2 * Fraction(eps) * Fraction(r0)))
 
 
 def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:

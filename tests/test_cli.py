@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +116,14 @@ def test_refused_allocation_exits_2_with_json_error(tmp_path, capsys, monkeypatc
     assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 
-@pytest.mark.parametrize("case, shape", [("oversized-sphere-micelle-grid", "sphere"), ("oversized-one-micelle-grid", "circle")])
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        ("oversized-sphere-micelle-grid", "sphere"),
+        ("oversized-one-micelle-grid", "circle"),
+        ("subnormal-micelle-width", "circle"),
+    ],
+)
 def test_dry_run_sizes_the_grid_of_every_width(tmp_path, capsys, case, shape):
     # the dry run once exited 0 here, since only the run shot R0 and sized the grids;
     # the dry-run parity test shows the run refuses it alike
@@ -326,6 +335,9 @@ BAD_INPUTS = {
     "oversized-sphere-micelle-grid": lambda tmp: ["converge", "--kind", "micelle", "--shape", "sphere", "--rho", "3"],
     # every default width snaps to one micelle at eps 1.6e-7: a 229969074x257 grid
     "oversized-one-micelle-grid": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "1e-6"],
+    # the default spacing 2*eps*R0/96 is subnormal and 2*pi over it overflows;
+    # int(ceil(inf)) once exited 1 with a traceback
+    "subnormal-micelle-width": lambda tmp: ["converge", "--kind", "micelle", "--alpha", "0.5", "--eps-list", "1e-320"],
 }
 
 
@@ -418,6 +430,27 @@ def test_dry_run_refuses_what_the_solvers_refuse(tmp_path, capsys, case):
     assert got == code and out == ""
     (line,) = err.strip().splitlines()
     assert json.loads(line)["message"] == message
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("widths", [[], ["--eps-list", "0.05"]], ids=["default-schedule", "eps-0.05"])
+def test_a_count_past_the_float_range_is_a_placement_refusal(tmp_path, capsys, widths):
+    # alpha/omega * eps^(1-n) overflows at alpha = 1e308; round(inf) once
+    # exited 1 with a traceback, the code of failed convergence checks
+    args = ["converge", "--kind", "micelle", "--alpha", "1e308", *widths, "--out", str(tmp_path / "x.csv")]
+    dry = run_cli(args + ["--dry-run"]), capsys.readouterr()
+    run = run_cli(args), capsys.readouterr()
+    assert dry == run
+    code, (out, err) = run
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "PlacementError"
+    count = re.fullmatch(
+        r"cannot place (\d+) centers with separation 0.824; equal arc-length spacing fits at most 7 at eps = 0.05",
+        payload["message"],
+    ).group(1)
+    if widths:
+        assert int(count) == round(Fraction(1e308) / Fraction(2.0 * math.pi) / Fraction(0.05))
     assert sorted(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,8 @@
 """The closed forms of fchlab.limits against the fields they describe."""
 
 import ast
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,17 @@ def test_limits_imports_no_solver():
     tree = ast.parse(Path(limits.__file__).read_text())
     local = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
     assert local == {"geometry"}
+
+
+def test_a_count_past_the_float_range_is_exact():
+    # alpha/omega/eps overflows at alpha = 1e308, and eps^(1-n) at eps = 1e-320
+    omega = Fraction(limits.unit_sphere_area(2))
+    for alpha, eps in ((1e308, 0.05), (0.5, 1e-320)):
+        assert limits.micelle_count(alpha, 2, eps) == round(Fraction(alpha) / omega / Fraction(eps))
+    # snapping that count moves the width by less than one part in the count
+    assert limits.snap_micelle_eps(1e308, 2, 0.05) == (0.05, limits.micelle_count(1e308, 2, 0.05))
+    # below the float range the float formula holds, bit for bit
+    assert limits.snap_micelle_eps(0.5, 2, 0.05) == (0.5 / (2.0 * math.pi * 2), 2)
 
 
 # measured gaps to the realised-density limit at the default resolution:

@@ -148,6 +148,25 @@ def test_bracket_scan_stops_at_first_pair(params, dim_n, monkeypatch):
     assert len(calls) < 17
 
 
+def test_a_refusal_shoots_each_seed_once(monkeypatch):
+    # at tau = 0.05 neither scan finds a bracket; the 65-seed scan once
+    # re-shot the 17 seeds it shares with the first, 82 shots for 65 amplitudes
+    from fchlab import default_params, micelle
+    from fchlab.errors import InfeasibleModelError
+
+    amplitudes = []
+    solve_ivp = micelle.solve_ivp
+
+    def counted(rhs, span, y0, **kwargs):
+        amplitudes.append(float(y0[0]))
+        return solve_ivp(rhs, span, y0, **kwargs)
+
+    monkeypatch.setattr(micelle, "solve_ivp", counted)
+    with pytest.raises(InfeasibleModelError, match="^no stall/cross bracket for dimension n=2 in amplitude range"):
+        micelle.shoot_micelle.__wrapped__(2, default_params(tau=0.05))
+    assert len(amplitudes) == len(set(amplitudes)) == 65
+
+
 # the default-well shots, bit for bit: (amplitude, R0, sigma_n, grazing
 # defect) as float.hex(), then the shot count and the total right-hand-side
 # evaluations; R0 follows the rounding of the last bisection shot
