@@ -11,16 +11,18 @@ does not depend on the Python version (the built-in sum() compensates
 float round-off from Python 3.12 on, and the micelle support radius R0
 follows the last bits of each shot).
 
-The twelve stages of a step, the new state and the two embedded error
-estimates come from one straight-line function per state size,
-generated from the tableau the first time a solver of that size is made
-(_step_kernel).  Each sum is written out as
-``0.0 + c0*k0_i + c1*k1_i + ...`` with every coefficient as its repr
-literal, zeros included.  Python evaluates that expression left to right,
-one rounded product and one rounded addition at a time, which is exactly
-what _dot's reduce(add, map(mul, ...), 0.0) does, so a step lands on the
-same floats as the loop over _dot it replaces while skipping the
-per-stage list transposes and function calls.  The dense interpolant,
+The twelve stages of a step, the new state and the squared norms of the
+two embedded error estimates come from one straight-line function per
+state size, generated from the tableau the first time a solver of that
+size is made (_step_kernel).  Each sum is written out as
+``0.0 + c0*k0_i + c1*k1_i + ...`` with every nonzero coefficient as its
+repr literal.  Python evaluates that expression left to right, one
+rounded product and one rounded addition at a time, which is exactly
+what _dot's reduce(add, map(mul, ...), 0.0) does; a zero coefficient
+adds a signed zero to a sum that is never -0.0, so dropping it changes
+no bit on finite stages.  A step thus lands on the same floats as the
+loop over _dot it replaces while skipping the per-stage list transposes,
+the function calls and the error-scaling lists.  The dense interpolant,
 used once per shot at an event, keeps _combine.
 
 The tableau below is copied from scipy/integrate/_ivp/dop853_coefficients.py.
@@ -300,40 +302,45 @@ def _combine(coeffs, stages):
 
 
 def _sum_source(coeffs, comp):
-    """``0.0 + c0*k0_<comp> + c1*k1_<comp> + ...``: _dot(coeffs, ...) written out."""
-    return " + ".join(["0.0"] + [f"{c!r}*k{j}_{comp}" for j, c in enumerate(coeffs)])
+    """``0.0 + c0*k0_<comp> + ...`` over the nonzero c_j: _dot(coeffs, ...) written out."""
+    return " + ".join(["0.0"] + [f"{c!r}*k{j}_{comp}" for j, c in enumerate(coeffs) if c != 0.0])
 
 
 def _kernel_source(dim):
     """Source of one DOP853 step for a state of `dim` floats.
 
-    kernel(fun, t, y, k0, h), with k0 = fun(t, y), returns (y_new, f_new,
-    stages, err5, err3): the state at t + h, fun there, the 13 stage values
-    (k0 first, f_new last), and the unscaled 5th- and 3rd-order error
-    estimates.
+    kernel(fun, t, y, k0, h, rtol, atol), with k0 = fun(t, y), returns
+    (y_new, f_new, stages, err5_sq, err3_sq): the state at t + h, fun
+    there, the 13 stage values (k0 first, f_new last), and the squared
+    norms of the 5th- and 3rd-order error estimates, each component scaled
+    by atol + max(|y|, |y_new|)*rtol, formed as sqrt(_dot(e, e))**2.
     """
     comps = range(dim)
 
     def unpack(name):
         return f"    [{', '.join(f'{name}_{i}' for i in comps)}] = {name}"
 
-    lines = ["def kernel(fun, t, y, k0, h):", unpack("y"), unpack("k0")]
+    lines = ["def kernel(fun, t, y, k0, h, rtol, atol):", unpack("y"), unpack("k0")]
     for s in range(1, N_STAGES):
         y_s = ", ".join(f"y_{i} + ({_sum_source(_ROWS[s], i)}) * h" for i in comps)
         lines += [f"    k{s} = fun(t + {_C[s]!r} * h, [{y_s}])", unpack(f"k{s}")]
-    y_new = ", ".join(f"y_{i} + h * ({_sum_source(_B, i)})" for i in comps)
+    lines += [f"    n_{i} = y_{i} + h * ({_sum_source(_B, i)})" for i in comps]
+    y_new = ", ".join(f"n_{i}" for i in comps)
     lines += [f"    y_new = [{y_new}]", f"    k{N_STAGES} = list(fun(t + h, y_new))", unpack(f"k{N_STAGES}")]
+    lines += [f"    s_{i} = atol + max(abs(y_{i}), abs(n_{i})) * rtol" for i in comps]
+    for order, coeffs in ((5, _E5), (3, _E3)):
+        lines += [f"    e{order}_{i} = ({_sum_source(coeffs, i)}) / s_{i}" for i in comps]
+        squares = " + ".join(f"e{order}_{i} * e{order}_{i}" for i in comps)
+        lines.append(f"    sq{order} = sqrt(0.0 + {squares}) ** 2")
     stages = ", ".join(f"k{s}" for s in range(N_STAGES + 1))
-    err5 = ", ".join(_sum_source(_E5, i) for i in comps)
-    err3 = ", ".join(_sum_source(_E3, i) for i in comps)
-    lines.append(f"    return y_new, k{N_STAGES}, [{stages}], [{err5}], [{err3}]")
+    lines.append(f"    return y_new, k{N_STAGES}, [{stages}], sq5, sq3")
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=4)
 def _step_kernel(dim):
     """The compiled step of _kernel_source(dim), built on first use."""
-    namespace = {}
+    namespace = {"sqrt": math.sqrt}
     exec(compile(_kernel_source(dim), f"<dop853 step, dim {dim}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -493,17 +500,12 @@ class _Dop853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, stages, err5, err3 = self.kernel(self.fun, t, y, self.f, h)
+            y_new, f_new, stages, err5_sq, err3_sq = self.kernel(self.fun, t, y, self.f, h, self.rtol, self.atol)
             self.nfev += N_STAGES
-            scale = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
-            err5 = [e / s for e, s in zip(err5, scale)]
-            err3 = [e / s for e, s in zip(err3, scale)]
-            err5_sq = math.sqrt(_dot(err5, err5)) ** 2
-            err3_sq = math.sqrt(_dot(err3, err3)) ** 2
             if err5_sq == 0.0 and err3_sq == 0.0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
+                error_norm = h_abs * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq) * len(y))
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = MAX_FACTOR
@@ -559,6 +561,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
     y0 = [float(v) for v in y0]
     solver = _Dop853(fun, t0, y0, tf, float(rtol), float(atol))
     direction = [float(getattr(ev, "direction", 0.0)) for ev in events]
+    indices = range(len(events))
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
     g = [ev(t0, y0) for ev in events]
@@ -579,8 +582,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
         g_new = [ev(t, solver.y) for ev in events]
         active = [
             i
-            for i, (a, b, d) in enumerate(zip(g, g_new, direction))
-            if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)
+            for i in indices
+            if (direction[i] >= 0 and g[i] <= 0 <= g_new[i]) or (direction[i] <= 0 and g[i] >= 0 >= g_new[i])
         ]
         if active:
             if sol is None:

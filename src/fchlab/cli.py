@@ -9,10 +9,11 @@ Each command returns (csv text, summary line, exit code) for `main` to
 write.  A dry run is the run stopped before its first field: `profile` and
 `phase` build none and run in full, and `converge` prepares every width
 (`family.prepare`: the grid, the micelle count and placement) and stops.
-So a dry run refuses every exit 2 and 3 the run refuses, and a placement's
+So a dry run refuses every exit 2 and 3 the run refuses, a placement's
 exit 4 (a spread that cannot place a count within a sphere's cap-packing
-bound); only exit 4 from the energy pass (a non-finite energy, the
-micelle-overlap guard) needs the run.
+bound) and a phase map's (a limit that is not finite); only exit 4 from
+the energy pass (a non-finite energy, the micelle-overlap guard) needs the
+run.
 
 Exit codes: 0 success, 1 convergence checks failed, 2 usage or config
 error (and a request too large for this machine: the 2^30-byte grid cap,

@@ -114,31 +114,43 @@ class InterfaceGeom:
         return max(self.kappa_max, self.dkappa_max)
 
     def surface_quadrature(self, n_nodes=512):
-        """Quadrature (mesh tuple, weights) with weights including the metric."""
-        grids, wlists = [], []
+        """The chart rule at the chart's rank: (sparse mesh, one 1-D weight array per chart axis).
+
+        integral_Gamma f ds is the sum over the mesh of
+        f * metric_weight * prod_k w_k.  The weights hold no metric, so a
+        caller forms f and the metric weight at their own rank and never
+        needs an array of the rule's full shape (_surface_integrals).
+        """
+        grids, weights = [], []
         for (per, period) in zip(self.periodic, self.chart_periods):
             if per:
                 grids.append(_chart_axis(per, period, n_nodes))
-                wlists.append(np.full(n_nodes, period / n_nodes))
+                weights.append(np.full(n_nodes, period / n_nodes))
             else:
                 nodes, ww = _nonperiodic_rule(n_nodes)
                 grids.append(nodes)
-                wlists.append(ww)
-        mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
-        wq = np.ones([len(g) for g in grids])
-        for axis, ww in enumerate(wlists):
-            shape = [1] * len(wlists)
-            shape[axis] = -1
-            wq = wq * ww.reshape(shape)
-        wq = wq * self.metric_weight(*mesh)
-        return mesh, wq
+                weights.append(ww)
+        return np.meshgrid(*grids, indexing="ij", sparse=True), tuple(weights)
 
     @cached_property
     def _surface_integrals(self):
-        """(|Gamma|, integral of H0^2) from one pass over the surface quadrature."""
-        mesh, wq = self.surface_quadrature(_SURFACE_NODES if self.chart_dims > 1 else _CURVE_NODES)
+        """(|Gamma|, integral of H0^2), each integrand held at its own rank.
+
+        The metric weight takes the rule's weights of every axis along which
+        it or H0 varies; an axis along which both have length 1 (phi on a
+        sphere or a torus) contributes the sum of its weights as a factor.
+        On a curve this is weight * metric elementwise and one np.sum.
+        """
+        mesh, weights = self.surface_quadrature(_SURFACE_NODES if self.chart_dims > 1 else _CURVE_NODES)
+        wq = self.metric_weight(*mesh)
         h0 = total_curvature(self, mesh)
-        return float(np.sum(wq)), float(np.sum(h0 * h0 * wq))
+        scale = 1.0
+        for axis, w in enumerate(weights):
+            if wq.shape[axis] == h0.shape[axis] == 1:
+                scale *= np.sum(w)
+            else:
+                wq = w.reshape([-1 if k == axis else 1 for k in range(len(weights))]) * wq
+        return float(np.sum(wq) * scale), float(np.sum(h0 * h0 * wq) * scale)
 
     @property
     def surface_measure(self):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bilayer import solve_profile
 from .energy import Field, fch_energy, fch_energy_sweep
-from .errors import InfeasibleModelError, PlacementError
+from .errors import InfeasibleModelError, NumericsError, PlacementError
 from .geometry import InterfaceGeom, TubularGrid, place_micelle_centers
 from .limits import check_alpha, g1_energy, micelle_count, micelle_limit, snap_micelle_eps
 from .micelle import shoot_micelle
@@ -462,7 +462,10 @@ def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_gri
     """Tabulate both limiting energies and the winning structure per cell.
 
     eta_grid is an iterable of (eta1, eta2) pairs; cells with eta1 <= 0 or
-    a non-finite eta are marked invalid rather than fatal.
+    a non-finite eta are marked invalid rather than fatal.  A valid cell
+    whose limit is not finite (eta1 + eta2 or alpha*eta past the float
+    range) raises NumericsError naming the cell and the side, since no
+    winner can be read from it.
     """
     check_alpha(alpha)
     prof_b = solve_profile(params)
@@ -475,6 +478,9 @@ def phase_diagram(geom: InterfaceGeom, alpha: float, params: WellParams, eta_gri
             continue
         bl = g1_energy(geom, prof_b.a_star, prof_b.b_star, eta1, eta2)
         mi = micelle_limit(n_amb, alpha, eta1, eta2, prof_m.sigma_n)
+        for side, value in (("bilayer_limit", bl), ("micelle_limit", mi)):
+            if not math.isfinite(value):
+                raise NumericsError(f"{side} of the cell eta1 = {eta1!r}, eta2 = {eta2!r} is not finite: {value!r}")
         winner = "micelle" if mi < bl else "bilayer"
         rows.append((float(eta1), float(eta2), float(bl), float(mi), winner, True))
     return PhaseDiagram(dim_n=n_amb, rows=tuple(rows))

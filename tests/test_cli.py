@@ -486,6 +486,26 @@ def test_non_finite_energy_exits_4_without_outputs(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "eta, extra, side",
+    [("1e308", [], "bilayer_limit"), ("1e300", ["--alpha", "1e10"], "micelle_limit")],
+    ids=["eta-sum-overflows", "alpha-eta-overflows"],
+)
+def test_non_finite_phase_limit_exits_4_without_outputs(tmp_path, capsys, eta, extra, side):
+    # eta1 + eta2 = 2e308 overflows in G1, and alpha * eta1 / 2 = 5e309 in the
+    # micelle limit: a -inf limit once reached the CSV and named a winner with exit 0
+    out = tmp_path / "phase.csv"
+    ranges = ["--eta1-range", f"{eta}:{eta}:1", "--eta2-range", f"{eta}:{eta}:1"]
+    assert run_cli(["phase", *ranges, *extra, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NumericsError"
+    assert payload["message"] == f"{side} of the cell eta1 = {float(eta)!r}, eta2 = {float(eta)!r} is not finite: -inf"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_keys_are_named(tmp_path, capsys):
     args = ["converge", "--dry-run", "--config"]
     assert run_cli(args + [_config(tmp_path, '{"kind": "bilayer", "eta_1": 2.0}')]) == 2

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -286,7 +287,8 @@ def test_g1_matches_the_surface_sum(shape, r1, r2, a_star, b_star, eta1, eta2):
     geom = GEOMETRIES[shape](r1, r2)
     g1 = g1_energy(geom, a_star, b_star, eta1, eta2)
     # reference: the integrand summed node by node over the surface quadrature
-    mesh, wq = geom.surface_quadrature(_SURFACE_NODES if geom.chart_dims > 1 else _CURVE_NODES)
+    mesh, weights = geom.surface_quadrature(_SURFACE_NODES if geom.chart_dims > 1 else _CURVE_NODES)
+    wq = geom.metric_weight(*mesh) * functools.reduce(np.multiply.outer, weights)
     h0 = total_curvature(geom, mesh)
     reference = float(np.sum((a_star * h0**2 - (eta1 + eta2) * b_star) * wq))
     bend = a_star * bending_integral(geom)

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,12 +70,18 @@ def test_sphere_and_torus_curvatures():
     assert float(k2) == pytest.approx(math.cos(np.pi / 3) / (3.0 + math.cos(np.pi / 3)))
 
 
+def full_rule(geom, n_nodes):
+    """(mesh, weight) of the surface rule with its weight formed at the rule's full shape, metric included."""
+    mesh, weights = geom.surface_quadrature(n_nodes)
+    return mesh, geom.metric_weight(*mesh) * functools.reduce(np.multiply.outer, weights)
+
+
 def test_total_curvature_closed_forms():
     assert float(total_curvature(Circle(2.0), 0.3)) == pytest.approx(0.5)
     assert float(total_curvature(Sphere(2.0), (0.5, 0.5))) == pytest.approx(1.0)
     # turning number of the ellipse: integral of H0 ds = 2 pi
     geom = Ellipse(2.0, 1.0)
-    mesh, wq = geom.surface_quadrature(4096)
+    mesh, wq = full_rule(geom, 4096)
     assert float(np.sum(total_curvature(geom, mesh) * wq)) == pytest.approx(2 * np.pi, rel=1e-10)
 
 
@@ -81,8 +89,26 @@ def test_bending_integral_closed_forms():
     assert bending_integral(Circle(2.0)) == pytest.approx(2 * np.pi / 2.0, rel=1e-12)
     assert bending_integral(Sphere(5.0)) == pytest.approx(16 * np.pi, rel=1e-12)
     e = Ellipse(2.0, 1.0)
-    mesh, wq = e.surface_quadrature(4096)
+    mesh, wq = full_rule(e, 4096)
     assert bending_integral(e) == pytest.approx(float(np.sum(total_curvature(e, mesh) ** 2 * wq)), rel=1e-8)
+    # Torus(R, r): integral of H0^2 dA = 4 pi^2 R^2 / (r sqrt(R^2 - r^2))
+    R, r = 3.0, 1.0
+    assert bending_integral(Torus(R, r)) == pytest.approx(4 * np.pi**2 * R**2 / (r * math.sqrt(R**2 - r**2)), rel=1e-12)
+    assert bending_integral(Torus(R, r)) == pytest.approx(125.61955559349983, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["sphere", "torus"])
+def test_surface_integrals_form_no_array_of_the_rules_shape(shape):
+    # the 512 x 512 rule's weight alone would take 2 MiB; both integrands
+    # vary along theta only, so the integrals need arrays of 512 samples
+    geom = Sphere(3.0) if shape == "sphere" else Torus(3.0, 1.0)
+    tracemalloc.start()
+    try:
+        geom._surface_integrals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_symmetric_curvatures_expand_the_jacobian():
@@ -104,7 +130,7 @@ def test_symmetric_curvatures_expand_the_jacobian():
 @pytest.mark.parametrize("geom, euler", [(Sphere(3.0), 2), (Torus(3.0, 1.0), 0)], ids=["sphere", "torus"])
 def test_gauss_bonnet(geom, euler):
     # integral of the Gauss curvature e_2 over the surface is 2 pi chi
-    mesh, wq = geom.surface_quadrature(512)
+    mesh, wq = full_rule(geom, 512)
     gauss = symmetric_curvatures(geom.curvatures(*mesh))[2]
     assert float(np.sum(gauss * wq)) == pytest.approx(2.0 * math.pi * euler, rel=1e-14, abs=1e-13)
 
@@ -154,7 +180,7 @@ def test_tubular_volume_identity():
         (Sphere(2.0), 4 * math.pi / 3 * ((2 + 0.1 * 0.45) ** 3 - (2 - 0.1 * 0.45) ** 3)),
     ):
         eps, ell = 0.1, 0.45
-        mesh, wq = geom.surface_quadrature(256)
+        mesh, wq = full_rule(geom, 256)
         z = np.linspace(-ell, ell, 513)
         wz = np.full(z.shape, z[1] - z[0])
         wz[0] *= 0.5

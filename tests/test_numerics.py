@@ -131,8 +131,8 @@ def test_dop853_sums_left_to_right():
     assert _dot([0.1, 0.2, 0.3], [3.0, 2.0, 1.0]) == (0.1 * 3.0 + 0.2 * 2.0) + 0.3 * 1.0
 
 
-def reference_step(fun, t, y, f, h):
-    """One DOP853 step as a loop over _dot: (y_new, f_new, stages, err5, err3)."""
+def reference_step(fun, t, y, f, h, rtol, atol):
+    """One DOP853 step as a loop over _dot, zero coefficients included: (y_new, f_new, stages, err5_sq, err3_sq)."""
     stages = [f]
     for s in range(1, N_STAGES):
         y_s = [a + _dot(_ROWS[s], [k[i] for k in stages]) * h for i, a in enumerate(y)]
@@ -141,7 +141,11 @@ def reference_step(fun, t, y, f, h):
     stages.append(list(fun(t + h, y_new)))
     err5 = [_dot(_E5, [k[i] for k in stages]) for i in range(len(y))]
     err3 = [_dot(_E3, [k[i] for k in stages]) for i in range(len(y))]
-    return y_new, stages[-1], stages, err5, err3
+    # the step control's error-norm squares: each component over atol + max(|y|, |y_new|)*rtol
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    err5 = [e / s for e, s in zip(err5, scale)]
+    err3 = [e / s for e, s in zip(err3, scale)]
+    return y_new, stages[-1], stages, math.sqrt(_dot(err5, err5)) ** 2, math.sqrt(_dot(err3, err3)) ** 2
 
 
 def bits(values):
@@ -160,12 +164,14 @@ def step_inputs(draw):
         draw(vector),
         draw(st.lists(vector, min_size=N_STAGES + 1, max_size=N_STAGES + 1)),
         draw(st.floats(1e-12, 1e3)),
+        draw(st.floats(1e-14, 1e-2)),
+        draw(st.floats(1e-16, 1e-2)),
     )
 
 
 @given(step_inputs())
 def test_step_kernel_matches_dot_sums_bit_for_bit(inputs):
-    t, y, ks, h = inputs
+    t, y, ks, h, rtol, atol = inputs
 
     def replay(calls):
         # returns the drawn stage values in turn and records what it is asked
@@ -176,13 +182,13 @@ def test_step_kernel_matches_dot_sums_bit_for_bit(inputs):
         return fun
 
     calls_ref, calls_kernel = [], []
-    ref = reference_step(replay(calls_ref), t, y, list(ks[0]), h)
-    out = _step_kernel(len(y))(replay(calls_kernel), t, y, list(ks[0]), h)
+    ref = reference_step(replay(calls_ref), t, y, list(ks[0]), h, rtol, atol)
+    out = _step_kernel(len(y))(replay(calls_kernel), t, y, list(ks[0]), h, rtol, atol)
     assert calls_kernel == calls_ref
-    y_new, f_new, stages, err5, err3 = out
+    y_new, f_new, stages, err5_sq, err3_sq = out
     assert bits(y_new) == bits(ref[0]) and bits(f_new) == bits(ref[1])
     assert [bits(k) for k in stages] == [bits(k) for k in ref[2]]
-    assert bits(err5) == bits(ref[3]) and bits(err3) == bits(ref[4])
+    assert bits([err5_sq, err3_sq]) == bits(ref[3:])
 
 
 def test_step_kernel_built_on_first_solver_not_at_import():

@@ -575,19 +575,23 @@ def small_sphere_spec(params, **kw):
 # Re-recorded when u_ss came to be formed from the 5-point u_tt instead of
 # the chained d1_s(d1_s(u)/w)/w: norm_uss_l2 moved 0.074690958466775842 ->
 # 0.07470427636287473 (1.8e-4 relative); every other column kept its bits.
+# Re-recorded when the surface rule came to be held at the chart's rank
+# (|Gamma| and the bending integral summed along theta, times the sum of
+# the phi weights): predicted_limit moved 2 ulp (-12.508782407770861 ->
+# ...864) and abs_error by the same 3.6e-15, <= 2.1e-13 relative.
 SMALL_SPHERE_CSV = (
     "eps,energy,predicted_limit,abs_error,equipartition_defect,bilayer_residual,mass,norm_u_lp,"
     "norm_uz_l2,norm_us_l2,norm_uss_l2,n_micelles,uniform_thickness\n"
-    "0.10000000000000001,-12.582904357069141,-12.508782407770861,0.074121949298280754,"
+    "0.10000000000000001,-12.582904357069141,-12.508782407770864,0.074121949298277201,"
     "0.004667401928309908,0.00084458443441488298,195.21601272358313,"
     "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.07470427636287473,,1\n"
-    "0.050000000000000003,-12.540949597096034,-12.508782407770861,0.032167189325173595,"
+    "0.050000000000000003,-12.540949597096034,-12.508782407770864,0.032167189325170042,"
     "0.004667401928309908,0.00084458443441488298,194.88489513632203,"
     "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.07470427636287473,,1\n"
-    "0.025000000000000001,-12.530059646339518,-12.508782407770861,0.021277238568657708,"
+    "0.025000000000000001,-12.530059646339518,-12.508782407770864,0.021277238568654155,"
     "0.004667401928309908,0.00084458443441488298,194.80211573950675,"
     "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.07470427636287473,,1\n"
-    "0.012500000000000001,-12.525732181168955,-12.508782407770861,0.016949773398094337,"
+    "0.012500000000000001,-12.525732181168955,-12.508782407770864,0.016949773398090784,"
     "0.004667401928309908,0.00084458443441488298,194.78142089030294,"
     "2.9566583010792611,4.0129590882065074,0.14614379343458711,0.07470427636287473,,1\n"
 )
