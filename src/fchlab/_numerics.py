@@ -21,6 +21,7 @@ floats.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def gauss_legendre(n: int):
 
 def _solve_tridiagonal(dl, d, du, b):
     """Solve the tridiagonal system (sub-, main, super-diagonal) as LAPACK dgtsv does."""
-    dl, d, du, b = (list(map(float, v)) for v in (dl, d, du, b))
+    dl, d, du, b = (array("d", np.asarray(v, dtype=float).tobytes()) for v in (dl, d, du, b))
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):

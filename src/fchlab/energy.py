@@ -153,10 +153,15 @@ def live_runs(hits, n, periodic):
     run across a periodic seam is one run whose start lies in 0 .. n-1 and
     whose stop passes n: it holds rows start .. n-1, then 0 .. stop-n-1.
     """
-    near = (np.asarray(hits, dtype=np.intp)[:, None] + np.arange(-_HALO, _HALO + 1)).ravel()
-    near = near % n if periodic else near[(near >= 0) & (near < n)]
-    marks = np.zeros(n + 2, dtype=bool)
-    marks[near + 1] = True
+    hit = np.zeros(n, dtype=bool)
+    hit[np.asarray(hits, dtype=np.intp)] = True
+    # the marks padded by _HALO rows each side, wrapped or false, then widened
+    # by _HALO rows: O(n) memory however many hits there are
+    pad = np.arange(-_HALO, n + _HALO)
+    padded = hit[pad % n] & (periodic | ((pad >= 0) & (pad < n)))
+    marks = np.zeros(n + 2, dtype=bool)  # with a false row at each end
+    for k in range(2 * _HALO + 1):
+        marks[1:-1] |= padded[k : k + n]
     ends = np.flatnonzero(marks[1:] != marks[:-1]).tolist()  # run starts and stops, alternating
     runs = list(zip(ends[::2], ends[1::2]))
     if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:  # the run across the seam
@@ -180,12 +185,13 @@ class Field:
     pairs, one per maximal run of live rows in row order, block holding
     rows first .. first+len(block)-1 taken mod the row count, so the block
     of a run across a periodic seam holds its rows before the seam, then
-    those after it.  Every row off the runs is an exact zero and is never
-    allocated.  The layout is the class's own: Field(grid, values) marks a
+    those after it.  Every row off the runs is an exact zero and no block
+    holds it.  The layout is the class's own: Field(grid, values) marks a
     dense array by this rule and holds views of it, copying only the block
     of a run across the seam, and Field._from_pieces lays out the runs of a
-    sum of pieces.  values builds the dense array of the field's shape on
-    each access, for callers outside the package.
+    sum of pieces added into one array as they are formed.  values builds
+    the dense array of the field's shape on each access, for callers
+    outside the package.
 
     Admissible fields are nonnegative and vanish at z = +-ell (no-contact
     boundary); construction validates both, reading only the runs, unless
@@ -201,29 +207,39 @@ class Field:
         self._hold(grid, vals.shape, [(a, _Span(a, b, len(vals), True, 0).take(vals, 0)) for a, b in runs], check_bc)
 
     @classmethod
-    def _from_pieces(cls, grid: TubularGrid, pieces) -> Field:
+    def _from_pieces(cls, grid: TubularGrid, rows, pieces) -> Field:
         """The field of the grid's shape that sums pieces, (chart index, z columns) pairs, in order.
 
-        A piece's chart index is a tuple of index arrays, one per chart
-        axis, and its z columns hold the samples at those chart points, one
-        row of the grid's z length each; a piece may span runs.  The runs
-        are views of one zero-filled array holding every live row.  Pieces
-        whose nonzero samples meet are refused (NumericsError): the micelle
+        rows holds every chart-axis-0 row a piece may touch.  One
+        zero-filled array is allocated over the live runs of rows, and each
+        piece is added into it as pieces yields it, so a builder may form
+        its pieces one at a time.  A piece's chart index is a tuple of index
+        arrays, one per chart axis, and its z columns hold the samples at
+        those chart points, one row of the grid's z length each; a piece may
+        span runs.  The field's runs are those of the rows holding a nonzero
+        sample, each a view of the array (a copy only where rows cover the
+        whole periodic axis and a run crosses its seam).  Pieces whose
+        nonzero samples meet are refused (NumericsError): the micelle
         builder's supports are disjoint by their placement separation.
         """
-        n = grid.shape[0]
-        bounds = live_runs(np.concatenate([idx[0] for idx, _ in pieces] or [[]]), n, grid.geom.periodic[0])
-        live = np.concatenate([np.arange(a, b) for a, b in bounds] or [np.arange(0)]) % n
+        n, periodic = grid.shape[0], grid.geom.periodic[0]
+        live = np.concatenate([np.arange(a, b) for a, b in live_runs(rows, n, periodic)] or [np.arange(0)]) % n
         held = np.zeros((len(live), *grid.shape[1:]))
-        at = np.zeros(n, dtype=np.intp)  # each live row's row of held
+        at = np.zeros(n, dtype=np.intp)  # each row's row of held
         at[live] = np.arange(len(live))
+        hit = np.zeros(n, dtype=bool)  # the rows holding a nonzero sample
         for idx, cols in pieces:
             where = (at[idx[0]], *idx[1:])
             if np.any((held[where] > 0.0) & (cols > 0.0)):
                 raise NumericsError("micelle supports overlap despite placement separation")
             held[where] += cols
+            hit[idx[0][np.any(cols, axis=-1)]] = True
+        runs = []
+        for a, b in live_runs(np.flatnonzero(hit), n, periodic):
+            k = at[np.arange(a, b) % n]  # consecutive unless the run wraps a whole-axis array
+            runs.append((a, held[k[0] : k[0] + b - a] if k[-1] - k[0] == b - a - 1 else held[k]))
         fld = cls.__new__(cls)
-        fld._hold(grid, grid.shape, [(a, held[at[a] : at[a] + b - a]) for a, b in bounds], True)
+        fld._hold(grid, grid.shape, runs, True)
         return fld
 
     def _hold(self, grid, shape, runs, check_bc):

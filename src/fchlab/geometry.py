@@ -102,12 +102,6 @@ class InterfaceGeom:
     def metric_weight(self, *t):
         return math.prod(self.lame(*t))
 
-    def offset_position(self, t, z, eps):
-        """Ambient position of the tubular point phi(s) + eps*z*n(s)."""
-        pos = self.position(*t)
-        nrm = self.normal(*t)
-        return pos + (eps * np.asarray(z))[..., None] * nrm
-
     @property
     def kappa0(self):
         """Uniform bound on |kappa_j| and |d kappa_j / d s_i|."""

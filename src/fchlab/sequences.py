@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import energy
 from .bilayer import solve_profile
 from .energy import Field, fch_energy, fch_energy_sweep
 from .errors import InfeasibleModelError, NumericsError, PlacementError
@@ -47,9 +48,6 @@ __all__ = [
 _MICELLE_EPS_REQUEST = (0.05, 0.025, 0.0125, 0.00625)
 # default chart resolution of a micelle field: samples across one micelle diameter 2*eps*R0
 _POINTS_PER_MICELLE = 96
-# samples (chart points x z) of one chunk of a center's candidate chart
-# points: their offset positions and differences take 24 bytes a sample each
-_WINDOW_CHUNK_SAMPLES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,56 +210,85 @@ def build_bilayer_field(family: BilayerFamily, eps: float) -> Field:
     """
     grid, p = family.prepare(eps)
     profile = solve_profile(family.params)
-    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), grid.least_shape[:-1]))
-    vals = profile.evaluate(grid.z_grid - p[..., None])
+    if family.translate is None:  # every chart point holds the same z column
+        vals = np.empty(grid.least_shape)
+        vals[...] = profile.evaluate(grid.z_grid)
+    else:
+        p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), grid.least_shape[:-1]))
+        vals = profile.evaluate(grid.z_grid - p[..., None])
     return Field(grid, np.maximum(vals, 0.0, out=vals))
+
+
+def _reachable(grid: TubularGrid, centers, r0: float) -> list:
+    """Per center c, (chart index, beta, q) of the chart points whose least radius from c is below r0.
+
+    beta = n(s).(phi(s) - c) and q = |phi(s) - c - beta*n(s)|^2; the least
+    radius over |z| <= ell, sqrt(q + max(|beta| - eps*ell, 0)^2) / eps, is
+    formed by the operations that form each sample's radius, so no sample
+    of a chart point that fails lies within r0.  The test runs in the slab
+    |x0 - c0| < eps*(r0 + ell) of the chart points sorted by their first
+    ambient coordinate, and normals are formed there alone.
+    """
+    geom, eps = grid.geom, grid.eps
+    points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
+    order = np.argsort(points[:, 0], kind="stable")
+    x0 = points[order, 0]
+    reach = eps * (r0 + grid.ell)
+    edge = eps * grid.z_grid[-1]  # eps*ell, bit for bit the radii's eps*z at z = +-ell
+    near = []
+    for center in centers:
+        c_pos = geom.position(*center)
+        slab = np.sort(order[np.searchsorted(x0, c_pos[0] - reach, "right") : np.searchsorted(x0, c_pos[0] + reach)])
+        idx = np.unravel_index(slab, grid.shape[:-1])
+        nrm = geom.normal(*(g[i] for g, i in zip(grid.s_grids, idx)))
+        d = points[slab] - c_pos
+        beta = np.sum(nrm * d, axis=-1)
+        d -= beta[:, None] * nrm
+        q = np.sum(d * d, axis=-1)
+        least = np.maximum(np.abs(beta) - edge, 0.0)
+        keep = np.sqrt(q + least * least) / eps < r0
+        near.append((tuple(i[keep] for i in idx), beta[keep], q[keep]))
+    return near
 
 
 def build_micelle_field(family: MicelleFamily, eps: float) -> Field:
     """Superpose radial compactons at separated interface points.
 
-    A sample phi(s) + eps*z*n(s) lies within eps*R0 of a center c only if
-    |phi(s) - c| < eps*(R0 + ell), since |z| <= ell; each center's bump is
-    formed on the chart points that pass this test, found in the slab
-    |x0 - c0| < eps*(R0 + ell) of the chart points sorted once by their
-    first ambient coordinate x0.  They are processed in chunks of at most
-    _WINDOW_CHUNK_SAMPLES samples (at least one chart point), and each
-    chunk keeps only its chart points that hold a nonzero sample; a chunk
-    that holds none is dropped, which bounds what is held between chunks.
-    The kept bumps go to Field._from_pieces, which lays out the field's
-    live-row runs and adds the bumps into them, so no array of the whole
-    grid is formed.  Supports are pairwise disjoint by the placement
-    separation 2*eps*R0; Field._from_pieces refuses pieces that overlap
-    (NumericsError).
+    Near a center c, a chart point s is described by two scalars,
+    beta = n(s).(phi(s) - c) and q = |phi(s) - c - beta*n(s)|^2; since n
+    is a unit vector, the sample at z lies at radius
+    sqrt(q + (beta + eps*z)^2) / eps from c.  Each center's bump is formed
+    on the chart points whose least radius over |z| <= ell lies below R0,
+    and on no others (_reachable).  Field._from_pieces allocates the
+    field's live-row runs once, over the rows of those chart points, and
+    the bumps are added in chunk by chunk as they are formed, each chunk
+    at most energy._TILE_SAMPLES samples (at least one chart point), so
+    beside the field the builder holds one chunk and three scalars per
+    reachable chart point.  Supports are pairwise disjoint by the
+    placement separation 2*eps*R0; Field._from_pieces refuses bumps that
+    overlap (NumericsError).
     """
-    geom = family.geom
-    prof = shoot_micelle(geom.ambient_n, family.params)
+    prof = shoot_micelle(family.geom.ambient_n, family.params)
     r0 = prof.r0_support
     grid, centers = family.prepare(eps)
-    *ns, nz = grid.shape
-    points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
-    order = np.argsort(points[:, 0], kind="stable")
-    x0 = points[order, 0]
-    reach = eps * (r0 + grid.ell)
-    step = max(1, _WINDOW_CHUNK_SAMPLES // nz)
-    pieces = []  # (chart indices, bumps) of the chart points of a chunk holding a nonzero sample
-    for center in centers:
-        c_pos = geom.position(*center)
-        slab = order[np.searchsorted(x0, c_pos[0] - reach, "right") : np.searchsorted(x0, c_pos[0] + reach)]
-        near = np.unravel_index(np.sort(slab[np.linalg.norm(points[slab] - c_pos, axis=-1) < reach]), ns)
-        for start in range(0, len(near[0]), step):
-            idx = tuple(i[start : start + step] for i in near)
-            # the trailing axis: position and normal once per chart point, not per z sample
-            pos = geom.offset_position([g[i][:, None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
-            radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
-            del pos
-            inside = radius < r0
-            bump = np.zeros(radius.shape)
-            bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
-            holds = np.any(bump, axis=-1)
-            if holds.any():
-                pieces.append((tuple(i[holds] for i in idx), bump[holds]))
-    return Field._from_pieces(grid, pieces)
+    near = _reachable(grid, centers, r0)
+    ez = eps * grid.z_grid
+    step = max(1, energy._TILE_SAMPLES // len(ez))
+
+    def bumps():
+        for idx, beta, q in near:
+            for start in range(0, len(q), step):
+                part = slice(start, start + step)
+                bump = np.square(beta[part, None] + ez)
+                bump += q[part, None]
+                np.sqrt(bump, out=bump)
+                bump /= eps  # the radii
+                inside = bump < r0
+                bump[inside] = np.maximum(prof.evaluate(bump[inside]), 0.0)
+                bump[~inside] = 0.0
+                yield tuple(i[part] for i in idx), bump
+
+    return Field._from_pieces(grid, np.concatenate([idx[0] for idx, _, _ in near] or [[]]), bumps())
 
 
 # the CSV columns between abs_error and n_micelles, by EnergyReport field name

@@ -483,7 +483,7 @@ def _synthetic(geom, ns, hits):
         dense[r] = (1.0 + 0.25 * k) * row
     points = np.indices((len(rows), *grid.shape[1:-1])).reshape(geom.chart_dims, -1)
     piece = ((rows[points[0]], *points[1:]), dense[rows].reshape(-1, grid.shape[-1]))
-    return dense, Field._from_pieces(grid, [piece])
+    return dense, Field._from_pieces(grid, rows, [piece])
 
 
 def _assert_same_outputs(fld, other, params):
@@ -573,22 +573,35 @@ def test_from_pieces_stores_the_live_rows_of_its_pieces():
     bump = smooth_bump(z, 0.9)
     low, high = np.where(z < 0.0, bump, 0.0), np.where(z < 0.0, 0.0, bump)
     # rows 1 and 94 of 96 periodic rows make one run across the seam; row 40
-    # is the sum of two pieces nonzero at different z
-    pieces = [((np.array([1, 40]),), np.stack([bump, low])), ((np.array([94, 40]),), np.stack([bump, high]))]
-    fld = Field._from_pieces(circle, pieces)
+    # is the sum of two pieces nonzero at different z; row 60 may be touched
+    # and holds only zeros, so no run holds it
+    pieces = [
+        ((np.array([1, 40]),), np.stack([bump, low])),
+        ((np.array([94, 40, 60]),), np.stack([bump, high, np.zeros_like(z)])),
+    ]
+    fld = Field._from_pieces(circle, [1, 40, 94, 40, 60], iter(pieces))
     assert [(a, len(block)) for a, block in fld.runs] == [(32, 17), (86, 20)]
     dense = np.zeros(circle.shape)
     dense[[1, 40, 94]] = bump
     assert np.array_equal(fld.values, dense)
+    # each run is a view of the one array allocated for the rows that may
+    # be touched, except where those rows cover the whole periodic axis and
+    # a run crosses its seam
+    (_, seam), (_, inner) = fld.runs[1], fld.runs[0]
+    assert seam.base is inner.base is not None
+    fld = Field._from_pieces(circle, np.arange(0, 96, 8), iter(pieces))
+    assert [(a, len(block)) for a, block in fld.runs] == [(32, 17), (86, 20)]
+    assert np.array_equal(fld.values, dense)
+    assert fld.runs[0][1].base is not None and fld.runs[1][1].base is None
     # rows 0 and 23 of the bounded theta axis: runs clipped at both edges,
     # from one piece that spans them
     sphere = TubularGrid.build(Sphere(3.0), 1.0, 0.1, (24, 8), 17)
-    fld = Field._from_pieces(sphere, [((np.array([0, 23]), np.array([3, 5])), np.stack([bump, bump]))])
+    fld = Field._from_pieces(sphere, [0, 23], [((np.array([0, 23]), np.array([3, 5])), np.stack([bump, bump]))])
     assert [(a, len(block)) for a, block in fld.runs] == [(0, 9), (15, 9)]
     dense = np.zeros(sphere.shape)
     dense[0, 3] = dense[23, 5] = bump
     assert np.array_equal(fld.values, dense)
-    assert Field._from_pieces(sphere, []).runs == []
+    assert Field._from_pieces(sphere, [], []).runs == []
 
 
 def test_overlapping_pieces_are_refused():
@@ -596,7 +609,7 @@ def test_overlapping_pieces_are_refused():
     bump = smooth_bump(grid.z_grid, 0.9)
     piece = ((np.array([40]),), bump[None])
     with pytest.raises(NumericsError, match="^micelle supports overlap despite placement separation$"):
-        Field._from_pieces(grid, [piece, piece])
+        Field._from_pieces(grid, [40], [piece, piece])
 
 
 # Reports and audit sides recorded before the energy terms were shared

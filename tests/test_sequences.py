@@ -159,8 +159,12 @@ def test_micelle_field_single_center(params, micelle2):
     # refinement must not worsen the match beyond the discretization floor
     assert gaps[1] <= max(gaps[0], 1e-4)
 
-    # on each shape the bump equals U(|phi(s) + eps*z*n(s) - center| / eps)
-    # sampled point by point through offset_position on the whole grid, bit for bit
+    # on each shape the bump equals U(radius) with each sample's radius from
+    # the builder's two scalars formed on the whole grid, bit for bit, and
+    # the ambient U(|phi(s) + eps*z*n(s) - center| / eps) to round-off.  Both
+    # radii are differences of ambient points of size about 1, divided by
+    # eps, so they part by a few ulps over eps: each sample by at most
+    # 1e-15/eps amplitudes (measured here: 1.8e-15 amplitudes at most)
     for geom, eps, ns in (
         (Circle(1.0), 0.1, None),
         (Ellipse(2.0, 1.0), 0.05, None),
@@ -175,12 +179,36 @@ def test_micelle_field_single_center(params, micelle2):
         fld = build_micelle_field(spec, eps)
         prof = shoot_micelle(n, params)
         (center,) = place_micelle_centers(geom, eps, spec.micelle_count(eps), prof.r0_support)
-        grid = fld.grid
-        t = [np.broadcast_to(m[..., None], grid.shape) for m in grid.s_mesh]
-        pos = geom.offset_position(t, np.broadcast_to(grid.z_grid, grid.shape), eps)
-        ref = np.maximum(prof.evaluate(np.linalg.norm(pos - geom.position(*center), axis=-1) / eps), 0.0)
+        c_pos = geom.position(*center)
+        ref = np.maximum(prof.evaluate(_two_scalar_radii(fld.grid, c_pos)), 0.0)
         assert np.count_nonzero(ref) > 0
         assert np.array_equal(fld.values, ref), geom.name
+        ambient = np.maximum(prof.evaluate(_ambient_radii(fld.grid, c_pos)), 0.0)
+        assert np.max(np.abs(fld.values - ambient)) <= 1e-15 / eps * prof.amplitude, geom.name
+
+
+def _two_scalars(grid, c_pos):
+    """(beta, q) at every chart point, formed as the builder forms them: beta = n.(phi - c), q = |phi - c - beta*n|^2."""
+    t = [np.broadcast_to(m, grid.shape[:-1]) for m in grid.s_mesh]
+    nrm = grid.geom.normal(*t)
+    d = grid.geom.position(*t) - c_pos
+    beta = np.sum(nrm * d, axis=-1)
+    d -= beta[..., None] * nrm
+    return beta, np.sum(d * d, axis=-1)
+
+
+def _two_scalar_radii(grid, c_pos):
+    """Each sample's radius from c_pos, sqrt(q + (beta + eps*z)^2) / eps, on the whole grid."""
+    beta, q = _two_scalars(grid, c_pos)
+    return np.sqrt(q[..., None] + np.square(beta[..., None] + grid.eps * grid.z_grid)) / grid.eps
+
+
+def _ambient_radii(grid, c_pos):
+    """Each sample's radius from c_pos, |phi(s) + eps*z*n(s) - c| / eps, from its ambient position."""
+    t = [np.broadcast_to(m, grid.shape[:-1]) for m in grid.s_mesh]
+    phi, nrm, ez = grid.geom.position(*t), grid.geom.normal(*t), grid.eps * grid.z_grid
+    sq = sum(np.square(phi[..., k, None] + ez * nrm[..., k, None] - c) for k, c in enumerate(c_pos))
+    return np.sqrt(sq) / grid.eps
 
 
 def test_family_builds_the_nz_it_asks_for(params):
@@ -212,21 +240,21 @@ def test_oversized_grid_is_refused_before_it_is_allocated(params):
 
 
 def test_micelle_windows_build_in_chunks(params, monkeypatch):
-    # a center's candidate chart points are built in chunks of at most
-    # _WINDOW_CHUNK_SAMPLES samples.  On Sphere(1) at eps 0.05 the candidates
-    # of a center are about a quarter of the chart; built in one piece, their
-    # offset positions at 24 bytes a sample would take over 300 MB on the
-    # default 314x628x257 field
+    # a center's bump is formed and added into the field in chunks of at
+    # most energy._TILE_SAMPLES samples.  On Sphere(1) at eps 0.05 the chart
+    # points a center can reach are up to a sixth of the chart; formed in
+    # one piece, one center's radii alone would take 64 MB on the default
+    # 314x628x257 field
     family = MicelleFamily(
         geom=Sphere(1.0), params=params, eta1=1.0, eta2=1.0, alpha=0.1, eps_list=(0.05,), ns=(40, 80), nz=65
     )
-    whole = build_micelle_field(family, 0.05)  # one chunk: the whole chart is 208000 samples, under the default 2^20
+    whole = build_micelle_field(family, 0.05)  # the default 2^16: chunks of 1008 chart points
     assert np.count_nonzero(whole.values) > 0
     # 2^14 samples: chunks of 252 chart points of 65 samples
-    monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**14)
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", 2**14)
     assert build_micelle_field(family, 0.05).values.tobytes() == whole.values.tobytes()
     # 2^10 samples: chunks of 15 chart points
-    monkeypatch.setattr(sequences, "_WINDOW_CHUNK_SAMPLES", 2**10)
+    monkeypatch.setattr(energy, "_TILE_SAMPLES", 2**10)
     tracemalloc.start()
     try:
         fld = build_micelle_field(family, 0.05)
@@ -235,6 +263,31 @@ def test_micelle_windows_build_in_chunks(params, monkeypatch):
         tracemalloc.stop()
     assert fld.values.tobytes() == whole.values.tobytes()
     assert peak < 2 * fld.values.nbytes
+
+
+def test_micelle_build_holds_no_second_copy_of_the_field(params):
+    # beside the field, the build holds one chunk and three scalars per
+    # reachable chart point, so what it takes past the stored bytes stays
+    # flat as the centers double (measured: +0.06 MB, against +2.87 MB
+    # stored); a build holding each bump apart until the field is laid out
+    # would grow by about the field's growth
+    shoot_micelle(2, params)  # the memoised profile, outside the measurement
+    extra, stored = [], []
+    for alpha in (1.25, 2.5):
+        family = MicelleFamily(
+            geom=Circle(2.0), params=params, eta1=1.0, eta2=1.0, alpha=alpha, eps_list=(0.01,), ns=(4096,)
+        )
+        family.prepare(0.01)  # placement's tables, outside the measurement
+        tracemalloc.start()
+        try:
+            fld = build_micelle_field(family, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fld.runs) == family.micelle_count(0.01) == 16 * alpha  # 20, then 40 centers
+        stored.append(sum(block.nbytes for _, block in fld.runs))
+        extra.append(peak - stored[-1])
+    assert extra[1] - extra[0] < 0.05 * (stored[1] - stored[0])
 
 
 def test_overlapping_micelles_are_a_numerics_error(params, monkeypatch, tmp_path, capsys):
@@ -254,23 +307,15 @@ def test_overlapping_micelles_are_a_numerics_error(params, monkeypatch, tmp_path
 
 
 def _dense_micelle_samples(family, eps):
-    """The micelle field's bumps added into one whole-grid array, each on the chart points within its reach."""
-    geom = family.geom
-    prof = shoot_micelle(geom.ambient_n, family.params)
+    """The micelle field's bumps, each formed on the whole grid from the two scalars and added into one array."""
+    prof = shoot_micelle(family.geom.ambient_n, family.params)
     grid, centers = family.prepare(eps)
     vals = np.zeros(grid.shape)
-    points = geom.position(*grid.s_mesh).reshape(-1, geom.ambient_n)
-    reach = eps * (prof.r0_support + grid.ell)
     for center in centers:
-        c_pos = geom.position(*center)
-        idx = np.unravel_index(np.flatnonzero(np.linalg.norm(points - c_pos, axis=-1) < reach), grid.shape[:-1])
-        pos = geom.offset_position([g[i][:, None] for g, i in zip(grid.s_grids, idx)], grid.z_grid, eps)
-        radius = np.linalg.norm(pos - c_pos, axis=-1) / eps
-        inside = radius < prof.r0_support
-        bump = np.zeros(radius.shape)
-        bump[inside] = np.maximum(prof.evaluate(radius[inside]), 0.0)
-        vals[idx] += bump
-    return vals
+        radii = _two_scalar_radii(grid, family.geom.position(*center))
+        inside = radii < prof.r0_support  # U vanishes elsewhere
+        vals[inside] += np.maximum(prof.evaluate(radii[inside]), 0.0)
+    return grid, centers, vals
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +332,17 @@ def test_micelle_field_stores_only_its_live_rows(finest_ellipse):
     family, eps, count, fld = finest_ellipse
     n = fld.grid.shape[0]
     assert (count, fld.grid.shape) == (13, (11959, 257))
-    dense = _dense_micelle_samples(family, eps)
+    grid, centers, dense = _dense_micelle_samples(family, eps)
     assert np.array_equal(fld.values, dense)
+    # the ambient formula to round-off, by the bound of
+    # test_micelle_field_single_center (measured here: 1.4e-14 amplitudes)
+    prof = shoot_micelle(2, family.params)
+    ambient = np.zeros(grid.shape)
+    for center in centers:
+        radii = _ambient_radii(grid, family.geom.position(*center))
+        inside = radii < prof.r0_support
+        ambient[inside] += np.maximum(prof.evaluate(radii[inside]), 0.0)
+    assert np.max(np.abs(dense - ambient)) <= 1e-15 / eps * prof.amplitude
     hits = np.flatnonzero(np.any(dense, axis=-1))
     gap = np.abs(np.arange(n)[:, None] - hits)
     live = np.minimum(gap, n - gap).min(axis=1) <= 8  # t is periodic
@@ -310,25 +364,34 @@ def test_every_tile_of_a_micelle_field_reads_a_view_of_its_run(finest_ellipse):
 
 
 def test_micelle_field_visits_only_chart_points_near_its_centers(params, monkeypatch):
-    # a center's bump is formed on the chart points within eps*(R0 + ell) of
-    # it; a window of chart indices spanning the whole chart once visited 88
-    # times the chart points that hold a nonzero sample here
+    # a center's bump is formed on the chart points whose least radius over
+    # |z| <= ell, sqrt(q + max(|beta| - eps*ell, 0)^2) / eps, lies below R0,
+    # and on no others: here one more than the 3335 chart points that hold
+    # a nonzero sample (the distance test |phi(s) - c| < eps*(R0 + ell)
+    # passes 3.9 times as many)
     geom = Sphere(3.0)
     family = MicelleFamily(
         geom=geom, params=params, eta1=1.0, eta2=1.0, alpha=0.5, eps_list=(0.05,), ns=(96, 192), nz=65
     )
     assert family.micelle_count(0.05) == 16
-    visited = []
-    offset_position = geom.offset_position
+    formed = []
+    from_pieces = Field._from_pieces.__func__
 
-    def counting(t, z, eps):
-        visited.append(np.broadcast(*t).size)
-        return offset_position(t, z, eps)
+    def counting(cls, grid, rows, pieces):
+        return from_pieces(cls, grid, rows, (formed.append(len(cols)) or (idx, cols) for idx, cols in pieces))
 
-    monkeypatch.setattr(geom, "offset_position", counting)
+    monkeypatch.setattr(Field, "_from_pieces", classmethod(counting))
     fld = build_micelle_field(family, 0.05)
+    grid, centers = family.prepare(0.05)
+    r0 = shoot_micelle(3, params).r0_support
+    reach = 0
+    for center in centers:
+        beta, q = _two_scalars(grid, geom.position(*center))
+        least = np.maximum(np.abs(beta) - grid.eps * grid.ell, 0.0)
+        reach += np.count_nonzero(np.sqrt(q + least * least) / grid.eps < r0)
     holding = np.count_nonzero(np.any(fld.values > 0.0, axis=-1))
-    assert 0 < sum(visited) <= 5 * holding
+    assert sum(formed) == reach
+    assert 0 < holding <= sum(formed) <= 1.01 * holding
 
 
 def test_g1_positive_whenever_eta2_below_minus_eta1(params, profile):
